@@ -46,7 +46,6 @@ from .schur import (
     schur_conditions,
 )
 from .hardy import (
-    QuotientResult,
     besov_hardy_quotient,
     classical_hardy_quotient,
     fractional_hardy_quotient,
@@ -64,7 +63,7 @@ from .stein_weiss import (
     split_weighted_potential,
     stein_weiss_check,
 )
-from .extremal import ConstantEstimate, TrialFamily, estimate_constant, quasi_extremal
+from .extremal import ConstantEstimate, estimate_constant, quasi_extremal
 from .report import CheckReport, reports_to_csv, reports_to_json
 
 __version__ = "0.1.0"

@@ -3,22 +3,25 @@ and constant estimation, with machine-readable reports.
 
 Exit codes: 0 all checks passed (or nothing to check), 1 at least one check
 failed, 2 usage or configuration error, 3 internal error.  Reports go to
-stdout as a JSON array (CSV with --format csv); --out appends to a JSON
-report file instead.
+stdout as a JSON array (CSV with --format csv); --out adds them to a JSON
+report file instead, and refuses a file that does not hold JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import asdict, dataclass, fields
+import typing
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import corpus as corpus_mod
-from .extremal import estimate_constant
+from .extremal import ESTIMATE_IDENTITIES, estimate_constant
 from .hardy import (
+    IDENTITIES,
     besov_hardy_quotient,
     classical_hardy_quotient,
     fractional_hardy_quotient,
@@ -117,11 +120,26 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         data = json.loads(text)
-        known = {f.name for f in fields(cls)}
-        bad = set(data) - known
+        hints = typing.get_type_hints(cls)
+        bad = set(data) - set(hints)
         if bad:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
-        return cls(**data)
+        return cls(**{k: _typed(k, v, hints[k]) for k, v in data.items()})
+
+
+def _typed(name: str, value, hint):
+    """value if it fits its config field's type; an int fits a float field
+    and is returned as a float, a bool fits no field."""
+    allowed = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in allowed:
+        return None
+    if not isinstance(value, bool):
+        if float in allowed and isinstance(value, (int, float)):
+            return float(value)
+        if isinstance(value, tuple(t for t in allowed if t in (int, str))):
+            return value
+    names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+    raise ValueError(f"config key {name!r} must be {names}, got {value!r}")
 
 
 def _warn(msg: str) -> None:
@@ -137,27 +155,50 @@ def _check_decay(f, label: str) -> None:
         )
 
 
+def _write_json(path: str, update) -> None:
+    """Write update(existing) to path as JSON, where existing is the file's
+    parsed content, or None when there is no file.
+
+    A file that does not parse as JSON is refused, never overwritten.  The
+    text goes to a temporary file in the same directory, which then replaces
+    the target in one os.replace, so an interrupted write leaves it intact.
+    """
+    try:
+        with open(path) as fh:
+            existing = json.load(fh)
+    except FileNotFoundError:
+        existing = None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(
+            f"refusing to overwrite {path}: not a JSON file ({exc})"
+        ) from exc
+    text = json.dumps(update(existing), sort_keys=True, indent=2, allow_nan=False)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _emit(reports, cfg: RunConfig) -> None:
-    if cfg.fmt == "csv":
-        text = reports_to_csv(reports)
+    """Print the reports, or write them to --out: JSON reports join the
+    array the file holds, CSV rows are appended."""
+
+    def merged(existing):
+        if existing is not None and not isinstance(existing, list):
+            raise ValueError(f"refusing to overwrite {cfg.out}: not a report array")
+        return (existing or []) + [r.to_dict() for r in reports]
+
+    if not cfg.out:
+        print(reports_to_csv(reports) if cfg.fmt == "csv" else reports_to_json(reports))
+    elif cfg.fmt == "csv":
+        with open(cfg.out, "a") as fh:
+            fh.write(reports_to_csv(reports))
     else:
-        text = reports_to_json(reports)
-    if cfg.out:
-        if cfg.fmt == "csv":
-            with open(cfg.out, "a") as fh:
-                fh.write(text)
-        else:
-            try:
-                with open(cfg.out) as fh:
-                    existing = json.load(fh)
-            except (FileNotFoundError, json.JSONDecodeError):
-                existing = []
-            merged = existing + [r.to_dict() for r in reports]
-            with open(cfg.out, "w") as fh:
-                json.dump(merged, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-    else:
-        print(text)
+        _write_json(cfg.out, merged)
 
 
 def _exit_from(reports) -> int:
@@ -250,31 +291,27 @@ def _hardy_corpus(cfg: RunConfig):
     )
 
 
-def cmd_hardy_check(cfg: RunConfig) -> int:
+def _hardy_reports(cfg: RunConfig, warn: bool) -> list[CheckReport]:
+    """cfg.identity's quotient on every corpus field; warn flags fields that
+    do not decay at the box faces."""
+    if cfg.identity not in IDENTITIES:
+        raise ValueError(f"unknown hardy identity {cfg.identity!r}")
+    needs_partition, quotient = IDENTITIES[cfg.identity]
     grid, fields_ = _hardy_corpus(cfg)
+    partition = build_partition(grid, cfg.coverage) if needs_partition else None
     tol = cfg.tolerance if cfg.tolerance is not None else QUADRATURE_TOL
-    partition = None
-    if cfg.identity in ("besov", "refined", "gradient-refined"):
-        partition = build_partition(grid, cfg.coverage)
     reports = []
     for label, f in fields_:
-        _check_decay(f, label)
-        if cfg.identity == "classical":
-            rep = classical_hardy_quotient(f, tol)
-        elif cfg.identity == "fractional":
-            rep = fractional_hardy_quotient(f, cfg.s, cfg.q)
-        elif cfg.identity == "besov":
-            rep = besov_hardy_quotient(f, cfg.s, cfg.q, partition)
-        elif cfg.identity == "refined":
-            rep = refined_hardy_quotient(f, cfg.s, cfg.q, partition)
-        elif cfg.identity == "gradient":
-            rep = gradient_hardy_quotient(f, cfg.q, tol=tol)
-        elif cfg.identity == "gradient-refined":
-            rep = gradient_hardy_quotient(f, cfg.q, refined=True, partition=partition)
-        else:
-            raise ValueError(f"unknown hardy identity {cfg.identity!r}")
+        if warn:
+            _check_decay(f, label)
+        rep = quotient(f, cfg.s, cfg.q, partition, tol)
         rep.extra["field"] = label
         reports.append(rep)
+    return reports
+
+
+def cmd_hardy_check(cfg: RunConfig) -> int:
+    reports = _hardy_reports(cfg, warn=True)
     _emit(reports, cfg)
     return _exit_from(reports)
 
@@ -316,11 +353,9 @@ def cmd_estimate_constant(cfg: RunConfig) -> int:
         L=cfg.L,
         seed=cfg.seed,
     )
-    text = json.dumps(est.to_dict(), sort_keys=True, indent=2)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        _write_json(cfg.out, lambda _: est.to_dict())
+    print(json.dumps(est.to_dict(), sort_keys=True, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -338,40 +373,13 @@ def _sweep_values(cfg: RunConfig) -> list[float]:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     vals = _sweep_values(cfg)
+    if cfg.axis not in ("s", "q", "n"):
+        raise ValueError(f"sweep axis must be s, q or n, got {cfg.axis!r}")
     reports = []
     for v in vals:
-        sub = RunConfig(**{**asdict(cfg), "fmt": "json", "out": None})
-        if cfg.axis == "s":
-            sub.s = float(v)
-        elif cfg.axis == "q":
-            sub.q = float(v)
-        elif cfg.axis == "n":
-            sub.n = int(round(v))
-        else:
-            raise ValueError(f"sweep axis must be s, q or n, got {cfg.axis!r}")
-        grid, fields_ = _hardy_corpus(sub)
-        partition = (
-            build_partition(grid, sub.coverage)
-            if sub.identity in ("besov", "refined", "gradient-refined")
-            else None
-        )
-        for label, f in fields_:
-            if sub.identity == "classical":
-                rep = classical_hardy_quotient(f)
-            elif sub.identity == "fractional":
-                rep = fractional_hardy_quotient(f, sub.s, sub.q)
-            elif sub.identity == "besov":
-                rep = besov_hardy_quotient(f, sub.s, sub.q, partition)
-            elif sub.identity == "refined":
-                rep = refined_hardy_quotient(f, sub.s, sub.q, partition)
-            elif sub.identity == "gradient":
-                rep = gradient_hardy_quotient(f, sub.q)
-            else:
-                raise ValueError(f"unknown sweep identity {sub.identity!r}")
-            rep.extra["field"] = label
-            reports.append(rep)
-    out_cfg = RunConfig(**{**asdict(cfg), "fmt": "csv"})
-    _emit(reports, out_cfg)
+        value = int(round(v)) if cfg.axis == "n" else float(v)
+        reports += _hardy_reports(replace(cfg, **{cfg.axis: value}), warn=False)
+    _emit(reports, replace(cfg, fmt="csv"))
     return _exit_from(reports)
 
 
@@ -443,6 +451,12 @@ def _schur_suite(cfg: RunConfig) -> list[CheckReport]:
     return reports
 
 
+def _labelled(reports: list[CheckReport], label: str) -> list[CheckReport]:
+    for rep in reports:
+        rep.extra["field"] = label
+    return reports
+
+
 def _hardy_suite(cfg: RunConfig) -> list[CheckReport]:
     grid, fields_ = _hardy_corpus(cfg)
     if not fields_:
@@ -450,30 +464,22 @@ def _hardy_suite(cfg: RunConfig) -> list[CheckReport]:
     partition = build_partition(grid, cfg.coverage)
     reports = []
     for label, f in fields_:
+        field_reports = []
         if cfg.d >= 3:
-            rep = classical_hardy_quotient(f)
-            rep.extra["field"] = label
-            reports.append(rep)
+            field_reports.append(classical_hardy_quotient(f))
         if cfg.q < cfg.d:
-            rep = gradient_hardy_quotient(f, cfg.q)
-            rep.extra["field"] = label
-            reports.append(rep)
+            field_reports.append(gradient_hardy_quotient(f, cfg.q))
         frac = fractional_hardy_quotient(f, cfg.s, cfg.q)
-        frac.extra["field"] = label
         scaled = fractional_hardy_quotient(f.with_values(3.5 * f.values), cfg.s, cfg.q)
         if frac.quotient is not None and scaled.quotient is not None:
             drift = abs(scaled.quotient - frac.quotient) / max(frac.quotient, 1e-300)
             frac.passed = drift <= EXACT_TOL
             frac.tolerance = EXACT_TOL
             frac.extra["homogeneity_drift"] = drift
-        reports.append(frac)
-        bes = besov_hardy_quotient(f, cfg.s, cfg.q, partition)
-        bes.extra["field"] = label
-        reports.append(bes)
+        field_reports += [frac, besov_hardy_quotient(f, cfg.s, cfg.q, partition)]
         if cfg.q > 2:
-            ref = refined_hardy_quotient(f, cfg.s, cfg.q, partition)
-            ref.extra["field"] = label
-            reports.append(ref)
+            field_reports.append(refined_hardy_quotient(f, cfg.s, cfg.q, partition))
+        reports += _labelled(field_reports, label)
     return reports
 
 
@@ -555,28 +561,10 @@ def _chain_suite(cfg: RunConfig) -> list[CheckReport]:
     partition = build_partition(grid, cfg.coverage)
     reports = []
     for label, f in fields_:
-        chain = shell_chain_check(f, cfg.s, cfg.q, partition)
-        rep = chain.to_check_report(cfg.L)
-        rep.extra["field"] = label
-        reports.append(rep)
+        field_reports = [shell_chain_check(f, cfg.s, cfg.q, partition)]
         if cfg.q > 2:
-            hol = holder_refinement_check(f, cfg.s, cfg.q, partition)
-            reports.append(
-                CheckReport(
-                    identity="holder-refinement",
-                    d=cfg.d,
-                    n=cfg.n,
-                    L=cfg.L,
-                    s=cfg.s,
-                    q=cfg.q,
-                    lhs=hol.lhs,
-                    rhs=hol.rhs,
-                    quotient=hol.lhs / hol.rhs if hol.rhs > 0 else None,
-                    tolerance=EXACT_TOL,
-                    passed=hol.holds(),
-                    extra={"field": label, "mid": hol.mid},
-                )
-            )
+            field_reports.append(holder_refinement_check(f, cfg.s, cfg.q, partition))
+        reports += _labelled(field_reports, label)
     return reports
 
 
@@ -642,18 +630,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hardy-check", help="Hardy quotients over a corpus")
     common(p)
-    p.add_argument(
-        "--identity",
-        choices=(
-            "classical",
-            "fractional",
-            "besov",
-            "refined",
-            "gradient",
-            "gradient-refined",
-        ),
-        default="fractional",
-    )
+    p.add_argument("--identity", choices=tuple(IDENTITIES))
 
     p = sub.add_parser("schur-check", help="Schur test row sums and bounds")
     common(p)
@@ -667,12 +644,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate-constant", help="maximize a quotient over trials")
     common(p)
-    p.add_argument("--identity", choices=("fractional", "besov", "refined"))
+    p.add_argument("--identity", choices=ESTIMATE_IDENTITIES)
     p.add_argument("--budget", type=int)
 
     p = sub.add_parser("sweep", help="parameter sweep, CSV output")
     common(p)
-    p.add_argument("--identity")
+    p.add_argument("--identity", choices=tuple(IDENTITIES))
     p.add_argument("--axis", choices=("s", "q", "n"))
     p.add_argument("--values")
     p.add_argument("--start", type=float)

@@ -14,16 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import gaussian_field, random_band_limited_field, truncated_power_field
-from .hardy import (
-    besov_hardy_quotient,
-    fractional_hardy_quotient,
-    refined_hardy_quotient,
-)
+from .hardy import IDENTITIES
 from .littlewood_paley import build_partition
+from .report import QUADRATURE_TOL
 from .spectral_core import GridSpec, SampledField, make_field, make_grid, radius_mesh
 
 __all__ = [
-    "TrialFamily",
     "ConstantEstimate",
     "quasi_extremal",
     "evaluate_trial",
@@ -36,15 +32,6 @@ ESTIMATE_IDENTITIES = ("fractional", "besov", "refined")
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_GAUSSIAN_WIDTH = 0.0775  # fraction of L; decays below 1e-8 at faces
-
-
-@dataclass(frozen=True)
-class TrialFamily:
-    """One trial family: a kind from {gaussian, truncated-power,
-    random-band-limited} and its kind-specific parameters."""
-
-    kind: str
-    parameters: dict
 
 
 @dataclass
@@ -160,6 +147,21 @@ def _trial_field(grid: GridSpec, s: float, q: float, seed: int, params: dict):
     raise ValueError(f"unknown trial family {kind!r}")
 
 
+def _partition_for(identity: str, grid: GridSpec):
+    """The dyadic partition an estimated identity needs, or None."""
+    if identity not in ESTIMATE_IDENTITIES:
+        raise ValueError(
+            f"identity must be one of {ESTIMATE_IDENTITIES}, got {identity!r}"
+        )
+    return build_partition(grid) if IDENTITIES[identity][0] else None
+
+
+def _trial_quotient(identity, grid, partition, s, q, seed, params) -> float:
+    f = _trial_field(grid, s, q, seed, params)
+    rep = IDENTITIES[identity][1](f, s, q, partition, QUADRATURE_TOL)
+    return rep.quotient if rep.quotient is not None else 0.0
+
+
 def evaluate_trial(
     identity: str,
     d: int,
@@ -172,18 +174,8 @@ def evaluate_trial(
 ) -> float:
     """Deterministic quotient of one trial; reproduces any logged estimate."""
     grid = make_grid(d, n, L)
-    f = _trial_field(grid, s, q, seed, params)
-    if identity == "fractional":
-        rep = fractional_hardy_quotient(f, s, q)
-    elif identity == "besov":
-        rep = besov_hardy_quotient(f, s, q, build_partition(grid))
-    elif identity == "refined":
-        rep = refined_hardy_quotient(f, s, q, build_partition(grid))
-    else:
-        raise ValueError(
-            f"identity must be one of {ESTIMATE_IDENTITIES}, got {identity!r}"
-        )
-    return rep.quotient if rep.quotient is not None else 0.0
+    partition = _partition_for(identity, grid)
+    return _trial_quotient(identity, grid, partition, s, q, seed, params)
 
 
 def estimate_constant(
@@ -205,26 +197,13 @@ def estimate_constant(
     running maximum, so it is nondecreasing in the budget.  The trend field
     re-evaluates the maximizing trial on grids n and 2n.
     """
-    if identity not in ESTIMATE_IDENTITIES:
-        raise ValueError(
-            f"identity must be one of {ESTIMATE_IDENTITIES}, got {identity!r}"
-        )
     if budget < 1:
         raise ValueError("budget must allow at least one evaluation")
-    if identity == "refined" and q <= 2:
-        raise ValueError("refined estimates need q > 2")
     grid = make_grid(d, n, L)
-    partition = build_partition(grid)
+    partition = _partition_for(identity, grid)
 
     def objective(params: dict) -> float:
-        f = _trial_field(grid, s, q, seed, params)
-        if identity == "fractional":
-            rep = fractional_hardy_quotient(f, s, q)
-        elif identity == "besov":
-            rep = besov_hardy_quotient(f, s, q, partition)
-        else:
-            rep = refined_hardy_quotient(f, s, q, partition)
-        return rep.quotient if rep.quotient is not None else 0.0
+        return _trial_quotient(identity, grid, partition, s, q, seed, params)
 
     search = _Search(objective, budget)
     try:

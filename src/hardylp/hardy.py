@@ -10,7 +10,6 @@ recorded, never asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +32,7 @@ from .spectral_core import (
 )
 
 __all__ = [
-    "QuotientResult",
-    "ChainReport",
-    "HolderReport",
+    "IDENTITIES",
     "classical_hardy_quotient",
     "fractional_hardy_quotient",
     "besov_hardy_quotient",
@@ -46,8 +43,6 @@ __all__ = [
     "shell_chain_check",
     "holder_refinement_check",
 ]
-
-QuotientResult = CheckReport
 
 
 def _report(identity, f, s, q, lhs, rhs, **kw) -> CheckReport:
@@ -218,6 +213,23 @@ def gradient_hardy_quotient(
     )
 
 
+# Every Hardy identity by name: (needs a dyadic partition, quotient call).  A
+# call takes (f, s, q, partition, tol) and ignores what its identity does not
+# use.  The lambdas look the quotient functions up by module-global name when
+# they run, so a wrapper installed on this module's bindings sees each call.
+IDENTITIES = {
+    "classical": (False, lambda f, s, q, p, tol: classical_hardy_quotient(f, tol)),
+    "fractional": (False, lambda f, s, q, p, tol: fractional_hardy_quotient(f, s, q)),
+    "besov": (True, lambda f, s, q, p, tol: besov_hardy_quotient(f, s, q, p)),
+    "refined": (True, lambda f, s, q, p, tol: refined_hardy_quotient(f, s, q, p)),
+    "gradient": (False, lambda f, s, q, p, tol: gradient_hardy_quotient(f, q, tol=tol)),
+    "gradient-refined": (
+        True,
+        lambda f, s, q, p, tol: gradient_hardy_quotient(f, q, True, p),
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # dyadic spatial shells and the proof chain
 
@@ -241,57 +253,8 @@ def shell_index_mesh(grid, centering: str = "cell") -> np.ndarray:
     return np.clip(idx, 0, len(radii) - 1)
 
 
-@dataclass
-class LinkReport:
-    name: str
-    lhs: float
-    rhs: float
-    ratio: float
-    passed: bool | None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "passed": self.passed,
-        }
-
-
-@dataclass
-class ChainReport:
-    """Per-link record of the shell/Bernstein/Schur estimate chain."""
-
-    d: int
-    n: int
-    s: float
-    q: float
-    links: list
-    end_to_end: float
-    assembled_constant: float
-    factors: dict
-    passed: bool
-
-    def to_check_report(self, L: float) -> CheckReport:
-        return CheckReport(
-            identity="chain",
-            d=self.d,
-            n=self.n,
-            L=L,
-            s=self.s,
-            q=self.q,
-            lhs=self.end_to_end,
-            rhs=self.assembled_constant,
-            quotient=(
-                self.end_to_end / self.assembled_constant
-                if self.assembled_constant > 0
-                else None
-            ),
-            passed=self.passed,
-            links=[link.to_dict() for link in self.links],
-            extra=self.factors,
-        )
+def _link(name, lhs, rhs, ratio, passed) -> dict:
+    return {"name": name, "lhs": lhs, "rhs": rhs, "ratio": ratio, "passed": passed}
 
 
 def shell_chain_check(
@@ -299,7 +262,7 @@ def shell_chain_check(
     s: float,
     q: float,
     partition: DyadicPartition | None = None,
-) -> ChainReport:
+) -> CheckReport:
     """Verify each link of the shell-decomposition estimate chain.
 
     (a) the weighted integral against its dyadic-shell majorant with the
@@ -338,7 +301,7 @@ def shell_chain_check(
     majorant = float(sum(R ** (-s * q) * m for R, m in zip(radii, shell_mass)))
     rhs_a = 2.0 ** (s * q) * majorant
     ratio_a = lhs_q / rhs_a if rhs_a > 0 else 0.0
-    link_a = LinkReport("shell-majorant", lhs_q, rhs_a, ratio_a, ratio_a <= 1.0 + 1e-12)
+    link_a = _link("shell-majorant", lhs_q, rhs_a, ratio_a, ratio_a <= 1.0 + 1e-12)
 
     dec = decompose(f0, partition)
     levels = partition.levels
@@ -358,13 +321,8 @@ def shell_chain_check(
             if cap > 0 and shell_lq / cap > e_b:
                 e_b = shell_lq / cap
                 worst_pair = (N, R)
-    link_b = LinkReport(
-        "shell-localization",
-        e_b,
-        1.0,
-        e_b,
-        None,  # recorded, not asserted: the constant depends on the bump
-    )
+    # recorded, not asserted: the constant depends on the bump
+    link_b = _link("shell-localization", e_b, 1.0, e_b, None)
 
     # link (c): Schur bound for the coupling kernel on the actual index sets
     kernel = SchurKernel(
@@ -380,66 +338,36 @@ def shell_chain_check(
     lhs_c = float((inner**q).sum())
     rhs_c = float(cond.bound * (c_vec**q).sum())
     ratio_c = lhs_c / rhs_c if rhs_c > 0 else 0.0
-    link_c = LinkReport("schur-bound", lhs_c, rhs_c, ratio_c, ratio_c <= 1.0 + 1e-12)
+    link_c = _link("schur-bound", lhs_c, rhs_c, ratio_c, ratio_c <= 1.0 + 1e-12)
 
     dyadic_sum = float((c_vec**q).sum())
     end_to_end = lhs_q / dyadic_sum if dyadic_sum > 0 else 0.0
     assembled = 2.0 ** (s * q) * e_b**q * cond.a1 * cond.a2
     passed = (
-        all(link.passed for link in (link_a, link_c))
+        link_a["passed"]
+        and link_c["passed"]
         and end_to_end <= assembled * (1.0 + 1e-9)
     ) or dyadic_sum == 0.0
-    return ChainReport(
+    return CheckReport(
+        identity="chain",
         d=d,
         n=grid.n,
+        L=grid.L,
         s=s,
         q=q,
+        lhs=end_to_end,
+        rhs=assembled,
+        quotient=end_to_end / assembled if assembled > 0 else None,
+        passed=bool(passed),
         links=[link_a, link_b, link_c],
-        end_to_end=end_to_end,
-        assembled_constant=assembled,
-        factors={
+        extra={
             "shell_factor": 2.0 ** (s * q),
             "localization_constant": e_b,
             "schur_a1": cond.a1,
             "schur_a2": cond.a2,
             "worst_pair": list(worst_pair) if worst_pair else None,
         },
-        passed=bool(passed),
     )
-
-
-@dataclass
-class HolderReport:
-    """The two-step Holder bound for the q > 2 refinement.
-
-    lhs = int sum_N N^(sq) |P_N f|^q
-    mid = int sqrt(A) sqrt(B) after pointwise Cauchy-Schwarz over scales
-    rhs = (int A^(q/2))^(1/q) * (int B^(q/(2(q-1))))^((q-1)/q)
-    where A = sum_N N^(2s)|P_N f|^2 and B = sum_N N^(2s(q-1))|P_N f|^(2(q-1)).
-    """
-
-    lhs: float
-    mid: float
-    rhs: float
-    pointwise_violation: float
-    monotone_violation: float
-
-    @property
-    def slack_mid(self) -> float:
-        return self.mid - self.lhs
-
-    @property
-    def slack_rhs(self) -> float:
-        return self.rhs - self.mid
-
-    def holds(self, tol: float = EXACT_TOL) -> bool:
-        scale = max(1.0, self.rhs)
-        return (
-            self.slack_mid >= -tol * scale
-            and self.slack_rhs >= -tol * scale
-            and self.pointwise_violation <= tol
-            and self.monotone_violation <= tol
-        )
 
 
 def holder_refinement_check(
@@ -447,11 +375,17 @@ def holder_refinement_check(
     s: float,
     q: float,
     partition: DyadicPartition | None = None,
-) -> HolderReport:
+) -> CheckReport:
     """Check both displayed steps of the q > 2 refinement exactly.
 
-    Also verifies the pointwise scale-monotonicity
-    sum_N N^(sq)|P_N f(x)|^q <= (sum_N N^(2s)|P_N f(x)|^2)^(q/2).
+    lhs = int sum_N N^(sq) |P_N f|^q
+    mid = int sqrt(A) sqrt(B) after pointwise Cauchy-Schwarz over scales
+    rhs = (int A^(q/2))^(1/q) * (int B^(q/(2(q-1))))^((q-1)/q)
+    where A = sum_N N^(2s)|P_N f|^2 and B = sum_N N^(2s(q-1))|P_N f|^(2(q-1)).
+    The check passes when lhs <= mid <= rhs up to EXACT_TOL * max(1, rhs),
+    and the pointwise scale-monotonicity
+    sum_N N^(sq)|P_N f(x)|^q <= (sum_N N^(2s)|P_N f(x)|^2)^(q/2)
+    and the l^r monotonicity of the refinement aggregates hold to EXACT_TOL.
     """
     if q <= 2:
         raise ValueError(f"refinement steps need q > 2, got q = {q}")
@@ -481,12 +415,26 @@ def holder_refinement_check(
     mscale = float(np.max(agg_two, initial=0.0))
     monotone = float(np.max(agg_high - agg_two, initial=0.0))
     monotone = monotone / mscale if mscale > 0 else 0.0
-    return HolderReport(
+    tol_scale = EXACT_TOL * max(1.0, rhs)
+    passed = (
+        mid - lhs >= -tol_scale
+        and rhs - mid >= -tol_scale
+        and pointwise <= EXACT_TOL
+        and monotone <= EXACT_TOL
+    )
+    return CheckReport(
+        identity="holder-refinement",
+        d=grid.d,
+        n=grid.n,
+        L=grid.L,
+        s=s,
+        q=q,
         lhs=lhs,
-        mid=mid,
         rhs=rhs,
-        pointwise_violation=pointwise,
-        monotone_violation=monotone,
+        quotient=lhs / rhs if rhs > 0 else None,
+        passed=bool(passed),
+        tolerance=EXACT_TOL,
+        extra={"mid": mid},
     )
 
 

@@ -92,12 +92,14 @@ class CheckReport:
 
 
 def reports_to_json(reports) -> str:
-    """Canonical JSON array of reports (deterministic byte layout)."""
+    """Canonical JSON array of reports (deterministic byte layout); a NaN or
+    infinite value raises ValueError instead of printing a non-JSON token."""
     return json.dumps(
         [r.to_dict() for r in reports],
         sort_keys=True,
         indent=2,
         separators=(",", ": "),
+        allow_nan=False,
     )
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "NormParams",
     "make_grid",
     "make_field",
-    "field_from_function",
     "axis_coordinates",
     "coordinate_mesh",
     "radius_mesh",
@@ -193,11 +192,6 @@ def radius_mesh(grid: GridSpec, centering: str = "cell") -> np.ndarray:
     """|x| measured from the box center, on the sample mesh."""
     mesh = coordinate_mesh(grid, centering)
     return np.sqrt(sum(c**2 for c in mesh))
-
-
-def field_from_function(grid: GridSpec, fn, centering: str = "cell") -> SampledField:
-    """Sample fn(x1, ..., xd) on the grid."""
-    return SampledField(grid, fn(*coordinate_mesh(grid, centering)), centering)
 
 
 def frequency_axes(grid: GridSpec) -> np.ndarray:
@@ -455,4 +449,7 @@ def read_field(path) -> SampledField:
                 f"field file holds {raw.size // 2} samples, expected {grid.size}"
             )
         values = raw[0::2] + 1j * raw[1::2]
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise ValueError(f"field file holds {bad} non-finite samples (NaN or Inf)")
     return SampledField(grid=grid, values=values.reshape(grid.shape))

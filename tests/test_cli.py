@@ -1,12 +1,16 @@
 """CLI subcommands, exit codes, config round-trip, and report determinism."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from hardylp.cli import RunConfig, main
+from hardylp.cli import RunConfig, _build_parser, main
 from hardylp.corpus import random_band_limited_field
+from hardylp.extremal import ESTIMATE_IDENTITIES
+from hardylp.hardy import IDENTITIES
+from hardylp.report import CheckReport, reports_to_json
 from hardylp.spectral_core import make_field, make_grid, write_field
 
 
@@ -110,6 +114,24 @@ def test_norm_besov_reports_tail(capsys, band_field_file):
     assert "last_level_contribution" in report["extra"]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_norm_rejects_non_finite_samples(capsys, tmp_path, bad):
+    vals = np.full(64, 3.0)
+    vals[5] = bad
+    path = tmp_path / "bad.hlf"
+    write_field(path, make_field(make_grid(1, 64, 1.0), vals))
+    code, out, err = run(capsys, "norm", "--field", str(path))
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
+def test_reports_json_refuses_non_finite_values():
+    rep = CheckReport(identity="norm-lq", d=1, n=64, L=1.0, lhs=float("nan"))
+    with pytest.raises(ValueError):
+        reports_to_json([rep])
+
+
 def test_lp_command_prints_partition_record(capsys, band_field_file):
     code, out, _ = run(capsys, "lp", "--field", str(band_field_file))
     assert code == 0
@@ -146,6 +168,17 @@ def test_stein_weiss_check_defaults(capsys):
     assert code == 0
     reports = json.loads(out)
     assert all(r["identity"] == "stein-weiss" for r in reports)
+
+
+def test_estimate_constant_builds_partition_only_when_needed(capsys):
+    # the fractional quotient uses no dyadic partition, so a grid too coarse
+    # for one still runs
+    code, out, err = run(
+        capsys, "estimate-constant", "--identity", "fractional", "--d", "2",
+        "--n", "16", "--s", "0.5", "--budget", "3",
+    )
+    assert code == 0, err
+    assert [t["n"] for t in json.loads(out)["trend"]] == [16, 32]
 
 
 def test_estimate_constant_command(capsys):
@@ -219,6 +252,74 @@ def test_sweep_single_point_matches_hardy_check(capsys):
     assert out_sweep == out_check
 
 
+# d=3, q=2.5, s=0.5 admits every identity in the table
+@pytest.mark.parametrize(
+    "identity,extra,code",
+    [pytest.param(name, (), 0, id=name) for name in IDENTITIES]
+    + [pytest.param("classical", ("--tolerance", "-0.9"), 1, id="tolerance")],
+)
+def test_sweep_matches_hardy_check_for_each_identity(capsys, identity, extra, code):
+    common = (
+        "--identity", identity, "--d", "3", "--n", "32", "--q", "2.5",
+        "--corpus-size", "2", "--seed", "5", *extra,
+    )
+    code_sweep, out_sweep, _ = run(
+        capsys, "sweep", "--axis", "s", "--values", "0.5", *common
+    )
+    code_check, out_check, _ = run(
+        capsys, "hardy-check", "--s", "0.5", "--format", "csv", *common
+    )
+    assert code_sweep == code_check == code
+    assert out_sweep == out_check
+
+
+def _identity_choices(command):
+    parser = _build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    sub = subparsers.choices[command]
+    return tuple(next(a.choices for a in sub._actions if a.dest == "identity"))
+
+
+def test_identity_choices_come_from_the_table():
+    assert _identity_choices("hardy-check") == tuple(IDENTITIES)
+    assert _identity_choices("sweep") == tuple(IDENTITIES)
+    assert _identity_choices("estimate-constant") == ESTIMATE_IDENTITIES
+
+
+# --- report shape ---------------------------------------------------------------------
+
+
+def test_chain_suite_report_keys(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "chain", "--d", "2", "--n", "32", "--s", "0.4",
+        "--q", "3", "--corpus-size", "1",
+    )
+    assert code == 0
+    chain, holder = json.loads(out)
+    assert chain["identity"] == "chain"
+    assert set(chain) == {
+        "L", "d", "extra", "identity", "lhs", "links", "n", "passed", "q",
+        "quotient", "rhs", "s",
+    }
+    assert set(chain["extra"]) == {
+        "field", "localization_constant", "schur_a1", "schur_a2", "shell_factor",
+        "worst_pair",
+    }
+    assert [link["name"] for link in chain["links"]] == [
+        "shell-majorant", "shell-localization", "schur-bound",
+    ]
+    for link in chain["links"]:
+        assert set(link) == {"lhs", "name", "passed", "ratio", "rhs"}
+    assert holder["identity"] == "holder-refinement"
+    assert set(holder) == {
+        "L", "d", "extra", "identity", "lhs", "n", "passed", "q", "quotient",
+        "rhs", "s", "tolerance",
+    }
+    assert set(holder["extra"]) == {"field", "mid"}
+
+
 # --- config and determinism -----------------------------------------------------------
 
 
@@ -231,6 +332,32 @@ def test_config_round_trip():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         RunConfig.from_json('{"bogus": 1}')
+
+
+@pytest.mark.parametrize(
+    "text", ['{"n": "32"}', '{"corpus_size": 2.5}', '{"seed": true}']
+)
+def test_config_value_of_wrong_type_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "hardy-check", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "config error" in err
+
+
+def test_config_int_accepted_for_float_field():
+    cfg = RunConfig.from_json('{"L": 20, "tolerance": null}')
+    assert cfg.L == 20.0 and isinstance(cfg.L, float)
+    assert cfg.tolerance is None
+
+
+def test_config_identity_reaches_hardy_check(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"identity": "classical", "d": 3, "corpus_size": 1}')
+    code, out, _ = run(capsys, "hardy-check", "--config", str(path))
+    assert code == 0
+    assert [r["identity"] for r in json.loads(out)] == ["classical"]
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):
@@ -276,3 +403,40 @@ def test_out_file_appends(capsys, tmp_path):
     assert main(list(args)) == 0
     second = json.loads(out_path.read_text())
     assert len(second) == 2 * len(first)
+
+
+OUT_COMMANDS = {
+    "schur-check": ("schur-check", "--s", "1", "--d", "3", "--q", "2"),
+    "estimate-constant": (
+        "estimate-constant", "--identity", "fractional", "--d", "3", "--s", "1",
+        "--q", "2", "--budget", "1", "--n", "16",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(OUT_COMMANDS))
+def test_out_refuses_non_json_file(capsys, tmp_path, command):
+    target = tmp_path / "notes.txt"
+    target.write_text("my notes\n")
+    code, _, err = run(capsys, *OUT_COMMANDS[command], "--out", str(target))
+    assert code == 2
+    assert "refusing" in err
+    assert target.read_text() == "my notes\n"
+    assert list(tmp_path.iterdir()) == [target]  # no temporary file left
+
+
+def test_out_refuses_json_that_is_not_a_report_array(capsys, tmp_path):
+    target = tmp_path / "estimate.json"
+    target.write_text('{"best": 1.0}\n')
+    code, _, err = run(capsys, *OUT_COMMANDS["schur-check"], "--out", str(target))
+    assert code == 2
+    assert target.read_text() == '{"best": 1.0}\n'
+
+
+def test_estimate_out_replaces_json_file(capsys, tmp_path):
+    target = tmp_path / "estimate.json"
+    target.write_text("[1, 2]\n")
+    code, out, _ = run(capsys, *OUT_COMMANDS["estimate-constant"], "--out", str(target))
+    assert code == 0
+    assert json.loads(target.read_text()) == json.loads(out)
+    assert list(tmp_path.iterdir()) == [target]

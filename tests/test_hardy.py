@@ -339,7 +339,7 @@ def test_shell_assignment(grid2):
 
 def test_chain_zero_field(grid2):
     rep = shell_chain_check(make_field(grid2, np.zeros(grid2.shape)), 0.4, 2.0)
-    assert rep.end_to_end == 0.0
+    assert rep.lhs == 0.0
     assert rep.passed
 
 
@@ -354,8 +354,8 @@ def test_chain_single_level_field(grid2):
     # one nonvanishing coefficient: the end-to-end ratio is directly
     # lhs / (N^(sq) ||P_N f||_q^q)
     piece = project(f, part, N)
-    direct = rep.links[0].lhs / (N ** (0.4 * 2.0) * lq_norm(piece, 2.0) ** 2.0)
-    assert rep.end_to_end == pytest.approx(direct, rel=1e-12)
+    direct = rep.links[0]["lhs"] / (N ** (0.4 * 2.0) * lq_norm(piece, 2.0) ** 2.0)
+    assert rep.lhs == pytest.approx(direct, rel=1e-12)
 
 
 def test_chain_shell_majorant_direction_exact(grid2):
@@ -364,8 +364,8 @@ def test_chain_shell_majorant_direction_exact(grid2):
         f = random_band_limited_field(grid2, 950 + seed)
         rep = shell_chain_check(f, 0.4, 3.0)
         link = rep.links[0]
-        assert link.name == "shell-majorant"
-        assert link.ratio <= 1.0 + 1e-12
+        assert link["name"] == "shell-majorant"
+        assert link["ratio"] <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("dim,n,s,q", [(1, 256, 0.3, 2.0), (2, 64, 0.4, 3.0)])
@@ -376,8 +376,8 @@ def test_chain_bounded_on_corpus(dim, n, s, q):
         f = random_band_limited_field(grid, 1000 + seed)
         rep = shell_chain_check(f, s, q, part)
         assert rep.passed
-        assert rep.end_to_end <= rep.assembled_constant
-        assert np.isfinite(rep.factors["localization_constant"])
+        assert rep.lhs <= rep.rhs
+        assert np.isfinite(rep.extra["localization_constant"])
 
 
 def test_chain_localized_bump(grid2):
@@ -399,8 +399,8 @@ def test_chain_rejects_inadmissible(grid2):
 
 def test_holder_zero_field(grid2):
     rep = holder_refinement_check(make_field(grid2, np.zeros(grid2.shape)), 0.3, 4.0)
-    assert rep.lhs == 0.0 and rep.mid == 0.0 and rep.rhs == 0.0
-    assert rep.holds()
+    assert rep.lhs == 0.0 and rep.extra["mid"] == 0.0 and rep.rhs == 0.0
+    assert rep.passed
 
 
 def test_holder_single_level_equality(grid2):
@@ -411,8 +411,8 @@ def test_holder_single_level_equality(grid2):
     f = single_mode_field(grid2, (int(round(N * grid2.L)), 0))
     rep = holder_refinement_check(f, 0.3, 4.0, part)
     scale = max(rep.rhs, 1.0)
-    assert abs(rep.mid - rep.lhs) <= 1e-12 * scale
-    assert abs(rep.rhs - rep.mid) <= 1e-12 * scale
+    assert abs(rep.extra["mid"] - rep.lhs) <= 1e-12 * scale
+    assert abs(rep.rhs - rep.extra["mid"]) <= 1e-12 * scale
 
 
 def test_holder_rejects_small_q(grid2):
@@ -427,11 +427,11 @@ def test_holder_random_fields_nonnegative_slack():
     for seed in range(50):
         f = random_band_limited_field(grid, 1100 + seed, envelope=0.8)
         rep = holder_refinement_check(f, 0.3, 4.0, part)
-        assert rep.holds(), (seed, rep.slack_mid, rep.slack_rhs)
+        assert rep.passed, (seed, rep.lhs, rep.extra["mid"], rep.rhs)
 
 
 def test_holder_general_complex_fields(grid2):
     for seed in range(10):
         f = random_mean_zero_field(grid2, 1200 + seed)
         rep = holder_refinement_check(f, 0.5, 3.0)
-        assert rep.holds()
+        assert rep.passed
