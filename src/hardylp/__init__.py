@@ -28,7 +28,6 @@ from .spectral_core import (
 )
 from .littlewood_paley import (
     DyadicPartition,
-    LPDecomposition,
     bernstein_check,
     besov_norm,
     build_partition,

@@ -31,12 +31,12 @@ from .hardy import (
     shell_chain_check,
 )
 from .littlewood_paley import (
+    _besov_norm,
+    _triebel_lizorkin_norm,
+    _weighted_stack,
     besov_terms,
     build_partition,
-    decompose,
-    besov_norm,
     partition_record,
-    triebel_lizorkin_norm,
 )
 from .report import (
     EXACT_TOL,
@@ -225,25 +225,17 @@ def cmd_norm(cfg: RunConfig) -> int:
         value = weighted_lq_norm(f, cfg.s, cfg.q)
     elif cfg.kind == "sobolev":
         value = lq_norm(fractional_laplacian(f, cfg.s), cfg.q)
-    elif cfg.kind == "besov":
+    elif cfg.kind in ("besov", "triebel-lizorkin"):
         part = build_partition(grid, cfg.coverage)
-        value = besov_norm(f, part, cfg.s, cfg.q, cfg.r)
-        terms = besov_terms(f, part, cfg.s, cfg.q)
+        stack = _weighted_stack(f, part, cfg.s)
+        norm = _besov_norm if cfg.kind == "besov" else _triebel_lizorkin_norm
+        value = norm(f, stack, cfg.q, cfg.r)
         extra = {
             "last_level": part.n_max,
-            "last_level_contribution": terms[part.n_max],
-        }
-    elif cfg.kind == "triebel-lizorkin":
-        part = build_partition(grid, cfg.coverage)
-        value = triebel_lizorkin_norm(f, part, cfg.s, cfg.q, cfg.r)
-        terms = besov_terms(f, part, cfg.s, cfg.q)
-        extra = {
-            "last_level": part.n_max,
-            "last_level_contribution": terms[part.n_max],
+            "last_level_contribution": lq_norm(f.with_values(stack[-1]), cfg.q),
         }
     else:
         raise ValueError(f"unknown norm kind {cfg.kind!r}")
-    print(repr(float(value)))
     report = CheckReport(
         identity=f"norm-{cfg.kind}",
         d=grid.d,
@@ -264,22 +256,20 @@ def cmd_lp(cfg: RunConfig) -> int:
         raise ValueError("lp needs --field FILE")
     f = read_field(cfg.field)
     part = build_partition(f.grid, cfg.coverage)
-    dec = decompose(f, part)
     print(partition_record(part))
-    reports = []
-    for N in part.levels:
-        reports.append(
-            CheckReport(
-                identity="lp-piece",
-                d=f.grid.d,
-                n=f.grid.n,
-                L=f.grid.L,
-                s=N,
-                q=2.0,
-                lhs=lq_norm(dec.pieces[N], 2.0),
-                rhs=0.0,
-            )
+    reports = [
+        CheckReport(
+            identity="lp-piece",
+            d=f.grid.d,
+            n=f.grid.n,
+            L=f.grid.L,
+            s=N,
+            q=2.0,
+            lhs=norm,
+            rhs=0.0,
         )
+        for N, norm in besov_terms(f, part, 0.0, 2.0).items()
+    ]
     _emit(reports, cfg)
     return EXIT_OK
 
@@ -462,13 +452,14 @@ def _hardy_suite(cfg: RunConfig) -> list[CheckReport]:
     if not fields_:
         return []
     partition = build_partition(grid, cfg.coverage)
+    tol = cfg.tolerance if cfg.tolerance is not None else QUADRATURE_TOL
     reports = []
     for label, f in fields_:
         field_reports = []
         if cfg.d >= 3:
-            field_reports.append(classical_hardy_quotient(f))
+            field_reports.append(classical_hardy_quotient(f, tol))
         if cfg.q < cfg.d:
-            field_reports.append(gradient_hardy_quotient(f, cfg.q))
+            field_reports.append(gradient_hardy_quotient(f, cfg.q, tol=tol))
         frac = fractional_hardy_quotient(f, cfg.s, cfg.q)
         scaled = fractional_hardy_quotient(f.with_values(3.5 * f.values), cfg.s, cfg.q)
         if frac.quotient is not None and scaled.quotient is not None:
@@ -621,7 +612,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         choices=("lq", "weighted", "sobolev", "besov", "triebel-lizorkin"),
-        default="lq",
     )
 
     p = sub.add_parser("lp", help="dyadic decomposition of a stored field")
@@ -701,7 +691,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return COMMANDS[args.command](cfg)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - last-resort internal failure

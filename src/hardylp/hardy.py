@@ -15,9 +15,11 @@ import numpy as np
 
 from .littlewood_paley import (
     DyadicPartition,
+    _level_norms,
+    _triebel_lizorkin_norm,
+    _weighted_stack,
+    besov_norm,
     build_partition,
-    decompose,
-    scale_aggregate,
     triebel_lizorkin_norm,
 )
 from .report import EXACT_TOL, QUADRATURE_TOL, CheckReport
@@ -120,8 +122,7 @@ def besov_hardy_quotient(
     if partition is None:
         partition = build_partition(f.grid)
     lhs = weighted_lq_norm(f, s, q)
-    terms = _besov_q_terms(f, partition, s, q)
-    rhs = float(terms.sum() ** (1.0 / q))
+    rhs = besov_norm(f, partition, s, q, q)
     return _report("besov", f, s, q, lhs, rhs)
 
 
@@ -192,8 +193,9 @@ def gradient_hardy_quotient(
         raise ValueError(f"refined gradient quotient needs 2 < q < d, got q = {q}")
     if partition is None:
         partition = build_partition(f.grid)
-    tl_high = triebel_lizorkin_norm(f, partition, 1.0, q, 2.0 * (q - 1.0))
-    tl_two = triebel_lizorkin_norm(f, partition, 1.0, q, 2.0)
+    stack = _weighted_stack(f, partition, 1.0)
+    tl_high = _triebel_lizorkin_norm(f, stack, q, 2.0 * (q - 1.0))
+    tl_two = _triebel_lizorkin_norm(f, stack, q, 2.0)
     rhs = grad_norm ** (1.0 / q) * tl_high ** ((q - 1.0) / q)
     monotone_ok = tl_high <= tl_two * (1.0 + EXACT_TOL)
     return _report(
@@ -303,21 +305,20 @@ def shell_chain_check(
     ratio_a = lhs_q / rhs_a if rhs_a > 0 else 0.0
     link_a = _link("shell-majorant", lhs_q, rhs_a, ratio_a, ratio_a <= 1.0 + 1e-12)
 
-    dec = decompose(f0, partition)
     levels = partition.levels
-    piece_norms = {N: lq_norm(dec.pieces[N], q) for N in levels}
-    coeffs = {N: (N**s) * piece_norms[N] for N in levels}
+    stack = _weighted_stack(f0, partition, s)
+    c_vec = _level_norms(f0, stack, q)  # N^s ||P_N f||_q
 
     # link (b): empirical localization constant over all (level, shell) pairs
     e_b = 0.0
     worst_pair = None
-    for N in levels:
-        if piece_norms[N] == 0.0:
+    for N, piece, c in zip(levels, stack, c_vec):
+        if c == 0.0:
             continue
-        pabsq = np.abs(dec.pieces[N].values) ** q
+        pabsq = piece**q
         for j, R in enumerate(radii):
             shell_lq = float((pabsq[shell_idx == j].sum() * hd) ** (1.0 / q))
-            cap = min(1.0, (N * R) ** (d / q)) * piece_norms[N]
+            cap = min(1.0, (N * R) ** (d / q)) * c
             if cap > 0 and shell_lq / cap > e_b:
                 e_b = shell_lq / cap
                 worst_pair = (N, R)
@@ -332,7 +333,6 @@ def shell_chain_check(
         col_levels=radii,
     )
     cond = schur_conditions(kernel, q)
-    c_vec = np.array([coeffs[N] for N in levels])
     entries = kernel.entries()
     inner = (entries * c_vec[:, None]).sum(axis=0)
     lhs_c = float((inner**q).sum())
@@ -392,11 +392,8 @@ def holder_refinement_check(
     grid = f.grid
     if partition is None:
         partition = build_partition(grid)
-    dec = decompose(f, partition)
+    stack = _weighted_stack(f, partition, s)
     hd = grid.h**grid.d
-    stack = np.stack(
-        [(N**s) * np.abs(dec.pieces[N].values) for N in partition.levels]
-    )
     t = (stack**q).sum(axis=0)
     a = (stack**2).sum(axis=0)
     b = (stack ** (2.0 * (q - 1.0))).sum(axis=0)
@@ -410,8 +407,8 @@ def holder_refinement_check(
     pointwise = float(np.max(t - a ** (q / 2.0), initial=0.0))
     pointwise = pointwise / scale if scale > 0 else 0.0
     # l^r monotonicity of the aggregates used by the refinement factors
-    agg_two = scale_aggregate(f, partition, s, 2.0)
-    agg_high = scale_aggregate(f, partition, s, 2.0 * (q - 1.0))
+    agg_two = np.sqrt(a)
+    agg_high = b ** (1.0 / (2.0 * (q - 1.0)))
     mscale = float(np.max(agg_two, initial=0.0))
     monotone = float(np.max(agg_high - agg_two, initial=0.0))
     monotone = monotone / mscale if mscale > 0 else 0.0
@@ -437,9 +434,3 @@ def holder_refinement_check(
         extra={"mid": mid},
     )
 
-
-def _besov_q_terms(f, partition, s, q) -> np.ndarray:
-    dec = decompose(f, partition)
-    return np.array(
-        [((N**s) * lq_norm(dec.pieces[N], q)) ** q for N in partition.levels]
-    )

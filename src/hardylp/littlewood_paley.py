@@ -20,16 +20,13 @@ import numpy as np
 from .spectral_core import (
     GridSpec,
     SampledField,
-    Spectrum,
-    forward_transform,
+    _apply_diag,
     frequency_radius,
-    inverse_transform,
     lq_norm,
 )
 
 __all__ = [
     "DyadicPartition",
-    "LPDecomposition",
     "smooth_cutoff",
     "dyadic_bump",
     "build_partition",
@@ -109,21 +106,6 @@ class DyadicPartition:
         return total
 
 
-@dataclass(frozen=True)
-class LPDecomposition:
-    """The indexed family {P_N f} over the partition's dyadic levels."""
-
-    source: SampledField
-    partition: DyadicPartition
-    pieces: dict
-
-    def reconstruct(self) -> np.ndarray:
-        total = np.zeros(self.source.grid.shape, dtype=np.complex128)
-        for N in self.partition.levels:
-            total = total + self.pieces[N].values
-        return total
-
-
 def build_partition(grid: GridSpec, coverage: float = 0.5) -> DyadicPartition:
     """Dyadic levels from the smallest power of two >= 2/L up to
     coverage * Nyquist, tabulated on the grid's frequency lattice."""
@@ -162,26 +144,44 @@ def project(f: SampledField, partition: DyadicPartition, N: float) -> SampledFie
             f"dyadic level {N:g} outside the partition range "
             f"[{partition.n_min:g}, {partition.n_max:g}]"
         )
-    spec = forward_transform(f)
-    coef = spec.coefficients * partition.multipliers[N]
-    return inverse_transform(Spectrum(f.grid, coef, f.centering))
+    return f.with_values(_apply_diag(f.values, [partition.multipliers[N]])[0])
 
 
-def decompose(f: SampledField, partition: DyadicPartition) -> LPDecomposition:
-    spec = forward_transform(f)
-    pieces = {}
-    for N in partition.levels:
-        coef = spec.coefficients * partition.multipliers[N]
-        pieces[N] = inverse_transform(Spectrum(f.grid, coef, f.centering))
-    return LPDecomposition(source=f, partition=partition, pieces=pieces)
+def decompose(f: SampledField, partition: DyadicPartition) -> np.ndarray:
+    """The (levels, *shape) stack of the pieces P_N f, one per dyadic level
+    in partition order; the pieces sum to the mean-free part of f."""
+    return _apply_diag(f.values, [partition.multipliers[N] for N in partition.levels])
+
+
+def _weighted_stack(
+    f: SampledField, partition: DyadicPartition, s: float
+) -> np.ndarray:
+    """The real stack N^s |P_N f| from one decomposition of f; every
+    scale-indexed norm of f at smoothness s reads from it."""
+    stack = np.abs(decompose(f, partition))
+    powers = np.array([N**s for N in partition.levels])
+    stack *= powers.reshape((-1,) + (1,) * f.grid.d)
+    return stack
+
+
+def _level_norms(f: SampledField, stack: np.ndarray, p: float) -> np.ndarray:
+    """The L^p norm on f's grid of each level of a stack."""
+    return np.array([lq_norm(f.with_values(level), p) for level in stack])
+
+
+def _lr_sum(stack: np.ndarray, r: float) -> np.ndarray:
+    """The l^r sum over the first axis; the max when r is infinite."""
+    if r == np.inf:
+        return stack.max(axis=0, initial=0.0)
+    return (stack**r).sum(axis=0) ** (1.0 / r)
 
 
 def besov_terms(
     f: SampledField, partition: DyadicPartition, s: float, p: float
 ) -> dict:
     """Per-level contributions N^s ||P_N f||_p of the Besov sum."""
-    dec = decompose(f, partition)
-    return {N: (N**s) * lq_norm(dec.pieces[N], p) for N in partition.levels}
+    terms = _level_norms(f, _weighted_stack(f, partition, s), p)
+    return dict(zip(partition.levels, terms.tolist()))
 
 
 def besov_norm(
@@ -189,25 +189,20 @@ def besov_norm(
 ) -> float:
     """Homogeneous Besov norm: the l^q sum over dyadic scales of
     N^s ||P_N f||_p, truncated to the partition range."""
+    return _besov_norm(f, _weighted_stack(f, partition, s), p, q)
+
+
+def _besov_norm(f: SampledField, stack: np.ndarray, p: float, q: float) -> float:
     if p < 1 or q < 1:
         raise ValueError("Besov exponents must satisfy p, q >= 1")
-    terms = np.array(list(besov_terms(f, partition, s, p).values()))
-    if q == np.inf:
-        return float(terms.max(initial=0.0))
-    return float((terms**q).sum() ** (1.0 / q))
+    return float(_lr_sum(_level_norms(f, stack, p), q))
 
 
 def scale_aggregate(
     f: SampledField, partition: DyadicPartition, s: float, r: float
 ) -> np.ndarray:
     """Pointwise l^r aggregate over scales of N^s |P_N f(x)|."""
-    dec = decompose(f, partition)
-    stack = np.stack(
-        [(N**s) * np.abs(dec.pieces[N].values) for N in partition.levels]
-    )
-    if r == np.inf:
-        return stack.max(axis=0)
-    return (stack**r).sum(axis=0) ** (1.0 / r)
+    return _lr_sum(_weighted_stack(f, partition, s), r)
 
 
 def triebel_lizorkin_norm(
@@ -215,10 +210,15 @@ def triebel_lizorkin_norm(
 ) -> float:
     """Homogeneous Triebel-Lizorkin norm: L^p quadrature of the pointwise
     l^r aggregate over dyadic scales."""
+    return _triebel_lizorkin_norm(f, _weighted_stack(f, partition, s), p, r)
+
+
+def _triebel_lizorkin_norm(
+    f: SampledField, stack: np.ndarray, p: float, r: float
+) -> float:
     if p < 1 or r < 1:
         raise ValueError("Triebel-Lizorkin exponents must satisfy p, r >= 1")
-    agg = scale_aggregate(f, partition, s, r)
-    return lq_norm(f.with_values(agg), p)
+    return lq_norm(f.with_values(_lr_sum(stack, r)), p)
 
 
 def square_function(

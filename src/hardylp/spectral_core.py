@@ -255,6 +255,21 @@ def _multiplier_values(grid: GridSpec, m) -> np.ndarray:
     return vals
 
 
+def _apply_diag(values: np.ndarray, mults) -> np.ndarray:
+    """The (len(mults), *shape) stack of ifftn(fftn(values) * m), m in mults.
+
+    One forward FFT serves every multiplier; each m is a lattice array in
+    FFT layout, or one that broadcasts to it.  The per-axis phases of
+    forward_transform and inverse_transform cancel for a diagonal
+    multiplier, so they are left out.
+    """
+    spec = np.fft.fftn(values)
+    out = np.empty((len(mults),) + spec.shape, dtype=np.complex128)
+    for i, m in enumerate(mults):
+        np.fft.ifftn(spec * m, out=out[i])
+    return out
+
+
 def apply_multiplier(f: SampledField, m) -> SampledField:
     """Apply the Fourier multiplier m(xi_1, ..., xi_d) to f.
 
@@ -262,14 +277,7 @@ def apply_multiplier(f: SampledField, m) -> SampledField:
     values on the whole lattice; in particular its value at frequency zero
     is the caller's responsibility.
     """
-    vals = _multiplier_values(f.grid, m)
-    spec = forward_transform(f)
-    return inverse_transform(Spectrum(f.grid, spec.coefficients * vals, f.centering))
-
-
-def _apply_spectral(f: SampledField, mult: np.ndarray) -> SampledField:
-    spec = forward_transform(f)
-    return inverse_transform(Spectrum(f.grid, spec.coefficients * mult, f.centering))
+    return f.with_values(_apply_diag(f.values, [_multiplier_values(f.grid, m)])[0])
 
 
 def _mean_coefficient(f: SampledField) -> complex:
@@ -298,7 +306,7 @@ def fractional_laplacian(f: SampledField, s: float) -> SampledField:
     mult = np.zeros(grid.shape)
     nz = rad > 0
     mult[nz] = (2.0 * np.pi * rad[nz]) ** s
-    return _apply_spectral(f, mult)
+    return f.with_values(_apply_diag(f.values, [mult])[0])
 
 
 def riesz_transform(f: SampledField, j: int) -> SampledField:
@@ -311,25 +319,26 @@ def riesz_transform(f: SampledField, j: int) -> SampledField:
     mult = np.zeros(grid.shape, dtype=np.complex128)
     nz = rad > 0
     mult[nz] = -1j * mesh[j - 1][nz] / rad[nz]
-    return _apply_spectral(f, mult)
+    return f.with_values(_apply_diag(f.values, [mult])[0])
 
 
 def gradient(f: SampledField) -> tuple[SampledField, ...]:
     """Spectral partial derivatives: component j has spectrum 2 pi i xi_j fhat."""
-    grid = f.grid
-    mesh = frequency_mesh(grid)
-    spec = forward_transform(f)
-    out = []
-    for ax in range(grid.d):
-        coef = spec.coefficients * (2j * np.pi * mesh[ax])
-        out.append(inverse_transform(Spectrum(grid, coef, f.centering)))
-    return tuple(out)
+    comps = _apply_diag(f.values, _gradient_symbols(f.grid))
+    return tuple(f.with_values(g) for g in comps)
+
+
+def _gradient_symbols(grid: GridSpec) -> list[np.ndarray]:
+    # 2 pi i xi_j along axis j, shaped to broadcast over the lattice
+    k = 2j * np.pi * frequency_axes(grid)
+    shapes = [[grid.n if b == ax else 1 for b in range(grid.d)] for ax in range(grid.d)]
+    return [k.reshape(shape) for shape in shapes]
 
 
 def gradient_magnitude(f: SampledField) -> np.ndarray:
     """Pointwise Euclidean length of the spectral gradient."""
-    comps = gradient(f)
-    return np.sqrt(sum(np.abs(g.values) ** 2 for g in comps))
+    comps = _apply_diag(f.values, _gradient_symbols(f.grid))
+    return np.sqrt(sum(np.abs(g) ** 2 for g in comps))
 
 
 def lq_norm(f: SampledField, q: float) -> float:

@@ -69,6 +69,16 @@ def test_verify_all_exit_0(capsys):
     assert reports and all("identity" in r for r in reports)
 
 
+def test_verify_honours_tolerance(capsys):
+    argv = ("verify", "--suite", "hardy", "--d", "3", "--n", "32", "--corpus-size", "2")
+    assert run(capsys, *argv)[0] == 0
+    code, out, _ = run(capsys, *argv, "--tolerance", "-0.9")
+    assert code == 1
+    checked = [r for r in json.loads(out) if r.get("tolerance") == -0.9]
+    assert {r["identity"] for r in checked} == {"classical", "gradient"}
+    assert not any(r["passed"] for r in checked)
+
+
 def test_verify_empty_corpus_vacuous_pass(capsys):
     code, out, err = run(
         capsys, "verify", "--suite", "hardy", "--corpus-size", "0",
@@ -86,7 +96,7 @@ def test_norm_lq_constant_field(capsys, const_field_file):
         capsys, "norm", "--field", str(const_field_file), "--kind", "lq", "--q", "2",
     )
     assert code == 0
-    value = float(out.splitlines()[0])
+    value = json.loads(out)[0]["lhs"]
     assert value == pytest.approx(3.0, rel=1e-12)  # |c| * L^(d/q) with L = 1
 
 
@@ -99,8 +109,8 @@ def test_norm_sobolev_zero_order_equals_lq(capsys, band_field_file):
         capsys, "norm", "--field", str(band_field_file), "--kind", "lq", "--q", "2",
     )
     assert code_a == code_b == 0
-    va = float(out_a.splitlines()[0])
-    vb = float(out_b.splitlines()[0])
+    va = json.loads(out_a)[0]["lhs"]
+    vb = json.loads(out_b)[0]["lhs"]
     assert va == pytest.approx(vb, rel=1e-12)
 
 
@@ -110,8 +120,18 @@ def test_norm_besov_reports_tail(capsys, band_field_file):
         "--s", "0.5", "--q", "2", "--r", "2",
     )
     assert code == 0
-    report = json.loads("\n".join(out.splitlines()[1:]))[0]
+    report = json.loads(out)[0]
     assert "last_level_contribution" in report["extra"]
+
+
+def test_norm_kind_from_config(capsys, tmp_path, band_field_file):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"kind": "weighted", "s": 0.5, "q": 2}')
+    code, out, _ = run(
+        capsys, "norm", "--field", str(band_field_file), "--config", str(cfg)
+    )
+    assert code == 0
+    assert json.loads(out)[0]["identity"] == "norm-weighted"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -423,6 +443,13 @@ def test_out_refuses_non_json_file(capsys, tmp_path, command):
     assert "refusing" in err
     assert target.read_text() == "my notes\n"
     assert list(tmp_path.iterdir()) == [target]  # no temporary file left
+
+
+def test_out_that_cannot_be_opened_is_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, *OUT_COMMANDS["schur-check"], "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "internal error" not in err
 
 
 def test_out_refuses_json_that_is_not_a_report_array(capsys, tmp_path):

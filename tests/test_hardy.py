@@ -1,8 +1,11 @@
 """Hardy-type quotients, the shell proof chain, and the refinement steps."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import hardylp.littlewood_paley as littlewood_paley
 from conftest import discrete_hardy_ceiling, random_mean_zero_field
 from hardylp.corpus import gaussian_field, random_band_limited_field
 from hardylp.hardy import (
@@ -395,6 +398,28 @@ def test_chain_rejects_inadmissible(grid2):
 
 
 # --- two-step Holder refinement ------------------------------------------------------
+
+
+def test_one_decomposition_per_refinement_check(monkeypatch):
+    grid = make_grid(3, 32, 20.0)
+    part = build_partition(grid)
+    f = random_mean_zero_field(grid, seed=91)
+    calls = []
+    decompose = littlewood_paley.decompose
+
+    def counted(field, partition):
+        calls.append(field)
+        return decompose(field, partition)
+
+    # every hardylp module that binds the function, as a from-import copies it
+    for mod in list(sys.modules.values()):
+        name = getattr(mod, "__name__", "")
+        if name.startswith("hardylp") and getattr(mod, "decompose", None) is decompose:
+            monkeypatch.setattr(mod, "decompose", counted)
+    holder_refinement_check(f, 0.5, 3.0, part)
+    assert len(calls) == 1
+    gradient_hardy_quotient(f, 2.5, refined=True, partition=part)
+    assert len(calls) == 2
 
 
 def test_holder_zero_field(grid2):

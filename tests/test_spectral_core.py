@@ -5,13 +5,17 @@ import pytest
 
 from conftest import random_field, random_mean_zero_field
 from hardylp.corpus import gaussian_field
+from hardylp.littlewood_paley import build_partition, decompose, project
 from hardylp.spectral_core import (
     NormParams,
+    Spectrum,
     apply_multiplier,
     axis_coordinates,
     boundary_decay,
     forward_transform,
     fractional_laplacian,
+    frequency_mesh,
+    frequency_radius,
     gradient,
     gradient_magnitude,
     inverse_transform,
@@ -156,6 +160,44 @@ def test_multiplier_nonfinite_diagnostic(grid1):
     with np.errstate(divide="ignore"):
         with pytest.raises(ValueError, match="frequency"):
             apply_multiplier(f, lambda xi: 1.0 / xi)
+
+
+def phased_multiplier(f, m):
+    """The direct path: m applied between the phase-carrying public transforms."""
+    coef = forward_transform(f).coefficients * m
+    return inverse_transform(Spectrum(f.grid, coef, f.centering)).values
+
+
+@pytest.mark.parametrize("centering", ["cell", "lattice"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_diagonal_multipliers_match_phased_transforms(d, centering):
+    # a random complex field carries content at the Nyquist frequency, where
+    # the odd symbols of the gradient and the Riesz transforms are not real
+    grid = make_grid(d, 16, 20.0)
+    f = make_field(grid, random_mean_zero_field(grid, seed=90 + d).values, centering)
+    mesh = frequency_mesh(grid)
+    rad = frequency_radius(grid)
+    nz = rad > 0
+    inv_rad = np.zeros(grid.shape)
+    inv_rad[nz] = 1.0 / rad[nz]
+    cases = []
+    for s in (0.5, -0.5):
+        power = np.zeros(grid.shape)
+        power[nz] = (2 * np.pi * rad[nz]) ** s
+        cases.append((fractional_laplacian(f, s).values, power))
+    for j in range(1, d + 1):
+        cases.append((riesz_transform(f, j).values, -1j * mesh[j - 1] * inv_rad))
+    for g, k in zip(gradient(f), mesh):
+        cases.append((g.values, 2j * np.pi * k))
+    m = lambda *xi: np.exp(-sum(x**2 for x in xi)) + 1j * xi[0]
+    cases.append((apply_multiplier(f, m).values, m(*mesh)))
+    part = build_partition(grid, coverage=1.0)
+    for N, piece in zip(part.levels, decompose(f, part)):
+        cases.append((piece, part.multipliers[N]))
+        cases.append((project(f, part, N).values, part.multipliers[N]))
+    for got, mult in cases:
+        want = phased_multiplier(f, mult)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # --- fractional laplacian -------------------------------------------------
