@@ -47,6 +47,7 @@ from .report import (
     summarize,
 )
 from .schur import (
+    ROW_SUM_TOL,
     dyadic_levels,
     hardy_kernel,
     hardy_row_sums,
@@ -256,7 +257,7 @@ def cmd_lp(cfg: RunConfig) -> int:
         raise ValueError("lp needs --field FILE")
     f = read_field(cfg.field)
     part = build_partition(f.grid, cfg.coverage)
-    print(partition_record(part))
+    record = json.loads(partition_record(part))
     reports = [
         CheckReport(
             identity="lp-piece",
@@ -267,6 +268,7 @@ def cmd_lp(cfg: RunConfig) -> int:
             q=2.0,
             lhs=norm,
             rhs=0.0,
+            extra={"partition": record},
         )
         for N, norm in besov_terms(f, part, 0.0, 2.0).items()
     ]
@@ -379,7 +381,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def _schur_suite(cfg: RunConfig) -> list[CheckReport]:
     reports = []
-    tol = 1e-10
     sum_n, sum_r, closed = hardy_row_sums(cfg.s, cfg.d, cfg.q)
     reports.append(
         CheckReport(
@@ -392,8 +393,8 @@ def _schur_suite(cfg: RunConfig) -> list[CheckReport]:
             lhs=sum_n,
             rhs=closed,
             quotient=sum_n / closed,
-            tolerance=tol,
-            passed=abs(sum_n - closed) <= tol and sum_n == sum_r,
+            tolerance=ROW_SUM_TOL,
+            passed=abs(sum_n - closed) <= ROW_SUM_TOL and sum_n == sum_r,
             extra={"sum_over_shells": sum_r},
         )
     )

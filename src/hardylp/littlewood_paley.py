@@ -21,6 +21,7 @@ from .spectral_core import (
     GridSpec,
     SampledField,
     _apply_diag,
+    _lq,
     frequency_radius,
     lq_norm,
 )
@@ -166,7 +167,7 @@ def _weighted_stack(
 
 def _level_norms(f: SampledField, stack: np.ndarray, p: float) -> np.ndarray:
     """The L^p norm on f's grid of each level of a stack."""
-    return np.array([lq_norm(f.with_values(level), p) for level in stack])
+    return np.array([_lq(level, f.grid.h**f.grid.d, p) for level in stack])
 
 
 def _lr_sum(stack: np.ndarray, r: float) -> np.ndarray:

@@ -8,6 +8,7 @@ explicit bound a1 * a2 for the conclusion, not just an asymptotic one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,8 @@ __all__ = [
 ]
 
 DEFAULT_LEVEL_SPAN = 20  #: kernel index sets default to 2^-20 .. 2^20
-ROW_SUM_SPAN = 200  #: truncation span for the geometric row-sum check
+ROW_SUM_SPAN = 200  #: least truncation span for the geometric row-sum check
+ROW_SUM_TOL = 1e-10  #: tolerance of the row-sum check against its closed form
 
 
 def dyadic_levels(span: int = DEFAULT_LEVEL_SPAN, base: float = 1.0) -> tuple:
@@ -160,15 +162,21 @@ def hardy_row_sum_closed_form(s: float, d: int, q: float) -> float:
     return 2.0 ** (-s) / (1.0 - 2.0 ** (-s)) + 1.0 / (1.0 - 2.0 ** (-(ratio - s)))
 
 
-def hardy_row_sums(s: float, d: int, q: float, span: int = ROW_SUM_SPAN):
+def hardy_row_sums(s: float, d: int, q: float, span: int | None = None):
     """Truncated dyadic sums of the Hardy kernel over N and over R, plus the
     closed form they converge to.
 
     The kernel depends on the product NR only, so both sums run over the
     products 2^k for |k| <= span and agree exactly; widening the truncation
-    increases them monotonically toward the closed form.
+    increases them monotonically toward the closed form.  The default span
+    is ROW_SUM_SPAN, widened until the omitted geometric tail
+    2^-(span+1)c / (1 - 2^-c), c = min(s, d/q - s), is at most ROW_SUM_TOL/100.
     """
     closed = hardy_row_sum_closed_form(s, d, q)
+    if span is None:
+        c = min(s, d / q - s)
+        tail = math.log2(100.0 / ROW_SUM_TOL / (1.0 - 2.0**-c)) / c
+        span = max(ROW_SUM_SPAN, math.ceil(tail) - 1)
     sum_over_n = 0.0
     for k in range(-span, span + 1):
         sum_over_n += hardy_kernel_entry(2.0**k, 1.0, s, d, q)

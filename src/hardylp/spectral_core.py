@@ -280,10 +280,6 @@ def apply_multiplier(f: SampledField, m) -> SampledField:
     return f.with_values(_apply_diag(f.values, [_multiplier_values(f.grid, m)])[0])
 
 
-def _mean_coefficient(f: SampledField) -> complex:
-    return complex(np.mean(f.values))
-
-
 def fractional_laplacian(f: SampledField, s: float) -> SampledField:
     """|D|^s f: multiply the spectrum by |2 pi xi|^s.
 
@@ -296,7 +292,7 @@ def fractional_laplacian(f: SampledField, s: float) -> SampledField:
     grid = f.grid
     rad = frequency_radius(grid)
     if s < 0:
-        mean = _mean_coefficient(f)
+        mean = complex(np.mean(f.values))
         scale = max(1.0, float(np.max(np.abs(f.values), initial=0.0)))
         if abs(mean) > 1e-12 * scale:
             raise ValueError(
@@ -343,12 +339,17 @@ def gradient_magnitude(f: SampledField) -> np.ndarray:
 
 def lq_norm(f: SampledField, q: float) -> float:
     """(sum |f|^q h^d)^(1/q); the max of |f| when q is infinite."""
+    return _lq(f.values, f.grid.h**f.grid.d, q)
+
+
+def _lq(values: np.ndarray, cell_volume: float, q: float) -> float:
+    """lq_norm of bare samples on cells of the given volume."""
     if q == np.inf:
-        return float(np.max(np.abs(f.values), initial=0.0))
+        return float(np.max(np.abs(values), initial=0.0))
     if q < 1:
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
-    absq = np.abs(f.values) ** q
-    return float((absq.sum() * f.grid.h**f.grid.d) ** (1.0 / q))
+    absq = np.abs(values) ** q
+    return float((absq.sum() * cell_volume) ** (1.0 / q))
 
 
 @lru_cache(maxsize=8)
@@ -380,17 +381,18 @@ def _build_weight(grid: GridSpec, centering: str, exponent: float) -> np.ndarray
     if exponent >= 0:
         return w
     h = grid.h
-    near = rad <= WEIGHT_REFINE_RADIUS * h
-    if not near.any():
-        return w
-    x = axis_coordinates(grid, centering)
-    m = WEIGHT_REFINE_FACTOR
-    off = (np.arange(m) + 0.5) / m * h - h / 2.0
+    # A near cell's average is invariant under the 2^d d! sign flips and axis
+    # permutations of the cell-centred lattice and scales exactly as h^exponent:
+    # average once per class of sorted odd integers 2|x_c|/h, on the unit cell.
+    near = np.argwhere(rad <= WEIGHT_REFINE_RADIUS * h)
+    x = axis_coordinates(grid, centering) / h
+    keys = np.sort(np.rint(2.0 * np.abs(x[near])).astype(np.int64), axis=1)
+    classes, inverse = np.unique(keys, axis=0, return_inverse=True)
+    off = (np.arange(WEIGHT_REFINE_FACTOR) + 0.5) / WEIGHT_REFINE_FACTOR - 0.5
     sub = np.meshgrid(*([off] * grid.d), indexing="ij")
-    for idx in np.argwhere(near):
-        center = [x[idx[ax]] for ax in range(grid.d)]
-        rr = np.sqrt(sum((center[ax] + sub[ax]) ** 2 for ax in range(grid.d)))
-        w[tuple(idx)] = float(np.mean(rr**exponent))
+    sq = (sum((u / 2.0 + o) ** 2 for u, o in zip(c, sub)) for c in classes)
+    means = np.array([np.mean(np.sqrt(r) ** exponent) for r in sq])
+    w[tuple(near.T)] = means[inverse.ravel()] * h**exponent
     return w
 
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from hardylp.spectral_core import _refined_weight, make_field, make_grid
+from hardylp.spectral_core import (
+    WEIGHT_REFINE_FACTOR,
+    WEIGHT_REFINE_RADIUS,
+    _refined_weight,
+    axis_coordinates,
+    make_field,
+    make_grid,
+    radius_mesh,
+)
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +35,39 @@ def grid3():
 @pytest.fixture(scope="session")
 def grid3_fine():
     return make_grid(3, 64, 20.0)
+
+
+def direct_refined_weight(grid, centering, exponent):
+    """The singular-weight table built cell by cell, the reference for
+    _refined_weight: each cell within WEIGHT_REFINE_RADIUS * h of the origin
+    averages |x|^exponent on its own midpoint subgrid, in box coordinates."""
+    rad = radius_mesh(grid, centering)
+    if np.any(rad == 0.0):
+        if exponent < 0:
+            raise ValueError(
+                "a sample sits at |x| = 0; use a cell-centered grid for "
+                "singular weights"
+            )
+        w = np.zeros(grid.shape)
+        nz = rad > 0
+        w[nz] = rad[nz] ** exponent
+        if exponent == 0:
+            w[~nz] = 1.0
+        return w
+    w = rad**exponent
+    if exponent >= 0:
+        return w
+    h = grid.h
+    near = rad <= WEIGHT_REFINE_RADIUS * h
+    x = axis_coordinates(grid, centering)
+    m = WEIGHT_REFINE_FACTOR
+    off = (np.arange(m) + 0.5) / m * h - h / 2.0
+    sub = np.meshgrid(*([off] * grid.d), indexing="ij")
+    for idx in np.argwhere(near):
+        center = [x[idx[ax]] for ax in range(grid.d)]
+        rr = np.sqrt(sum((center[ax] + sub[ax]) ** 2 for ax in range(grid.d)))
+        w[tuple(idx)] = float(np.mean(rr**exponent))
+    return w
 
 
 def random_field(grid, seed, real=False):

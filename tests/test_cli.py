@@ -69,6 +69,16 @@ def test_verify_all_exit_0(capsys):
     assert reports and all("identity" in r for r in reports)
 
 
+def test_verify_d1_slow_schur_decay_exit_0(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "all", "--d", "1", "--n", "256", "--q", "3",
+        "--s", "0.2", "--corpus-size", "3",
+    )
+    assert code == 0
+    row = [r for r in json.loads(out) if r["identity"] == "schur-row-sum"]
+    assert len(row) == 1 and row[0]["passed"]
+
+
 def test_verify_honours_tolerance(capsys):
     argv = ("verify", "--suite", "hardy", "--d", "3", "--n", "32", "--corpus-size", "2")
     assert run(capsys, *argv)[0] == 0
@@ -155,8 +165,7 @@ def test_reports_json_refuses_non_finite_values():
 def test_lp_command_prints_partition_record(capsys, band_field_file):
     code, out, _ = run(capsys, "lp", "--field", str(band_field_file))
     assert code == 0
-    first = json.loads(out.splitlines()[0])
-    assert first["profile"] == "bump-telescope-v1"
+    assert json.loads(out)[0]["extra"]["partition"]["profile"] == "bump-telescope-v1"
 
 
 # --- check commands -----------------------------------------------------------------

@@ -213,6 +213,15 @@ def test_row_sums_equal_exactly():
     assert sum_n == sum_r
 
 
+def test_row_sums_widen_span_for_slow_decay():
+    # d/q - s = 0.133 at d = 1: span 200 leaves a tail near 1e-7
+    sum_n, sum_r, closed = hardy_row_sums(0.2, 1, 3)
+    assert abs(sum_n - closed) <= 1e-10
+    assert sum_n == sum_r
+    short, _, _ = hardy_row_sums(0.2, 1, 3, span=200)
+    assert closed - short > 1e-8
+
+
 def test_row_sums_diverge_at_endpoints():
     with pytest.raises(ValueError, match="diverge"):
         hardy_row_sum_closed_form(0.0, 3, 2.0)

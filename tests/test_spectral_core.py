@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_field, random_mean_zero_field
+from conftest import direct_refined_weight, random_field, random_mean_zero_field
 from hardylp.corpus import gaussian_field
 from hardylp.littlewood_paley import build_partition, decompose, project
 from hardylp.spectral_core import (
+    WEIGHT_REFINE_RADIUS,
     NormParams,
     Spectrum,
+    _refined_weight,
     apply_multiplier,
     axis_coordinates,
     boundary_decay,
@@ -23,6 +25,7 @@ from hardylp.spectral_core import (
     make_field,
     make_grid,
     power_weighted_lq_norm,
+    radius_mesh,
     read_field,
     riesz_transform,
     weighted_lq_norm,
@@ -358,6 +361,40 @@ def test_power_weighted_positive_power(grid2):
     r = radius_mesh(grid2)
     direct = ((r**0.8).sum() * grid2.h**2) ** 0.5
     assert power_weighted_lq_norm(f, 0.4, 2.0) == pytest.approx(direct, rel=1e-12)
+
+
+# the direct d=4 build averages 16^4 points in each of up to 6480 near cells,
+# so d=4 takes one exponent per n
+WEIGHT_CASES = [
+    (d, n, e) for d in (1, 2, 3) for n in (8, 16, 32) for e in (-0.4, -1.0, -2.0, -3.0)
+] + [(4, 8, -3.0), (4, 16, -1.0), (4, 32, -0.4)]
+
+
+@pytest.mark.parametrize("d,n,exponent", WEIGHT_CASES)
+def test_refined_weight_matches_direct_oracle(d, n, exponent):
+    # at n = 8 the box cuts the refinement ball
+    grid = make_grid(d, n, 20.0)
+    got = _refined_weight(grid, "cell", exponent)
+    want = direct_refined_weight(grid, "cell", exponent)
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+    # one value per symmetry class: near cells that mirror or permute into
+    # each other carry bitwise equal weights
+    near = radius_mesh(grid) <= WEIGHT_REFINE_RADIUS * grid.h
+    images = [np.flip(got, axis=ax) for ax in range(d)]
+    images += [np.swapaxes(got, 0, ax) for ax in range(1, d)]
+    for image in images:
+        assert np.array_equal(image[near], got[near])
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_nonsingular_weight_matches_direct_oracle(d, n):
+    grid = make_grid(d, n, 20.0)
+    for centering, exponent in (("lattice", 0.0), ("lattice", 0.5), ("cell", 0.5)):
+        got = _refined_weight(grid, centering, exponent)
+        assert np.array_equal(got, direct_refined_weight(grid, centering, exponent))
+    with pytest.raises(ValueError, match="cell-centered"):
+        _refined_weight(grid, "lattice", -1.0)
 
 
 def test_norm_params_admissibility():
