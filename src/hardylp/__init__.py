@@ -10,7 +10,6 @@ front end (cli).
 
 from .spectral_core import (
     GridSpec,
-    NormParams,
     SampledField,
     Spectrum,
     apply_multiplier,
@@ -38,7 +37,6 @@ from .littlewood_paley import (
 )
 from .schur import (
     SchurKernel,
-    SchurReport,
     hardy_kernel,
     hardy_row_sums,
     schur_bound_check,

@@ -3,8 +3,9 @@ and constant estimation, with machine-readable reports.
 
 Exit codes: 0 all checks passed (or nothing to check), 1 at least one check
 failed, 2 usage or configuration error, 3 internal error.  Reports go to
-stdout as a JSON array (CSV with --format csv); --out adds them to a JSON
-report file instead, and refuses a file that does not hold JSON.
+stdout as a JSON array (CSV with --format csv; estimate-constant prints one
+JSON object and refuses CSV); --out adds them to a JSON report file instead,
+and refuses a file that does not hold JSON.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .schur import (
     schur_conditions,
 )
 from .spectral_core import (
+    _lq,
     boundary_decay,
     fractional_laplacian,
     lq_norm,
@@ -233,7 +235,7 @@ def cmd_norm(cfg: RunConfig) -> int:
         value = norm(f, stack, cfg.q, cfg.r)
         extra = {
             "last_level": part.n_max,
-            "last_level_contribution": lq_norm(f.with_values(stack[-1]), cfg.q),
+            "last_level_contribution": _lq(stack[-1], grid.h**grid.d, cfg.q),
         }
     else:
         raise ValueError(f"unknown norm kind {cfg.kind!r}")
@@ -335,6 +337,8 @@ def cmd_stein_weiss_check(cfg: RunConfig) -> int:
 
 
 def cmd_estimate_constant(cfg: RunConfig) -> int:
+    if cfg.fmt != "json":
+        raise ValueError(f"estimate-constant writes JSON only, got format {cfg.fmt!r}")
     est = estimate_constant(
         cfg.identity,
         cfg.d,
@@ -399,7 +403,7 @@ def _schur_suite(cfg: RunConfig) -> list[CheckReport]:
         )
     )
     kern = hardy_kernel(cfg.s, cfg.d, cfg.q)
-    cond = schur_conditions(kern, cfg.q)
+    a1, a2 = schur_conditions(kern, cfg.q)
     reports.append(
         CheckReport(
             identity="schur-conditions",
@@ -408,10 +412,10 @@ def _schur_suite(cfg: RunConfig) -> list[CheckReport]:
             L=cfg.L,
             s=cfg.s,
             q=cfg.q,
-            lhs=cond.a1,
-            rhs=cond.a2,
-            bound_constant=cond.bound,
-            passed=np.isfinite(cond.bound),
+            lhs=a1,
+            rhs=a2,
+            bound_constant=a1 * a2,
+            passed=np.isfinite(a1 * a2),
         )
     )
     rng = np.random.default_rng(cfg.seed)

@@ -29,8 +29,9 @@ __all__ = [
     "standard_corpus",
 ]
 
-# Gaussian widths as a fraction of L: the outermost sample layer sits at
-# L/2 - h/2, and staying below 1e-8 there requires sigma <= 0.08 L.
+# Gaussian widths as a fraction of L.  On the outermost sample layer, at
+# L/2 - h/2, sigma = 0.075 L stays below 1e-8 for every n >= 16; sigma = 0.08 L
+# does only for n >= 64, and reaches 1.03e-8 to 1.1e-8 at n = 32 (d = 4 to 1).
 GAUSSIAN_WIDTHS = (0.075, 0.08)
 SINGULARITY_FRACTIONS = (0.35, 0.6)
 

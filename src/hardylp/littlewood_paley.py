@@ -219,7 +219,7 @@ def _triebel_lizorkin_norm(
 ) -> float:
     if p < 1 or r < 1:
         raise ValueError("Triebel-Lizorkin exponents must satisfy p, r >= 1")
-    return lq_norm(f.with_values(_lr_sum(stack, r)), p)
+    return _lq(_lr_sum(stack, r), f.grid.h**f.grid.d, p)
 
 
 def square_function(

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "SchurKernel",
-    "SchurReport",
     "dyadic_levels",
     "schur_conditions",
     "schur_bound_check",
@@ -66,21 +65,6 @@ class SchurKernel:
         return np.array([float(self.weights(R)) for R in self.cols])
 
 
-@dataclass(frozen=True)
-class SchurReport:
-    """Exact suprema of the two test conditions over the finite index set.
-
-    a1 = sup_R (sum_N entry(N,R) p_N^(q'/q))^(q/q') / p_R
-    a2 = sup_N (sum_R entry(N,R) p_R) / p_N
-    bound = a1 * a2, the explicit constant in the conclusion.
-    """
-
-    a1: float
-    a2: float
-    bound: float
-    q: float
-
-
 def _validate_kernel(kernel: SchurKernel):
     a = kernel.entries()
     p_row = kernel.weight_values()
@@ -92,8 +76,13 @@ def _validate_kernel(kernel: SchurKernel):
     return a, p_row, p_col
 
 
-def schur_conditions(kernel: SchurKernel, q: float) -> SchurReport:
-    """Evaluate both Schur conditions exactly over the kernel's index set."""
+def schur_conditions(kernel: SchurKernel, q: float) -> tuple[float, float]:
+    """Exact suprema (a1, a2) of the two Schur conditions over the kernel's
+    index set; a1 * a2 is the explicit constant in the conclusion.
+
+    a1 = sup_R (sum_N entry(N,R) p_N^(q'/q))^(q/q') / p_R
+    a2 = sup_N (sum_R entry(N,R) p_R) / p_N
+    """
     if q <= 1:
         raise ValueError(f"exponent must satisfy q > 1, got {q}")
     a, p_row, p_col = _validate_kernel(kernel)
@@ -102,7 +91,7 @@ def schur_conditions(kernel: SchurKernel, q: float) -> SchurReport:
     a1 = float(np.max(col ** (q / qc) / p_col))
     row = (a * p_col[None, :]).sum(axis=1)  # sum over R at fixed N
     a2 = float(np.max(row / p_row))
-    return SchurReport(a1=a1, a2=a2, bound=a1 * a2, q=q)
+    return a1, a2
 
 
 def schur_bound_check(kernel: SchurKernel, coeffs, q: float):
@@ -111,7 +100,7 @@ def schur_bound_check(kernel: SchurKernel, coeffs, q: float):
     coeffs maps row levels to nonnegative values (dict or callable); returns
     (lhs, rhs, ratio) with ratio = lhs / rhs (0 when both vanish).
     """
-    report = schur_conditions(kernel, q)
+    a1, a2 = schur_conditions(kernel, q)
     a, _, _ = _validate_kernel(kernel)
     if callable(coeffs):
         c = np.array([float(coeffs(N)) for N in kernel.levels])
@@ -121,7 +110,7 @@ def schur_bound_check(kernel: SchurKernel, coeffs, q: float):
         raise ValueError("coefficient sequence must be nonnegative")
     inner = (a * c[:, None]).sum(axis=0)
     lhs = float((inner**q).sum())
-    rhs = float(report.bound * (c**q).sum())
+    rhs = float(a1 * a2 * (c**q).sum())
     ratio = lhs / rhs if rhs > 0 else 0.0
     return lhs, rhs, ratio
 

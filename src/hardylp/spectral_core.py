@@ -20,7 +20,6 @@ __all__ = [
     "GridSpec",
     "SampledField",
     "Spectrum",
-    "NormParams",
     "make_grid",
     "make_field",
     "axis_coordinates",
@@ -114,10 +113,6 @@ class SampledField:
     def with_values(self, values) -> "SampledField":
         return replace(self, values=values)
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.values), initial=0.0)))
-        return float(np.max(np.abs(self.values.imag), initial=0.0)) <= tol * scale
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -134,32 +129,6 @@ class Spectrum:
         coef = coef.copy()
         coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)
-
-    @property
-    def mean_coefficient(self) -> complex:
-        return complex(self.coefficients.flat[0])
-
-
-@dataclass(frozen=True)
-class NormParams:
-    """Exponent triple (s, q, r) for the smoothness/integrability scales."""
-
-    s: float
-    q: float
-    r: float = 2.0
-
-    def conjugate(self) -> float:
-        return self.q / (self.q - 1.0)
-
-    def admissible_for_hardy(self, d: int) -> bool:
-        return 0.0 < self.s < d / self.q and 1.0 < self.q < np.inf
-
-    def require_hardy(self, d: int) -> None:
-        if not self.admissible_for_hardy(d):
-            raise ValueError(
-                f"(s={self.s}, q={self.q}) not admissible: need 0 < s < d/q "
-                f"= {d / self.q:g} and 1 < q"
-            )
 
 
 def make_grid(d: int, n: int, L: float) -> GridSpec:

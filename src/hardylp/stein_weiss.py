@@ -2,9 +2,10 @@
 operator machinery used in its duality proof.
 
 The convolution with |x|^-lam is evaluated spectrally (it is a constant
-multiple of a negative-order fractional Laplacian); the inner-ball operator
-and the near-origin term of the weighted-potential split are genuine pair
-quadratures and therefore restricted to coarse grids.
+multiple of a negative-order fractional Laplacian).  The inner-ball operator
+is radial and is summed exactly over the grid's radial classes; the
+near-origin term of the weighted-potential split is a genuine pair
+quadrature and therefore restricted to coarse grids.
 """
 
 from __future__ import annotations
@@ -204,39 +205,24 @@ def homogeneous_kernel(x_norm: float, y_norm: float, s: float, d: int) -> float:
 
 
 def inner_ball_potential(g: SampledField, s: float) -> SampledField:
-    """U g(x) = |x|^(s-d) * int_{|y| <= |x|/2} |g(y)| |y|^-s dy by direct
-    quadrature; depends on g only through |g| and is radial in x.
+    """U g(x) = |x|^(s-d) * int_{|y| <= |x|/2} |g(y)| |y|^-s dy, summed
+    exactly over radial classes; depends on g only through |g|.
 
-    Asserts the triangle-inequality guarantee |x - y| >= |x|/2 on every
-    kernel support pair it integrates.
+    On the cell-centered grid k = |2x/h|^2 is a sum of d odd squares, so
+    k = d (mod 8) and the support |y| <= |x|/2 is exactly 4 k_y <= k_x, with
+    no pair on its edge: U g is one prefix sum over k, read at k_x // 4.
     """
     grid = g.grid
     d = grid.d
     if not (0.0 < s < d):
         raise ValueError(f"weight order must satisfy 0 < s < d = {d}, got {s}")
-    _require_coarse(grid, "the inner-ball operator")
-    pts, radii = _flat_points(grid, g.centering)
-    mag = np.abs(g.values).ravel()
-    y_weight = mag * radii ** (-s)
-    hd = grid.h**d
-    out = np.empty(radii.size)
-    y_norm2 = (pts**2).sum(axis=1)
-    for start in range(0, radii.size, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, radii.size))
-        xr = radii[sl]
-        mask = radii[None, :] <= xr[:, None] / 2.0
-        if mask.any():
-            # |x - y|^2 = |x|^2 + |y|^2 - 2 x.y must be >= (|x|/2)^2 on the support
-            cross = pts[sl] @ pts.T
-            dist2 = xr[:, None] ** 2 + y_norm2[None, :] - 2.0 * cross
-            bound2 = (xr[:, None] / 2.0) ** 2
-            bad = mask & (dist2 < bound2 * (1.0 - 1e-9))
-            if bad.any():
-                raise AssertionError(
-                    "triangle-inequality guarantee |x-y| >= |x|/2 violated on "
-                    "the kernel support"
-                )
-        out[sl] = (mask * y_weight[None, :]).sum(axis=1) * hd * xr ** (s - d)
+    if g.centering != "cell":
+        raise ValueError("the inner-ball operator needs cell-centered samples")
+    odd = 2 * np.arange(grid.n) - grid.n + 1
+    k = sum(np.meshgrid(*([odd**2] * d), indexing="ij", sparse=True)).ravel()
+    radii = np.sqrt(k) * (grid.h / 2.0)
+    mass = np.cumsum(np.bincount(k, weights=np.abs(g.values).ravel() * radii ** (-s)))
+    out = mass[k // 4] * grid.h**d * radii ** (s - d)
     return g.with_values(out.reshape(grid.shape))
 
 

@@ -6,6 +6,7 @@ from hardylp.spectral_core import (
     WEIGHT_REFINE_RADIUS,
     _refined_weight,
     axis_coordinates,
+    coordinate_mesh,
     make_field,
     make_grid,
     radius_mesh,
@@ -68,6 +69,41 @@ def direct_refined_weight(grid, centering, exponent):
         rr = np.sqrt(sum((center[ax] + sub[ax]) ** 2 for ax in range(grid.d)))
         w[tuple(idx)] = float(np.mean(rr**exponent))
     return w
+
+
+def direct_inner_ball_potential(g, s):
+    """The inner-ball operator by direct pair quadrature, the reference for
+    inner_ball_potential: U g(x) = |x|^(s-d) sums |g(y)| |y|^-s h^d over every
+    sample y with |y| <= |x|/2.  Asserts the triangle-inequality guarantee
+    |x - y| >= |x|/2 on every kernel support pair it integrates."""
+    grid = g.grid
+    d = grid.d
+    mesh = coordinate_mesh(grid, g.centering)
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    radii = np.sqrt((pts**2).sum(axis=1))
+    mag = np.abs(g.values).ravel()
+    y_weight = mag * radii ** (-s)
+    hd = grid.h**d
+    out = np.empty(radii.size)
+    y_norm2 = (pts**2).sum(axis=1)
+    chunk = 256
+    for start in range(0, radii.size, chunk):
+        sl = slice(start, min(start + chunk, radii.size))
+        xr = radii[sl]
+        mask = radii[None, :] <= xr[:, None] / 2.0
+        if mask.any():
+            # |x - y|^2 = |x|^2 + |y|^2 - 2 x.y must be >= (|x|/2)^2 on the support
+            cross = pts[sl] @ pts.T
+            dist2 = xr[:, None] ** 2 + y_norm2[None, :] - 2.0 * cross
+            bound2 = (xr[:, None] / 2.0) ** 2
+            bad = mask & (dist2 < bound2 * (1.0 - 1e-9))
+            if bad.any():
+                raise AssertionError(
+                    "triangle-inequality guarantee |x-y| >= |x|/2 violated on "
+                    "the kernel support"
+                )
+        out[sl] = (mask * y_weight[None, :]).sum(axis=1) * hd * xr ** (s - d)
+    return out.reshape(grid.shape)
 
 
 def random_field(grid, seed, real=False):

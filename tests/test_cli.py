@@ -210,6 +210,16 @@ def test_estimate_constant_builds_partition_only_when_needed(capsys):
     assert [t["n"] for t in json.loads(out)["trend"]] == [16, 32]
 
 
+def test_estimate_constant_rejects_csv_format(capsys):
+    code, out, err = run(
+        capsys, "estimate-constant", "--identity", "fractional", "--d", "2",
+        "--n", "16", "--s", "0.5", "--budget", "3", "--format", "csv",
+    )
+    assert code == 2
+    assert out == ""
+    assert "JSON only" in err
+
+
 def test_estimate_constant_command(capsys):
     code, out, _ = run(
         capsys, "estimate-constant", "--identity", "fractional", "--d", "3",

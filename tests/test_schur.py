@@ -48,17 +48,17 @@ def identity_kernel(levels):
 
 def test_diagonal_kernel_conditions():
     levels = dyadic_levels(4)
-    rep = schur_conditions(identity_kernel(levels), 2.0)
-    assert rep.a1 == 1.0
-    assert rep.a2 == 1.0
-    assert rep.bound == 1.0
+    a1, a2 = schur_conditions(identity_kernel(levels), 2.0)
+    assert a1 == 1.0
+    assert a2 == 1.0
+    assert a1 * a2 == 1.0
 
 
 def test_zero_kernel_conditions():
     levels = dyadic_levels(4)
     kern = SchurKernel(entry=lambda a, b: 0.0, weights=lambda _: 1.0, levels=levels)
-    rep = schur_conditions(kern, 3.0)
-    assert rep.a1 == 0.0 and rep.a2 == 0.0
+    a1, a2 = schur_conditions(kern, 3.0)
+    assert a1 == 0.0 and a2 == 0.0
 
 
 def test_conditions_reject_bad_exponent():
@@ -86,21 +86,21 @@ def test_unit_weights_reduce_to_row_and_column_sums():
     levels = dyadic_levels(6)
     s, d, q = 1.0, 3, 2.0
     kern = hardy_kernel(s, d, q, levels)
-    rep = schur_conditions(kern, q)
+    a1, a2 = schur_conditions(kern, q)
     a = kern.entries()
     col = a.sum(axis=0).max()
     row = a.sum(axis=1).max()
-    assert rep.a1 == pytest.approx(col ** (q / (q / (q - 1))), rel=1e-14)
-    assert rep.a2 == pytest.approx(row, rel=1e-14)
+    assert a1 == pytest.approx(col ** (q / (q / (q - 1))), rel=1e-14)
+    assert a2 == pytest.approx(row, rel=1e-14)
 
 
 def test_hardy_conditions_wide_range_match_closed_form():
     # on a wide truncated range the second condition is the full row sum
-    rep = schur_conditions(hardy_kernel(1.0, 3, 2.0, dyadic_levels(64)), 2.0)
-    assert rep.a2 == pytest.approx(4.41421, abs=1e-5)
+    _, a2 = schur_conditions(hardy_kernel(1.0, 3, 2.0, dyadic_levels(64)), 2.0)
+    assert a2 == pytest.approx(4.41421, abs=1e-5)
     # the default +-20 octave range is within its geometric tail of it
-    rep_default = schur_conditions(hardy_kernel(1.0, 3, 2.0), 2.0)
-    assert rep_default.a2 == pytest.approx(4.4142, abs=1e-3)
+    _, a2_default = schur_conditions(hardy_kernel(1.0, 3, 2.0), 2.0)
+    assert a2_default == pytest.approx(4.4142, abs=1e-3)
 
 
 def test_rectangular_kernel_conditions():
@@ -112,11 +112,11 @@ def test_rectangular_kernel_conditions():
         levels=rows,
         col_levels=cols,
     )
-    rep = schur_conditions(kern, 2.0)
+    a1, a2 = schur_conditions(kern, 2.0)
     a = kern.entries()
     assert a.shape == (len(rows), len(cols))
-    assert rep.a1 == pytest.approx(a.sum(axis=0).max(), rel=1e-14)
-    assert rep.a2 == pytest.approx(a.sum(axis=1).max(), rel=1e-14)
+    assert a1 == pytest.approx(a.sum(axis=0).max(), rel=1e-14)
+    assert a2 == pytest.approx(a.sum(axis=1).max(), rel=1e-14)
 
 
 # --- bound check ----------------------------------------------------------------

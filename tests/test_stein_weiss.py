@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import direct_inner_ball_potential, random_field
 
 from hardylp.corpus import gaussian_field, random_band_limited_field
 from hardylp.hardy import fractional_hardy_quotient
@@ -216,10 +217,31 @@ def test_inner_ball_depends_on_magnitude_only(coarse2):
     assert np.array_equal(a.values, b.values)
 
 
-def test_inner_ball_refuses_fine_grids():
-    g = make_grid(2, 64, 20.0)
-    f = make_field(g, np.zeros(g.shape))
-    with pytest.raises(ValueError, match="coarse"):
+@pytest.mark.parametrize(
+    "d,n,s_values",
+    [
+        (1, 256, (0.3, 0.7)),
+        (2, 32, (0.5, 1.5)),
+        (3, 16, (0.5, 2.0)),
+        (2, 64, (1.0,)),  # finer than the old pair-quadrature limit
+        (4, 8, (3.0,)),  # a dimension the old pair quadrature refused
+    ],
+    ids=["d1-n256", "d2-n32", "d3-n16", "d2-n64", "d4-n8"],
+)
+def test_inner_ball_matches_direct_oracle(d, n, s_values):
+    grid = make_grid(d, n, 20.0)
+    for g in (gaussian_field(grid, 1.5), random_field(grid, seed=d)):
+        for s in s_values:
+            fast = inner_ball_potential(g, s).values
+            direct = direct_inner_ball_potential(g, s)
+            assert (direct > 0).any()
+            assert np.all(fast.imag == 0.0)
+            assert np.all(np.abs(fast.real - direct) <= 1e-13 * direct), (d, n, s)
+
+
+def test_inner_ball_refuses_lattice_grids(coarse2):
+    f = make_field(coarse2, np.ones(coarse2.shape), centering="lattice")
+    with pytest.raises(ValueError, match="cell-centered"):
         inner_ball_potential(f, 0.5)
 
 
@@ -303,6 +325,13 @@ def test_split_pointwise_domination_against_direct_oracle(coarse2):
     outer, _ = split_weighted_potential(g, s)
     assert np.isfinite(outer.values.real).all()
     assert outer.values.real.min() >= 0.0
+
+
+def test_split_refuses_fine_grids():
+    g = make_grid(2, 64, 20.0)
+    f = make_field(g, np.zeros(g.shape))
+    with pytest.raises(ValueError, match="coarse"):
+        split_weighted_potential(f, 0.5)
 
 
 def test_split_rejects_bad_order(coarse2):
