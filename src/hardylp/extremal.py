@@ -200,6 +200,7 @@ def estimate_constant(
     if budget < 1:
         raise ValueError("budget must allow at least one evaluation")
     grid = make_grid(d, n, L)
+    make_grid(d, 2 * n, L)  # the trend grid, refused before the search when too large
     partition = _partition_for(identity, grid)
 
     def objective(params: dict) -> float:

@@ -1,11 +1,21 @@
 """Periodic grids, spectral transforms, Fourier multipliers and L^q quadrature.
 
-The whole toolkit works on complex fields sampled on a periodic box
-[-L/2, L/2)^d.  Cell-centered sampling (offset h/2 per axis) is the default
-so the singular weight |x|^-s is never evaluated at the origin.  Transforms
-are normalized so that a constant field c has Fourier coefficient c at
-frequency zero, and the frequency lattice is {k/L : -n/2 <= k < n/2} per
-axis.
+Fields are sampled on a periodic box [-L/2, L/2)^d and stored as float64
+when their values are real, complex128 when they are complex.
+Cell-centered sampling (offset h/2 per axis) is the default so the singular
+weight |x|^-s is never evaluated at the origin.  Transforms are normalized
+so that a constant field c has Fourier coefficient c at frequency zero, and
+the frequency lattice is {k/L : -n/2 <= k < n/2} per axis.
+
+A diagonal multiplier maps a real field through the real FFT on the half
+spectrum and returns a real field; a complex field takes the complex FFT.
+On a real field the odd symbols (gradient, Riesz transforms) are zero on
+the Nyquist plane k_j = -n/2 of their own axis: that frequency is its own
+mirror image on the lattice, so an odd symbol has no Hermitian value there
+(the usual rule for odd spectral derivatives; Trefethen, Spectral Methods
+in MATLAB, SIAM 2000, ch. 3).  Complex fields keep every symbol as given.
+Generic multipliers (apply_multiplier) need not be Hermitian and always take
+the complex path.
 """
 
 from __future__ import annotations
@@ -53,7 +63,14 @@ SUPPORTED_DIMENSIONS = (1, 2, 3, 4)
 WEIGHT_REFINE_RADIUS = 6.0
 WEIGHT_REFINE_FACTOR = 16
 
-FIELD_MAGIC = b"HLF1"
+# Largest grid make_grid accepts: d = 3, n = 256 is 2**24 samples, 134 MB per
+# real field and 268 MB per complex one.
+MAX_GRID_SAMPLES = 2**24
+
+FIELD_MAGIC = b"HLF2"
+HLF1_MAGIC = b"HLF1"
+FIELD_DTYPES = ("<f8", "<c16")  # HLF2 dtype byte: 0 real, 1 complex
+FIELD_CENTERINGS = ("cell", "lattice")  # HLF2 centering byte
 
 
 @dataclass(frozen=True)
@@ -84,8 +101,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SampledField:
-    """Complex samples of a function on a GridSpec, row-major.
+    """Samples of a function on a GridSpec, row-major.
 
+    Real values are stored as float64 and complex ones as complex128; the
+    values are copied and marked read-only.  Operators on a real field take
+    the real FFT and follow the module's Nyquist rule for odd symbols.
     centering "cell" places samples at cell centers (offset h/2 from the
     lattice), "lattice" at the lattice points themselves.  Cell centering is
     the default; it keeps every sample away from the origin.
@@ -96,7 +116,8 @@ class SampledField:
     centering: str = "cell"
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
+        dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
+        vals = np.array(self.values, dtype=dtype)
         if vals.shape != self.grid.shape:
             if vals.size == self.grid.size:
                 vals = vals.reshape(self.grid.shape)
@@ -104,9 +125,8 @@ class SampledField:
                 raise ValueError(
                     f"field has {vals.size} samples, grid needs {self.grid.size}"
                 )
-        if self.centering not in ("cell", "lattice"):
+        if self.centering not in FIELD_CENTERINGS:
             raise ValueError(f"unknown centering {self.centering!r}")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -132,11 +152,17 @@ class Spectrum:
 
 
 def make_grid(d: int, n: int, L: float) -> GridSpec:
-    """Validated periodic grid; n must be a power of two >= 8."""
+    """Validated periodic grid; n must be a power of two >= 8, and the grid
+    may hold at most MAX_GRID_SAMPLES samples."""
     if d not in SUPPORTED_DIMENSIONS:
         raise ValueError(f"dimension must be one of {SUPPORTED_DIMENSIONS}, got {d}")
     if n < 8 or (n & (n - 1)) != 0:
         raise ValueError(f"points per axis must be a power of two >= 8, got {n}")
+    if n**d > MAX_GRID_SAMPLES:
+        raise ValueError(
+            f"grid n = {n} in d = {d} has {n**d} samples, more than the "
+            f"{MAX_GRID_SAMPLES} (2**24) allowed"
+        )
     if not (L > 0):
         raise ValueError(f"box length must be positive, got {L}")
     return GridSpec(d=d, n=n, L=float(L))
@@ -157,10 +183,19 @@ def coordinate_mesh(grid: GridSpec, centering: str = "cell") -> tuple[np.ndarray
     return tuple(np.meshgrid(*([x] * grid.d), indexing="ij"))
 
 
+def _radius(axes: list[np.ndarray]) -> np.ndarray:
+    """Euclidean length on the mesh of the per-axis arrays `axes`.
+
+    The squares are summed over a sparse mesh in axis order, so the values
+    are bitwise those of the same sum over the dense mesh.
+    """
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    return np.sqrt(sum(c**2 for c in mesh))
+
+
 def radius_mesh(grid: GridSpec, centering: str = "cell") -> np.ndarray:
     """|x| measured from the box center, on the sample mesh."""
-    mesh = coordinate_mesh(grid, centering)
-    return np.sqrt(sum(c**2 for c in mesh))
+    return _radius([axis_coordinates(grid, centering)] * grid.d)
 
 
 def frequency_axes(grid: GridSpec) -> np.ndarray:
@@ -174,8 +209,7 @@ def frequency_mesh(grid: GridSpec) -> tuple[np.ndarray, ...]:
 
 
 def frequency_radius(grid: GridSpec) -> np.ndarray:
-    mesh = frequency_mesh(grid)
-    return np.sqrt(sum(k**2 for k in mesh))
+    return _radius([frequency_axes(grid)] * grid.d)
 
 
 def _phase_1d(grid: GridSpec, centering: str) -> np.ndarray:
@@ -191,9 +225,7 @@ def forward_transform(f: SampledField) -> Spectrum:
     g = np.fft.fftn(f.values) / f.grid.size
     ph = _phase_1d(f.grid, f.centering)
     for ax in range(f.grid.d):
-        shape = [1] * f.grid.d
-        shape[ax] = f.grid.n
-        g = g * ph.reshape(shape)
+        g = g * _along_axis(f.grid, ax, ph)
     return Spectrum(grid=f.grid, coefficients=g, centering=f.centering)
 
 
@@ -201,9 +233,7 @@ def inverse_transform(spec: Spectrum) -> SampledField:
     g = spec.coefficients
     ph = _phase_1d(spec.grid, spec.centering).conj()
     for ax in range(spec.grid.d):
-        shape = [1] * spec.grid.d
-        shape[ax] = spec.grid.n
-        g = g * ph.reshape(shape)
+        g = g * _along_axis(spec.grid, ax, ph)
     values = np.fft.ifftn(g * spec.grid.size)
     return SampledField(grid=spec.grid, values=values, centering=spec.centering)
 
@@ -228,14 +258,28 @@ def _apply_diag(values: np.ndarray, mults) -> np.ndarray:
     """The (len(mults), *shape) stack of ifftn(fftn(values) * m), m in mults.
 
     One forward FFT serves every multiplier; each m is a lattice array in
-    FFT layout, or one that broadcasts to it.  The per-axis phases of
-    forward_transform and inverse_transform cancel for a diagonal
-    multiplier, so they are left out.
+    FFT layout, or one that broadcasts to it.  Real values go through
+    rfftn/irfftn: each m is cut to the half lattice, its first n//2 + 1
+    entries along the last axis, and the stack is real.  That keeps only
+    the Hermitian part of m, so a caller with real values passes symbols
+    that are Hermitian on the lattice.  Complex values go through
+    fftn/ifftn with m as given.  The per-axis phases of forward_transform
+    and inverse_transform cancel for a diagonal multiplier, so they are
+    left out.
     """
-    spec = np.fft.fftn(values)
-    out = np.empty((len(mults),) + spec.shape, dtype=np.complex128)
+    if np.iscomplexobj(values):
+        spec = np.fft.fftn(values)
+        out = np.empty((len(mults),) + spec.shape, dtype=np.complex128)
+        for i, m in enumerate(mults):
+            np.fft.ifftn(spec * m, out=out[i])
+        return out
+    shape = values.shape
+    axes = tuple(range(len(shape)))
+    half = shape[-1] // 2 + 1
+    spec = np.fft.rfftn(values)
+    out = np.empty((len(mults),) + shape)
     for i, m in enumerate(mults):
-        np.fft.ifftn(spec * m, out=out[i])
+        np.fft.irfftn(spec * m[..., :half], s=shape, axes=axes, out=out[i])
     return out
 
 
@@ -244,9 +288,26 @@ def apply_multiplier(f: SampledField, m) -> SampledField:
 
     m is called with the d frequency mesh arrays and must return finite
     values on the whole lattice; in particular its value at frequency zero
-    is the caller's responsibility.
+    is the caller's responsibility.  m need not be Hermitian, so a real f
+    goes through the complex transforms and the result is complex.
     """
-    return f.with_values(_apply_diag(f.values, [_multiplier_values(f.grid, m)])[0])
+    values = f.values.astype(np.complex128, copy=False)
+    return f.with_values(_apply_diag(values, [_multiplier_values(f.grid, m)])[0])
+
+
+@lru_cache(maxsize=4)
+def _power_symbol(grid: GridSpec, s: float, real: bool) -> np.ndarray:
+    """|2 pi xi|^s on the frequency lattice, zero at frequency zero; only the
+    half lattice of rfftn when real.  Cached per (grid, s, real); the
+    returned array is read-only."""
+    k = frequency_axes(grid)
+    half = k[: grid.n // 2 + 1] if real else k
+    rad = _radius([k] * (grid.d - 1) + [half])
+    mult = np.zeros(rad.shape)
+    nz = rad > 0
+    mult[nz] = (2.0 * np.pi * rad[nz]) ** s
+    mult.setflags(write=False)
+    return mult
 
 
 def fractional_laplacian(f: SampledField, s: float) -> SampledField:
@@ -258,8 +319,6 @@ def fractional_laplacian(f: SampledField, s: float) -> SampledField:
     """
     if s == 0:
         return f
-    grid = f.grid
-    rad = frequency_radius(grid)
     if s < 0:
         mean = complex(np.mean(f.values))
         scale = max(1.0, float(np.max(np.abs(f.values), initial=0.0)))
@@ -268,10 +327,24 @@ def fractional_laplacian(f: SampledField, s: float) -> SampledField:
                 "negative-order operator requires mean-zero input "
                 f"(mean coefficient {mean:.3e})"
             )
-    mult = np.zeros(grid.shape)
-    nz = rad > 0
-    mult[nz] = (2.0 * np.pi * rad[nz]) ** s
+    mult = _power_symbol(f.grid, s, np.isrealobj(f.values))
     return f.with_values(_apply_diag(f.values, [mult])[0])
+
+
+def _odd_frequencies(grid: GridSpec, real: bool) -> np.ndarray:
+    """frequency_axes for an odd symbol: zero at the Nyquist entry -n/(2L)
+    when the field is real (the module's Nyquist rule)."""
+    k = frequency_axes(grid)
+    if real:
+        k[grid.n // 2] = 0.0
+    return k
+
+
+def _along_axis(grid: GridSpec, ax: int, k: np.ndarray) -> np.ndarray:
+    """The per-axis array k laid along axis ax, to broadcast over the lattice."""
+    shape = [1] * grid.d
+    shape[ax] = grid.n
+    return k.reshape(shape)
 
 
 def riesz_transform(f: SampledField, j: int) -> SampledField:
@@ -279,30 +352,30 @@ def riesz_transform(f: SampledField, j: int) -> SampledField:
     grid = f.grid
     if not (1 <= j <= grid.d):
         raise ValueError(f"axis must be in 1..{grid.d}, got {j}")
-    mesh = frequency_mesh(grid)
+    k = _odd_frequencies(grid, np.isrealobj(f.values))
+    xi = np.broadcast_to(_along_axis(grid, j - 1, k), grid.shape)
     rad = frequency_radius(grid)
     mult = np.zeros(grid.shape, dtype=np.complex128)
     nz = rad > 0
-    mult[nz] = -1j * mesh[j - 1][nz] / rad[nz]
+    mult[nz] = -1j * xi[nz] / rad[nz]
     return f.with_values(_apply_diag(f.values, [mult])[0])
 
 
 def gradient(f: SampledField) -> tuple[SampledField, ...]:
     """Spectral partial derivatives: component j has spectrum 2 pi i xi_j fhat."""
-    comps = _apply_diag(f.values, _gradient_symbols(f.grid))
+    comps = _apply_diag(f.values, _gradient_symbols(f))
     return tuple(f.with_values(g) for g in comps)
 
 
-def _gradient_symbols(grid: GridSpec) -> list[np.ndarray]:
+def _gradient_symbols(f: SampledField) -> list[np.ndarray]:
     # 2 pi i xi_j along axis j, shaped to broadcast over the lattice
-    k = 2j * np.pi * frequency_axes(grid)
-    shapes = [[grid.n if b == ax else 1 for b in range(grid.d)] for ax in range(grid.d)]
-    return [k.reshape(shape) for shape in shapes]
+    k = 2j * np.pi * _odd_frequencies(f.grid, np.isrealobj(f.values))
+    return [_along_axis(f.grid, ax, k) for ax in range(f.grid.d)]
 
 
 def gradient_magnitude(f: SampledField) -> np.ndarray:
     """Pointwise Euclidean length of the spectral gradient."""
-    comps = _apply_diag(f.values, _gradient_symbols(f.grid))
+    comps = _apply_diag(f.values, _gradient_symbols(f))
     return np.sqrt(sum(np.abs(g) ** 2 for g in comps))
 
 
@@ -401,35 +474,46 @@ def boundary_decay(f: SampledField) -> float:
 
 
 def write_field(path, f: SampledField) -> None:
-    """Serialize a field: magic 'HLF1', u64 d, u64 n, f64 L, then interleaved
-    (re, im) f64 samples in row-major order.  Little-endian throughout."""
+    """Serialize a field as HLF2: magic 'HLF2', u64 d, u64 n, f64 L, u8
+    dtype (0 real, 1 complex), u8 centering (0 cell, 1 lattice), then the
+    samples in row-major order: f64 values for a real field, interleaved
+    (re, im) f64 pairs for a complex one.  Little-endian throughout."""
+    dtype = int(np.iscomplexobj(f.values))
+    centering = FIELD_CENTERINGS.index(f.centering)
     with open(path, "wb") as fh:
         fh.write(FIELD_MAGIC)
-        fh.write(struct.pack("<QQd", f.grid.d, f.grid.n, f.grid.L))
-        flat = np.ascontiguousarray(f.values, dtype=np.complex128).ravel()
-        inter = np.empty(2 * flat.size)
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
-        fh.write(inter.astype("<f8").tobytes())
+        fh.write(struct.pack("<QQdBB", f.grid.d, f.grid.n, f.grid.L, dtype, centering))
+        fh.write(np.ascontiguousarray(f.values, dtype=FIELD_DTYPES[dtype]).tobytes())
 
 
 def read_field(path) -> SampledField:
+    """Read an HLF2 field file, or an HLF1 one: the same header without the
+    dtype and centering bytes, complex samples, cell centering."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-        if magic != FIELD_MAGIC:
+        if magic not in (FIELD_MAGIC, HLF1_MAGIC):
             raise ValueError(f"not a field file: bad magic {magic!r}")
-        header = fh.read(24)
-        if len(header) != 24:
+        layout = "<QQdBB" if magic == FIELD_MAGIC else "<QQd"
+        header = fh.read(struct.calcsize(layout))
+        if len(header) != struct.calcsize(layout):
             raise ValueError("truncated field file header")
-        d, n, L = struct.unpack("<QQd", header)
+        d, n, L, *codes = struct.unpack(layout, header)
+        dtype, centering = codes or (1, 0)
+        if dtype >= len(FIELD_DTYPES):
+            raise ValueError(f"unknown field dtype code {dtype}")
+        if centering >= len(FIELD_CENTERINGS):
+            raise ValueError(f"unknown field centering code {centering}")
         grid = make_grid(int(d), int(n), float(L))
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-        if raw.size != 2 * grid.size:
-            raise ValueError(
-                f"field file holds {raw.size // 2} samples, expected {grid.size}"
-            )
-        values = raw[0::2] + 1j * raw[1::2]
+        raw = fh.read()
+    itemsize = np.dtype(FIELD_DTYPES[dtype]).itemsize
+    if len(raw) != grid.size * itemsize:
+        raise ValueError(
+            f"field file holds {len(raw) / itemsize:g} samples, expected {grid.size}"
+        )
+    values = np.frombuffer(raw, dtype=FIELD_DTYPES[dtype])
     bad = int(np.count_nonzero(~np.isfinite(values)))
     if bad:
         raise ValueError(f"field file holds {bad} non-finite samples (NaN or Inf)")
-    return SampledField(grid=grid, values=values.reshape(grid.shape))
+    return SampledField(
+        grid=grid, values=values.reshape(grid.shape), centering=FIELD_CENTERINGS[centering]
+    )

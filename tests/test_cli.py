@@ -486,3 +486,31 @@ def test_estimate_out_replaces_json_file(capsys, tmp_path):
     assert code == 0
     assert json.loads(target.read_text()) == json.loads(out)
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_estimate_constant_refuses_oversized_trend_grid(capsys, monkeypatch):
+    # n = 256 is allowed in d = 3, its 2n trend grid is not; the refusal
+    # comes before the first trial field is built
+    import hardylp.extremal as extremal
+
+    def no_trial(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(extremal, "_trial_field", no_trial)
+    code, out, err = run(
+        capsys, "estimate-constant", "--identity", "fractional", "--d", "3",
+        "--n", "256", "--s", "1", "--budget", "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert "134217728 samples" in err
+
+
+def test_unknown_field_file_code_is_exit_2(capsys, const_field_file):
+    raw = bytearray(const_field_file.read_bytes())
+    raw[28] = 9  # the HLF2 dtype byte
+    const_field_file.write_bytes(bytes(raw))
+    code, out, err = run(capsys, "norm", "--field", str(const_field_file))
+    assert code == 2
+    assert out == ""
+    assert "unknown field dtype code 9" in err

@@ -1,5 +1,7 @@
 """Grid construction, transforms, multipliers, fractional operators, norms."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,15 @@ from conftest import direct_refined_weight, random_field, random_mean_zero_field
 from hardylp.corpus import gaussian_field
 from hardylp.littlewood_paley import build_partition, decompose, project
 from hardylp.spectral_core import (
+    MAX_GRID_SAMPLES,
     WEIGHT_REFINE_RADIUS,
     Spectrum,
+    _power_symbol,
     _refined_weight,
     apply_multiplier,
     axis_coordinates,
     boundary_decay,
+    coordinate_mesh,
     forward_transform,
     fractional_laplacian,
     frequency_mesh,
@@ -73,6 +78,29 @@ def test_make_grid_rejects_bad_dimension():
 def test_make_grid_rejects_bad_length():
     with pytest.raises(ValueError):
         make_grid(1, 16, 0.0)
+
+
+def test_make_grid_refuses_oversized_grids():
+    # the check is arithmetic on n and d: no array of the refused size exists
+    for d, n in ((4, 128), (3, 512), (2, 8192), (1, 2**25)):
+        with pytest.raises(ValueError, match="samples"):
+            make_grid(d, n, 20.0)
+    for d, n in ((4, 64), (3, 256), (2, 4096), (1, 2**24)):
+        assert make_grid(d, n, 20.0).size == MAX_GRID_SAMPLES
+
+
+@pytest.mark.parametrize("centering", ["cell", "lattice"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_radii_match_dense_mesh_bitwise(d, centering):
+    grid = make_grid(d, 8, 3.0)
+    dense = np.sqrt(sum(c**2 for c in coordinate_mesh(grid, centering)))
+    assert np.array_equal(radius_mesh(grid, centering), dense)
+    dense = np.sqrt(sum(k**2 for k in frequency_mesh(grid)))
+    assert np.array_equal(frequency_radius(grid), dense)
+    for s in (0.5, -1.0):
+        full = _power_symbol(grid, s, False)
+        assert full.shape == grid.shape
+        assert np.array_equal(_power_symbol(grid, s, True), full[..., : grid.n // 2 + 1])
 
 
 def test_frequency_lattice_symmetric(grid1):
@@ -201,6 +229,93 @@ def test_diagonal_multipliers_match_phased_transforms(d, centering):
     for got, mult in cases:
         want = phased_multiplier(f, mult)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def nyquist_zeroed(grid, ax, symbol):
+    """The lattice symbol with its values on the Nyquist plane k_ax = -n/2
+    set to zero."""
+    out = np.array(np.broadcast_to(symbol, grid.shape))
+    plane = [slice(None)] * grid.d
+    plane[ax] = grid.n // 2
+    out[tuple(plane)] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("centering", ["cell", "lattice"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_real_diagonal_multipliers_match_phased_transforms(d, centering):
+    # real white noise carries content on every Nyquist plane; the real path
+    # keeps even symbols and zeroes odd ones there
+    grid = make_grid(d, 16, 20.0)
+    noise = random_mean_zero_field(grid, seed=190 + d, real=True).values
+    f = make_field(grid, noise, centering)
+    assert f.values.dtype == np.float64
+    coef = forward_transform(f).coefficients
+    for ax in range(d):
+        assert np.abs(np.take(coef, grid.n // 2, axis=ax)).max() > 1e-3
+    mesh = frequency_mesh(grid)
+    rad = frequency_radius(grid)
+    nz = rad > 0
+    inv_rad = np.zeros(grid.shape)
+    inv_rad[nz] = 1.0 / rad[nz]
+    cases = []
+    for s in (0.5, -0.5):
+        power = np.zeros(grid.shape)
+        power[nz] = (2 * np.pi * rad[nz]) ** s
+        cases.append((fractional_laplacian(f, s).values, power))
+    part = build_partition(grid, coverage=1.0)
+    for N, piece in zip(part.levels, decompose(f, part)):
+        cases.append((piece, part.multipliers[N]))
+        cases.append((project(f, part, N).values, part.multipliers[N]))
+    odd = [
+        (ax, riesz_transform(f, ax + 1).values, -1j * mesh[ax] * inv_rad) for ax in range(d)
+    ]
+    odd += [(ax, g.values, 2j * np.pi * mesh[ax]) for ax, g in enumerate(gradient(f))]
+    for ax, got, mult in odd:
+        want = phased_multiplier(f, mult)
+        # the complex path keeps the Nyquist plane, and differs there
+        assert np.abs(got - want).max() > 1e-3 * np.abs(want).max()
+        cases.append((got, nyquist_zeroed(grid, ax, mult)))
+    magnitude = np.sqrt(sum(np.abs(g.values) ** 2 for g in gradient(f)))
+    assert np.array_equal(gradient_magnitude(f), magnitude)
+    for got, mult in cases:
+        want = phased_multiplier(f, mult)
+        assert got.dtype == np.float64
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_generic_multiplier_on_real_field_takes_complex_path(d):
+    # exp(-|xi|^2) (1 + xi_1) is real but not even, so not Hermitian
+    grid = make_grid(d, 16, 20.0)
+    f = random_field(grid, seed=290 + d, real=True)
+    m = lambda *xi: np.exp(-sum(x**2 for x in xi)) * (1.0 + xi[0])
+    out = apply_multiplier(f, m)
+    assert out.values.dtype == np.complex128
+    complex_path = apply_multiplier(make_field(grid, f.values.astype(complex)), m)
+    assert np.array_equal(out.values, complex_path.values)
+    want = phased_multiplier(f, m(*frequency_mesh(grid)))
+    assert np.abs(out.values - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(out.values.imag).max() > 1e-3 * np.abs(want).max()
+
+
+def test_sampled_field_keeps_real_or_complex_storage(grid1):
+    real = np.linspace(-1.0, 1.0, 64)
+    for given, dtype in (
+        (real, np.float64),
+        (np.arange(64), np.float64),
+        (real.astype(np.float32), np.float64),
+        (real + 0j, np.complex128),
+        (real * 1j, np.complex128),
+    ):
+        f = make_field(grid1, given)
+        assert f.values.dtype == dtype
+        assert not f.values.flags.writeable
+        assert np.array_equal(f.values, given)
+    source = real.copy()
+    f = make_field(grid1, source)
+    source[0] = 7.0
+    assert f.values[0] == -1.0
 
 
 # --- fractional laplacian -------------------------------------------------
@@ -410,19 +525,61 @@ def test_field_file_round_trip(tmp_path, grid2):
 
 
 def test_field_file_layout(tmp_path, grid1):
+    # HLF1, the earlier format: no dtype or centering byte, interleaved
+    # complex samples, cell centering
     f = random_field(grid1, seed=16)
+    flat = f.values.ravel()
+    inter = np.empty(2 * flat.size)
+    inter[0::2] = flat.real
+    inter[1::2] = flat.imag
+    path = tmp_path / "f.hlf"
+    path.write_bytes(b"HLF1" + struct.pack("<QQd", 1, 64, 1.0) + inter.astype("<f8").tobytes())
+    back = read_field(path)
+    assert back.grid == grid1
+    assert back.centering == "cell"
+    assert back.values.dtype == np.complex128
+    assert np.array_equal(back.values, f.values)
+
+
+def test_hlf2_field_file_layout(tmp_path, grid1):
+    real = random_field(grid1, seed=18, real=True)
+    path = tmp_path / "real.hlf"
+    write_field(path, real)
+    raw = path.read_bytes()
+    assert raw[:4] == b"HLF2"
+    assert len(raw) == 4 + 26 + 8 * grid1.size
+    assert struct.unpack("<QQdBB", raw[4:30]) == (1, 64, 1.0, 0, 0)
+    assert struct.unpack("<d", raw[30:38])[0] == real.values[0]
+    cplx = make_field(grid1, random_field(grid1, seed=19).values, centering="lattice")
+    write_field(path, cplx)
+    raw = path.read_bytes()
+    assert len(raw) == 4 + 26 + 16 * grid1.size
+    assert struct.unpack("<QQdBB", raw[4:30]) == (1, 64, 1.0, 1, 1)
+    assert struct.unpack("<dd", raw[30:46]) == (cplx.values[0].real, cplx.values[0].imag)
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("centering", ["cell", "lattice"])
+def test_field_file_keeps_dtype_and_centering(tmp_path, grid2, centering, real):
+    f = make_field(grid2, random_field(grid2, seed=20, real=real).values, centering)
     path = tmp_path / "f.hlf"
     write_field(path, f)
-    raw = path.read_bytes()
-    assert raw[:4] == b"HLF1"
-    assert len(raw) == 4 + 8 + 8 + 8 + 16 * grid1.size
-    import struct
+    back = read_field(path)
+    assert back.grid == f.grid
+    assert back.centering == centering
+    assert back.values.dtype == f.values.dtype
+    assert np.array_equal(back.values, f.values)
 
-    d, n, L = struct.unpack("<QQd", raw[4:28])
-    assert (d, n, L) == (1, 64, 1.0)
-    re0, im0 = struct.unpack("<dd", raw[28:44])
-    assert re0 == f.values.ravel()[0].real
-    assert im0 == f.values.ravel()[0].imag
+
+@pytest.mark.parametrize("byte,name", [(28, "dtype"), (29, "centering")])
+def test_field_file_unknown_code(tmp_path, grid1, byte, name):
+    path = tmp_path / "f.hlf"
+    write_field(path, random_field(grid1, seed=21, real=True))
+    raw = bytearray(path.read_bytes())
+    raw[byte] = 2
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"unknown field {name} code 2"):
+        read_field(path)
 
 
 def test_field_file_bad_magic(tmp_path):
