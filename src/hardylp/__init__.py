@@ -22,6 +22,7 @@ from .spectral_core import (
     make_grid,
     read_field,
     riesz_transform,
+    sobolev_norm,
     weighted_lq_norm,
     write_field,
 )

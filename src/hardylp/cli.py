@@ -62,6 +62,7 @@ from .spectral_core import (
     lq_norm,
     make_grid,
     read_field,
+    sobolev_norm,
     weighted_lq_norm,
 )
 from .stein_weiss import (
@@ -227,7 +228,7 @@ def cmd_norm(cfg: RunConfig) -> int:
     elif cfg.kind == "weighted":
         value = weighted_lq_norm(f, cfg.s, cfg.q)
     elif cfg.kind == "sobolev":
-        value = lq_norm(fractional_laplacian(f, cfg.s), cfg.q)
+        value = sobolev_norm(f, cfg.s, cfg.q)
     elif cfg.kind in ("besov", "triebel-lizorkin"):
         part = build_partition(grid, cfg.coverage)
         stack = _weighted_stack(f, part, cfg.s)

@@ -5,6 +5,11 @@ band-limited fields (complex Gaussian coefficients under a power-law
 envelope, synthesized real), centered Gaussians scaled to decay below 1e-8
 at the box faces, and truncated power laws with smooth radial cutoffs.
 Every field is a deterministic function of (grid, seed, index).
+
+The radial families are evaluated once per radial class of the
+cell-centred grid and gathered onto the mesh.  A band-limited field keeps
+only the Hermitian part of its coefficients, scattered onto the half
+spectrum, and is synthesized by one real inverse FFT.
 """
 
 from __future__ import annotations
@@ -15,10 +20,9 @@ from .littlewood_paley import _mollifier
 from .spectral_core import (
     GridSpec,
     SampledField,
-    Spectrum,
+    _phase_1d,
+    _radial_values,
     frequency_radius,
-    inverse_transform,
-    radius_mesh,
 )
 
 __all__ = [
@@ -48,8 +52,8 @@ def gaussian_field(grid: GridSpec, sigma: float) -> SampledField:
     """exp(-|x|^2 / (2 sigma^2)) centered in the box."""
     if sigma <= 0:
         raise ValueError("width must be positive")
-    r2 = radius_mesh(grid) ** 2
-    return SampledField(grid, np.exp(-r2 / (2.0 * sigma**2)))
+    vals = _radial_values(grid, lambda r: np.exp(-(r**2) / (2.0 * sigma**2)))
+    return SampledField(grid, vals)
 
 
 def truncated_power_field(
@@ -76,10 +80,12 @@ def truncated_power_field(
             "cutoff radii collapse: need 2 * r_inner < r_outer < "
             f"{fall_end:g}; grid too coarse"
         )
-    r = radius_mesh(grid)
-    fall = smooth_step((fall_end - r) / (fall_end - r_outer))
-    vals = (r_inner**2 + r**2) ** (-exponent / 2.0) * fall
-    return SampledField(grid, vals)
+
+    def profile(r):
+        fall = smooth_step((fall_end - r) / (fall_end - r_outer))
+        return (r_inner**2 + r**2) ** (-exponent / 2.0) * fall
+
+    return SampledField(grid, _radial_values(grid, profile))
 
 
 def random_band_limited_field(
@@ -90,9 +96,12 @@ def random_band_limited_field(
 ) -> SampledField:
     """Real field with random spectrum supported on a frequency annulus.
 
-    Coefficients are complex Gaussian draws damped by (|xi| / band_lo)^-envelope;
-    the synthesized field is the real part, so the spectrum stays inside the
-    (symmetric) annulus and the mean vanishes.
+    Coefficients are complex Gaussian draws damped by (|xi| / band_lo)^-envelope,
+    drawn over the lattice points of the annulus in C order; the synthesized
+    field is the real part, so the spectrum stays inside the (symmetric)
+    annulus and the mean vanishes.  The real part of sum_k g_k e^(2 pi i k x)
+    has coefficients (g_k + conj g_-k) / 2, which is what the half spectrum
+    receives before one irfftn.
     """
     if band is None:
         band = (2.0 / grid.L, grid.n / (8.0 * grid.L))
@@ -104,13 +113,23 @@ def random_band_limited_field(
     if not mask.any():
         raise ValueError(f"no lattice frequencies inside the band {band}")
     rng = np.random.default_rng(seed)
-    coef = np.zeros(grid.shape, dtype=np.complex128)
-    draws = rng.standard_normal(int(mask.sum())) + 1j * rng.standard_normal(
-        int(mask.sum())
-    )
-    coef[mask] = draws * (rad[mask] / lo) ** (-envelope)
-    f = inverse_transform(Spectrum(grid, coef))
-    vals = f.values.real
+    idx = np.nonzero(mask)
+    count = idx[0].size
+    draws = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    coef = draws * (rad[idx] / lo) ** (-envelope)
+    # the cell-centring phases of inverse_transform, at the masked points only
+    phase = _phase_1d(grid, "cell").conj()
+    for k in idx:
+        coef = coef * phase[k]
+    coef *= grid.size / 2.0
+    n, half = grid.n, grid.n // 2 + 1
+    spec = np.zeros(grid.shape[:-1] + (half,), dtype=np.complex128)
+    keep = idx[-1] < half
+    spec[tuple(k[keep] for k in idx)] += coef[keep]
+    mirror = tuple((n - k) % n for k in idx)
+    keep = mirror[-1] < half
+    spec[tuple(k[keep] for k in mirror)] += coef[keep].conj()
+    vals = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.d)))
     peak = np.max(np.abs(vals))
     if peak > 0:
         vals = vals / peak

@@ -17,7 +17,7 @@ from .corpus import gaussian_field, random_band_limited_field, truncated_power_f
 from .hardy import IDENTITIES
 from .littlewood_paley import build_partition
 from .report import QUADRATURE_TOL
-from .spectral_core import GridSpec, SampledField, make_field, make_grid, radius_mesh
+from .spectral_core import GridSpec, SampledField, _radial_values, make_field, make_grid
 
 __all__ = [
     "ConstantEstimate",
@@ -137,11 +137,14 @@ def _trial_field(grid: GridSpec, s: float, q: float, seed: int, params: dict):
         taper = params["outer_fraction"] * grid.L
         if delta < 2.0 * grid.h:
             raise ValueError(f"inner cutoff must be >= 2h = {2 * grid.h:g}")
-        r2 = radius_mesh(grid) ** 2
-        vals = (delta**2 + r2) ** (-exponent / 2.0) * np.exp(
-            -r2 / (2.0 * taper**2)
-        )
-        return make_field(grid, vals)
+
+        def profile(r):
+            r2 = r**2
+            return (delta**2 + r2) ** (-exponent / 2.0) * np.exp(
+                -r2 / (2.0 * taper**2)
+            )
+
+        return make_field(grid, _radial_values(grid, profile))
     if kind == "random-band-limited":
         return random_band_limited_field(grid, seed, envelope=params["envelope"])
     raise ValueError(f"unknown trial family {kind!r}")

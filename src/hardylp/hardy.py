@@ -27,10 +27,9 @@ from .schur import SchurKernel, hardy_kernel_entry, schur_conditions
 from .spectral_core import (
     SampledField,
     _lq,
-    fractional_laplacian,
     gradient_magnitude,
-    lq_norm,
     radius_mesh,
+    sobolev_norm,
     weighted_lq_norm,
 )
 
@@ -108,7 +107,7 @@ def fractional_hardy_quotient(f: SampledField, s: float, q: float) -> CheckRepor
     """||f / |x|^s||_q against the homogeneous Sobolev norm || |D|^s f ||_q."""
     _require_fractional(f.grid.d, s, q)
     lhs = weighted_lq_norm(f, s, q)
-    rhs = lq_norm(fractional_laplacian(f, s), q)
+    rhs = sobolev_norm(f, s, q)
     return _report("fractional", f, s, q, lhs, rhs)
 
 
@@ -144,7 +143,7 @@ def refined_hardy_quotient(
     if partition is None:
         partition = build_partition(f.grid)
     lhs = weighted_lq_norm(f, s, q)
-    sobolev = lq_norm(fractional_laplacian(f, s), q)
+    sobolev = sobolev_norm(f, s, q)
     tl = triebel_lizorkin_norm(f, partition, s, q, 2.0 * (q - 1.0))
     rhs = sobolev ** (1.0 / q) * tl ** ((q - 1.0) / q)
     return _report(

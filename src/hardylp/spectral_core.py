@@ -42,6 +42,7 @@ __all__ = [
     "inverse_transform",
     "apply_multiplier",
     "fractional_laplacian",
+    "sobolev_norm",
     "riesz_transform",
     "gradient",
     "gradient_magnitude",
@@ -198,6 +199,33 @@ def radius_mesh(grid: GridSpec, centering: str = "cell") -> np.ndarray:
     return _radius([axis_coordinates(grid, centering)] * grid.d)
 
 
+def _radial_classes(grid: GridSpec) -> np.ndarray:
+    """k = |2x/h|^2 on the cell-centred mesh, as int64.
+
+    Each coordinate 2x/h is an odd integer, so k is a sum of d odd squares:
+    an integer with k = d (mod 8), and |x| = sqrt(k) h / 2.
+    """
+    odd = 2 * np.arange(grid.n) - grid.n + 1
+    return sum(np.meshgrid(*([odd**2] * grid.d), indexing="ij", sparse=True))
+
+
+def _radial_values(grid: GridSpec, profile) -> np.ndarray:
+    """profile(|x|) on the cell-centred mesh, evaluated once per radial class.
+
+    The table holds profile(sqrt(d + 8j) h / 2) for every class j up to the
+    largest on the grid, attained or not.  k = d + 8j with 0 < d < 8, so
+    k // 8 = (k - d) // 8 = j indexes it.  When the table would be longer than
+    the grid (d = 1) the profile is evaluated per sample, at the same radii.
+    """
+    k = _radial_classes(grid)
+    top = (grid.d * (grid.n - 1) ** 2) // 8
+    if top + 1 > grid.size:
+        return profile(np.sqrt(k) * (grid.h / 2.0))
+    radii = np.sqrt(grid.d + 8 * np.arange(top + 1)) * (grid.h / 2.0)
+    k //= 8
+    return profile(radii)[k]
+
+
 def frequency_axes(grid: GridSpec) -> np.ndarray:
     """Per-axis frequency lattice k/L in FFT order."""
     return np.fft.fftfreq(grid.n, d=grid.h)
@@ -320,15 +348,43 @@ def fractional_laplacian(f: SampledField, s: float) -> SampledField:
     if s == 0:
         return f
     if s < 0:
-        mean = complex(np.mean(f.values))
-        scale = max(1.0, float(np.max(np.abs(f.values), initial=0.0)))
-        if abs(mean) > 1e-12 * scale:
-            raise ValueError(
-                "negative-order operator requires mean-zero input "
-                f"(mean coefficient {mean:.3e})"
-            )
+        _require_mean_zero(f)
     mult = _power_symbol(f.grid, s, np.isrealobj(f.values))
     return f.with_values(_apply_diag(f.values, [mult])[0])
+
+
+def _require_mean_zero(f: SampledField) -> None:
+    mean = complex(np.mean(f.values))
+    scale = max(1.0, float(np.max(np.abs(f.values), initial=0.0)))
+    if abs(mean) > 1e-12 * scale:
+        raise ValueError(
+            "negative-order operator requires mean-zero input "
+            f"(mean coefficient {mean:.3e})"
+        )
+
+
+def sobolev_norm(f: SampledField, s: float, q: float) -> float:
+    """|| |D|^s f ||_q, equal to lq_norm(fractional_laplacian(f, s), q).
+
+    At q = 2 Parseval gives it from one forward FFT F (unnormalised) of the
+    N samples: sqrt(h^d / N * sum |F|^2 |2 pi xi|^(2s)).  On the half lattice
+    of rfftn the planes k_last = 0 and k_last = n/2 are their own mirror
+    images and count once; every other plane stands for itself and its
+    mirror and counts twice.  s = 0 is the plain L^q norm, mean included;
+    s < 0 requires mean-zero input, as fractional_laplacian does.
+    """
+    if q != 2 or s == 0:
+        return lq_norm(fractional_laplacian(f, s), q)
+    if s < 0:
+        _require_mean_zero(f)
+    grid = f.grid
+    real = np.isrealobj(f.values)
+    spec = np.fft.rfftn(f.values) if real else np.fft.fftn(f.values)
+    power = (spec.real**2 + spec.imag**2) * _power_symbol(grid, 2.0 * s, real)
+    total = power.sum()
+    if real:
+        total = 2.0 * total - power[..., 0].sum() - power[..., -1].sum()
+    return float(np.sqrt(total * grid.h**grid.d / grid.size))
 
 
 def _odd_frequencies(grid: GridSpec, real: bool) -> np.ndarray:
@@ -352,13 +408,12 @@ def riesz_transform(f: SampledField, j: int) -> SampledField:
     grid = f.grid
     if not (1 <= j <= grid.d):
         raise ValueError(f"axis must be in 1..{grid.d}, got {j}")
-    k = _odd_frequencies(grid, np.isrealobj(f.values))
-    xi = np.broadcast_to(_along_axis(grid, j - 1, k), grid.shape)
-    rad = frequency_radius(grid)
-    mult = np.zeros(grid.shape, dtype=np.complex128)
-    nz = rad > 0
-    mult[nz] = -1j * xi[nz] / rad[nz]
-    return f.with_values(_apply_diag(f.values, [mult])[0])
+    real = np.isrealobj(f.values)
+    # -i xi_j / |xi| = -2 pi i xi_j |2 pi xi|^-1, zero at frequency zero
+    inverse = _power_symbol(grid, -1.0, real)
+    xi = _along_axis(grid, j - 1, _odd_frequencies(grid, real))
+    xi = xi[..., : inverse.shape[-1]]
+    return f.with_values(_apply_diag(f.values, [(-2j * np.pi) * xi * inverse])[0])
 
 
 def gradient(f: SampledField) -> tuple[SampledField, ...]:

@@ -19,6 +19,7 @@ from .report import CheckReport, QUADRATURE_TOL
 from .spectral_core import (
     GridSpec,
     SampledField,
+    _radial_classes,
     coordinate_mesh,
     fractional_laplacian,
     lq_norm,
@@ -218,8 +219,7 @@ def inner_ball_potential(g: SampledField, s: float) -> SampledField:
         raise ValueError(f"weight order must satisfy 0 < s < d = {d}, got {s}")
     if g.centering != "cell":
         raise ValueError("the inner-ball operator needs cell-centered samples")
-    odd = 2 * np.arange(grid.n) - grid.n + 1
-    k = sum(np.meshgrid(*([odd**2] * d), indexing="ij", sparse=True)).ravel()
+    k = _radial_classes(grid).ravel()
     radii = np.sqrt(k) * (grid.h / 2.0)
     mass = np.cumsum(np.bincount(k, weights=np.abs(g.values).ravel() * radii ** (-s)))
     out = mass[k // 4] * grid.h**d * radii ** (s - d)

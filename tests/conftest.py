@@ -1,16 +1,42 @@
+import collections
+
 import numpy as np
 import pytest
 
+from hardylp.corpus import smooth_step
 from hardylp.spectral_core import (
     WEIGHT_REFINE_FACTOR,
     WEIGHT_REFINE_RADIUS,
+    Spectrum,
     _refined_weight,
     axis_coordinates,
     coordinate_mesh,
+    frequency_radius,
+    inverse_transform,
     make_field,
     make_grid,
     radius_mesh,
 )
+
+FFT_NAMES = (
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+    "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft",
+)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counter of numpy.fft calls by function name, made while the test runs."""
+    calls = collections.Counter()
+    for name in FFT_NAMES:
+        fn = getattr(np.fft, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")
@@ -104,6 +130,50 @@ def direct_inner_ball_potential(g, s):
                 )
         out[sl] = (mask * y_weight[None, :]).sum(axis=1) * hd * xr ** (s - d)
     return out.reshape(grid.shape)
+
+
+def phased_band_limited_field(grid, seed, envelope=1.0, band=None):
+    """Band-limited synthesis on the full complex lattice, the reference for
+    corpus.random_band_limited_field: draws in C order over the annulus
+    mask, the phase-carrying inverse_transform, then the real part scaled to
+    peak 1."""
+    if band is None:
+        band = (2.0 / grid.L, grid.n / (8.0 * grid.L))
+    lo, hi = band
+    rad = frequency_radius(grid)
+    mask = (rad >= lo * (1.0 - 1e-12)) & (rad <= hi * (1.0 + 1e-12))
+    rng = np.random.default_rng(seed)
+    coef = np.zeros(grid.shape, dtype=np.complex128)
+    draws = rng.standard_normal(int(mask.sum())) + 1j * rng.standard_normal(
+        int(mask.sum())
+    )
+    coef[mask] = draws * (rad[mask] / lo) ** (-envelope)
+    vals = inverse_transform(Spectrum(grid, coef)).values.real
+    return vals / np.max(np.abs(vals))
+
+
+def mesh_gaussian(grid, sigma):
+    """exp(-|x|^2 / (2 sigma^2)) on radius_mesh, the reference for
+    corpus.gaussian_field."""
+    r2 = radius_mesh(grid) ** 2
+    return np.exp(-r2 / (2.0 * sigma**2))
+
+
+def mesh_truncated_power(grid, exponent, r_inner, r_outer):
+    """The cut power law on radius_mesh, the reference for
+    corpus.truncated_power_field."""
+    fall_end = min(2.0 * r_outer, 0.46 * grid.L)
+    r = radius_mesh(grid)
+    fall = smooth_step((fall_end - r) / (fall_end - r_outer))
+    return (r_inner**2 + r**2) ** (-exponent / 2.0) * fall
+
+
+def mesh_capped_power(grid, exponent, delta, taper):
+    """(delta^2 + |x|^2)^(-exponent/2) exp(-|x|^2 / (2 taper^2)) on
+    radius_mesh, the reference for the truncated-power trial of
+    extremal._trial_field."""
+    r2 = radius_mesh(grid) ** 2
+    return (delta**2 + r2) ** (-exponent / 2.0) * np.exp(-r2 / (2.0 * taper**2))
 
 
 def random_field(grid, seed, real=False):

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from conftest import (
+    mesh_capped_power,
+    mesh_gaussian,
+    mesh_truncated_power,
+    phased_band_limited_field,
+)
 from hardylp.corpus import (
     gaussian_field,
     random_band_limited_field,
     standard_corpus,
     truncated_power_field,
 )
+from hardylp.extremal import _trial_field
 from hardylp.spectral_core import (
     boundary_decay,
     forward_transform,
@@ -105,3 +112,58 @@ def test_standard_corpus_skips_powers_on_coarse_grids():
     fields = standard_corpus(grid, 6, seed=1, s=1.0, q=2.0)
     assert len(fields) == 6
     assert not any(name.startswith("power") for name, _ in fields)
+
+
+ORACLE_GRIDS = [(1, 16), (1, 256), (2, 16), (2, 64), (3, 16), (3, 64), (4, 8), (4, 16)]
+
+
+def assert_matches(got, want):
+    assert got.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("d,n", ORACLE_GRIDS)
+def test_radial_families_match_mesh_oracle(d, n):
+    grid = make_grid(d, n, 20.0)
+    for frac in (0.075, 0.3):
+        sigma = frac * grid.L
+        assert_matches(gaussian_field(grid, sigma).values, mesh_gaussian(grid, sigma))
+    cutoffs = [(2 * grid.h, 0.3 * grid.L)] if n >= 16 else []
+    if n >= 64:
+        cutoffs.append((4 * grid.h, grid.L / 4))  # the corpus's own cutoffs
+    for exponent in (0.0, 0.7, 1.4):
+        for r_inner, r_outer in cutoffs:
+            got = truncated_power_field(grid, exponent, r_inner, r_outer).values
+            assert_matches(got, mesh_truncated_power(grid, exponent, r_inner, r_outer))
+    for fraction in (0.2, 0.95):
+        for cells in (2.0, 3.5):
+            for taper in (0.05, 0.0825):
+                params = {
+                    "family": "truncated-power",
+                    "exponent_fraction": fraction,
+                    "inner_cells": cells,
+                    "outer_fraction": taper,
+                }
+                got = _trial_field(grid, 1.0, 2.0, 7, params).values
+                want = mesh_capped_power(
+                    grid, fraction * d / 2.0, cells * grid.h, taper * grid.L
+                )
+                assert_matches(got, want)
+
+
+@pytest.mark.parametrize("d,n", [dn for dn in ORACLE_GRIDS if dn[1] >= 16])
+def test_band_limited_matches_phased_oracle(d, n):
+    # the full band reaches every Nyquist plane, where a frequency is its own
+    # mirror image, and the k_last = 0 plane, whose mirrors stay on it
+    grid = make_grid(d, n, 20.0)
+    full = (1.0 / grid.L, np.sqrt(d) * grid.nyquist)
+    for seed in (3, 4):
+        for envelope in (0.5, 1.0, 2.0):
+            for band in (None, full):
+                got = random_band_limited_field(grid, seed, envelope, band).values
+                assert_matches(got, phased_band_limited_field(grid, seed, envelope, band))
+
+
+def test_band_limited_takes_one_real_inverse_fft(grid2, fft_calls):
+    random_band_limited_field(grid2, 5)
+    assert dict(fft_calls) == {"irfftn": 1}

@@ -100,6 +100,12 @@ def test_fractional_rhs_matches_gradient_norm_at_s1_q2(grid3f, gauss3):
     assert rep.rhs**2 == pytest.approx(GAUSS_CLASSICAL_RHS[1.5], rel=0.005)
 
 
+def test_fractional_quotient_at_q2_takes_one_real_fft(grid3f, gauss3, fft_calls):
+    # Parseval: || |D|^s f ||_2 from the forward transform alone
+    fractional_hardy_quotient(gauss3, 1.0, 2.0)
+    assert dict(fft_calls) == {"rfftn": 1}
+
+
 def test_fractional_s_zero_limit(grid3f, gauss3):
     rep = fractional_hardy_quotient(gauss3, 0.0, 2.0)
     assert rep.quotient == 1.0

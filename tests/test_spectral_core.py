@@ -32,6 +32,7 @@ from hardylp.spectral_core import (
     radius_mesh,
     read_field,
     riesz_transform,
+    sobolev_norm,
     weighted_lq_norm,
     write_field,
 )
@@ -353,6 +354,27 @@ def test_fractional_laplacian_negative_needs_mean_zero(grid1):
     f = make_field(grid1, np.ones(64))
     with pytest.raises(ValueError, match="mean-zero"):
         fractional_laplacian(f, -0.5)
+    for q in (2.0, 3.0):
+        with pytest.raises(ValueError, match="mean-zero"):
+            sobolev_norm(f, -0.5, q)
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("centering", ["cell", "lattice"])
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 16), (4, 8)])
+def test_sobolev_norm_matches_composition(d, n, centering, real):
+    # noise has content on every plane of the half spectrum, the k_last = 0
+    # and n/2 planes included, and the offset gives it a mean
+    grid = make_grid(d, n, 20.0)
+    noise = random_field(grid, seed=390 + d, real=real).values
+    f = make_field(grid, noise + 0.3, centering)
+    g = make_field(grid, noise - np.mean(noise), centering)
+    assert f.values.dtype == (np.float64 if real else np.complex128)
+    cases = [(f, s) for s in (0.0, 0.5, 1.0)] + [(g, -0.5)]
+    for q in (1.5, 2.0, 3.0):
+        for h, s in cases:
+            want = lq_norm(fractional_laplacian(h, s), q)
+            assert sobolev_norm(h, s, q) == pytest.approx(want, rel=1e-12)
 
 
 # --- riesz transform and gradient -----------------------------------------
