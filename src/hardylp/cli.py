@@ -6,6 +6,10 @@ failed, 2 usage or configuration error, 3 internal error.  Reports go to
 stdout as a JSON array (CSV with --format csv; estimate-constant prints one
 JSON object and refuses CSV); --out adds them to a JSON report file instead,
 and refuses a file that does not hold JSON.
+
+Each subcommand takes --config and only the flags its handler reads
+(COMMAND_FLAGS); any other flag is a usage error, exit 2.  Config-file keys
+are not checked per command, and a key the command does not read is ignored.
 """
 
 from __future__ import annotations
@@ -116,7 +120,6 @@ class RunConfig:
     step: float | None = None
     budget: int = 80
     coverage: float = 0.5
-    epsilon: float = 0.2
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -146,16 +149,13 @@ def _typed(name: str, value, hint):
     raise ValueError(f"config key {name!r} must be {names}, got {value!r}")
 
 
-def _warn(msg: str) -> None:
-    print(f"warning: {msg}", file=sys.stderr)
-
-
 def _check_decay(f, label: str) -> None:
     worst = boundary_decay(f)
     if worst > DECAY_THRESHOLD:
-        _warn(
-            f"{label}: boundary samples reach {worst:.2e} > {DECAY_THRESHOLD:g}; "
-            "the periodic box is a poor proxy for this field"
+        print(
+            f"warning: {label}: boundary samples reach {worst:.2e} > "
+            f"{DECAY_THRESHOLD:g}; the periodic box is a poor proxy for this field",
+            file=sys.stderr,
         )
 
 
@@ -217,6 +217,7 @@ def _exit_from(reports) -> int:
 
 
 def cmd_norm(cfg: RunConfig) -> int:
+    """Evaluate one norm of a stored field."""
     if not cfg.field:
         raise ValueError("norm needs --field FILE")
     f = read_field(cfg.field)
@@ -256,6 +257,7 @@ def cmd_norm(cfg: RunConfig) -> int:
 
 
 def cmd_lp(cfg: RunConfig) -> int:
+    """Dyadic decomposition of a stored field."""
     if not cfg.field:
         raise ValueError("lp needs --field FILE")
     f = read_field(cfg.field)
@@ -306,18 +308,21 @@ def _hardy_reports(cfg: RunConfig, warn: bool) -> list[CheckReport]:
 
 
 def cmd_hardy_check(cfg: RunConfig) -> int:
+    """Hardy quotients over a corpus."""
     reports = _hardy_reports(cfg, warn=True)
     _emit(reports, cfg)
     return _exit_from(reports)
 
 
 def cmd_schur_check(cfg: RunConfig) -> int:
+    """Schur test row sums and bounds."""
     reports = _schur_suite(cfg)
     _emit(reports, cfg)
     return _exit_from(reports)
 
 
 def cmd_stein_weiss_check(cfg: RunConfig) -> int:
+    """Two-weight inequality quotients."""
     lam = cfg.lam if cfg.lam is not None else cfg.d - cfg.s
     beta = cfg.beta if cfg.beta is not None else cfg.s
     p = cfg.p if cfg.p is not None else cfg.q
@@ -338,6 +343,7 @@ def cmd_stein_weiss_check(cfg: RunConfig) -> int:
 
 
 def cmd_estimate_constant(cfg: RunConfig) -> int:
+    """Maximize a quotient over trials."""
     if cfg.fmt != "json":
         raise ValueError(f"estimate-constant writes JSON only, got format {cfg.fmt!r}")
     est = estimate_constant(
@@ -369,6 +375,7 @@ def _sweep_values(cfg: RunConfig) -> list[float]:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    """Parameter sweep, CSV output."""
     vals = _sweep_values(cfg)
     if cfg.axis not in ("s", "q", "n"):
         raise ValueError(f"sweep axis must be s, q or n, got {cfg.axis!r}")
@@ -453,11 +460,7 @@ def _labelled(reports: list[CheckReport], label: str) -> list[CheckReport]:
     return reports
 
 
-def _hardy_suite(cfg: RunConfig) -> list[CheckReport]:
-    grid, fields_ = _hardy_corpus(cfg)
-    if not fields_:
-        return []
-    partition = build_partition(grid, cfg.coverage)
+def _hardy_suite(cfg: RunConfig, fields_, partition) -> list[CheckReport]:
     tol = cfg.tolerance if cfg.tolerance is not None else QUADRATURE_TOL
     reports = []
     for label, f in fields_:
@@ -480,13 +483,11 @@ def _hardy_suite(cfg: RunConfig) -> list[CheckReport]:
     return reports
 
 
-def _stein_weiss_suite(cfg: RunConfig) -> list[CheckReport]:
-    reports = []
-    d = cfg.d
-    grid = make_grid(d, cfg.n, cfg.L)
-    fields_ = corpus_mod.standard_corpus(grid, cfg.corpus_size, cfg.seed, s=cfg.s, q=cfg.q)
+def _stein_weiss_suite(cfg: RunConfig, grid, fields_) -> list[CheckReport]:
     if not fields_:
         return []
+    reports = []
+    d = cfg.d
     params = SteinWeissParams(
         lam=d - cfg.s, p=cfg.q, q=cfg.q, alpha=0.0, beta=cfg.s, d=d
     )
@@ -513,19 +514,21 @@ def _stein_weiss_suite(cfg: RunConfig) -> list[CheckReport]:
                 extra={"field": label, "riesz_constant": c},
             )
             reports.append(rep)
-    # inner-ball operator bound on its mandated coarse grid
+    # inner-ball operator bound: d = 1..3 on their mandated coarse grids,
+    # d = 4 on the suite's own grid and corpus
     coarse_n = {1: 256, 2: 32, 3: 16}.get(d)
-    if coarse_n is not None and d - d / cfg.q - cfg.s > 0:
-        coarse = make_grid(d, coarse_n, cfg.L)
-        coarse_fields = corpus_mod.standard_corpus(
-            coarse, cfg.corpus_size, cfg.seed, s=cfg.s, q=cfg.q
-        )
-        for label, g in coarse_fields:
+    if d - d / cfg.q - cfg.s > 0:
+        if coarse_n is not None:
+            coarse = make_grid(d, coarse_n, cfg.L)
+            fields_ = corpus_mod.standard_corpus(
+                coarse, cfg.corpus_size, cfg.seed, s=cfg.s, q=cfg.q
+            )
+        for label, g in fields_:
             rep = inner_ball_bound_check(g, cfg.s, cfg.q)
             rep.extra["field"] = label
             reports.append(rep)
     # radial reduction consistency on a smooth profile
-    radii = geometric_radii(make_grid(d, cfg.n, cfg.L))
+    radii = geometric_radii(grid)
     profile = RadialProfile(radii, np.exp(-(radii**2) / 2.0))
     s_red = min(cfg.s, d - 1e-6) if cfg.s > 0 else 0.5
     direct = inner_ball_potential_radial(profile, s_red, d, form="direct")
@@ -551,11 +554,7 @@ def _stein_weiss_suite(cfg: RunConfig) -> list[CheckReport]:
     return reports
 
 
-def _chain_suite(cfg: RunConfig) -> list[CheckReport]:
-    grid, fields_ = _hardy_corpus(cfg)
-    if not fields_:
-        return []
-    partition = build_partition(grid, cfg.coverage)
+def _chain_suite(cfg: RunConfig, fields_, partition) -> list[CheckReport]:
     reports = []
     for label, f in fields_:
         field_reports = [shell_chain_check(f, cfg.s, cfg.q, partition)]
@@ -566,17 +565,25 @@ def _chain_suite(cfg: RunConfig) -> list[CheckReport]:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    """Run a verification suite."""
     if cfg.suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}, got {cfg.suite!r}")
-    reports = []
-    if cfg.suite in ("schur", "all"):
-        reports += _schur_suite(cfg)
-    if cfg.suite in ("hardy", "all"):
-        reports += _hardy_suite(cfg)
-    if cfg.suite in ("stein-weiss", "all"):
-        reports += _stein_weiss_suite(cfg)
-    if cfg.suite in ("chain", "all"):
-        reports += _chain_suite(cfg)
+    runs = {suite for suite in SUITES if cfg.suite in (suite, "all")}
+    reports = _schur_suite(cfg) if "schur" in runs else []
+    if runs & {"hardy", "stein-weiss", "chain"}:
+        # one grid, corpus and partition for every suite; the partition only
+        # when a suite that uses it has fields, so a grid too coarse for one
+        # still runs the stein-weiss suite
+        grid, fields_ = _hardy_corpus(cfg)
+        partition = None
+        if fields_ and runs & {"hardy", "chain"}:
+            partition = build_partition(grid, cfg.coverage)
+        if "hardy" in runs:
+            reports += _hardy_suite(cfg, fields_, partition)
+        if "stein-weiss" in runs:
+            reports += _stein_weiss_suite(cfg, grid, fields_)
+        if "chain" in runs:
+            reports += _chain_suite(cfg, fields_, partition)
     _emit(reports, cfg)
     checked, passed, failed = summarize(reports)
     print(
@@ -590,88 +597,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hardylp",
-        description="Hardy-inequality verification toolkit on periodic grids",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--d", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--L", type=float)
-        p.add_argument("--s", type=float)
-        p.add_argument("--q", type=float)
-        p.add_argument("--r", type=float)
-        p.add_argument("--corpus-size", dest="corpus_size", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tolerance", type=float)
-        p.add_argument("--out")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"))
-        p.add_argument("--coverage", type=float)
-
-    p = sub.add_parser("norm", help="evaluate one norm of a stored field")
-    common(p)
-    p.add_argument("--field", required=True)
-    p.add_argument(
-        "--kind",
-        choices=("lq", "weighted", "sobolev", "besov", "triebel-lizorkin"),
-    )
-
-    p = sub.add_parser("lp", help="dyadic decomposition of a stored field")
-    common(p)
-    p.add_argument("--field", required=True)
-
-    p = sub.add_parser("hardy-check", help="Hardy quotients over a corpus")
-    common(p)
-    p.add_argument("--identity", choices=tuple(IDENTITIES))
-
-    p = sub.add_parser("schur-check", help="Schur test row sums and bounds")
-    common(p)
-
-    p = sub.add_parser("stein-weiss-check", help="two-weight inequality quotients")
-    common(p)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--p", type=float)
-
-    p = sub.add_parser("estimate-constant", help="maximize a quotient over trials")
-    common(p)
-    p.add_argument("--identity", choices=ESTIMATE_IDENTITIES)
-    p.add_argument("--budget", type=int)
-
-    p = sub.add_parser("sweep", help="parameter sweep, CSV output")
-    common(p)
-    p.add_argument("--identity", choices=tuple(IDENTITIES))
-    p.add_argument("--axis", choices=("s", "q", "n"))
-    p.add_argument("--values")
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--step", type=float)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    common(p)
-    p.add_argument("--suite", choices=SUITES)
-    return parser
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path) as fh:
-            cfg = RunConfig.from_json(fh.read())
-    for f in fields(RunConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            setattr(cfg, f.name, val)
-    cfg.command = args.command
-    return cfg
-
-
 COMMANDS = {
     "norm": cmd_norm,
     "lp": cmd_lp,
@@ -682,6 +607,83 @@ COMMANDS = {
     "sweep": cmd_sweep,
     "verify": cmd_verify,
 }
+
+# Each flag's argparse spec, keyed by the flag without its "--".
+FLAGS = {
+    "config": {"help": "JSON config file (flags override it)"},
+    "d": {"type": int},
+    "n": {"type": int},
+    "L": {"type": float},
+    "s": {"type": float},
+    "q": {"type": float},
+    "r": {"type": float},
+    "corpus-size": {"dest": "corpus_size", "type": int},
+    "seed": {"type": int},
+    "tolerance": {"type": float},
+    "out": {},
+    "format": {"dest": "fmt", "choices": ("json", "csv")},
+    "coverage": {"type": float},
+    "field": {"required": True},
+    "kind": {"choices": ("lq", "weighted", "sobolev", "besov", "triebel-lizorkin")},
+    "identity": {"choices": tuple(IDENTITIES)},
+    "lam": {"type": float},
+    "alpha": {"type": float},
+    "beta": {"type": float},
+    "p": {"type": float},
+    "budget": {"type": int},
+    "axis": {"choices": ("s", "q", "n")},
+    "values": {},
+    "start": {"type": float},
+    "stop": {"type": float},
+    "step": {"type": float},
+    "suite": {"choices": SUITES},
+}
+
+# The flags each command's handler reads; every command also takes --config.
+# Any other flag is a usage error (exit 2).  Config-file keys are not checked
+# per command.
+COMMAND_FLAGS = {
+    "norm": "s q r out format coverage field kind",
+    "lp": "out format coverage field",
+    "hardy-check": "d n L s q corpus-size seed tolerance out format coverage identity",
+    "schur-check": "d n L s q corpus-size seed out format",
+    "stein-weiss-check": "d n L s q corpus-size seed out format lam alpha beta p",
+    "estimate-constant": "d n L s q seed out format identity budget",
+    "sweep": (
+        "d n L s q corpus-size seed tolerance out coverage identity axis values"
+        " start stop step"
+    ),
+    "verify": "d n L s q corpus-size seed tolerance out format coverage suite",
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="hardylp",
+        description="Hardy-inequality verification toolkit on periodic grids",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, flags in COMMAND_FLAGS.items():
+        p = sub.add_parser(name, help=COMMANDS[name].__doc__)
+        for flag in ("config", *flags.split()):
+            spec = FLAGS[flag]
+            if name == "estimate-constant" and flag == "identity":
+                spec = {**spec, "choices": ESTIMATE_IDENTITIES}
+            p.add_argument(f"--{flag}", **spec)
+    return parser
+
+
+def _merge_config(args: argparse.Namespace) -> RunConfig:
+    cfg = RunConfig()
+    if args.config:
+        with open(args.config) as fh:
+            cfg = RunConfig.from_json(fh.read())
+    for f in fields(RunConfig):
+        val = getattr(args, f.name, None)
+        if val is not None:
+            setattr(cfg, f.name, val)
+    cfg.command = args.command
+    return cfg
 
 
 def main(argv=None) -> int:

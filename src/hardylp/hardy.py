@@ -23,7 +23,7 @@ from .littlewood_paley import (
     triebel_lizorkin_norm,
 )
 from .report import EXACT_TOL, QUADRATURE_TOL, CheckReport
-from .schur import SchurKernel, hardy_kernel_entry, schur_conditions
+from .schur import SchurKernel, hardy_kernel_entry, schur_bound_check, schur_conditions
 from .spectral_core import (
     SampledField,
     _lq,
@@ -333,11 +333,7 @@ def shell_chain_check(
         col_levels=radii,
     )
     a1, a2 = schur_conditions(kernel, q)
-    entries = kernel.entries()
-    inner = (entries * c_vec[:, None]).sum(axis=0)
-    lhs_c = float((inner**q).sum())
-    rhs_c = float(a1 * a2 * (c_vec**q).sum())
-    ratio_c = lhs_c / rhs_c if rhs_c > 0 else 0.0
+    lhs_c, rhs_c, ratio_c = schur_bound_check(kernel, dict(zip(levels, c_vec)), q)
     link_c = _link("schur-bound", lhs_c, rhs_c, ratio_c, ratio_c <= 1.0 + 1e-12)
 
     dyadic_sum = float((c_vec**q).sum())

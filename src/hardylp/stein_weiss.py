@@ -104,7 +104,6 @@ class RadialProfile:
 
     radii: np.ndarray
     values: np.ndarray
-    direction: tuple | None = None
 
     def __post_init__(self):
         radii = np.asarray(self.radii, dtype=float)
@@ -342,7 +341,7 @@ def inner_ball_potential_radial(
             out[i] = head + _trapezoid(integrand, t)
     else:
         raise ValueError(f"unknown reduction form {form!r}")
-    return RadialProfile(radii=radii, values=out, direction=profile.direction)
+    return RadialProfile(radii=radii, values=out)
 
 
 def radial_kernel_integral(d: int, q: float, s: float) -> float:

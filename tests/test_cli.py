@@ -2,11 +2,14 @@
 
 import argparse
 import json
+import shlex
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hardylp.cli import RunConfig, _build_parser, main
+from hardylp.cli import COMMAND_FLAGS, COMMANDS, FLAGS, RunConfig, _build_parser, main
 from hardylp.corpus import random_band_limited_field
 from hardylp.extremal import ESTIMATE_IDENTITIES
 from hardylp.hardy import IDENTITIES
@@ -87,6 +90,63 @@ def test_verify_honours_tolerance(capsys):
     checked = [r for r in json.loads(out) if r.get("tolerance") == -0.9]
     assert {r["identity"] for r in checked} == {"classical", "gradient"}
     assert not any(r["passed"] for r in checked)
+
+
+def test_verify_d4_runs_inner_ball_bound_on_its_own_grid(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "stein-weiss", "--d", "4", "--n", "16",
+        "--q", "3", "--s", "0.5", "--corpus-size", "2",
+    )
+    assert code == 0
+    ball = [r for r in json.loads(out) if r["identity"] == "inner-ball-bound"]
+    assert len(ball) == 2
+    assert all(r["passed"] and r["n"] == 16 for r in ball)
+
+
+def test_verify_builds_one_corpus_and_one_partition(capsys, monkeypatch):
+    import hardylp.cli as cli
+
+    calls = {"standard_corpus": 0, "build_partition": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli.corpus_mod, "standard_corpus")
+    counted(cli, "build_partition")
+    code, _, _ = run(
+        capsys, "verify", "--suite", "all", "--d", "3", "--n", "32", "--q", "3",
+        "--s", "0.5", "--corpus-size", "2",
+    )
+    assert code == 0
+    # the suite's corpus, plus the inner-ball check's coarse d = 3 corpus
+    assert calls == {"standard_corpus": 2, "build_partition": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "stein-weiss", "--d", "2", "--n", "8", "--s", "0.5",
+         "--corpus-size", "2"),
+        ("--suite", "hardy", "--corpus-size", "0"),
+        ("--suite", "chain", "--corpus-size", "0"),
+    ],
+    ids=["stein-weiss-coarse-grid", "hardy-empty", "chain-empty"],
+)
+def test_verify_builds_no_partition_it_does_not_use(capsys, monkeypatch, argv):
+    import hardylp.cli as cli
+
+    def no_partition(*args):
+        raise AssertionError("a partition was built")
+
+    monkeypatch.setattr(cli, "build_partition", no_partition)
+    code, _, _ = run(capsys, "verify", *argv)
+    assert code == 0
 
 
 def test_verify_empty_corpus_vacuous_pass(capsys):
@@ -312,12 +372,15 @@ def test_sweep_matches_hardy_check_for_each_identity(capsys, identity, extra, co
     assert out_sweep == out_check
 
 
-def _identity_choices(command):
+def _subparsers():
     parser = _build_parser()
-    subparsers = next(
+    return next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    sub = subparsers.choices[command]
+    ).choices
+
+
+def _identity_choices(command):
+    sub = _subparsers()[command]
     return tuple(next(a.choices for a in sub._actions if a.dest == "identity"))
 
 
@@ -325,6 +388,106 @@ def test_identity_choices_come_from_the_table():
     assert _identity_choices("hardy-check") == tuple(IDENTITIES)
     assert _identity_choices("sweep") == tuple(IDENTITIES)
     assert _identity_choices("estimate-constant") == ESTIMATE_IDENTITIES
+
+
+# --- flags per command ------------------------------------------------------------
+
+# one valid value for each flag of the table
+FLAG_VALUES = {
+    "config": "cfg.json", "d": "3", "n": "32", "L": "20", "s": "0.5", "q": "2",
+    "r": "2", "corpus-size": "2", "seed": "1", "tolerance": "0.1", "out": "o.json",
+    "format": "json", "coverage": "0.5", "field": "f.hlf", "kind": "lq",
+    "identity": "fractional", "lam": "2", "alpha": "0", "beta": "0.5", "p": "2",
+    "budget": "3", "axis": "s", "values": "0.5", "start": "0.1", "stop": "0.5",
+    "step": "0.1", "suite": "all",
+}
+
+# flags every command took before each took only the flags its handler reads;
+# none of these is read by its command, so each is a usage error
+UNREAD_FLAGS = {
+    "norm": "d n L corpus-size seed tolerance",
+    "lp": "d n L s q r corpus-size seed tolerance",
+    "hardy-check": "r",
+    "verify": "r",
+    "schur-check": "r tolerance coverage",
+    "stein-weiss-check": "r tolerance coverage",
+    "estimate-constant": "r corpus-size tolerance coverage",
+    "sweep": "r format",
+}
+
+
+def _flag_argv(command, flag):
+    needs_field = command in ("norm", "lp") and flag != "field"
+    return [command, *(("--field", "f.hlf") if needs_field else ()),
+            f"--{flag}", FLAG_VALUES[flag]]
+
+
+@pytest.mark.parametrize("flag", list(FLAGS))
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_takes_only_the_flags_it_reads(capsys, command, flag):
+    argv = _flag_argv(command, flag)
+    if flag == "config" or flag in COMMAND_FLAGS[command].split():
+        args = _build_parser().parse_args(argv)
+        dest = FLAGS[flag].get("dest", flag.replace("-", "_"))
+        assert getattr(args, dest) is not None
+    else:
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, f) for c, flags in UNREAD_FLAGS.items() for f in flags.split()],
+)
+def test_unread_flag_is_a_usage_error(capsys, command, flag):
+    assert flag not in COMMAND_FLAGS[command].split()
+    code, out, _ = run(capsys, *_flag_argv(command, flag))
+    assert code == 2
+    assert out == ""
+
+
+def test_flag_slot_counts():
+    taken = sum(1 + len(flags.split()) for flags in COMMAND_FLAGS.values())
+    unread = sum(len(flags.split()) for flags in UNREAD_FLAGS.values())
+    assert (taken, unread) == (92, 29)
+    assert set(FLAG_VALUES) == set(FLAGS)
+
+
+def test_every_config_field_is_some_commands_flag():
+    dests = {
+        a.dest for sub in _subparsers().values() for a in sub._actions
+    } - {"help", "config"}
+    assert dests == {f.name for f in fields(RunConfig)} - {"command"}
+
+
+def _readme_cli_section():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return text.split("## CLI", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_examples_parse():
+    block = _readme_cli_section().split("```sh", 1)[1].split("```", 1)[0]
+    argvs = [
+        shlex.split(line)[1:] for line in block.splitlines()
+        if line.startswith("hardylp ")
+    ]
+    assert {argv[0] for argv in argvs} == set(COMMANDS)
+    for argv in argvs:
+        _build_parser().parse_args(argv)
+
+
+def test_readme_flag_table_matches_the_parser():
+    rows = {}
+    for line in _readme_cli_section().splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().strip("`") in COMMANDS:
+            words = cells[2].split()
+            rows[cells[1].strip().strip("`")] = {
+                w.strip("`")[2:] for w in words if w.startswith("`--")
+            }
+    assert rows == {c: set(flags.split()) for c, flags in COMMAND_FLAGS.items()}
 
 
 # --- report shape ---------------------------------------------------------------------

@@ -20,6 +20,7 @@ from hardylp.hardy import (
     shell_radii,
 )
 from hardylp.littlewood_paley import build_partition, project
+from hardylp.schur import hardy_kernel_entry
 from hardylp.spectral_core import (
     _refined_weight,
     fractional_laplacian,
@@ -387,6 +388,27 @@ def test_chain_bounded_on_corpus(dim, n, s, q):
         assert rep.passed
         assert rep.lhs <= rep.rhs
         assert np.isfinite(rep.extra["localization_constant"])
+
+
+def test_chain_schur_link_matches_direct_sum(grid2):
+    # link (c) is sum_R (sum_N K(N, R) C_N)^q <= a1 a2 sum_N C_N^q with
+    # C_N = N^s ||P_N f||_q for the mean-free f, summed here from projections
+    s, q = 0.4, 3.0
+    part = build_partition(grid2)
+    f = random_band_limited_field(grid2, 950)
+    f0 = f.with_values(f.values - np.mean(f.values))
+    c = np.array([N**s * lq_norm(project(f0, part, N), q) for N in part.levels])
+    kernel = np.array(
+        [[hardy_kernel_entry(N, R, s, 2, q) for R in shell_radii(grid2)]
+         for N in part.levels]
+    )
+    rep = shell_chain_check(f, s, q, part)
+    link = rep.links[2]
+    assert link["name"] == "schur-bound"
+    assert link["lhs"] == pytest.approx(float(((c @ kernel) ** q).sum()), rel=1e-12)
+    a1a2 = rep.extra["schur_a1"] * rep.extra["schur_a2"]
+    assert link["rhs"] == pytest.approx(a1a2 * float((c**q).sum()), rel=1e-12)
+    assert link["passed"] and link["ratio"] == link["lhs"] / link["rhs"]
 
 
 def test_chain_localized_bump(grid2):
