@@ -460,60 +460,100 @@ def _labelled(reports: list[CheckReport], label: str) -> list[CheckReport]:
     return reports
 
 
-def _hardy_suite(cfg: RunConfig, fields_, partition) -> list[CheckReport]:
+def _fractional_report(f, s: float, q: float, sobolev: float) -> CheckReport:
+    """The fractional quotient of f, asserted homogeneous: the quotient of
+    3.5 f must match it to EXACT_TOL."""
+    frac = fractional_hardy_quotient(f, s, q, sobolev=sobolev)
+    scaled = fractional_hardy_quotient(f.with_values(3.5 * f.values), s, q)
+    if frac.quotient is not None and scaled.quotient is not None:
+        drift = abs(scaled.quotient - frac.quotient) / max(frac.quotient, 1e-300)
+        frac.passed = drift <= EXACT_TOL
+        frac.tolerance = EXACT_TOL
+        frac.extra["homogeneity_drift"] = drift
+    return frac
+
+
+def _specialization_report(cfg: RunConfig, f, lifted, sobolev, params, c):
+    """Stein-Weiss at alpha = 0, beta = s, lam = d - s on |D|^s f against c
+    times the fractional Hardy quotient of f - mean, or None when either
+    quotient is vacuous.  lifted is |D|^s f and sobolev its L^q norm; both
+    are the same for f and f - mean, as |2 pi xi|^s vanishes at xi = 0."""
+    f0 = f.with_values(f.values - np.mean(f.values))
+    base = fractional_hardy_quotient(f0, cfg.s, cfg.q, sobolev=sobolev)
+    sw = stein_weiss_check(lifted, params)
+    if not (base.quotient and sw.quotient):
+        return None
+    ratio = sw.quotient / (c * base.quotient)
+    return CheckReport(
+        identity="stein-weiss-specialization",
+        d=cfg.d,
+        n=cfg.n,
+        L=cfg.L,
+        s=cfg.s,
+        q=cfg.q,
+        lhs=sw.quotient,
+        rhs=c * base.quotient,
+        quotient=ratio,
+        tolerance=0.02,
+        passed=abs(ratio - 1.0) <= 0.02,
+        extra={"riesz_constant": c},
+    )
+
+
+def _field_reports(cfg: RunConfig, runs, f, partition, specialization):
+    """One corpus field through the per-field checks of every suite in runs,
+    as {suite: reports}.
+
+    |D|^s f is computed once, for the fractional and refined Sobolev factor
+    and the stein-weiss specialization, and freed before the field's one
+    weighted LP stack is built; the Besov, refined, chain and Holder checks
+    all read that stack.  specialization is the (params, Riesz constant)
+    pair of the stein-weiss specialization when that suite runs.
+    """
+    s, q = cfg.s, cfg.q
     tol = cfg.tolerance if cfg.tolerance is not None else QUADRATURE_TOL
-    reports = []
-    for label, f in fields_:
-        field_reports = []
-        if cfg.d >= 3:
-            field_reports.append(classical_hardy_quotient(f, tol))
-        if cfg.q < cfg.d:
-            field_reports.append(gradient_hardy_quotient(f, cfg.q, tol=tol))
-        frac = fractional_hardy_quotient(f, cfg.s, cfg.q)
-        scaled = fractional_hardy_quotient(f.with_values(3.5 * f.values), cfg.s, cfg.q)
-        if frac.quotient is not None and scaled.quotient is not None:
-            drift = abs(scaled.quotient - frac.quotient) / max(frac.quotient, 1e-300)
-            frac.passed = drift <= EXACT_TOL
-            frac.tolerance = EXACT_TOL
-            frac.extra["homogeneity_drift"] = drift
-        field_reports += [frac, besov_hardy_quotient(f, cfg.s, cfg.q, partition)]
-        if cfg.q > 2:
-            field_reports.append(refined_hardy_quotient(f, cfg.s, cfg.q, partition))
-        reports += _labelled(field_reports, label)
-    return reports
+    hardy, sw, chain = [], [], []
+    sobolev = None
+    if runs & {"hardy", "stein-weiss"}:
+        lifted = None
+        if q != 2 or specialization is not None:
+            lifted = fractional_laplacian(f, s)
+        # sobolev_norm's own value: one forward FFT by Parseval at q = 2, the
+        # L^q norm of |D|^s f otherwise
+        sobolev = sobolev_norm(f, s, q) if q == 2 else lq_norm(lifted, q)
+        if "hardy" in runs:
+            if cfg.d >= 3:
+                hardy.append(classical_hardy_quotient(f, tol))
+            if q < cfg.d:
+                hardy.append(gradient_hardy_quotient(f, q, tol=tol))
+            hardy.append(_fractional_report(f, s, q, sobolev))
+        if specialization is not None:
+            rep = _specialization_report(cfg, f, lifted, sobolev, *specialization)
+            if rep is not None:
+                sw.append(rep)
+        del lifted
+    if partition is not None:
+        stack = _weighted_stack(f, partition, s)
+        if "hardy" in runs:
+            hardy.append(besov_hardy_quotient(f, s, q, partition, stack=stack))
+            if q > 2:
+                hardy.append(
+                    refined_hardy_quotient(
+                        f, s, q, partition, stack=stack, sobolev=sobolev
+                    )
+                )
+        if "chain" in runs:
+            chain.append(shell_chain_check(f, s, q, partition, stack=stack))
+            if q > 2:
+                chain.append(holder_refinement_check(f, s, q, partition, stack=stack))
+    return {"hardy": hardy, "stein-weiss": sw, "chain": chain}
 
 
-def _stein_weiss_suite(cfg: RunConfig, grid, fields_) -> list[CheckReport]:
-    if not fields_:
-        return []
+def _stein_weiss_tail(cfg: RunConfig, grid, fields_) -> list[CheckReport]:
+    """The stein-weiss checks that follow the per-field specializations: the
+    inner-ball bound and the radial-reduction consistency."""
     reports = []
     d = cfg.d
-    params = SteinWeissParams(
-        lam=d - cfg.s, p=cfg.q, q=cfg.q, alpha=0.0, beta=cfg.s, d=d
-    )
-    c = riesz_constant(d, d - cfg.s)
-    for label, g in fields_:
-        g0 = g.with_values(g.values - np.mean(g.values))
-        base = fractional_hardy_quotient(g0, cfg.s, cfg.q)
-        lifted = fractional_laplacian(g0, cfg.s)
-        sw = stein_weiss_check(lifted, params)
-        if base.quotient and sw.quotient:
-            ratio = sw.quotient / (c * base.quotient)
-            rep = CheckReport(
-                identity="stein-weiss-specialization",
-                d=d,
-                n=cfg.n,
-                L=cfg.L,
-                s=cfg.s,
-                q=cfg.q,
-                lhs=sw.quotient,
-                rhs=c * base.quotient,
-                quotient=ratio,
-                tolerance=0.02,
-                passed=abs(ratio - 1.0) <= 0.02,
-                extra={"field": label, "riesz_constant": c},
-            )
-            reports.append(rep)
     # inner-ball operator bound: d = 1..3 on their mandated coarse grids,
     # d = 4 on the suite's own grid and corpus
     coarse_n = {1: 256, 2: 32, 3: 16}.get(d)
@@ -554,16 +594,6 @@ def _stein_weiss_suite(cfg: RunConfig, grid, fields_) -> list[CheckReport]:
     return reports
 
 
-def _chain_suite(cfg: RunConfig, fields_, partition) -> list[CheckReport]:
-    reports = []
-    for label, f in fields_:
-        field_reports = [shell_chain_check(f, cfg.s, cfg.q, partition)]
-        if cfg.q > 2:
-            field_reports.append(holder_refinement_check(f, cfg.s, cfg.q, partition))
-        reports += _labelled(field_reports, label)
-    return reports
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     """Run a verification suite."""
     if cfg.suite not in SUITES:
@@ -575,15 +605,24 @@ def cmd_verify(cfg: RunConfig) -> int:
         # when a suite that uses it has fields, so a grid too coarse for one
         # still runs the stein-weiss suite
         grid, fields_ = _hardy_corpus(cfg)
-        partition = None
+        partition = specialization = None
         if fields_ and runs & {"hardy", "chain"}:
             partition = build_partition(grid, cfg.coverage)
-        if "hardy" in runs:
-            reports += _hardy_suite(cfg, fields_, partition)
-        if "stein-weiss" in runs:
-            reports += _stein_weiss_suite(cfg, grid, fields_)
-        if "chain" in runs:
-            reports += _chain_suite(cfg, fields_, partition)
+        if fields_ and "stein-weiss" in runs:
+            d, s = cfg.d, cfg.s
+            params = SteinWeissParams(
+                lam=d - s, p=cfg.q, q=cfg.q, alpha=0.0, beta=s, d=d
+            )
+            specialization = (params, riesz_constant(d, d - s))
+        # each field through every suite at once; the reports keep suite order
+        by_suite = {"hardy": [], "stein-weiss": [], "chain": []}
+        for label, f in fields_:
+            field_reports = _field_reports(cfg, runs, f, partition, specialization)
+            for suite, reps in field_reports.items():
+                by_suite[suite] += _labelled(reps, label)
+        if specialization is not None:
+            by_suite["stein-weiss"] += _stein_weiss_tail(cfg, grid, fields_)
+        reports += by_suite["hardy"] + by_suite["stein-weiss"] + by_suite["chain"]
     _emit(reports, cfg)
     checked, passed, failed = summarize(reports)
     print(
@@ -657,12 +696,26 @@ COMMAND_FLAGS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which refuses a flag it does not take itself,
+    with its own usage; argparse would pass the flag up to the top-level
+    parser, whose usage lists only the subcommands."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hardylp",
         description="Hardy-inequality verification toolkit on periodic grids",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
     for name, flags in COMMAND_FLAGS.items():
         p = sub.add_parser(name, help=COMMANDS[name].__doc__)
         for flag in ("config", *flags.split()):

@@ -99,12 +99,18 @@ def random_band_limited_field(
     Coefficients are complex Gaussian draws damped by (|xi| / band_lo)^-envelope,
     drawn over the lattice points of the annulus in C order; the synthesized
     field is the real part, so the spectrum stays inside the (symmetric)
-    annulus and the mean vanishes.  The real part of sum_k g_k e^(2 pi i k x)
+    annulus and the mean vanishes.  The default band (2/L, n/(8L)) is empty,
+    and refused, for n < 16.  The real part of sum_k g_k e^(2 pi i k x)
     has coefficients (g_k + conj g_-k) / 2, which is what the half spectrum
     receives before one irfftn.
     """
     if band is None:
         band = (2.0 / grid.L, grid.n / (8.0 * grid.L))
+        if grid.n < 16:
+            raise ValueError(
+                f"band-limited corpus fields need n >= 16, got n = {grid.n}: "
+                f"the default band (2/L, n/(8L)) = {band} is empty"
+            )
     lo, hi = band
     if not (0.0 < lo <= hi):
         raise ValueError(f"invalid frequency band {band}")

@@ -15,12 +15,11 @@ import numpy as np
 
 from .littlewood_paley import (
     DyadicPartition,
+    _besov_norm,
     _level_norms,
     _triebel_lizorkin_norm,
     _weighted_stack,
-    besov_norm,
     build_partition,
-    triebel_lizorkin_norm,
 )
 from .report import EXACT_TOL, QUADRATURE_TOL, CheckReport
 from .schur import SchurKernel, hardy_kernel_entry, schur_bound_check, schur_conditions
@@ -103,11 +102,31 @@ def _require_fractional(d: int, s: float, q: float) -> None:
         raise ValueError(f"need 1 < q < inf, got q = {q}")
 
 
-def fractional_hardy_quotient(f: SampledField, s: float, q: float) -> CheckReport:
-    """||f / |x|^s||_q against the homogeneous Sobolev norm || |D|^s f ||_q."""
+def _shared_stack(
+    f: SampledField, partition: DyadicPartition, s: float, stack: np.ndarray | None
+) -> np.ndarray:
+    """The weighted stack N^s |P_N f| of f: the one passed in, checked for its
+    (levels, *grid shape) shape, or one decomposition of f when none is."""
+    if stack is None:
+        return _weighted_stack(f, partition, s)
+    shape = (len(partition.levels), *f.grid.shape)
+    if stack.shape != shape:
+        raise ValueError(
+            f"stack shape {stack.shape} is not (levels, *grid shape) = {shape}"
+        )
+    return stack
+
+
+def fractional_hardy_quotient(
+    f: SampledField, s: float, q: float, *, sobolev: float | None = None
+) -> CheckReport:
+    """||f / |x|^s||_q against the homogeneous Sobolev norm || |D|^s f ||_q.
+
+    sobolev, when given, is that norm, computed once and shared by every
+    quotient of f that needs it."""
     _require_fractional(f.grid.d, s, q)
     lhs = weighted_lq_norm(f, s, q)
-    rhs = sobolev_norm(f, s, q)
+    rhs = sobolev if sobolev is not None else sobolev_norm(f, s, q)
     return _report("fractional", f, s, q, lhs, rhs)
 
 
@@ -116,13 +135,18 @@ def besov_hardy_quotient(
     s: float,
     q: float,
     partition: DyadicPartition | None = None,
+    *,
+    stack: np.ndarray | None = None,
 ) -> CheckReport:
-    """||f / |x|^s||_q against the Besov norm with both exponents q."""
+    """||f / |x|^s||_q against the Besov norm with both exponents q.
+
+    stack, when given, is _weighted_stack(f, partition, s), decomposed once
+    and shared by every norm of f that reads it."""
     _require_fractional(f.grid.d, s, q)
     if partition is None:
         partition = build_partition(f.grid)
     lhs = weighted_lq_norm(f, s, q)
-    rhs = besov_norm(f, partition, s, q, q)
+    rhs = _besov_norm(f, _shared_stack(f, partition, s, stack), q, q)
     return _report("besov", f, s, q, lhs, rhs)
 
 
@@ -131,9 +155,15 @@ def refined_hardy_quotient(
     s: float,
     q: float,
     partition: DyadicPartition | None = None,
+    *,
+    stack: np.ndarray | None = None,
+    sobolev: float | None = None,
 ) -> CheckReport:
     """||f / |x|^s||_q against the q > 2 refinement
-    || |D|^s f ||_q^(1/q) * TL(s, q, 2(q-1))^((q-1)/q)."""
+    || |D|^s f ||_q^(1/q) * TL(s, q, 2(q-1))^((q-1)/q).
+
+    stack and sobolev, when given, are as for besov_hardy_quotient and
+    fractional_hardy_quotient."""
     if q <= 2:
         raise ValueError(
             "refined quotient needs q > 2; use fractional_hardy_quotient for "
@@ -143,8 +173,10 @@ def refined_hardy_quotient(
     if partition is None:
         partition = build_partition(f.grid)
     lhs = weighted_lq_norm(f, s, q)
-    sobolev = sobolev_norm(f, s, q)
-    tl = triebel_lizorkin_norm(f, partition, s, q, 2.0 * (q - 1.0))
+    if sobolev is None:
+        sobolev = sobolev_norm(f, s, q)
+    stack = _shared_stack(f, partition, s, stack)
+    tl = _triebel_lizorkin_norm(f, stack, q, 2.0 * (q - 1.0))
     rhs = sobolev ** (1.0 / q) * tl ** ((q - 1.0) / q)
     return _report(
         "refined",
@@ -255,6 +287,12 @@ def shell_index_mesh(grid, centering: str = "cell") -> np.ndarray:
     return np.clip(idx, 0, len(radii) - 1)
 
 
+# A piece P_N f below this fraction of max |f - mean| is FFT rounding: a
+# field's spectrum can miss a whole level, and the localization ratio of such
+# a level is one rounding error over another.
+NOISE_FLOOR = 1e-12
+
+
 def _link(name, lhs, rhs, ratio, passed) -> dict:
     return {"name": name, "lhs": lhs, "rhs": rhs, "ratio": ratio, "passed": passed}
 
@@ -264,6 +302,8 @@ def shell_chain_check(
     s: float,
     q: float,
     partition: DyadicPartition | None = None,
+    *,
+    stack: np.ndarray | None = None,
 ) -> CheckReport:
     """Verify each link of the shell-decomposition estimate chain.
 
@@ -271,13 +311,18 @@ def shell_chain_check(
         exact factor 2^(s q);
     (b) the per-shell, per-level localization bound
         (int_shell |P_N f|^q)^(1/q) <= E_b min(1, (N R)^(d/q)) ||P_N f||_q,
-        with the empirical constant E_b recorded;
+        with the empirical constant E_b recorded; a level whose piece stays
+        below NOISE_FLOOR * max |f - mean| is FFT rounding, and skipped;
     (c) the Schur-test application to the coupling kernel;
     (d) the end-to-end ratio against the assembled constant
         2^(sq) * E_b^q * a1 * a2.
 
     The field's mean is removed first: the decomposition reproduces only the
-    mean-free part, matching the homogeneous setting.
+    mean-free part, matching the homogeneous setting.  Links (b) to (d) read
+    the weighted stack N^s |P_N f|: the one passed as stack, which is
+    _weighted_stack(f, partition, s), or else one decomposition of f - mean.
+    The two agree to rounding, as every partition multiplier is exactly 0 at
+    frequency zero.
     """
     grid = f.grid
     d = grid.d
@@ -306,14 +351,15 @@ def shell_chain_check(
     link_a = _link("shell-majorant", lhs_q, rhs_a, ratio_a, ratio_a <= 1.0 + 1e-12)
 
     levels = partition.levels
-    stack = _weighted_stack(f0, partition, s)
+    stack = _shared_stack(f0, partition, s, stack)
     c_vec = _level_norms(f0, stack, q)  # N^s ||P_N f||_q
 
     # link (b): empirical localization constant over all (level, shell) pairs
     e_b = 0.0
     worst_pair = None
+    floor = NOISE_FLOOR * float(np.max(np.abs(f0.values), initial=0.0))
     for N, piece, c in zip(levels, stack, c_vec):
-        if c == 0.0:
+        if piece.max(initial=0.0) <= floor * N**s:
             continue
         pabsq = piece**q
         for j, R in enumerate(radii):
@@ -371,6 +417,8 @@ def holder_refinement_check(
     s: float,
     q: float,
     partition: DyadicPartition | None = None,
+    *,
+    stack: np.ndarray | None = None,
 ) -> CheckReport:
     """Check both displayed steps of the q > 2 refinement exactly.
 
@@ -382,13 +430,15 @@ def holder_refinement_check(
     and the pointwise scale-monotonicity
     sum_N N^(sq)|P_N f(x)|^q <= (sum_N N^(2s)|P_N f(x)|^2)^(q/2)
     and the l^r monotonicity of the refinement aggregates hold to EXACT_TOL.
+    stack, when given, is _weighted_stack(f, partition, s), decomposed once
+    and shared by every norm of f that reads it.
     """
     if q <= 2:
         raise ValueError(f"refinement steps need q > 2, got q = {q}")
     grid = f.grid
     if partition is None:
         partition = build_partition(grid)
-    stack = _weighted_stack(f, partition, s)
+    stack = _shared_stack(f, partition, s, stack)
     hd = grid.h**grid.d
     t = (stack**q).sum(axis=0)
     a = (stack**2).sum(axis=0)

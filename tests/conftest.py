@@ -1,4 +1,5 @@
 import collections
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +38,31 @@ def fft_calls(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+@pytest.fixture
+def call_log(monkeypatch):
+    """call_log(module, name) wraps module.name, while the test runs, in every
+    hardylp module that binds the same function (a from-import copies the
+    binding), and returns the list that collects each call's positional
+    arguments."""
+
+    def install(module, name):
+        inner = getattr(module, name)
+        calls = []
+
+        def logged(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("hardylp") and (
+                getattr(mod, name, None) is inner
+            ):
+                monkeypatch.setattr(mod, name, logged)
+        return calls
+
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -9,12 +9,37 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hardylp.corpus as corpus
+import hardylp.littlewood_paley as littlewood_paley
 from hardylp.cli import COMMAND_FLAGS, COMMANDS, FLAGS, RunConfig, _build_parser, main
 from hardylp.corpus import random_band_limited_field
 from hardylp.extremal import ESTIMATE_IDENTITIES
-from hardylp.hardy import IDENTITIES
-from hardylp.report import CheckReport, reports_to_json
-from hardylp.spectral_core import make_field, make_grid, write_field
+from hardylp.hardy import (
+    IDENTITIES,
+    besov_hardy_quotient,
+    classical_hardy_quotient,
+    fractional_hardy_quotient,
+    gradient_hardy_quotient,
+    holder_refinement_check,
+    refined_hardy_quotient,
+    shell_chain_check,
+)
+from hardylp.report import EXACT_TOL, CheckReport, reports_to_json
+from hardylp.spectral_core import (
+    fractional_laplacian,
+    make_field,
+    make_grid,
+    write_field,
+)
+from hardylp.stein_weiss import (
+    RadialProfile,
+    SteinWeissParams,
+    geometric_radii,
+    inner_ball_bound_check,
+    inner_ball_potential_radial,
+    riesz_constant,
+    stein_weiss_check,
+)
 
 
 @pytest.fixture()
@@ -103,29 +128,30 @@ def test_verify_d4_runs_inner_ball_bound_on_its_own_grid(capsys):
     assert all(r["passed"] and r["n"] == 16 for r in ball)
 
 
-def test_verify_builds_one_corpus_and_one_partition(capsys, monkeypatch):
-    import hardylp.cli as cli
-
-    calls = {"standard_corpus": 0, "build_partition": 0}
-
-    def counted(module, name):
-        inner = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(cli.corpus_mod, "standard_corpus")
-    counted(cli, "build_partition")
+def test_verify_builds_one_corpus_and_one_partition(capsys, call_log):
+    corpora = call_log(corpus, "standard_corpus")
+    partitions = call_log(littlewood_paley, "build_partition")
     code, _, _ = run(
         capsys, "verify", "--suite", "all", "--d", "3", "--n", "32", "--q", "3",
         "--s", "0.5", "--corpus-size", "2",
     )
     assert code == 0
     # the suite's corpus, plus the inner-ball check's coarse d = 3 corpus
-    assert calls == {"standard_corpus": 2, "build_partition": 1}
+    assert (len(corpora), len(partitions)) == (2, 1)
+
+
+def test_verify_decomposes_each_corpus_field_once(capsys, call_log):
+    decomposed = call_log(littlewood_paley, "decompose")
+    code, _, _ = run(
+        capsys, "verify", "--suite", "all", "--d", "3", "--n", "32", "--q", "3",
+        "--s", "0.5", "--corpus-size", "5",
+    )
+    assert code == 0
+    grid = make_grid(3, 32, 20.0)
+    fields_ = [f for _, f in corpus.standard_corpus(grid, 5, 1, s=0.5, q=3.0)]
+    assert len(decomposed) == len(fields_) == 5
+    for (field, _), f in zip(decomposed, fields_):
+        assert np.array_equal(field.values, f.values)
 
 
 @pytest.mark.parametrize(
@@ -149,6 +175,18 @@ def test_verify_builds_no_partition_it_does_not_use(capsys, monkeypatch, argv):
     assert code == 0
 
 
+def test_verify_band_fields_on_a_grid_below_16_is_exit_2(capsys):
+    # the default corpus reaches the band family, whose default band
+    # (2/L, n/(8L)) is empty on an n = 8 grid
+    code, out, err = run(
+        capsys, "verify", "--suite", "stein-weiss", "--d", "2", "--n", "8",
+        "--s", "0.5",
+    )
+    assert code == 2
+    assert out == ""
+    assert "n >= 16, got n = 8" in err
+
+
 def test_verify_empty_corpus_vacuous_pass(capsys):
     code, out, err = run(
         capsys, "verify", "--suite", "hardy", "--corpus-size", "0",
@@ -156,6 +194,110 @@ def test_verify_empty_corpus_vacuous_pass(capsys):
     assert code == 0
     assert json.loads(out) == []
     assert "0 checks" in err
+
+
+# --- verify against the standalone calls ----------------------------------------
+
+SHARED_PATH_TOL = 1e-14  # chain: stack of f, not f - mean; specialization: |D|^s f
+
+
+def _standalone_verify(d, n, q, s, size, suite, capsys):
+    """The reports `verify` prints for suite, each from its standalone public
+    call on the same corpus, with a relative tolerance per report: 0 where
+    verify must match bitwise."""
+    tail = ("--d", str(d), "--n", str(n), "--q", str(q), "--s", str(s))
+    expected = []
+    if suite == "all":
+        code, out, _ = run(capsys, "schur-check", *tail, "--corpus-size", str(size))
+        assert code == 0
+        expected += [(rep, 0.0) for rep in json.loads(out)]
+    grid = make_grid(d, n, 20.0)
+    fields_ = corpus.standard_corpus(grid, size, 1, s=s, q=q)
+    part = littlewood_paley.build_partition(grid)
+    hardy, sw, chain = [], [], []
+    params = SteinWeissParams(lam=d - s, p=q, q=q, alpha=0.0, beta=s, d=d)
+    c = riesz_constant(d, d - s)
+    for label, f in fields_:
+        reps = [classical_hardy_quotient(f)] if d >= 3 else []
+        reps += [gradient_hardy_quotient(f, q)] if q < d else []
+        frac = fractional_hardy_quotient(f, s, q)
+        scaled = fractional_hardy_quotient(f.with_values(3.5 * f.values), s, q)
+        drift = abs(scaled.quotient - frac.quotient) / frac.quotient
+        frac.passed, frac.tolerance = drift <= EXACT_TOL, EXACT_TOL
+        frac.extra["homogeneity_drift"] = drift
+        reps += [frac, besov_hardy_quotient(f, s, q, part)]
+        reps += [refined_hardy_quotient(f, s, q, part)] if q > 2 else []
+        hardy += [(rep, 0.0, label) for rep in reps]
+        f0 = f.with_values(f.values - np.mean(f.values))
+        base = fractional_hardy_quotient(f0, s, q)
+        lifted = stein_weiss_check(fractional_laplacian(f0, s), params)
+        ratio = lifted.quotient / (c * base.quotient)
+        spec = CheckReport(
+            identity="stein-weiss-specialization", d=d, n=n, L=20.0, s=s, q=q,
+            lhs=lifted.quotient, rhs=c * base.quotient, quotient=ratio,
+            tolerance=0.02, passed=abs(ratio - 1.0) <= 0.02,
+            extra={"riesz_constant": c},
+        )
+        sw.append((spec, SHARED_PATH_TOL, label))
+        chain.append((shell_chain_check(f, s, q, part), SHARED_PATH_TOL, label))
+        if q > 2:
+            chain.append((holder_refinement_check(f, s, q, part), 0.0, label))
+    coarse = make_grid(d, {2: 32, 3: 16}[d], 20.0)
+    for label, g in corpus.standard_corpus(coarse, size, 1, s=s, q=q):
+        sw.append((inner_ball_bound_check(g, s, q), 0.0, label))
+    radii = geometric_radii(grid)
+    profile = RadialProfile(radii, np.exp(-(radii**2) / 2.0))
+    direct = inner_ball_potential_radial(profile, s, d, form="direct")
+    subst = inner_ball_potential_radial(profile, s, d, form="substituted")
+    mask = direct.values > 1e-12 * direct.values.max()
+    rel = float(
+        np.max(np.abs(direct.values[mask] - subst.values[mask]) / direct.values[mask])
+    )
+    radial = CheckReport(
+        identity="radial-reduction", d=d, n=n, L=20.0, s=s, q=q, lhs=rel,
+        rhs=0.005, tolerance=0.005, passed=rel <= 0.005,
+    )
+    sw.append((radial, 0.0, None))
+    by_suite = {"hardy": hardy, "stein-weiss": sw, "chain": chain}
+    for name in ("hardy", "stein-weiss", "chain"):
+        if suite in (name, "all"):
+            for rep, tol, label in by_suite[name]:
+                if label is not None:
+                    rep.extra["field"] = label
+                expected.append((json.loads(reports_to_json([rep]))[0], tol))
+    return expected
+
+
+def _assert_matches(got, want, tol, path):
+    if isinstance(want, dict):
+        assert set(got) == set(want), path
+        for key in want:
+            _assert_matches(got[key], want[key], tol, f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, tol, f"{path}[{i}]")
+    elif isinstance(want, float) and tol:
+        assert abs(got - want) <= tol * max(abs(got), abs(want)), (path, got, want)
+    else:
+        assert got == want and type(got) is type(want), (path, got, want)
+
+
+@pytest.mark.parametrize("suite", ["all", "hardy", "stein-weiss", "chain"])
+@pytest.mark.parametrize(
+    "d,q,s", [(3, 3.0, 0.5), (2, 2.0, 0.4)], ids=["d3-q3", "d2-q2"]
+)
+def test_verify_reports_equal_standalone_calls(capsys, d, q, s, suite):
+    expected = _standalone_verify(d, 32, q, s, 6, suite, capsys)
+    code, out, _ = run(
+        capsys, "verify", "--suite", suite, "--d", str(d), "--n", "32",
+        "--q", str(q), "--s", str(s), "--corpus-size", "6",
+    )
+    assert code == 0
+    got = json.loads(out)
+    assert [r["identity"] for r in got] == [r["identity"] for r, _ in expected]
+    for i, (rep, (want, tol)) in enumerate(zip(got, expected)):
+        _assert_matches(rep, want, tol, f"{rep['identity']}#{i}")
 
 
 # --- norm command -----------------------------------------------------------------
@@ -446,6 +588,16 @@ def test_unread_flag_is_a_usage_error(capsys, command, flag):
     code, out, _ = run(capsys, *_flag_argv(command, flag))
     assert code == 2
     assert out == ""
+
+
+def test_unread_flag_is_reported_with_the_commands_usage(capsys):
+    code, out, err = run(capsys, "schur-check", "--tolerance", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: hardylp schur-check ")
+    assert err.rstrip().endswith(
+        "hardylp schur-check: error: unrecognized arguments: --tolerance 0.5"
+    )
 
 
 def test_flag_slot_counts():

@@ -1,7 +1,5 @@
 """Hardy-type quotients, the shell proof chain, and the refinement steps."""
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -28,6 +26,7 @@ from hardylp.spectral_core import (
     make_field,
     make_grid,
     radius_mesh,
+    sobolev_norm,
 )
 
 # radial quadrature oracle values for the centered Gaussian exp(-|x|^2/(2 s^2)),
@@ -419,31 +418,80 @@ def test_chain_localized_bump(grid2):
     assert rep.passed
 
 
+def test_chain_skips_a_level_of_rounding_noise():
+    # a band field on a d = 3, n = 32 grid has no spectrum at the top level:
+    # its piece is FFT rounding, and its localization ratio is noise
+    grid = make_grid(3, 32, 20.0)
+    part = build_partition(grid)
+    f = random_band_limited_field(grid, 1)
+    top = littlewood_paley.decompose(f, part)[-1]
+    assert 0.0 < np.abs(top).max() < 1e-14
+    stack = littlewood_paley._weighted_stack(f, part, 0.5)
+    rep = shell_chain_check(f, 0.5, 3.0, part)
+    shared = shell_chain_check(f, 0.5, 3.0, part, stack=stack)
+    assert rep.extra["worst_pair"][0] != part.levels[-1]
+    assert shared.extra["worst_pair"] == rep.extra["worst_pair"]
+    assert shared.rhs == pytest.approx(rep.rhs, rel=1e-14)
+
+
 def test_chain_rejects_inadmissible(grid2):
     f = random_band_limited_field(grid2, 3)
     with pytest.raises(ValueError):
         shell_chain_check(f, 1.2, 2.0)  # s >= d/q
 
 
+# --- one shared stack and Sobolev norm ---------------------------------------------
+
+
+def test_shared_stack_and_sobolev_norm_give_the_same_reports(grid2):
+    s, q = 0.4, 3.0
+    part = build_partition(grid2)
+    f = random_band_limited_field(grid2, 5)
+    stack = littlewood_paley._weighted_stack(f, part, s)
+    sobolev = sobolev_norm(f, s, q)
+    pairs = [
+        (fractional_hardy_quotient(f, s, q),
+         fractional_hardy_quotient(f, s, q, sobolev=sobolev)),
+        (besov_hardy_quotient(f, s, q, part),
+         besov_hardy_quotient(f, s, q, part, stack=stack)),
+        (refined_hardy_quotient(f, s, q, part),
+         refined_hardy_quotient(f, s, q, part, stack=stack, sobolev=sobolev)),
+        (holder_refinement_check(f, s, q, part),
+         holder_refinement_check(f, s, q, part, stack=stack)),
+    ]
+    for alone, shared in pairs:
+        assert shared.to_dict() == alone.to_dict()
+
+
+def test_shared_sobolev_norm_is_used_as_given(grid2):
+    f = random_band_limited_field(grid2, 5)
+    rep = fractional_hardy_quotient(f, 0.4, 3.0, sobolev=2.0)
+    assert rep.rhs == 2.0 and rep.quotient == rep.lhs / 2.0
+
+
+@pytest.mark.parametrize(
+    "check",
+    [besov_hardy_quotient, refined_hardy_quotient, shell_chain_check,
+     holder_refinement_check],
+)
+def test_stack_of_the_wrong_shape_is_refused(grid2, check):
+    part = build_partition(grid2)
+    f = random_band_limited_field(grid2, 5)
+    stack = littlewood_paley._weighted_stack(f, part, 0.4)
+    with pytest.raises(ValueError, match="stack shape"):
+        check(f, 0.4, 3.0, part, stack=stack[:-1])
+    with pytest.raises(ValueError, match="stack shape"):
+        check(f, 0.4, 3.0, part, stack=stack[:, :-1])
+
+
 # --- two-step Holder refinement ------------------------------------------------------
 
 
-def test_one_decomposition_per_refinement_check(monkeypatch):
+def test_one_decomposition_per_refinement_check(call_log):
     grid = make_grid(3, 32, 20.0)
     part = build_partition(grid)
     f = random_mean_zero_field(grid, seed=91)
-    calls = []
-    decompose = littlewood_paley.decompose
-
-    def counted(field, partition):
-        calls.append(field)
-        return decompose(field, partition)
-
-    # every hardylp module that binds the function, as a from-import copies it
-    for mod in list(sys.modules.values()):
-        name = getattr(mod, "__name__", "")
-        if name.startswith("hardylp") and getattr(mod, "decompose", None) is decompose:
-            monkeypatch.setattr(mod, "decompose", counted)
+    calls = call_log(littlewood_paley, "decompose")
     holder_refinement_check(f, 0.5, 3.0, part)
     assert len(calls) == 1
     gradient_hardy_quotient(f, 2.5, refined=True, partition=part)

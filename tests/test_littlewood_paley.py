@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_mean_zero_field
-from hardylp.corpus import random_band_limited_field
+from hardylp.corpus import random_band_limited_field, standard_corpus
 from hardylp.littlewood_paley import (
     bernstein_check,
     besov_norm,
@@ -97,6 +97,27 @@ def test_partition_covers_whole_lattice(grid2):
     rad = frequency_radius(grid2)
     assert np.abs(total[rad > 0] - 1.0).max() < 1e-12
     assert total.flat[0] == 0.0  # mean mode excluded
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 64), (3, 32)])
+def test_every_multiplier_is_zero_at_frequency_zero(dim, n):
+    part = build_partition(make_grid(dim, n, 20.0))
+    assert [part.multipliers[N].flat[0] for N in part.levels] == [0.0] * len(
+        part.levels
+    )
+
+
+@pytest.mark.parametrize("dim,n,q", [(1, 256, 4.0), (2, 64, 2.0), (3, 32, 3.0)])
+def test_decompose_ignores_the_mean_on_the_corpus(dim, n, q):
+    # every multiplier vanishes at frequency zero, so the stack of f is the
+    # stack of f - mean up to FFT rounding
+    grid = make_grid(dim, n, 20.0)
+    part = build_partition(grid)
+    for label, f in standard_corpus(grid, 6, 1, s=0.3, q=q):
+        stack = decompose(f, part)
+        mean_free = decompose(f.with_values(f.values - np.mean(f.values)), part)
+        scale = np.abs(stack).max()
+        assert np.abs(stack - mean_free).max() <= 1e-15 * scale, label
 
 
 def test_partition_needs_three_levels():
