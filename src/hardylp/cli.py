@@ -34,15 +34,9 @@ from .hardy import (
     holder_refinement_check,
     refined_hardy_quotient,
     shell_chain_check,
+    shell_groups,
 )
-from .littlewood_paley import (
-    _besov_norm,
-    _triebel_lizorkin_norm,
-    _weighted_stack,
-    besov_terms,
-    build_partition,
-    partition_record,
-)
+from .littlewood_paley import besov_terms, build_partition, level_sums, partition_record
 from .report import (
     EXACT_TOL,
     QUADRATURE_TOL,
@@ -60,7 +54,6 @@ from .schur import (
     schur_conditions,
 )
 from .spectral_core import (
-    _lq,
     boundary_decay,
     fractional_laplacian,
     lq_norm,
@@ -232,12 +225,12 @@ def cmd_norm(cfg: RunConfig) -> int:
         value = sobolev_norm(f, cfg.s, cfg.q)
     elif cfg.kind in ("besov", "triebel-lizorkin"):
         part = build_partition(grid, cfg.coverage)
-        stack = _weighted_stack(f, part, cfg.s)
-        norm = _besov_norm if cfg.kind == "besov" else _triebel_lizorkin_norm
-        value = norm(f, stack, cfg.q, cfg.r)
+        tl = cfg.kind == "triebel-lizorkin"
+        sums = level_sums(f, part, cfg.s, cfg.q, (cfg.r,) if tl else ())
+        value = sums.triebel_lizorkin(cfg.r) if tl else sums.besov(cfg.r)
         extra = {
             "last_level": part.n_max,
-            "last_level_contribution": _lq(stack[-1], grid.h**grid.d, cfg.q),
+            "last_level_contribution": float(sums.norms[-1]),
         }
     else:
         raise ValueError(f"unknown norm kind {cfg.kind!r}")
@@ -281,20 +274,16 @@ def cmd_lp(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _hardy_corpus(cfg: RunConfig):
-    grid = make_grid(cfg.d, cfg.n, cfg.L)
-    return grid, corpus_mod.standard_corpus(
-        grid, cfg.corpus_size, cfg.seed, s=cfg.s, q=cfg.q
-    )
-
-
 def _hardy_reports(cfg: RunConfig, warn: bool) -> list[CheckReport]:
     """cfg.identity's quotient on every corpus field; warn flags fields that
     do not decay at the box faces."""
     if cfg.identity not in IDENTITIES:
         raise ValueError(f"unknown hardy identity {cfg.identity!r}")
     needs_partition, quotient = IDENTITIES[cfg.identity]
-    grid, fields_ = _hardy_corpus(cfg)
+    grid = make_grid(cfg.d, cfg.n, cfg.L)
+    fields_ = corpus_mod.standard_corpus(
+        grid, cfg.corpus_size, cfg.seed, s=cfg.s, q=cfg.q
+    )
     partition = build_partition(grid, cfg.coverage) if needs_partition else None
     tol = cfg.tolerance if cfg.tolerance is not None else QUADRATURE_TOL
     reports = []
@@ -506,9 +495,9 @@ def _field_reports(cfg: RunConfig, runs, f, partition, specialization):
 
     |D|^s f is computed once, for the fractional and refined Sobolev factor
     and the stein-weiss specialization, and freed before the field's one
-    weighted LP stack is built; the Besov, refined, chain and Holder checks
-    all read that stack.  specialization is the (params, Riesz constant)
-    pair of the stein-weiss specialization when that suite runs.
+    level pass; the Besov, refined, chain and Holder checks all read the
+    sums of that pass.  specialization is the (params, Riesz constant) pair
+    of the stein-weiss specialization when that suite runs.
     """
     s, q = cfg.s, cfg.q
     tol = cfg.tolerance if cfg.tolerance is not None else QUADRATURE_TOL
@@ -533,19 +522,24 @@ def _field_reports(cfg: RunConfig, runs, f, partition, specialization):
                 sw.append(rep)
         del lifted
     if partition is not None:
-        stack = _weighted_stack(f, partition, s)
+        # the refined check reads the pointwise sum of p_N^(2(q-1)), the
+        # Holder check also those of p_N^q and p_N^2, the chain the shell sums
+        high = (2.0 * (q - 1.0),) if q > 2 else ()
+        powers = high + ((q, 2.0) if high and "chain" in runs else ())
+        shells = shell_groups(f.grid, f.centering) if "chain" in runs else None
+        sums = level_sums(f, partition, s, q, powers, shells)
         if "hardy" in runs:
-            hardy.append(besov_hardy_quotient(f, s, q, partition, stack=stack))
+            hardy.append(besov_hardy_quotient(f, s, q, partition, sums=sums))
             if q > 2:
                 hardy.append(
                     refined_hardy_quotient(
-                        f, s, q, partition, stack=stack, sobolev=sobolev
+                        f, s, q, partition, sums=sums, sobolev=sobolev
                     )
                 )
         if "chain" in runs:
-            chain.append(shell_chain_check(f, s, q, partition, stack=stack))
+            chain.append(shell_chain_check(f, s, q, partition, sums=sums))
             if q > 2:
-                chain.append(holder_refinement_check(f, s, q, partition, stack=stack))
+                chain.append(holder_refinement_check(f, s, q, partition, sums=sums))
     return {"hardy": hardy, "stein-weiss": sw, "chain": chain}
 
 
@@ -604,17 +598,23 @@ def cmd_verify(cfg: RunConfig) -> int:
         # one grid, corpus and partition for every suite; the partition only
         # when a suite that uses it has fields, so a grid too coarse for one
         # still runs the stein-weiss suite
-        grid, fields_ = _hardy_corpus(cfg)
+        grid = make_grid(cfg.d, cfg.n, cfg.L)
+        fields_ = corpus_mod.corpus_fields(
+            grid, cfg.corpus_size, cfg.seed, s=cfg.s, q=cfg.q
+        )
         partition = specialization = None
-        if fields_ and runs & {"hardy", "chain"}:
+        if cfg.corpus_size > 0 and runs & {"hardy", "chain"}:
             partition = build_partition(grid, cfg.coverage)
-        if fields_ and "stein-weiss" in runs:
+        if cfg.corpus_size > 0 and "stein-weiss" in runs:
             d, s = cfg.d, cfg.s
             params = SteinWeissParams(
                 lam=d - s, p=cfg.q, q=cfg.q, alpha=0.0, beta=s, d=d
             )
             specialization = (params, riesz_constant(d, d - s))
-        # each field through every suite at once; the reports keep suite order
+            if d == 4:
+                fields_ = list(fields_)  # the inner-ball check reads them again
+        # each field through every suite at once, built when its turn comes
+        # and freed after it; the reports keep suite order
         by_suite = {"hardy": [], "stein-weiss": [], "chain": []}
         for label, f in fields_:
             field_reports = _field_reports(cfg, runs, f, partition, specialization)

@@ -14,6 +14,8 @@ spectrum, and is synthesized by one real inverse FFT.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .littlewood_paley import _mollifier
@@ -30,6 +32,7 @@ __all__ = [
     "gaussian_field",
     "truncated_power_field",
     "random_band_limited_field",
+    "corpus_fields",
     "standard_corpus",
 ]
 
@@ -102,8 +105,28 @@ def random_band_limited_field(
     annulus and the mean vanishes.  The default band (2/L, n/(8L)) is empty,
     and refused, for n < 16.  The real part of sum_k g_k e^(2 pi i k x)
     has coefficients (g_k + conj g_-k) / 2, which is what the half spectrum
-    receives before one irfftn.
+    receives before one irfftn.  All but the envelope is drawn once per
+    (grid, seed, band) and cached (_band_support).
     """
+    band = None if band is None else tuple(band)
+    ratio, draws, phases, scatter = _band_support(grid, seed, band)
+    coef = draws * ratio ** (-envelope)
+    for phase in phases:  # the cell-centring phases of inverse_transform
+        coef = coef * phase
+    coef *= grid.size / 2.0
+    spec = np.zeros(grid.shape[:-1] + (grid.n // 2 + 1,), dtype=np.complex128)
+    for points, keep, mirrored in scatter:
+        spec[points] += coef[keep].conj() if mirrored else coef[keep]
+    vals = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.d)))
+    peak = np.max(np.abs(vals))
+    return SampledField(grid, vals / peak if peak > 0 else vals)
+
+
+@lru_cache(maxsize=2)
+def _band_support(grid: GridSpec, seed: int, band: tuple[float, float] | None):
+    """The envelope-free part of random_band_limited_field: |xi| / band_lo
+    and the draws at the annulus points, the per-axis phases there, and
+    where the points and their mirrors land on the half spectrum."""
     if band is None:
         band = (2.0 / grid.L, grid.n / (8.0 * grid.L))
         if grid.n < 16:
@@ -120,36 +143,18 @@ def random_band_limited_field(
         raise ValueError(f"no lattice frequencies inside the band {band}")
     rng = np.random.default_rng(seed)
     idx = np.nonzero(mask)
-    count = idx[0].size
-    draws = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    coef = draws * (rad[idx] / lo) ** (-envelope)
-    # the cell-centring phases of inverse_transform, at the masked points only
+    draws = rng.standard_normal(idx[0].size) + 1j * rng.standard_normal(idx[0].size)
     phase = _phase_1d(grid, "cell").conj()
-    for k in idx:
-        coef = coef * phase[k]
-    coef *= grid.size / 2.0
-    n, half = grid.n, grid.n // 2 + 1
-    spec = np.zeros(grid.shape[:-1] + (half,), dtype=np.complex128)
-    keep = idx[-1] < half
-    spec[tuple(k[keep] for k in idx)] += coef[keep]
-    mirror = tuple((n - k) % n for k in idx)
-    keep = mirror[-1] < half
-    spec[tuple(k[keep] for k in mirror)] += coef[keep].conj()
-    vals = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.d)))
-    peak = np.max(np.abs(vals))
-    if peak > 0:
-        vals = vals / peak
-    return SampledField(grid, vals)
+    scatter = []
+    for points, mirrored in ((idx, False), (tuple((-k) % grid.n for k in idx), True)):
+        keep = points[-1] < grid.n // 2 + 1
+        scatter.append((tuple(k[keep] for k in points), keep, mirrored))
+    return rad[idx] / lo, draws, tuple(phase[k] for k in idx), tuple(scatter)
 
 
-def standard_corpus(
-    grid: GridSpec,
-    size: int,
-    seed: int,
-    s: float = 1.0,
-    q: float = 2.0,
-) -> list[tuple[str, SampledField]]:
-    """Deterministic corpus of `size` labelled fields on one grid.
+def corpus_fields(grid: GridSpec, size: int, seed: int, s: float = 1.0, q: float = 2.0):
+    """Deterministic corpus of `size` labelled fields on one grid, each built
+    when the caller takes it.
 
     Two Gaussians and (when the grid can hold the cutoffs) two truncated
     power laws lead; random band-limited fields fill the rest.  Power
@@ -158,32 +163,27 @@ def standard_corpus(
     """
     if size < 0:
         raise ValueError("corpus size must be nonnegative")
-    fields: list[tuple[str, SampledField]] = []
-    for frac in GAUSSIAN_WIDTHS:
-        if len(fields) >= size:
-            return fields
-        fields.append((f"gaussian-{frac:g}", gaussian_field(grid, frac * grid.L)))
+    for frac in GAUSSIAN_WIDTHS[:size]:
+        yield f"gaussian-{frac:g}", gaussian_field(grid, frac * grid.L)
+    built = min(size, len(GAUSSIAN_WIDTHS))
     gap = grid.d / q - s
-    if gap > 0:
-        for beta in SINGULARITY_FRACTIONS:
-            if len(fields) >= size:
-                return fields
-            try:
-                fld = truncated_power_field(
-                    grid, beta * gap, 4.0 * grid.h, grid.L / 4.0
-                )
-            except ValueError:
-                break  # grid too coarse for the cutoffs; skip the family
-            fields.append((f"power-{beta:g}", fld))
+    for beta in SINGULARITY_FRACTIONS[: size - built] if gap > 0 else ():
+        try:
+            fld = truncated_power_field(grid, beta * gap, 4.0 * grid.h, grid.L / 4.0)
+        except ValueError:
+            break  # grid too coarse for the cutoffs; skip the family
+        built += 1
+        yield f"power-{beta:g}", fld
     envelopes = (0.5, 1.0, 2.0)
-    idx = 0
-    while len(fields) < size:
+    for idx in range(size - built):
         env = envelopes[idx % len(envelopes)]
-        fields.append(
-            (
-                f"band-{idx:03d}-env{env:g}",
-                random_band_limited_field(grid, seed + idx, envelope=env),
-            )
+        yield f"band-{idx:03d}-env{env:g}", random_band_limited_field(
+            grid, seed + idx, envelope=env
         )
-        idx += 1
-    return fields
+
+
+def standard_corpus(
+    grid: GridSpec, size: int, seed: int, s: float = 1.0, q: float = 2.0
+) -> list[tuple[str, SampledField]]:
+    """The fields of corpus_fields, as a list."""
+    return list(corpus_fields(grid, size, seed, s, q))

@@ -10,22 +10,24 @@ recorded, never asserted.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .littlewood_paley import (
     DyadicPartition,
-    _besov_norm,
-    _level_norms,
-    _triebel_lizorkin_norm,
-    _weighted_stack,
+    LevelSums,
     build_partition,
+    group_sums,
+    level_sums,
 )
 from .report import EXACT_TOL, QUADRATURE_TOL, CheckReport
 from .schur import SchurKernel, hardy_kernel_entry, schur_bound_check, schur_conditions
 from .spectral_core import (
     SampledField,
+    _gradient_symbols,
     _lq,
+    _parseval_energy,
     gradient_magnitude,
     radius_mesh,
     sobolev_norm,
@@ -41,6 +43,7 @@ __all__ = [
     "gradient_hardy_quotient",
     "shell_radii",
     "shell_index_mesh",
+    "shell_groups",
     "shell_chain_check",
     "holder_refinement_check",
 ]
@@ -80,7 +83,8 @@ def classical_hardy_quotient(
     if d < 3:
         raise ValueError(f"classical Hardy quotient needs d >= 3, got d = {d}")
     lhs = weighted_lq_norm(f, 1.0, 2.0) ** 2
-    rhs = _lq(gradient_magnitude(f), f.grid.h**d, 2.0) ** 2
+    # ||grad f||_2^2 of the spectral gradient, by Parseval from one forward FFT
+    rhs = float(_parseval_energy(f, (np.abs(m) ** 2 for m in _gradient_symbols(f))))
     bound = 4.0 / (d - 2) ** 2
     return _report(
         "classical",
@@ -102,19 +106,12 @@ def _require_fractional(d: int, s: float, q: float) -> None:
         raise ValueError(f"need 1 < q < inf, got q = {q}")
 
 
-def _shared_stack(
-    f: SampledField, partition: DyadicPartition, s: float, stack: np.ndarray | None
-) -> np.ndarray:
-    """The weighted stack N^s |P_N f| of f: the one passed in, checked for its
-    (levels, *grid shape) shape, or one decomposition of f when none is."""
-    if stack is None:
-        return _weighted_stack(f, partition, s)
-    shape = (len(partition.levels), *f.grid.shape)
-    if stack.shape != shape:
-        raise ValueError(
-            f"stack shape {stack.shape} is not (levels, *grid shape) = {shape}"
-        )
-    return stack
+def _level_sums(f, partition, s, q, sums, powers=(), groups=None) -> LevelSums:
+    """sums, checked to serve (s, q, powers, groups), or else a level pass."""
+    if sums is None:
+        return level_sums(f, partition or build_partition(f.grid), s, q, powers, groups)
+    sums.require(s, q, powers, groups is not None)
+    return sums
 
 
 def fractional_hardy_quotient(
@@ -136,17 +133,15 @@ def besov_hardy_quotient(
     q: float,
     partition: DyadicPartition | None = None,
     *,
-    stack: np.ndarray | None = None,
+    sums: LevelSums | None = None,
 ) -> CheckReport:
     """||f / |x|^s||_q against the Besov norm with both exponents q.
 
-    stack, when given, is _weighted_stack(f, partition, s), decomposed once
-    and shared by every norm of f that reads it."""
+    sums, when given, is level_sums(f, partition, s, q, ...), one level pass
+    shared by every norm of f that reads it."""
     _require_fractional(f.grid.d, s, q)
-    if partition is None:
-        partition = build_partition(f.grid)
     lhs = weighted_lq_norm(f, s, q)
-    rhs = _besov_norm(f, _shared_stack(f, partition, s, stack), q, q)
+    rhs = _level_sums(f, partition, s, q, sums).besov(q)
     return _report("besov", f, s, q, lhs, rhs)
 
 
@@ -156,13 +151,13 @@ def refined_hardy_quotient(
     q: float,
     partition: DyadicPartition | None = None,
     *,
-    stack: np.ndarray | None = None,
+    sums: LevelSums | None = None,
     sobolev: float | None = None,
 ) -> CheckReport:
     """||f / |x|^s||_q against the q > 2 refinement
     || |D|^s f ||_q^(1/q) * TL(s, q, 2(q-1))^((q-1)/q).
 
-    stack and sobolev, when given, are as for besov_hardy_quotient and
+    sums and sobolev, when given, are as for besov_hardy_quotient and
     fractional_hardy_quotient."""
     if q <= 2:
         raise ValueError(
@@ -170,13 +165,11 @@ def refined_hardy_quotient(
             "1 < q <= 2"
         )
     _require_fractional(f.grid.d, s, q)
-    if partition is None:
-        partition = build_partition(f.grid)
     lhs = weighted_lq_norm(f, s, q)
     if sobolev is None:
         sobolev = sobolev_norm(f, s, q)
-    stack = _shared_stack(f, partition, s, stack)
-    tl = _triebel_lizorkin_norm(f, stack, q, 2.0 * (q - 1.0))
+    r = 2.0 * (q - 1.0)
+    tl = _level_sums(f, partition, s, q, sums, (r,)).triebel_lizorkin(r)
     rhs = sobolev ** (1.0 / q) * tl ** ((q - 1.0) / q)
     return _report(
         "refined",
@@ -223,11 +216,9 @@ def gradient_hardy_quotient(
         )
     if q <= 2:
         raise ValueError(f"refined gradient quotient needs 2 < q < d, got q = {q}")
-    if partition is None:
-        partition = build_partition(f.grid)
-    stack = _weighted_stack(f, partition, 1.0)
-    tl_high = _triebel_lizorkin_norm(f, stack, q, 2.0 * (q - 1.0))
-    tl_two = _triebel_lizorkin_norm(f, stack, q, 2.0)
+    sums = _level_sums(f, partition, 1.0, q, None, (2.0 * (q - 1.0), 2.0))
+    tl_high = sums.triebel_lizorkin(2.0 * (q - 1.0))
+    tl_two = sums.triebel_lizorkin(2.0)
     rhs = grad_norm ** (1.0 / q) * tl_high ** ((q - 1.0) / q)
     monotone_ok = tl_high <= tl_two * (1.0 + EXACT_TOL)
     return _report(
@@ -287,6 +278,17 @@ def shell_index_mesh(grid, centering: str = "cell") -> np.ndarray:
     return np.clip(idx, 0, len(radii) - 1)
 
 
+@lru_cache(maxsize=2)
+def shell_groups(grid, centering: str = "cell") -> tuple[np.ndarray, np.ndarray]:
+    """The shells of shell_index_mesh as the (order, starts) sample groups of
+    group_sums; every shell holds samples.  Cached, read-only."""
+    idx = shell_index_mesh(grid, centering).ravel()
+    groups = np.argsort(idx, kind="stable"), np.cumsum(np.bincount(idx))[:-1]
+    for a in groups:
+        a.setflags(write=False)
+    return groups
+
+
 # A piece P_N f below this fraction of max |f - mean| is FFT rounding: a
 # field's spectrum can miss a whole level, and the localization ratio of such
 # a level is one rounding error over another.
@@ -303,7 +305,7 @@ def shell_chain_check(
     q: float,
     partition: DyadicPartition | None = None,
     *,
-    stack: np.ndarray | None = None,
+    sums: LevelSums | None = None,
 ) -> CheckReport:
     """Verify each link of the shell-decomposition estimate chain.
 
@@ -319,10 +321,10 @@ def shell_chain_check(
 
     The field's mean is removed first: the decomposition reproduces only the
     mean-free part, matching the homogeneous setting.  Links (b) to (d) read
-    the weighted stack N^s |P_N f|: the one passed as stack, which is
-    _weighted_stack(f, partition, s), or else one decomposition of f - mean.
-    The two agree to rounding, as every partition multiplier is exactly 0 at
-    frequency zero.
+    the level sums of N^s |P_N f| with their per-shell sums: the ones passed
+    as sums, which are level_sums(f, partition, s, q, ..., shell_groups), or
+    else one level pass over f - mean.  The two agree to rounding, as
+    every partition multiplier is exactly 0 at frequency zero.
     """
     grid = f.grid
     d = grid.d
@@ -341,29 +343,26 @@ def shell_chain_check(
     lhs_q = float((absq * r ** (-s * q)).sum() * hd)
 
     radii = shell_radii(grid)
-    shell_idx = shell_index_mesh(grid, f.centering)
-    shell_mass = np.array(
-        [float(absq[shell_idx == j].sum() * hd) for j in range(len(radii))]
-    )
+    shells = shell_groups(grid, f.centering)
+    shell_mass = group_sums(absq, shells) * hd
     majorant = float(sum(R ** (-s * q) * m for R, m in zip(radii, shell_mass)))
     rhs_a = 2.0 ** (s * q) * majorant
     ratio_a = lhs_q / rhs_a if rhs_a > 0 else 0.0
     link_a = _link("shell-majorant", lhs_q, rhs_a, ratio_a, ratio_a <= 1.0 + 1e-12)
 
     levels = partition.levels
-    stack = _shared_stack(f0, partition, s, stack)
-    c_vec = _level_norms(f0, stack, q)  # N^s ||P_N f||_q
+    sums = _level_sums(f0, partition, s, q, sums, groups=shells)
+    c_vec = sums.norms  # N^s ||P_N f||_q
 
     # link (b): empirical localization constant over all (level, shell) pairs
     e_b = 0.0
     worst_pair = None
     floor = NOISE_FLOOR * float(np.max(np.abs(f0.values), initial=0.0))
-    for N, piece, c in zip(levels, stack, c_vec):
-        if piece.max(initial=0.0) <= floor * N**s:
+    for N, top, c, masses in zip(levels, sums.maxima, c_vec, sums.shells):
+        if top <= floor * N**s:
             continue
-        pabsq = piece**q
-        for j, R in enumerate(radii):
-            shell_lq = float((pabsq[shell_idx == j].sum() * hd) ** (1.0 / q))
+        for R, mass in zip(radii, masses):
+            shell_lq = float((mass * hd) ** (1.0 / q))
             cap = min(1.0, (N * R) ** (d / q)) * c
             if cap > 0 and shell_lq / cap > e_b:
                 e_b = shell_lq / cap
@@ -418,7 +417,7 @@ def holder_refinement_check(
     q: float,
     partition: DyadicPartition | None = None,
     *,
-    stack: np.ndarray | None = None,
+    sums: LevelSums | None = None,
 ) -> CheckReport:
     """Check both displayed steps of the q > 2 refinement exactly.
 
@@ -430,19 +429,16 @@ def holder_refinement_check(
     and the pointwise scale-monotonicity
     sum_N N^(sq)|P_N f(x)|^q <= (sum_N N^(2s)|P_N f(x)|^2)^(q/2)
     and the l^r monotonicity of the refinement aggregates hold to EXACT_TOL.
-    stack, when given, is _weighted_stack(f, partition, s), decomposed once
-    and shared by every norm of f that reads it.
+    sums, when given, is level_sums(f, partition, s, q, powers), one level
+    pass shared by every norm of f that reads it, with powers q, 2, 2(q-1).
     """
     if q <= 2:
         raise ValueError(f"refinement steps need q > 2, got q = {q}")
     grid = f.grid
-    if partition is None:
-        partition = build_partition(grid)
-    stack = _shared_stack(f, partition, s, stack)
+    powers = (q, 2.0, 2.0 * (q - 1.0))
+    sums = _level_sums(f, partition, s, q, sums, powers)
+    t, a, b = (sums.powers[r] for r in powers)
     hd = grid.h**grid.d
-    t = (stack**q).sum(axis=0)
-    a = (stack**2).sum(axis=0)
-    b = (stack ** (2.0 * (q - 1.0))).sum(axis=0)
     lhs = float(t.sum() * hd)
     mid = float(np.sqrt(a * b).sum() * hd)
     rhs = float(

@@ -21,8 +21,8 @@ from .spectral_core import (
     GridSpec,
     SampledField,
     _apply_diag,
+    _frequency_classes,
     _lq,
-    frequency_radius,
     lq_norm,
 )
 
@@ -33,6 +33,9 @@ __all__ = [
     "build_partition",
     "project",
     "decompose",
+    "LevelSums",
+    "level_sums",
+    "group_sums",
     "besov_terms",
     "besov_norm",
     "triebel_lizorkin_norm",
@@ -77,15 +80,15 @@ class DyadicPartition:
     """Tabulated dyadic frequency partition for one grid.
 
     levels are the dyadic frequencies N (powers of two over the base 1/L);
-    multipliers[N] is the tabulated lattice multiplier for the projector at
-    scale N.  Interior levels carry psi(xi/N); the two edge levels keep the
-    raw chi tails so the multipliers sum to exactly 1 away from frequency
-    zero.
+    tables[N] is the level-N multiplier over the distinct frequency radii of
+    spectral_core._frequency_classes.  Interior levels carry psi(xi/N); the
+    two edge levels keep the raw chi tails so the multipliers sum to exactly
+    1 away from frequency zero.
     """
 
     grid: GridSpec
     levels: tuple[float, ...]
-    multipliers: dict
+    tables: dict
     coverage: float
 
     @property
@@ -100,16 +103,18 @@ class DyadicPartition:
         """Frequency band on which the plain dyadic sum is guaranteed to be 1."""
         return (self.n_min, self.n_max / 2.0)
 
+    def multiplier(self, N: float, real: bool = False) -> np.ndarray:
+        """The level-N multiplier on the lattice (its rfftn half when real)."""
+        return np.take(self.tables[N], _frequency_classes(self.grid, real)[0])
+
     def multiplier_sum(self) -> np.ndarray:
-        total = np.zeros(self.grid.shape)
-        for N in self.levels:
-            total = total + self.multipliers[N]
-        return total
+        total = sum(self.tables[N] for N in self.levels)
+        return np.take(total, _frequency_classes(self.grid, False)[0])
 
 
 def build_partition(grid: GridSpec, coverage: float = 0.5) -> DyadicPartition:
     """Dyadic levels from the smallest power of two >= 2/L up to
-    coverage * Nyquist, tabulated on the grid's frequency lattice."""
+    coverage * Nyquist, tabulated over the grid's distinct frequency radii."""
     if not (0.0 < coverage <= 1.0):
         raise ValueError(f"coverage must lie in (0, 1], got {coverage}")
     top = coverage * grid.nyquist
@@ -121,68 +126,135 @@ def build_partition(grid: GridSpec, coverage: float = 0.5) -> DyadicPartition:
             f"between 2/L and coverage * Nyquist = {top:g}"
         )
     levels = tuple((2.0**j) / grid.L for j in range(j_min, j_max + 1))
-    rad = frequency_radius(grid)
-    multipliers = {}
+    rad = _frequency_classes(grid, True)[1]
+    tables = {}
     for i, N in enumerate(levels):
         if i == 0:
             vals = smooth_cutoff(rad / N)
-            vals.flat[0] = 0.0  # the mean mode is excluded from the partition
+            vals[0] = 0.0  # the mean mode, radius 0, is excluded from the partition
         elif i == len(levels) - 1:
             vals = 1.0 - smooth_cutoff(2.0 * rad / N)
         else:
             vals = dyadic_bump(rad / N)
         vals.setflags(write=False)
-        multipliers[N] = vals
-    return DyadicPartition(
-        grid=grid, levels=levels, multipliers=multipliers, coverage=coverage
-    )
+        tables[N] = vals
+    return DyadicPartition(grid, levels, tables, coverage)
 
 
 def project(f: SampledField, partition: DyadicPartition, N: float) -> SampledField:
     """P_N f: multiply the spectrum by the tabulated level-N multiplier."""
-    if N not in partition.multipliers:
+    if N not in partition.tables:
         raise ValueError(
             f"dyadic level {N:g} outside the partition range "
             f"[{partition.n_min:g}, {partition.n_max:g}]"
         )
-    return f.with_values(_apply_diag(f.values, [partition.multipliers[N]])[0])
+    mult = partition.multiplier(N, np.isrealobj(f.values))
+    return f.with_values(next(_apply_diag(f.values, [mult])))
 
 
-def decompose(f: SampledField, partition: DyadicPartition) -> np.ndarray:
-    """The (levels, *shape) stack of the pieces P_N f, one per dyadic level
-    in partition order; the pieces sum to the mean-free part of f."""
-    return _apply_diag(f.values, [partition.multipliers[N] for N in partition.levels])
+def decompose(f: SampledField, partition: DyadicPartition):
+    """The pieces P_N f in partition order, as an iterator that makes each
+    piece when it is taken; they sum to the mean-free part of f."""
+    real = np.isrealobj(f.values)
+    mults = (partition.multiplier(N, real) for N in partition.levels)
+    return _apply_diag(f.values, mults)
 
 
-def _weighted_stack(
-    f: SampledField, partition: DyadicPartition, s: float
-) -> np.ndarray:
-    """The real stack N^s |P_N f| from one decomposition of f; every
-    scale-indexed norm of f at smoothness s reads from it."""
-    stack = np.abs(decompose(f, partition))
-    powers = np.array([N**s for N in partition.levels])
-    stack *= powers.reshape((-1,) + (1,) * f.grid.d)
-    return stack
+@dataclass(frozen=True)
+class LevelSums:
+    """One level pass over f at smoothness s, with p_N = N^s |P_N f|: per
+    level ||p_N||_p (norms) and max p_N (maxima); powers[r], the pointwise
+    sum over levels of p_N^r (the pointwise max at r = inf); and, when the
+    pass had sample groups, the (levels, groups) sums of p_N^p (shells)."""
+
+    s: float
+    p: float
+    cell_volume: float
+    norms: np.ndarray
+    maxima: np.ndarray
+    powers: dict
+    shells: np.ndarray | None
+
+    def require(self, s: float, p: float, powers=(), groups: bool = False) -> None:
+        """Raise ValueError unless these sums serve a reader at (s, p) of the
+        pointwise sums of powers and, when groups, of the group sums."""
+        missing = set(powers) - set(self.powers)
+        if (self.s, self.p) != (s, p) or missing or (groups and self.shells is None):
+            have = (self.s, self.p, sorted(self.powers), self.shells is not None)
+            want = (s, p, sorted(powers), groups)
+            raise ValueError(f"level sums with {have} do not serve a reader of {want}")
+
+    def aggregate(self, r: float) -> np.ndarray:
+        """The pointwise l^r aggregate over levels; the max when r = inf."""
+        self.require(self.s, self.p, (r,))
+        return self.powers[r] if r == np.inf else self.powers[r] ** (1.0 / r)
+
+    def besov(self, q: float) -> float:
+        """The l^q sum over levels of ||p_N||_p."""
+        if self.p < 1 or q < 1:
+            raise ValueError("Besov exponents must satisfy p, q >= 1")
+        return _lq(self.norms, 1.0, q)
+
+    def triebel_lizorkin(self, r: float) -> float:
+        """The L^p norm of the pointwise l^r aggregate."""
+        if self.p < 1 or r < 1:
+            raise ValueError("Triebel-Lizorkin exponents must satisfy p, r >= 1")
+        return _lq(self.aggregate(r), self.cell_volume, self.p)
 
 
-def _level_norms(f: SampledField, stack: np.ndarray, p: float) -> np.ndarray:
-    """The L^p norm on f's grid of each level of a stack."""
-    return np.array([_lq(level, f.grid.h**f.grid.d, p) for level in stack])
+def level_sums(
+    f: SampledField,
+    partition: DyadicPartition,
+    s: float,
+    p: float = 2.0,
+    powers=(),
+    groups: tuple[np.ndarray, np.ndarray] | None = None,
+) -> LevelSums:
+    """The LevelSums of f: one pass over the pieces of decompose, one level
+    at a time, with no (levels, *shape) stack.  groups, when given, is the
+    (order, starts) of group_sums, and needs a finite p."""
+    hd = f.grid.h**f.grid.d
+    totals = dict.fromkeys(sorted(powers, key=lambda r: r != p))  # p first
+    norms, maxima, shells = [], [], []
+    pieces = decompose(f, partition)
+    for N in partition.levels:  # not zip, whose result tuple keeps a piece alive
+        level = next(pieces)
+        level = np.abs(level, out=level) if np.isrealobj(level) else np.abs(level)
+        level *= N**s
+        top = float(level.max(initial=0.0))
+        level_p = level if p == np.inf else level**p
+        maxima.append(top)
+        norms.append(top if p == np.inf else float((level_p.sum() * hd) ** (1.0 / p)))
+        if groups is not None:
+            shells.append(group_sums(level_p, groups))
+        for r, total in totals.items():
+            term = level if r == np.inf else level_p if r == p else level**r
+            level_p = None  # read for the first power at the latest
+            if total is None:
+                totals[r] = term
+            elif r == np.inf:
+                np.maximum(total, term, out=total)
+            else:
+                total += term
+            term = None
+        level = level_p = None  # one level's arrays at a time
+    shells = np.array(shells) if groups is not None else None
+    return LevelSums(s, p, hd, np.array(norms), np.array(maxima), totals, shells)
 
 
-def _lr_sum(stack: np.ndarray, r: float) -> np.ndarray:
-    """The l^r sum over the first axis; the max when r is infinite."""
-    if r == np.inf:
-        return stack.max(axis=0, initial=0.0)
-    return (stack**r).sum(axis=0) ** (1.0 / r)
+def group_sums(values: np.ndarray, groups: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The sum of values over each group of samples, bitwise that of
+    values[mask] for the group's mask.  groups is (order, starts): the flat
+    sample indices stably sorted by group, and where each group starts."""
+    order, starts = groups
+    return np.array([part.sum() for part in np.split(values.ravel()[order], starts)])
 
 
 def besov_terms(
     f: SampledField, partition: DyadicPartition, s: float, p: float
 ) -> dict:
     """Per-level contributions N^s ||P_N f||_p of the Besov sum."""
-    terms = _level_norms(f, _weighted_stack(f, partition, s), p)
-    return dict(zip(partition.levels, terms.tolist()))
+    return dict(zip(partition.levels, level_sums(f, partition, s, p).norms.tolist()))
 
 
 def besov_norm(
@@ -190,20 +262,14 @@ def besov_norm(
 ) -> float:
     """Homogeneous Besov norm: the l^q sum over dyadic scales of
     N^s ||P_N f||_p, truncated to the partition range."""
-    return _besov_norm(f, _weighted_stack(f, partition, s), p, q)
-
-
-def _besov_norm(f: SampledField, stack: np.ndarray, p: float, q: float) -> float:
-    if p < 1 or q < 1:
-        raise ValueError("Besov exponents must satisfy p, q >= 1")
-    return float(_lr_sum(_level_norms(f, stack, p), q))
+    return level_sums(f, partition, s, p).besov(q)
 
 
 def scale_aggregate(
     f: SampledField, partition: DyadicPartition, s: float, r: float
 ) -> np.ndarray:
     """Pointwise l^r aggregate over scales of N^s |P_N f(x)|."""
-    return _lr_sum(_weighted_stack(f, partition, s), r)
+    return level_sums(f, partition, s, powers=(r,)).aggregate(r)
 
 
 def triebel_lizorkin_norm(
@@ -211,15 +277,7 @@ def triebel_lizorkin_norm(
 ) -> float:
     """Homogeneous Triebel-Lizorkin norm: L^p quadrature of the pointwise
     l^r aggregate over dyadic scales."""
-    return _triebel_lizorkin_norm(f, _weighted_stack(f, partition, s), p, r)
-
-
-def _triebel_lizorkin_norm(
-    f: SampledField, stack: np.ndarray, p: float, r: float
-) -> float:
-    if p < 1 or r < 1:
-        raise ValueError("Triebel-Lizorkin exponents must satisfy p, r >= 1")
-    return _lq(_lr_sum(stack, r), f.grid.h**f.grid.d, p)
+    return level_sums(f, partition, s, p, (r,)).triebel_lizorkin(r)
 
 
 def square_function(

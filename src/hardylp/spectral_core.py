@@ -240,6 +240,20 @@ def frequency_radius(grid: GridSpec) -> np.ndarray:
     return _radius([frequency_axes(grid)] * grid.d)
 
 
+@lru_cache(maxsize=4)
+def _frequency_classes(grid: GridSpec, real: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(index, radii): the distinct values radii of frequency_radius (on the
+    half lattice of rfftn when real), and where each lattice point finds its
+    own; a radial symbol is then a table over radii.  Cached, read-only."""
+    k = frequency_axes(grid)
+    rad = _radius([k] * (grid.d - 1) + [k[: grid.n // 2 + 1] if real else k])
+    radii, index = np.unique(rad, return_inverse=True)
+    index = index.reshape(rad.shape)
+    for a in (index, radii):
+        a.setflags(write=False)
+    return index, radii
+
+
 def _phase_1d(grid: GridSpec, centering: str) -> np.ndarray:
     # compensates the sampling offset x0 so coefficients are true Fourier
     # coefficients: f(x) = sum_k fhat(k/L) exp(2 pi i k x / L)
@@ -282,33 +296,30 @@ def _multiplier_values(grid: GridSpec, m) -> np.ndarray:
     return vals
 
 
-def _apply_diag(values: np.ndarray, mults) -> np.ndarray:
-    """The (len(mults), *shape) stack of ifftn(fftn(values) * m), m in mults.
+def _apply_diag(values: np.ndarray, mults):
+    """ifftn(fftn(values) * m) for each m in mults, in order: a generator
+    that takes the forward FFT once and makes each piece when it is taken.
 
-    One forward FFT serves every multiplier; each m is a lattice array in
-    FFT layout, or one that broadcasts to it.  Real values go through
-    rfftn/irfftn: each m is cut to the half lattice, its first n//2 + 1
-    entries along the last axis, and the stack is real.  That keeps only
-    the Hermitian part of m, so a caller with real values passes symbols
-    that are Hermitian on the lattice.  Complex values go through
-    fftn/ifftn with m as given.  The per-axis phases of forward_transform
-    and inverse_transform cancel for a diagonal multiplier, so they are
-    left out.
+    Each m is a lattice array in FFT layout, or one that broadcasts to it.
+    Real values go through rfftn/irfftn: each m is cut to the half lattice,
+    its first n//2 + 1 entries along the last axis, and the pieces are real.
+    That keeps only the Hermitian part of m, so a caller with real values
+    passes symbols that are Hermitian on the lattice.  Complex values go
+    through fftn/ifftn with m as given.  The per-axis phases of
+    forward_transform and inverse_transform cancel for a diagonal
+    multiplier, so they are left out.
     """
     if np.iscomplexobj(values):
         spec = np.fft.fftn(values)
-        out = np.empty((len(mults),) + spec.shape, dtype=np.complex128)
-        for i, m in enumerate(mults):
-            np.fft.ifftn(spec * m, out=out[i])
-        return out
+        for m in mults:
+            yield np.fft.ifftn(spec * m)
+        return
     shape = values.shape
     axes = tuple(range(len(shape)))
     half = shape[-1] // 2 + 1
     spec = np.fft.rfftn(values)
-    out = np.empty((len(mults),) + shape)
-    for i, m in enumerate(mults):
-        np.fft.irfftn(spec * m[..., :half], s=shape, axes=axes, out=out[i])
-    return out
+    for m in mults:
+        yield np.fft.irfftn(spec * m[..., :half], s=shape, axes=axes)
 
 
 def apply_multiplier(f: SampledField, m) -> SampledField:
@@ -320,7 +331,7 @@ def apply_multiplier(f: SampledField, m) -> SampledField:
     goes through the complex transforms and the result is complex.
     """
     values = f.values.astype(np.complex128, copy=False)
-    return f.with_values(_apply_diag(values, [_multiplier_values(f.grid, m)])[0])
+    return f.with_values(next(_apply_diag(values, [_multiplier_values(f.grid, m)])))
 
 
 @lru_cache(maxsize=4)
@@ -350,7 +361,7 @@ def fractional_laplacian(f: SampledField, s: float) -> SampledField:
     if s < 0:
         _require_mean_zero(f)
     mult = _power_symbol(f.grid, s, np.isrealobj(f.values))
-    return f.with_values(_apply_diag(f.values, [mult])[0])
+    return f.with_values(next(_apply_diag(f.values, [mult])))
 
 
 def _require_mean_zero(f: SampledField) -> None:
@@ -366,25 +377,33 @@ def _require_mean_zero(f: SampledField) -> None:
 def sobolev_norm(f: SampledField, s: float, q: float) -> float:
     """|| |D|^s f ||_q, equal to lq_norm(fractional_laplacian(f, s), q).
 
-    At q = 2 Parseval gives it from one forward FFT F (unnormalised) of the
-    N samples: sqrt(h^d / N * sum |F|^2 |2 pi xi|^(2s)).  On the half lattice
-    of rfftn the planes k_last = 0 and k_last = n/2 are their own mirror
-    images and count once; every other plane stands for itself and its
-    mirror and counts twice.  s = 0 is the plain L^q norm, mean included;
-    s < 0 requires mean-zero input, as fractional_laplacian does.
+    At q = 2 it is the root of _parseval_energy with |2 pi xi|^(2s).  s = 0
+    is the plain L^q norm, mean included; s < 0 requires mean-zero input, as
+    fractional_laplacian does.
     """
     if q != 2 or s == 0:
         return lq_norm(fractional_laplacian(f, s), q)
     if s < 0:
         _require_mean_zero(f)
+    mult = _power_symbol(f.grid, 2.0 * s, np.isrealobj(f.values))
+    return float(np.sqrt(_parseval_energy(f, [mult])))
+
+
+def _parseval_energy(f: SampledField, symbols):
+    """h^d / N * sum |F|^2 m, F the unnormalised forward FFT of the N samples
+    and m the sum of symbols: by Parseval, ||g||_2^2 for g with spectrum
+    F sqrt(m).  A real f takes rfftn, each symbol cut to the half lattice as
+    in _apply_diag; there the planes k_last = 0 and n/2 are their own mirror
+    images and count once, and every other plane counts twice."""
     grid = f.grid
     real = np.isrealobj(f.values)
     spec = np.fft.rfftn(f.values) if real else np.fft.fftn(f.values)
-    power = (spec.real**2 + spec.imag**2) * _power_symbol(grid, 2.0 * s, real)
+    half = grid.n // 2 + 1 if real else None
+    power = (spec.real**2 + spec.imag**2) * sum(m[..., :half] for m in symbols)
     total = power.sum()
     if real:
         total = 2.0 * total - power[..., 0].sum() - power[..., -1].sum()
-    return float(np.sqrt(total * grid.h**grid.d / grid.size))
+    return total * grid.h**grid.d / grid.size
 
 
 def _odd_frequencies(grid: GridSpec, real: bool) -> np.ndarray:
@@ -413,13 +432,12 @@ def riesz_transform(f: SampledField, j: int) -> SampledField:
     inverse = _power_symbol(grid, -1.0, real)
     xi = _along_axis(grid, j - 1, _odd_frequencies(grid, real))
     xi = xi[..., : inverse.shape[-1]]
-    return f.with_values(_apply_diag(f.values, [(-2j * np.pi) * xi * inverse])[0])
+    return f.with_values(next(_apply_diag(f.values, [(-2j * np.pi) * xi * inverse])))
 
 
 def gradient(f: SampledField) -> tuple[SampledField, ...]:
     """Spectral partial derivatives: component j has spectrum 2 pi i xi_j fhat."""
-    comps = _apply_diag(f.values, _gradient_symbols(f))
-    return tuple(f.with_values(g) for g in comps)
+    return tuple(f.with_values(g) for g in _apply_diag(f.values, _gradient_symbols(f)))
 
 
 def _gradient_symbols(f: SampledField) -> list[np.ndarray]:
@@ -499,6 +517,8 @@ def power_weighted_lq_norm(f: SampledField, weight_power: float, q: float) -> fl
     Negative weight powers use exact cell-averaged weights near the origin;
     nonnegative powers are smooth there and use plain midpoint values.
     """
+    if weight_power == 0:  # |x|^0 = 1, with no weight table to build or keep
+        return lq_norm(f, q)
     if q == np.inf:
         rad = radius_mesh(f.grid, f.centering)
         return float(np.max(np.abs(f.values) * rad**weight_power, initial=0.0))

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from hardylp.corpus import smooth_step
+from hardylp.hardy import NOISE_FLOOR, shell_index_mesh, shell_radii
+from hardylp.littlewood_paley import decompose
 from hardylp.spectral_core import (
     WEIGHT_REFINE_FACTOR,
     WEIGHT_REFINE_RADIUS,
     Spectrum,
+    _lq,
     _refined_weight,
     axis_coordinates,
     coordinate_mesh,
@@ -156,6 +159,89 @@ def direct_inner_ball_potential(g, s):
                 )
         out[sl] = (mask * y_weight[None, :]).sum(axis=1) * hd * xr ** (s - d)
     return out.reshape(grid.shape)
+
+
+def lp_stack(f, partition):
+    """The (levels, *shape) stack of the pieces P_N f of decompose."""
+    return np.stack(list(decompose(f, partition)))
+
+
+# The materialised-stack path, the oracle for littlewood_paley.level_sums:
+# the whole weighted stack N^s |P_N f| is built, and every reader takes all
+# of its levels at once.
+
+
+def weighted_stack(f, partition, s):
+    """The real stack N^s |P_N f|, from one decomposition of f."""
+    stack = np.abs(lp_stack(f, partition))
+    powers = np.array([N**s for N in partition.levels])
+    stack *= powers.reshape((-1,) + (1,) * f.grid.d)
+    return stack
+
+
+def stack_level_norms(f, stack, p):
+    """The L^p norm on f's grid of each level of a stack."""
+    return np.array([_lq(level, f.grid.h**f.grid.d, p) for level in stack])
+
+
+def stack_lr_sum(stack, r):
+    """The l^r sum over the first axis; the max when r is infinite."""
+    if r == np.inf:
+        return stack.max(axis=0, initial=0.0)
+    return (stack**r).sum(axis=0) ** (1.0 / r)
+
+
+def stack_besov_norm(f, stack, p, q):
+    return float(stack_lr_sum(stack_level_norms(f, stack, p), q))
+
+
+def stack_triebel_lizorkin_norm(f, stack, p, r):
+    return _lq(stack_lr_sum(stack, r), f.grid.h**f.grid.d, p)
+
+
+def stack_holder_sides(f, stack, q):
+    """(lhs, mid, rhs) of holder_refinement_check from the stack."""
+    hd = f.grid.h**f.grid.d
+    t = (stack**q).sum(axis=0)
+    a = (stack**2).sum(axis=0)
+    b = (stack ** (2.0 * (q - 1.0))).sum(axis=0)
+    lhs = float(t.sum() * hd)
+    mid = float(np.sqrt(a * b).sum() * hd)
+    rhs = float(
+        ((a ** (q / 2.0)).sum() * hd) ** (1.0 / q)
+        * ((b ** (q / (2.0 * (q - 1.0)))).sum() * hd) ** ((q - 1.0) / q)
+    )
+    return lhs, mid, rhs
+
+
+def stack_shell_sums(f, stack, q):
+    """The (levels, shells) sums of stack^q over each shell of
+    shell_index_mesh, one boolean mask per shell."""
+    shell_idx = shell_index_mesh(f.grid, f.centering)
+    return np.array(
+        [[(level**q)[shell_idx == j].sum() for j in range(len(shell_radii(f.grid)))]
+         for level in stack]
+    )
+
+
+def stack_localization_constant(f, partition, s, q):
+    """E_b of shell_chain_check's link (b), from the stack of f - mean."""
+    d = f.grid.d
+    f0 = f.with_values(f.values - np.mean(f.values))
+    stack = weighted_stack(f0, partition, s)
+    norms = stack_level_norms(f0, stack, q)
+    sums = stack_shell_sums(f0, stack, q)
+    floor = NOISE_FLOOR * float(np.max(np.abs(f0.values), initial=0.0))
+    e_b = 0.0
+    for N, level, c, masses in zip(partition.levels, stack, norms, sums):
+        if level.max(initial=0.0) <= floor * N**s:
+            continue
+        for R, mass in zip(shell_radii(f.grid), masses):
+            shell_lq = float((mass * f.grid.h**d) ** (1.0 / q))
+            cap = min(1.0, (N * R) ** (d / q)) * c
+            if cap > 0:
+                e_b = max(e_b, shell_lq / cap)
+    return e_b
 
 
 def phased_band_limited_field(grid, seed, envelope=1.0, band=None):

@@ -11,6 +11,7 @@ import pytest
 
 import hardylp.corpus as corpus
 import hardylp.littlewood_paley as littlewood_paley
+from conftest import random_mean_zero_field, stack_level_norms, weighted_stack
 from hardylp.cli import COMMAND_FLAGS, COMMANDS, FLAGS, RunConfig, _build_parser, main
 from hardylp.corpus import random_band_limited_field
 from hardylp.extremal import ESTIMATE_IDENTITIES
@@ -129,18 +130,20 @@ def test_verify_d4_runs_inner_ball_bound_on_its_own_grid(capsys):
 
 
 def test_verify_builds_one_corpus_and_one_partition(capsys, call_log):
-    corpora = call_log(corpus, "standard_corpus")
+    corpora = call_log(corpus, "corpus_fields")
     partitions = call_log(littlewood_paley, "build_partition")
     code, _, _ = run(
         capsys, "verify", "--suite", "all", "--d", "3", "--n", "32", "--q", "3",
         "--s", "0.5", "--corpus-size", "2",
     )
     assert code == 0
-    # the suite's corpus, plus the inner-ball check's coarse d = 3 corpus
+    # the suite's corpus, one field at a time, plus the inner-ball check's
+    # coarse d = 3 corpus, whose standard_corpus list is built by corpus_fields
     assert (len(corpora), len(partitions)) == (2, 1)
 
 
-def test_verify_decomposes_each_corpus_field_once(capsys, call_log):
+def test_verify_runs_the_level_pass_once_per_corpus_field(capsys, call_log):
+    passes = call_log(littlewood_paley, "level_sums")
     decomposed = call_log(littlewood_paley, "decompose")
     code, _, _ = run(
         capsys, "verify", "--suite", "all", "--d", "3", "--n", "32", "--q", "3",
@@ -149,9 +152,27 @@ def test_verify_decomposes_each_corpus_field_once(capsys, call_log):
     assert code == 0
     grid = make_grid(3, 32, 20.0)
     fields_ = [f for _, f in corpus.standard_corpus(grid, 5, 1, s=0.5, q=3.0)]
-    assert len(decomposed) == len(fields_) == 5
-    for (field, _), f in zip(decomposed, fields_):
+    assert len(passes) == len(decomposed) == len(fields_) == 5
+    for (field, *_), f in zip(passes, fields_):
         assert np.array_equal(field.values, f.values)
+
+
+def test_verify_fft_budget(capsys, fft_calls):
+    code, _, _ = run(
+        capsys, "verify", "--suite", "all", "--d", "3", "--n", "32", "--q", "3",
+        "--s", "0.5", "--corpus-size", "6",
+    )
+    assert code == 0
+    # n = 32 gives 3 dyadic levels; the corpus is 2 Gaussians and 4 band
+    # fields (the power-law cutoffs do not fit), and the coarse n = 16 corpus
+    # of the inner-ball check is 2 Gaussians and 4 band fields.  Per field:
+    #   |D|^s f (fractional, refined, stein-weiss base)   1 rfftn + 1 irfftn
+    #   classical ||grad f||_2^2 by Parseval               1 rfftn
+    #   fractional homogeneity, |D|^s (3.5 f)              1 rfftn + 1 irfftn
+    #   stein-weiss Riesz potential of |D|^s f             1 rfftn + 1 irfftn
+    #   level pass, 3 levels                               1 rfftn + 3 irfftn
+    # that is 5 rfftn and 6 irfftn, and each band field takes one irfftn.
+    assert dict(fft_calls) == {"rfftn": 6 * 5, "irfftn": 6 * 6 + 4 + 4}
 
 
 @pytest.mark.parametrize(
@@ -368,6 +389,21 @@ def test_lp_command_prints_partition_record(capsys, band_field_file):
     code, out, _ = run(capsys, "lp", "--field", str(band_field_file))
     assert code == 0
     assert json.loads(out)[0]["extra"]["partition"]["profile"] == "bump-telescope-v1"
+
+
+def test_lp_command_on_a_complex_field(capsys, tmp_path):
+    # a complex field takes the complex FFT through the level pass; its piece
+    # norms are those of the materialised stack
+    grid = make_grid(2, 32, 20.0)
+    f = random_mean_zero_field(grid, seed=320)
+    path = tmp_path / "complex.hlf"
+    write_field(path, f)
+    code, out, _ = run(capsys, "lp", "--field", str(path))
+    assert code == 0
+    part = littlewood_paley.build_partition(grid)
+    norms = stack_level_norms(f, weighted_stack(f, part, 0.0), 2.0)
+    assert [r["s"] for r in json.loads(out)] == list(part.levels)
+    assert [r["lhs"] for r in json.loads(out)] == norms.tolist()
 
 
 # --- check commands -----------------------------------------------------------------

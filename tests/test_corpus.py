@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hardylp.corpus as corpus
 from conftest import (
     mesh_capped_power,
     mesh_gaussian,
@@ -167,3 +168,15 @@ def test_band_limited_matches_phased_oracle(d, n):
 def test_band_limited_takes_one_real_inverse_fft(grid2, fft_calls):
     random_band_limited_field(grid2, 5)
     assert dict(fft_calls) == {"irfftn": 1}
+
+
+def test_band_support_is_built_once_per_grid_and_seed(grid2, call_log):
+    # an envelope search draws the support once; only the synthesis repeats
+    corpus._band_support.cache_clear()
+    radii = call_log(corpus, "frequency_radius")
+    for envelope in (0.5, 1.3, 2.5, 0.5):
+        got = random_band_limited_field(grid2, 8, envelope).values
+        assert_matches(got, phased_band_limited_field(grid2, 8, envelope))
+    assert len(radii) == 1
+    random_band_limited_field(grid2, 9, band=[0.1, 0.4])  # a list band is hashed
+    assert len(radii) == 2

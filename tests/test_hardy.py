@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import hardylp.littlewood_paley as littlewood_paley
-from conftest import discrete_hardy_ceiling, random_mean_zero_field
-from hardylp.corpus import gaussian_field, random_band_limited_field
+from conftest import discrete_hardy_ceiling, lp_stack, random_mean_zero_field
+from hardylp.corpus import gaussian_field, random_band_limited_field, standard_corpus
 from hardylp.hardy import (
     besov_hardy_quotient,
     classical_hardy_quotient,
@@ -14,14 +14,17 @@ from hardylp.hardy import (
     holder_refinement_check,
     refined_hardy_quotient,
     shell_chain_check,
+    shell_groups,
     shell_index_mesh,
     shell_radii,
 )
-from hardylp.littlewood_paley import build_partition, project
+from hardylp.littlewood_paley import build_partition, level_sums, project
 from hardylp.schur import hardy_kernel_entry
 from hardylp.spectral_core import (
+    _lq,
     _refined_weight,
     fractional_laplacian,
+    gradient_magnitude,
     lq_norm,
     make_field,
     make_grid,
@@ -77,6 +80,27 @@ def test_classical_zero_field_vacuous(grid3f):
     assert rep.quotient is None
     assert rep.vacuous
     assert rep.passed
+
+
+@pytest.mark.parametrize("kind", ["corpus", "noise", "complex"])
+def test_classical_rhs_is_the_energy_of_the_spectral_gradient(kind):
+    # Parseval from one forward FFT, with each axis's term zero on its own
+    # Nyquist plane for a real field, as the spectral gradient has it; white
+    # noise carries content on every Nyquist plane
+    grid = make_grid(3, 32, 20.0)
+    if kind == "corpus":
+        fields_ = [f for _, f in standard_corpus(grid, 6, 1, s=0.5, q=3.0)]
+    else:
+        real = kind == "noise"
+        fields_ = [random_mean_zero_field(grid, 520 + i, real=real) for i in range(3)]
+    for f in fields_:
+        composed = _lq(gradient_magnitude(f), grid.h**3, 2.0) ** 2
+        assert classical_hardy_quotient(f).rhs == pytest.approx(composed, rel=1e-14)
+
+
+def test_classical_takes_one_forward_fft(gauss3, fft_calls):
+    classical_hardy_quotient(gauss3)
+    assert dict(fft_calls) == {"rfftn": 1}
 
 
 def test_classical_holds_on_corpus(grid3f):
@@ -424,11 +448,11 @@ def test_chain_skips_a_level_of_rounding_noise():
     grid = make_grid(3, 32, 20.0)
     part = build_partition(grid)
     f = random_band_limited_field(grid, 1)
-    top = littlewood_paley.decompose(f, part)[-1]
+    top = lp_stack(f, part)[-1]
     assert 0.0 < np.abs(top).max() < 1e-14
-    stack = littlewood_paley._weighted_stack(f, part, 0.5)
+    sums = level_sums(f, part, 0.5, 3.0, groups=shell_groups(grid))
     rep = shell_chain_check(f, 0.5, 3.0, part)
-    shared = shell_chain_check(f, 0.5, 3.0, part, stack=stack)
+    shared = shell_chain_check(f, 0.5, 3.0, part, sums=sums)
     assert rep.extra["worst_pair"][0] != part.levels[-1]
     assert shared.extra["worst_pair"] == rep.extra["worst_pair"]
     assert shared.rhs == pytest.approx(rep.rhs, rel=1e-14)
@@ -440,24 +464,25 @@ def test_chain_rejects_inadmissible(grid2):
         shell_chain_check(f, 1.2, 2.0)  # s >= d/q
 
 
-# --- one shared stack and Sobolev norm ---------------------------------------------
+# --- one shared level pass and Sobolev norm ----------------------------------------
 
 
 def test_shared_stack_and_sobolev_norm_give_the_same_reports(grid2):
+    # the shared input is now one level pass, the sums that replace the stack
     s, q = 0.4, 3.0
     part = build_partition(grid2)
     f = random_band_limited_field(grid2, 5)
-    stack = littlewood_paley._weighted_stack(f, part, s)
+    sums = level_sums(f, part, s, q, (q, 2.0, 2.0 * (q - 1.0)))
     sobolev = sobolev_norm(f, s, q)
     pairs = [
         (fractional_hardy_quotient(f, s, q),
          fractional_hardy_quotient(f, s, q, sobolev=sobolev)),
         (besov_hardy_quotient(f, s, q, part),
-         besov_hardy_quotient(f, s, q, part, stack=stack)),
+         besov_hardy_quotient(f, s, q, part, sums=sums)),
         (refined_hardy_quotient(f, s, q, part),
-         refined_hardy_quotient(f, s, q, part, stack=stack, sobolev=sobolev)),
+         refined_hardy_quotient(f, s, q, part, sums=sums, sobolev=sobolev)),
         (holder_refinement_check(f, s, q, part),
-         holder_refinement_check(f, s, q, part, stack=stack)),
+         holder_refinement_check(f, s, q, part, sums=sums)),
     ]
     for alone, shared in pairs:
         assert shared.to_dict() == alone.to_dict()
@@ -474,14 +499,16 @@ def test_shared_sobolev_norm_is_used_as_given(grid2):
     [besov_hardy_quotient, refined_hardy_quotient, shell_chain_check,
      holder_refinement_check],
 )
-def test_stack_of_the_wrong_shape_is_refused(grid2, check):
+def test_level_sums_that_do_not_serve_the_check_are_refused(grid2, check):
     part = build_partition(grid2)
     f = random_band_limited_field(grid2, 5)
-    stack = littlewood_paley._weighted_stack(f, part, 0.4)
-    with pytest.raises(ValueError, match="stack shape"):
-        check(f, 0.4, 3.0, part, stack=stack[:-1])
-    with pytest.raises(ValueError, match="stack shape"):
-        check(f, 0.4, 3.0, part, stack=stack[:, :-1])
+    powers, groups = (3.0, 2.0, 4.0), shell_groups(grid2)
+    for s, p in ((0.5, 3.0), (0.4, 4.0)):  # another s, another p
+        with pytest.raises(ValueError, match="do not serve"):
+            check(f, 0.4, 3.0, part, sums=level_sums(f, part, s, p, powers, groups))
+    if check is not besov_hardy_quotient:  # it reads the level norms alone
+        with pytest.raises(ValueError, match="do not serve"):
+            check(f, 0.4, 3.0, part, sums=level_sums(f, part, 0.4, 3.0))
 
 
 # --- two-step Holder refinement ------------------------------------------------------

@@ -1,17 +1,31 @@
 """Dyadic partition construction, projectors, and the scale-indexed norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import random_mean_zero_field
+
+from conftest import (
+    lp_stack,
+    random_mean_zero_field,
+    stack_besov_norm,
+    stack_holder_sides,
+    stack_level_norms,
+    stack_localization_constant,
+    stack_shell_sums,
+    stack_triebel_lizorkin_norm,
+    weighted_stack,
+)
 from hardylp.corpus import random_band_limited_field, standard_corpus
+from hardylp.hardy import holder_refinement_check, shell_chain_check, shell_groups
 from hardylp.littlewood_paley import (
     bernstein_check,
     besov_norm,
     besov_terms,
     build_partition,
-    decompose,
     dyadic_bump,
+    level_sums,
     partition_record,
     project,
     smooth_cutoff,
@@ -102,7 +116,7 @@ def test_partition_covers_whole_lattice(grid2):
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 64), (3, 32)])
 def test_every_multiplier_is_zero_at_frequency_zero(dim, n):
     part = build_partition(make_grid(dim, n, 20.0))
-    assert [part.multipliers[N].flat[0] for N in part.levels] == [0.0] * len(
+    assert [part.multiplier(N).flat[0] for N in part.levels] == [0.0] * len(
         part.levels
     )
 
@@ -114,8 +128,8 @@ def test_decompose_ignores_the_mean_on_the_corpus(dim, n, q):
     grid = make_grid(dim, n, 20.0)
     part = build_partition(grid)
     for label, f in standard_corpus(grid, 6, 1, s=0.3, q=q):
-        stack = decompose(f, part)
-        mean_free = decompose(f.with_values(f.values - np.mean(f.values)), part)
+        stack = lp_stack(f, part)
+        mean_free = lp_stack(f.with_values(f.values - np.mean(f.values)), part)
         scale = np.abs(stack).max()
         assert np.abs(stack - mean_free).max() <= 1e-15 * scale, label
 
@@ -193,7 +207,7 @@ def test_project_spectrum_support_interior(grid1_wide):
 def test_reconstruction_band_limited(grid2):
     part = build_partition(grid2)
     f = random_band_limited_field(grid2, seed=34)
-    total = decompose(f, part).sum(axis=0)
+    total = lp_stack(f, part).sum(axis=0)
     target = f.values - f.values.mean()
     assert np.abs(total - target).max() < 1e-10 * np.abs(target).max()
 
@@ -201,7 +215,7 @@ def test_reconstruction_band_limited(grid2):
 def test_reconstruction_any_mean_zero_field(grid2):
     # raw edge tails make the reconstruction exact for every mean-zero field
     f = random_mean_zero_field(grid2, seed=35)
-    total = decompose(f, build_partition(grid2)).sum(axis=0)
+    total = lp_stack(f, build_partition(grid2)).sum(axis=0)
     assert np.abs(total - f.values).max() < 1e-10 * np.abs(f.values).max()
 
 
@@ -332,6 +346,83 @@ def test_square_function_equivalence_stable_under_refinement():
     lo2, hi2 = band(128)
     assert abs(lo2 - lo1) / lo1 < 0.10
     assert abs(hi2 - hi1) / hi1 < 0.10
+
+
+# --- one level pass against the materialised stack ------------------------------
+
+PASS_GRIDS = {1: (128, 20.0), 2: (32, 20.0), 3: (32, 20.0)}
+
+
+@pytest.mark.parametrize("s", [0.2, 0.5])
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_level_pass_matches_the_stack(d, q, s):
+    # the stack oracle of conftest reads every level at once; the pass reads
+    # one level at a time and must give the same numbers bitwise
+    grid = make_grid(d, *PASS_GRIDS[d])
+    part = build_partition(grid)
+    groups = shell_groups(grid)
+    rs = (2.0, 2.0 * (q - 1.0), np.inf)
+    fields_ = [f for _, f in standard_corpus(grid, 4, 1, s=s, q=q)]
+    fields_.append(random_mean_zero_field(grid, seed=300 + d))  # complex
+    for f in fields_:
+        sums = level_sums(f, part, s, q, (*rs, q), groups)
+        stack = weighted_stack(f, part, s)
+        assert np.array_equal(sums.norms, stack_level_norms(f, stack, q))
+        assert np.array_equal(sums.maxima, stack.max(axis=(*range(1, d + 1),)))
+        assert sums.besov(q) == stack_besov_norm(f, stack, q, q)
+        for r in rs:
+            tl = stack_triebel_lizorkin_norm(f, stack, q, r)
+            assert sums.triebel_lizorkin(r) == tl
+        # group_sums keeps each shell's samples in C order, as a mask does
+        assert np.array_equal(sums.shells, stack_shell_sums(f, stack, q))
+        if q > 2:
+            rep = holder_refinement_check(f, s, q, part, sums=sums)
+            sides = (rep.lhs, rep.extra["mid"], rep.rhs)
+            assert sides == stack_holder_sides(f, stack, q)
+        if s < d / q:
+            e_b = shell_chain_check(f, s, q, part).extra["localization_constant"]
+            oracle = stack_localization_constant(f, part, s, q)
+            assert e_b == oracle
+
+
+def test_besov_terms_of_a_complex_field_match_the_stack(grid2):
+    part = build_partition(grid2)
+    f = random_mean_zero_field(grid2, seed=310)
+    assert np.iscomplexobj(f.values)
+    terms = besov_terms(f, part, 0.3, 2.0)
+    expected = stack_level_norms(f, weighted_stack(f, part, 0.3), 2.0)
+    assert list(terms) == list(part.levels)
+    assert list(terms.values()) == expected.tolist()
+
+
+def test_level_pass_peak_memory_does_not_grow_with_the_levels():
+    # one level at a time: the working peak of the verify pass (norms, three
+    # pointwise sums, shell sums) is the same at 3 levels and at 5, to within
+    # one field array; the stack path grows by about two arrays per level
+    grid = make_grid(3, 64, 20.0)
+    f = random_band_limited_field(grid, 1)
+    groups = shell_groups(grid)
+    peaks = []
+    for coverage in (0.25, 1.0):
+        part = build_partition(grid, coverage)
+        level_sums(f, part, 0.5, 3.0, (3.0, 2.0, 4.0), groups)  # warm the caches
+        tracemalloc.start()
+        try:
+            level_sums(f, part, 0.5, 3.0, (3.0, 2.0, 4.0), groups)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(part.levels) == {0.25: 3, 1.0: 5}[coverage]
+    assert abs(peaks[1] - peaks[0]) <= f.values.nbytes
+
+
+def test_level_sums_refuse_an_aggregate_they_did_not_take(grid2):
+    part = build_partition(grid2)
+    sums = level_sums(random_band_limited_field(grid2, 5), part, 0.4, 3.0, (2.0,))
+    sums.aggregate(2.0)
+    with pytest.raises(ValueError, match="do not serve"):
+        sums.aggregate(4.0)
 
 
 # --- localization bound -------------------------------------------------------
