@@ -496,8 +496,9 @@ def _field_reports(cfg: RunConfig, runs, f, partition, specialization):
     |D|^s f is computed once, for the fractional and refined Sobolev factor
     and the stein-weiss specialization, and freed before the field's one
     level pass; the Besov, refined, chain and Holder checks all read the
-    sums of that pass.  specialization is the (params, Riesz constant) pair
-    of the stein-weiss specialization when that suite runs.
+    sums of that pass, and the Besov and refined quotients the fractional
+    one's ||f / |x|^s||_q.  specialization is the (params, Riesz constant)
+    pair of the stein-weiss specialization when that suite runs.
     """
     s, q = cfg.s, cfg.q
     tol = cfg.tolerance if cfg.tolerance is not None else QUADRATURE_TOL
@@ -515,7 +516,8 @@ def _field_reports(cfg: RunConfig, runs, f, partition, specialization):
                 hardy.append(classical_hardy_quotient(f, tol))
             if q < cfg.d:
                 hardy.append(gradient_hardy_quotient(f, q, tol=tol))
-            hardy.append(_fractional_report(f, s, q, sobolev))
+            frac = _fractional_report(f, s, q, sobolev)
+            hardy.append(frac)
         if specialization is not None:
             rep = _specialization_report(cfg, f, lifted, sobolev, *specialization)
             if rep is not None:
@@ -529,13 +531,11 @@ def _field_reports(cfg: RunConfig, runs, f, partition, specialization):
         shells = shell_groups(f.grid, f.centering) if "chain" in runs else None
         sums = level_sums(f, partition, s, q, powers, shells)
         if "hardy" in runs:
-            hardy.append(besov_hardy_quotient(f, s, q, partition, sums=sums))
+            shared = {"sums": sums, "weighted": frac.lhs}
+            hardy.append(besov_hardy_quotient(f, s, q, partition, **shared))
             if q > 2:
-                hardy.append(
-                    refined_hardy_quotient(
-                        f, s, q, partition, sums=sums, sobolev=sobolev
-                    )
-                )
+                shared["sobolev"] = sobolev
+                hardy.append(refined_hardy_quotient(f, s, q, partition, **shared))
         if "chain" in runs:
             chain.append(shell_chain_check(f, s, q, partition, sums=sums))
             if q > 2:

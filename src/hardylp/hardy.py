@@ -115,14 +115,15 @@ def _level_sums(f, partition, s, q, sums, powers=(), groups=None) -> LevelSums:
 
 
 def fractional_hardy_quotient(
-    f: SampledField, s: float, q: float, *, sobolev: float | None = None
+    f: SampledField, s: float, q: float,
+    *, sobolev: float | None = None, weighted: float | None = None,
 ) -> CheckReport:
     """||f / |x|^s||_q against the homogeneous Sobolev norm || |D|^s f ||_q.
 
-    sobolev, when given, is that norm, computed once and shared by every
-    quotient of f that needs it."""
+    sobolev and weighted, when given, are those two norms, computed once and
+    shared by every quotient of f that needs them."""
     _require_fractional(f.grid.d, s, q)
-    lhs = weighted_lq_norm(f, s, q)
+    lhs = weighted if weighted is not None else weighted_lq_norm(f, s, q)
     rhs = sobolev if sobolev is not None else sobolev_norm(f, s, q)
     return _report("fractional", f, s, q, lhs, rhs)
 
@@ -134,13 +135,15 @@ def besov_hardy_quotient(
     partition: DyadicPartition | None = None,
     *,
     sums: LevelSums | None = None,
+    weighted: float | None = None,
 ) -> CheckReport:
     """||f / |x|^s||_q against the Besov norm with both exponents q.
 
     sums, when given, is level_sums(f, partition, s, q, ...), one level pass
-    shared by every norm of f that reads it."""
+    shared by every norm of f that reads it; weighted is as for
+    fractional_hardy_quotient."""
     _require_fractional(f.grid.d, s, q)
-    lhs = weighted_lq_norm(f, s, q)
+    lhs = weighted if weighted is not None else weighted_lq_norm(f, s, q)
     rhs = _level_sums(f, partition, s, q, sums).besov(q)
     return _report("besov", f, s, q, lhs, rhs)
 
@@ -153,19 +156,20 @@ def refined_hardy_quotient(
     *,
     sums: LevelSums | None = None,
     sobolev: float | None = None,
+    weighted: float | None = None,
 ) -> CheckReport:
     """||f / |x|^s||_q against the q > 2 refinement
     || |D|^s f ||_q^(1/q) * TL(s, q, 2(q-1))^((q-1)/q).
 
-    sums and sobolev, when given, are as for besov_hardy_quotient and
-    fractional_hardy_quotient."""
+    sums, sobolev and weighted, when given, are as for besov_hardy_quotient
+    and fractional_hardy_quotient."""
     if q <= 2:
         raise ValueError(
             "refined quotient needs q > 2; use fractional_hardy_quotient for "
             "1 < q <= 2"
         )
     _require_fractional(f.grid.d, s, q)
-    lhs = weighted_lq_norm(f, s, q)
+    lhs = weighted if weighted is not None else weighted_lq_norm(f, s, q)
     if sobolev is None:
         sobolev = sobolev_norm(f, s, q)
     r = 2.0 * (q - 1.0)

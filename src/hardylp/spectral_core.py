@@ -15,7 +15,8 @@ mirror image on the lattice, so an odd symbol has no Hermitian value there
 (the usual rule for odd spectral derivatives; Trefethen, Spectral Methods
 in MATLAB, SIAM 2000, ch. 3).  Complex fields keep every symbol as given.
 Generic multipliers (apply_multiplier) need not be Hermitian and always take
-the complex path.
+the complex path.  The gradient's symbol 2 pi i xi_j depends on xi_j alone,
+so each partial derivative takes one 1-D transform pair along its own axis.
 """
 
 from __future__ import annotations
@@ -418,7 +419,7 @@ def _odd_frequencies(grid: GridSpec, real: bool) -> np.ndarray:
 def _along_axis(grid: GridSpec, ax: int, k: np.ndarray) -> np.ndarray:
     """The per-axis array k laid along axis ax, to broadcast over the lattice."""
     shape = [1] * grid.d
-    shape[ax] = grid.n
+    shape[ax] = k.size
     return k.reshape(shape)
 
 
@@ -436,8 +437,9 @@ def riesz_transform(f: SampledField, j: int) -> SampledField:
 
 
 def gradient(f: SampledField) -> tuple[SampledField, ...]:
-    """Spectral partial derivatives: component j has spectrum 2 pi i xi_j fhat."""
-    return tuple(f.with_values(g) for g in _apply_diag(f.values, _gradient_symbols(f)))
+    """Spectral partial derivatives: component j has spectrum 2 pi i xi_j fhat,
+    taken by one 1-D transform pair along its own axis j."""
+    return tuple(f.with_values(g) for g in _gradient_components(f))
 
 
 def _gradient_symbols(f: SampledField) -> list[np.ndarray]:
@@ -446,10 +448,24 @@ def _gradient_symbols(f: SampledField) -> list[np.ndarray]:
     return [_along_axis(f.grid, ax, k) for ax in range(f.grid.d)]
 
 
+def _gradient_components(f: SampledField):
+    """The components of gradient(f), each made when it is taken: rfft/irfft
+    along axis j for real f, with the symbol's Nyquist entry zero, else fft/ifft."""
+    n, real = f.grid.n, np.isrealobj(f.values)
+    k = 2j * np.pi * _odd_frequencies(f.grid, real)[: n // 2 + 1 if real else None]
+    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    for ax in range(f.grid.d):
+        yield inv(fwd(f.values, axis=ax) * _along_axis(f.grid, ax, k), n, axis=ax)
+
+
 def gradient_magnitude(f: SampledField) -> np.ndarray:
-    """Pointwise Euclidean length of the spectral gradient."""
-    comps = _apply_diag(f.values, _gradient_symbols(f))
-    return np.sqrt(sum(np.abs(g) ** 2 for g in comps))
+    """Pointwise length of the spectral gradient, summed in place per component."""
+    total = 0.0
+    for g in _gradient_components(f):
+        g = np.abs(g, out=g if np.isrealobj(g) else None)
+        total += np.square(g, out=g)
+        del g  # frees the component before the next one is made
+    return np.sqrt(total, out=total)
 
 
 def lq_norm(f: SampledField, q: float) -> float:
@@ -537,15 +553,10 @@ def weighted_lq_norm(f: SampledField, s: float, q: float) -> float:
 
 
 def boundary_decay(f: SampledField) -> float:
-    """Largest |f| sample on the outermost cell layer of the box."""
-    n = f.grid.n
-    mags = np.abs(f.values)
-    worst = 0.0
-    for ax in range(f.grid.d):
-        first = np.take(mags, 0, axis=ax)
-        last = np.take(mags, n - 1, axis=ax)
-        worst = max(worst, float(first.max()), float(last.max()))
-    return worst
+    """Largest |f| sample on the outermost cell layer of the box, with |f|
+    taken of the 2d faces only."""
+    faces = (np.moveaxis(f.values, ax, 0)[[0, -1]] for ax in range(f.grid.d))
+    return max(float(np.abs(face).max()) for face in faces)
 
 
 def write_field(path, f: SampledField) -> None:

@@ -11,6 +11,8 @@ from hardylp.spectral_core import (
     WEIGHT_REFINE_FACTOR,
     WEIGHT_REFINE_RADIUS,
     Spectrum,
+    _apply_diag,
+    _gradient_symbols,
     _lq,
     _refined_weight,
     axis_coordinates,
@@ -124,6 +126,21 @@ def direct_refined_weight(grid, centering, exponent):
         rr = np.sqrt(sum((center[ax] + sub[ax]) ** 2 for ax in range(grid.d)))
         w[tuple(idx)] = float(np.mean(rr**exponent))
     return w
+
+
+def dd_gradient(f):
+    """The spectral gradient by d-D transforms, the reference for
+    spectral_core.gradient: one forward rfftn (fftn when f is complex), then
+    per component a d-D inverse of the spectrum times 2 pi i xi_j."""
+    return list(_apply_diag(f.values, _gradient_symbols(f)))
+
+
+def full_field_boundary_decay(f):
+    """boundary_decay from |f| of the whole field, the reference for the
+    version that takes |f| of the 2d faces only."""
+    mags = np.abs(f.values)
+    faces = [np.take(mags, i, axis=ax) for ax in range(f.grid.d) for i in (0, -1)]
+    return max(float(face.max()) for face in faces)
 
 
 def direct_inner_ball_potential(g, s):

@@ -11,6 +11,7 @@ import pytest
 
 import hardylp.corpus as corpus
 import hardylp.littlewood_paley as littlewood_paley
+import hardylp.spectral_core as spectral_core
 from conftest import random_mean_zero_field, stack_level_norms, weighted_stack
 from hardylp.cli import COMMAND_FLAGS, COMMANDS, FLAGS, RunConfig, _build_parser, main
 from hardylp.corpus import random_band_limited_field
@@ -173,6 +174,40 @@ def test_verify_fft_budget(capsys, fft_calls):
     #   level pass, 3 levels                               1 rfftn + 3 irfftn
     # that is 5 rfftn and 6 irfftn, and each band field takes one irfftn.
     assert dict(fft_calls) == {"rfftn": 6 * 5, "irfftn": 6 * 6 + 4 + 4}
+
+
+def test_verify_takes_one_weighted_norm_per_field_for_the_fractional_trio(
+    capsys, call_log
+):
+    weighted = call_log(spectral_core, "power_weighted_lq_norm")
+    code, out, _ = run(
+        capsys, "verify", "--suite", "hardy", "--d", "3", "--n", "32", "--q", "3",
+        "--s", "0.5", "--corpus-size", "3",
+    )
+    assert code == 0
+    identities = [r["identity"] for r in json.loads(out)]
+    assert {"fractional", "besov", "refined"} <= set(identities)
+    grid = make_grid(3, 32, 20.0)
+    fields_ = [f for _, f in corpus.standard_corpus(grid, 3, 1, s=0.5, q=3.0)]
+    trio = [args for args in weighted if args[1:] == (-0.5, 3.0)]
+    # the fractional, Besov and refined quotients share one ||f / |x|^s||_q;
+    # the homogeneity check takes its own, of 3.5 f
+    assert len(trio) == 2 * len(fields_)
+    for f in fields_:
+        assert sum(np.array_equal(args[0].values, f.values) for args in trio) == 1
+
+
+def test_gradient_check_fft_budget(capsys, fft_calls):
+    code, _, _ = run(
+        capsys, "hardy-check", "--identity", "gradient", "--d", "4", "--n", "16",
+        "--q", "3", "--corpus-size", "6",
+    )
+    assert code == 0
+    # the corpus is 2 Gaussians and 4 band fields (the power-law cutoffs do
+    # not fit); each band field takes one irfftn.  Per field, the gradient
+    # takes one rfft and one irfft along each of the 4 axes, and no d-D
+    # transform; the weighted norm takes none
+    assert dict(fft_calls) == {"rfft": 6 * 4, "irfft": 6 * 4, "irfftn": 4}
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from hardylp.spectral_core import (
     make_grid,
     radius_mesh,
     sobolev_norm,
+    weighted_lq_norm,
 )
 
 # radial quadrature oracle values for the centered Gaussian exp(-|x|^2/(2 s^2)),
@@ -492,6 +493,22 @@ def test_shared_sobolev_norm_is_used_as_given(grid2):
     f = random_band_limited_field(grid2, 5)
     rep = fractional_hardy_quotient(f, 0.4, 3.0, sobolev=2.0)
     assert rep.rhs == 2.0 and rep.quotient == rep.lhs / 2.0
+
+
+def test_shared_weighted_norm_gives_the_same_reports_and_is_used_as_given(grid2):
+    s, q = 0.4, 3.0
+    part = build_partition(grid2)
+    f = random_band_limited_field(grid2, 5)
+    weighted = weighted_lq_norm(f, s, q)
+    quotients = [
+        lambda **kw: fractional_hardy_quotient(f, s, q, **kw),
+        lambda **kw: besov_hardy_quotient(f, s, q, part, **kw),
+        lambda **kw: refined_hardy_quotient(f, s, q, part, **kw),
+    ]
+    for quotient in quotients:
+        assert quotient(weighted=weighted).to_dict() == quotient().to_dict()
+        rep = quotient(weighted=2.0)
+        assert rep.lhs == 2.0 and rep.quotient == 2.0 / rep.rhs
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,18 @@
 """Grid construction, transforms, multipliers, fractional operators, norms."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import direct_refined_weight, random_field, random_mean_zero_field
+from conftest import (
+    dd_gradient,
+    direct_refined_weight,
+    full_field_boundary_decay,
+    random_field,
+    random_mean_zero_field,
+)
 from hardylp.corpus import gaussian_field
 from hardylp.littlewood_paley import build_partition, decompose, project
 from hardylp.spectral_core import (
@@ -438,6 +445,41 @@ def test_gradient_parseval(grid2):
     assert abs(space_side - freq_side) < 1e-10 * space_side
 
 
+@pytest.mark.parametrize("centering", ["cell", "lattice"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_gradient_matches_the_dd_transform_reference(d, real, centering):
+    # one 1-D transform pair along each component's own axis against the d-D
+    # round trip; white noise carries content on every Nyquist plane
+    grid = make_grid(d, 16, 20.0)
+    f = make_field(grid, random_field(grid, seed=290 + d, real=real).values, centering)
+    coef = forward_transform(f).coefficients
+    for ax in range(d):
+        assert np.abs(np.take(coef, grid.n // 2, axis=ax)).max() > 1e-3
+    want = dd_gradient(f)
+    for g, w in zip(gradient(f), want):
+        assert g.values.dtype == w.dtype
+        assert np.abs(g.values - w).max() <= 1e-13 * np.abs(w).max()
+    magnitude = np.sqrt(sum(np.abs(w) ** 2 for w in want))
+    assert np.abs(gradient_magnitude(f) - magnitude).max() <= 1e-13 * magnitude.max()
+
+
+@pytest.mark.parametrize("d, n", [(3, 64), (4, 32)])
+def test_gradient_magnitude_peak_memory(d, n):
+    # one component at a time: its half-line spectrum (about one field array
+    # of complex half lines), its inverse and the running sum
+    grid = make_grid(d, n, 20.0)
+    f = random_field(grid, seed=7, real=True)
+    gradient_magnitude(f)
+    tracemalloc.start()
+    try:
+        gradient_magnitude(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * f.values.nbytes
+
+
 # --- norms ------------------------------------------------------------------
 
 
@@ -625,3 +667,20 @@ def test_boundary_decay_flag(grid2):
     assert boundary_decay(g) < 1e-8
     wide = gaussian_field(grid2, 0.3 * grid2.L)
     assert boundary_decay(wide) > 1e-8
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_boundary_decay_is_the_full_field_value(d, real):
+    # the largest sample placed in the interior, on a face, an edge, a corner
+    grid = make_grid(d, 8, 20.0)
+    noise = 1e-3 * random_field(grid, seed=40 + d, real=real).values
+    n = grid.n
+    peaks = [(3,) * d, (0,) + (4,) * (d - 1), ((0, n - 1) + (2,) * d)[:d], (n - 1,) * d]
+    for pos in peaks:
+        vals = noise.copy()
+        vals[pos] = -0.75 if real else -0.6 + 0.45j
+        f = make_field(grid, vals)
+        assert boundary_decay(f) == full_field_boundary_decay(f)
+        on_boundary = 0 in pos or n - 1 in pos
+        assert (boundary_decay(f) == 0.75) == on_boundary
