@@ -496,14 +496,13 @@ def _field_reports(cfg: RunConfig, runs, f, partition, specialization):
     |D|^s f is computed once, for the fractional and refined Sobolev factor
     and the stein-weiss specialization, and freed before the field's one
     level pass; the Besov, refined, chain and Holder checks all read the
-    sums of that pass, and the Besov and refined quotients the fractional
-    one's ||f / |x|^s||_q.  specialization is the (params, Riesz constant)
-    pair of the stein-weiss specialization when that suite runs.
+    sums of that pass.  specialization is the (params, Riesz constant) pair
+    of the stein-weiss specialization when that suite runs.
     """
     s, q = cfg.s, cfg.q
     tol = cfg.tolerance if cfg.tolerance is not None else QUADRATURE_TOL
     hardy, sw, chain = [], [], []
-    sobolev = None
+    sobolev = weighted = None
     if runs & {"hardy", "stein-weiss"}:
         lifted = None
         if q != 2 or specialization is not None:
@@ -516,8 +515,8 @@ def _field_reports(cfg: RunConfig, runs, f, partition, specialization):
                 hardy.append(classical_hardy_quotient(f, tol))
             if q < cfg.d:
                 hardy.append(gradient_hardy_quotient(f, q, tol=tol))
-            frac = _fractional_report(f, s, q, sobolev)
-            hardy.append(frac)
+            hardy.append(_fractional_report(f, s, q, sobolev))
+            weighted = hardy[-1].lhs  # ||f / |x|^s||_q, for besov and refined
         if specialization is not None:
             rep = _specialization_report(cfg, f, lifted, sobolev, *specialization)
             if rep is not None:
@@ -531,11 +530,13 @@ def _field_reports(cfg: RunConfig, runs, f, partition, specialization):
         shells = shell_groups(f.grid, f.centering) if "chain" in runs else None
         sums = level_sums(f, partition, s, q, powers, shells)
         if "hardy" in runs:
-            shared = {"sums": sums, "weighted": frac.lhs}
-            hardy.append(besov_hardy_quotient(f, s, q, partition, **shared))
+            hardy.append(
+                besov_hardy_quotient(f, s, q, partition, sums=sums, weighted=weighted)
+            )
             if q > 2:
-                shared["sobolev"] = sobolev
-                hardy.append(refined_hardy_quotient(f, s, q, partition, **shared))
+                hardy.append(refined_hardy_quotient(
+                    f, s, q, partition, sums=sums, sobolev=sobolev, weighted=weighted
+                ))
         if "chain" in runs:
             chain.append(shell_chain_check(f, s, q, partition, sums=sums))
             if q > 2:

@@ -115,15 +115,14 @@ def _level_sums(f, partition, s, q, sums, powers=(), groups=None) -> LevelSums:
 
 
 def fractional_hardy_quotient(
-    f: SampledField, s: float, q: float,
-    *, sobolev: float | None = None, weighted: float | None = None,
+    f: SampledField, s: float, q: float, *, sobolev: float | None = None
 ) -> CheckReport:
     """||f / |x|^s||_q against the homogeneous Sobolev norm || |D|^s f ||_q.
 
-    sobolev and weighted, when given, are those two norms, computed once and
-    shared by every quotient of f that needs them."""
+    sobolev, when given, is that norm, computed once and shared by every
+    quotient of f that needs it."""
     _require_fractional(f.grid.d, s, q)
-    lhs = weighted if weighted is not None else weighted_lq_norm(f, s, q)
+    lhs = weighted_lq_norm(f, s, q)
     rhs = sobolev if sobolev is not None else sobolev_norm(f, s, q)
     return _report("fractional", f, s, q, lhs, rhs)
 
@@ -140,8 +139,7 @@ def besov_hardy_quotient(
     """||f / |x|^s||_q against the Besov norm with both exponents q.
 
     sums, when given, is level_sums(f, partition, s, q, ...), one level pass
-    shared by every norm of f that reads it; weighted is as for
-    fractional_hardy_quotient."""
+    shared by every norm of f that reads it; weighted is ||f / |x|^s||_q."""
     _require_fractional(f.grid.d, s, q)
     lhs = weighted if weighted is not None else weighted_lq_norm(f, s, q)
     rhs = _level_sums(f, partition, s, q, sums).besov(q)
@@ -161,8 +159,8 @@ def refined_hardy_quotient(
     """||f / |x|^s||_q against the q > 2 refinement
     || |D|^s f ||_q^(1/q) * TL(s, q, 2(q-1))^((q-1)/q).
 
-    sums, sobolev and weighted, when given, are as for besov_hardy_quotient
-    and fractional_hardy_quotient."""
+    sums and weighted, when given, are as for besov_hardy_quotient, sobolev
+    as for fractional_hardy_quotient."""
     if q <= 2:
         raise ValueError(
             "refined quotient needs q > 2; use fractional_hardy_quotient for "

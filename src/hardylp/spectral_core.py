@@ -455,7 +455,8 @@ def _gradient_components(f: SampledField):
     k = 2j * np.pi * _odd_frequencies(f.grid, real)[: n // 2 + 1 if real else None]
     fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     for ax in range(f.grid.d):
-        yield inv(fwd(f.values, axis=ax) * _along_axis(f.grid, ax, k), n, axis=ax)
+        spec = fwd(f.values, axis=ax)
+        yield inv(np.multiply(spec, _along_axis(f.grid, ax, k), out=spec), n, axis=ax)
 
 
 def gradient_magnitude(f: SampledField) -> np.ndarray:
@@ -553,8 +554,7 @@ def weighted_lq_norm(f: SampledField, s: float, q: float) -> float:
 
 
 def boundary_decay(f: SampledField) -> float:
-    """Largest |f| sample on the outermost cell layer of the box, with |f|
-    taken of the 2d faces only."""
+    """Largest |f| on the box's outermost cell layer, read off its 2d faces."""
     faces = (np.moveaxis(f.values, ax, 0)[[0, -1]] for ax in range(f.grid.d))
     return max(float(np.abs(face).max()) for face in faces)
 

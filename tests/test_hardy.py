@@ -501,7 +501,6 @@ def test_shared_weighted_norm_gives_the_same_reports_and_is_used_as_given(grid2)
     f = random_band_limited_field(grid2, 5)
     weighted = weighted_lq_norm(f, s, q)
     quotients = [
-        lambda **kw: fractional_hardy_quotient(f, s, q, **kw),
         lambda **kw: besov_hardy_quotient(f, s, q, part, **kw),
         lambda **kw: refined_hardy_quotient(f, s, q, part, **kw),
     ]

@@ -477,7 +477,7 @@ def test_gradient_magnitude_peak_memory(d, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * f.values.nbytes
+    assert peak <= 3.25 * f.values.nbytes
 
 
 # --- norms ------------------------------------------------------------------
