@@ -360,6 +360,8 @@ def _sweep_values(cfg: RunConfig) -> list[float]:
         raise ValueError("sweep needs --values or --start/--stop/--step")
     if not vals:
         raise ValueError("empty sweep range")
+    if not np.isfinite(vals).all():
+        raise ValueError(f"sweep values must be finite, got {vals}")
     return vals
 
 

@@ -13,15 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import gaussian_field, random_band_limited_field, truncated_power_field
+from .corpus import gaussian_field, random_band_limited_field
 from .hardy import IDENTITIES
 from .littlewood_paley import build_partition
 from .report import QUADRATURE_TOL
-from .spectral_core import GridSpec, SampledField, _radial_values, make_field, make_grid
+from .spectral_core import GridSpec, _radial_values, make_field, make_grid
 
 __all__ = [
     "ConstantEstimate",
-    "quasi_extremal",
     "evaluate_trial",
     "estimate_constant",
     "ESTIMATE_IDENTITIES",
@@ -63,20 +62,6 @@ class ConstantEstimate:
             "trend": self.trend,
             "budget": self.budget,
         }
-
-
-def quasi_extremal(grid: GridSpec, s: float, q: float, epsilon: float) -> SampledField:
-    """Truncated power |x|^-(d/q - s - epsilon), smoothly cut at [4h, L/4].
-
-    The exponent must land in (0, d/q); the weighted norm then stays finite
-    as the cutoffs widen.  Raises when the grid cannot hold the cutoffs.
-    """
-    a = grid.d / q - s - epsilon
-    if not (0.0 < a < grid.d / q):
-        raise ValueError(
-            f"exponent d/q - s - epsilon = {a:g} must lie in (0, {grid.d / q:g})"
-        )
-    return truncated_power_field(grid, a, 4.0 * grid.h, grid.L / 4.0)
 
 
 class _BudgetExhausted(Exception):
@@ -124,7 +109,7 @@ class _Search:
         return {**params, coord: (x1 if f1 >= f2 else x2)}
 
 
-def _trial_field(grid: GridSpec, s: float, q: float, seed: int, params: dict):
+def _trial_field(grid: GridSpec, q: float, seed: int, params: dict):
     kind = params["family"]
     if kind == "gaussian":
         return gaussian_field(grid, params["width_fraction"] * grid.L)
@@ -160,7 +145,7 @@ def _partition_for(identity: str, grid: GridSpec):
 
 
 def _trial_quotient(identity, grid, partition, s, q, seed, params) -> float:
-    f = _trial_field(grid, s, q, seed, params)
+    f = _trial_field(grid, q, seed, params)
     rep = IDENTITIES[identity][1](f, s, q, partition, QUADRATURE_TOL)
     return rep.quotient if rep.quotient is not None else 0.0
 

@@ -23,7 +23,6 @@ from .spectral_core import (
     _apply_diag,
     _frequency_classes,
     _lq,
-    lq_norm,
 )
 
 __all__ = [
@@ -37,10 +36,6 @@ __all__ = [
     "level_sums",
     "group_sums",
     "besov_terms",
-    "besov_norm",
-    "triebel_lizorkin_norm",
-    "square_function",
-    "bernstein_check",
     "partition_record",
 ]
 
@@ -257,51 +252,11 @@ def besov_terms(
     return dict(zip(partition.levels, level_sums(f, partition, s, p).norms.tolist()))
 
 
-def besov_norm(
-    f: SampledField, partition: DyadicPartition, s: float, p: float, q: float
-) -> float:
-    """Homogeneous Besov norm: the l^q sum over dyadic scales of
-    N^s ||P_N f||_p, truncated to the partition range."""
-    return level_sums(f, partition, s, p).besov(q)
-
-
 def scale_aggregate(
     f: SampledField, partition: DyadicPartition, s: float, r: float
 ) -> np.ndarray:
     """Pointwise l^r aggregate over scales of N^s |P_N f(x)|."""
     return level_sums(f, partition, s, powers=(r,)).aggregate(r)
-
-
-def triebel_lizorkin_norm(
-    f: SampledField, partition: DyadicPartition, s: float, p: float, r: float
-) -> float:
-    """Homogeneous Triebel-Lizorkin norm: L^p quadrature of the pointwise
-    l^r aggregate over dyadic scales."""
-    return level_sums(f, partition, s, p, (r,)).triebel_lizorkin(r)
-
-
-def square_function(
-    f: SampledField, partition: DyadicPartition, s: float
-) -> SampledField:
-    """The pointwise l^2 aggregate (sum_N N^(2s) |P_N f|^2)^(1/2)."""
-    return f.with_values(scale_aggregate(f, partition, s, 2.0))
-
-
-def bernstein_check(
-    f: SampledField, partition: DyadicPartition, N: float, q: float
-) -> float:
-    """Ratio ||P_N f||_inf / (N^(d/q) ||P_N f||_q).
-
-    Frequency localization makes the ratio bounded uniformly in N and f;
-    the bound depends on the bump profile and is recorded empirically, not
-    asserted to be 1.  A vanishing piece returns 0.
-    """
-    piece = project(f, partition, N)
-    sup = lq_norm(piece, np.inf)
-    if sup == 0.0:
-        return 0.0
-    d = f.grid.d
-    return sup / (N ** (d / q) * lq_norm(piece, q))
 
 
 def partition_record(partition: DyadicPartition) -> str:

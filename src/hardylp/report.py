@@ -15,16 +15,14 @@ from dataclasses import dataclass, field
 __all__ = [
     "CheckReport",
     "QUADRATURE_TOL",
-    "SPECTRAL_TOL",
     "EXACT_TOL",
     "reports_to_json",
     "reports_to_csv",
     "summarize",
 ]
 
-# Default tolerance classes: spectral identities, quadrature-backed
-# inequalities, and algebraic / pointwise steps that hold to rounding.
-SPECTRAL_TOL = 1e-10
+# Default tolerance classes: quadrature-backed inequalities, and algebraic /
+# pointwise steps that hold to rounding.
 QUADRATURE_TOL = 0.03
 EXACT_TOL = 1e-12
 

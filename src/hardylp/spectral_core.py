@@ -165,8 +165,8 @@ def make_grid(d: int, n: int, L: float) -> GridSpec:
             f"grid n = {n} in d = {d} has {n**d} samples, more than the "
             f"{MAX_GRID_SAMPLES} (2**24) allowed"
         )
-    if not (L > 0):
-        raise ValueError(f"box length must be positive, got {L}")
+    if not (0 < L < np.inf):
+        raise ValueError(f"box length must be positive and finite, got {L}")
     return GridSpec(d=d, n=n, L=float(L))
 
 

@@ -3,9 +3,7 @@ operator machinery used in its duality proof.
 
 The convolution with |x|^-lam is evaluated spectrally (it is a constant
 multiple of a negative-order fractional Laplacian).  The inner-ball operator
-is radial and is summed exactly over the grid's radial classes; the
-near-origin term of the weighted-potential split is a genuine pair
-quadrature and therefore restricted to coarse grids.
+is radial and is summed exactly over the grid's radial classes.
 """
 
 from __future__ import annotations
@@ -20,11 +18,9 @@ from .spectral_core import (
     GridSpec,
     SampledField,
     _radial_classes,
-    coordinate_mesh,
     fractional_laplacian,
     lq_norm,
     power_weighted_lq_norm,
-    radius_mesh,
 )
 
 __all__ = [
@@ -33,22 +29,16 @@ __all__ = [
     "riesz_constant",
     "riesz_potential",
     "stein_weiss_check",
-    "split_weighted_potential",
-    "homogeneous_kernel",
     "inner_ball_potential",
     "geometric_radii",
-    "radial_average_profile",
     "inner_ball_potential_radial",
     "radial_kernel_integral",
     "sphere_area",
     "inner_ball_bound_check",
-    "DIRECT_QUADRATURE_LIMITS",
 ]
 
-# Pair quadratures cost O(n^(2d)); anything finer than this is refused.
-DIRECT_QUADRATURE_LIMITS = {1: 1024, 2: 32, 3: 16}
-
-_CHUNK = 256
+# Samples of the geometric radius grid of the one-ray reductions.
+RADIAL_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -166,44 +156,6 @@ def stein_weiss_check(f: SampledField, params: SteinWeissParams) -> CheckReport:
     )
 
 
-def _require_coarse(grid: GridSpec, what: str) -> None:
-    limit = DIRECT_QUADRATURE_LIMITS.get(grid.d)
-    if limit is None or grid.n > limit:
-        allowed = ", ".join(
-            f"d={d}: n<={n}" for d, n in sorted(DIRECT_QUADRATURE_LIMITS.items())
-        )
-        raise ValueError(
-            f"{what} is a direct pair quadrature and runs on coarse grids "
-            f"only ({allowed}); got d = {grid.d}, n = {grid.n}"
-        )
-
-
-def _flat_points(grid: GridSpec, centering: str) -> tuple[np.ndarray, np.ndarray]:
-    mesh = coordinate_mesh(grid, centering)
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    radii = np.sqrt((pts**2).sum(axis=1))
-    if (radii == 0.0).any():
-        raise ValueError(
-            "pair quadrature of the singular weight needs cell-centered "
-            "grids (a sample sits at the origin)"
-        )
-    return pts, radii
-
-
-def homogeneous_kernel(x_norm: float, y_norm: float, s: float, d: int) -> float:
-    """Degree -d homogeneous kernel 1 / (|y|^s |x|^(d-s)) on |y| <= |x|/2,
-    zero elsewhere."""
-    if x_norm <= 0:
-        raise ValueError("kernel needs x away from the origin")
-    if y_norm < 0:
-        raise ValueError("radii are nonnegative")
-    if y_norm > x_norm / 2.0:
-        return 0.0
-    if y_norm == 0.0:
-        return math.inf if s > 0 else x_norm ** (s - d)
-    return 1.0 / (y_norm**s * x_norm ** (d - s))
-
-
 def inner_ball_potential(g: SampledField, s: float) -> SampledField:
     """U g(x) = |x|^(s-d) * int_{|y| <= |x|/2} |g(y)| |y|^-s dy, summed
     exactly over radial classes; depends on g only through |g|.
@@ -225,76 +177,9 @@ def inner_ball_potential(g: SampledField, s: float) -> SampledField:
     return g.with_values(out.reshape(grid.shape))
 
 
-def split_weighted_potential(
-    g: SampledField, s: float
-) -> tuple[SampledField, SampledField]:
-    """Split the weighted negative-order potential into its two controlling
-    terms.
-
-    outer(x) = |x|^-s * int |g(y)| |x-y|^(s-d) dy      (spectral)
-    inner(x) = int_{|y| <= |x|/2} |g(y)| |y|^-s |x-y|^(s-d) dy   (direct)
-
-    The full value |D|^-s (g / |x|^s) is dominated pointwise by a constant
-    multiple of outer + inner.  The spectral route needs a mean-zero
-    integrand, so the mean of |g| is removed first; the discrepancy scales
-    with volume^-1 and is absorbed by the recorded domination constant.
-    """
-    grid = g.grid
-    d = grid.d
-    if not (0.0 < s < d):
-        raise ValueError(f"weight order must satisfy 0 < s < d = {d}, got {s}")
-    _require_coarse(grid, "the near-origin split term")
-    mag = np.abs(g.values)
-    mag0 = mag - mag.mean()
-    pot = riesz_potential(g.with_values(mag0), d - s)
-    r = radius_mesh(grid, g.centering)
-    outer = g.with_values(np.abs(pot.values.real) * r ** (-s))
-
-    pts, radii = _flat_points(grid, g.centering)
-    y_weight = mag.ravel() * radii ** (-s)
-    hd = grid.h**d
-    vals = np.empty(radii.size)
-    y_norm2 = (pts**2).sum(axis=1)
-    for start in range(0, radii.size, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, radii.size))
-        xr = radii[sl]
-        mask = radii[None, :] <= xr[:, None] / 2.0
-        cross = pts[sl] @ pts.T
-        dist2 = np.maximum(
-            xr[:, None] ** 2 + y_norm2[None, :] - 2.0 * cross, 1e-300
-        )
-        kern = np.where(mask, dist2 ** ((s - d) / 2.0), 0.0)
-        vals[sl] = (kern * y_weight[None, :]).sum(axis=1) * hd
-    inner = g.with_values(vals.reshape(grid.shape))
-    return outer, inner
-
-
-def geometric_radii(grid: GridSpec, points: int = 256) -> np.ndarray:
-    """Geometric radius grid from h/2 to L with the default 256 points."""
-    return np.geomspace(grid.h / 2.0, grid.L, points)
-
-
-def radial_average_profile(
-    f: SampledField, radii: np.ndarray | None = None
-) -> RadialProfile:
-    """Spherical averages of |f| binned onto a radius grid (nearest bin in
-    log radius); bins with no samples interpolate from their neighbours."""
-    if radii is None:
-        radii = geometric_radii(f.grid)
-    r = radius_mesh(f.grid, f.centering).ravel()
-    mag = np.abs(f.values).ravel()
-    edges = np.sqrt(radii[:-1] * radii[1:])
-    idx = np.searchsorted(edges, r)
-    sums = np.bincount(idx, weights=mag, minlength=radii.size)
-    counts = np.bincount(idx, minlength=radii.size)
-    filled = counts > 0
-    values = np.zeros(radii.size)
-    values[filled] = sums[filled] / counts[filled]
-    if not filled.all() and filled.any():
-        values[~filled] = np.interp(
-            np.log(radii[~filled]), np.log(radii[filled]), values[filled]
-        )
-    return RadialProfile(radii=radii, values=values)
+def geometric_radii(grid: GridSpec) -> np.ndarray:
+    """Geometric radius grid of RADIAL_POINTS points from h/2 to L."""
+    return np.geomspace(grid.h / 2.0, grid.L, RADIAL_POINTS)
 
 
 def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
@@ -311,7 +196,8 @@ def inner_ball_potential_radial(
 ) -> RadialProfile:
     """One-ray reduction of the inner-ball operator on a radial profile.
 
-    form="direct" integrates r^(d-1) K(R, r) |g(r)| over r in (0, R/2];
+    form="direct" integrates r^(d-1) K(R, r) |g(r)| over r in (0, R/2],
+    with the degree -d kernel K(R, r) = r^-s R^(s-d);
     form="substituted" uses the homogeneity substitution r = t R and
     integrates t^(d-1-s) |g(t R)| over t in (0, 1/2].  The two agree up to
     quadrature error.  Values of |g| below the first profile radius are

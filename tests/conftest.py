@@ -23,6 +23,7 @@ from hardylp.spectral_core import (
     make_grid,
     radius_mesh,
 )
+from hardylp.stein_weiss import RadialProfile, geometric_radii
 
 FFT_NAMES = (
     "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
@@ -176,6 +177,27 @@ def direct_inner_ball_potential(g, s):
                 )
         out[sl] = (mask * y_weight[None, :]).sum(axis=1) * hd * xr ** (s - d)
     return out.reshape(grid.shape)
+
+
+def radial_average_profile(f):
+    """Spherical averages of |f| binned onto geometric_radii (nearest bin in
+    log radius); bins with no samples interpolate from their neighbours.
+    The reference for the one-ray reduction of the inner-ball operator."""
+    radii = geometric_radii(f.grid)
+    r = radius_mesh(f.grid, f.centering).ravel()
+    mag = np.abs(f.values).ravel()
+    edges = np.sqrt(radii[:-1] * radii[1:])
+    idx = np.searchsorted(edges, r)
+    sums = np.bincount(idx, weights=mag, minlength=radii.size)
+    counts = np.bincount(idx, minlength=radii.size)
+    filled = counts > 0
+    values = np.zeros(radii.size)
+    values[filled] = sums[filled] / counts[filled]
+    if not filled.all() and filled.any():
+        values[~filled] = np.interp(
+            np.log(radii[~filled]), np.log(radii[filled]), values[filled]
+        )
+    return RadialProfile(radii=radii, values=values)
 
 
 def lp_stack(f, partition):

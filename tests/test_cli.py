@@ -548,6 +548,17 @@ def test_sweep_empty_range_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("values", ["inf", "32,nan"])
+def test_sweep_refuses_non_finite_values(capsys, values):
+    code, out, err = run(
+        capsys, "sweep", "--identity", "fractional", "--axis", "n",
+        "--values", values, "--d", "2", "--q", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "sweep values must be finite" in err
+
+
 def test_sweep_single_point_matches_hardy_check(capsys):
     code, out_sweep, _ = run(
         capsys, "sweep", "--identity", "fractional", "--axis", "s",
@@ -890,6 +901,16 @@ def test_estimate_constant_refuses_oversized_trend_grid(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "134217728 samples" in err
+
+
+def test_estimate_constant_refuses_infinite_box(capsys):
+    code, out, err = run(
+        capsys, "estimate-constant", "--d", "3", "--n", "16", "--s", "1",
+        "--q", "2", "--budget", "3", "--L", "inf",
+    )
+    assert code == 2
+    assert out == ""
+    assert "box length must be positive and finite, got inf" in err
 
 
 def test_unknown_field_file_code_is_exit_2(capsys, const_field_file):

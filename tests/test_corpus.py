@@ -145,7 +145,7 @@ def test_radial_families_match_mesh_oracle(d, n):
                     "inner_cells": cells,
                     "outer_fraction": taper,
                 }
-                got = _trial_field(grid, 1.0, 2.0, 7, params).values
+                got = _trial_field(grid, 2.0, 7, params).values
                 want = mesh_capped_power(
                     grid, fraction * d / 2.0, cells * grid.h, taper * grid.L
                 )

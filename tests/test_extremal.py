@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from hardylp.corpus import truncated_power_field
 from hardylp.extremal import (
     ESTIMATE_IDENTITIES,
     estimate_constant,
     evaluate_trial,
-    quasi_extremal,
 )
 from hardylp.hardy import fractional_hardy_quotient
 from hardylp.spectral_core import boundary_decay, make_grid
@@ -21,19 +21,18 @@ def grid3f():
 
 
 # --- quasi-extremal family -------------------------------------------------
+# The truncated power |x|^-(d/q - s - eps), smoothly cut at [4h, L/4],
+# approaches the virtual extremizer |x|^-(d/q - s) as eps drops.
+
+
+def quasi_extremal(grid, s, q, eps):
+    return truncated_power_field(grid, grid.d / q - s - eps, 4.0 * grid.h, grid.L / 4.0)
 
 
 def test_quasi_extremal_grid_too_coarse():
     g = make_grid(3, 32, 20.0)  # 8h = L/4: cutoffs collapse
     with pytest.raises(ValueError, match="collapse"):
         quasi_extremal(g, 1.0, 2.0, 0.2)
-
-
-def test_quasi_extremal_rejects_bad_exponent(grid3f):
-    with pytest.raises(ValueError):
-        quasi_extremal(grid3f, 1.0, 2.0, 0.6)  # a <= 0
-    with pytest.raises(ValueError):
-        quasi_extremal(grid3f, 0.0, 2.0, -0.1)  # a >= d/q
 
 
 def test_quasi_extremal_large_epsilon_small_quotient(grid3f):
@@ -97,7 +96,7 @@ def test_estimate_witness_respects_decay_rule(grid3f):
 
     est = estimate_constant("fractional", 3, 1.0, 2.0, budget=100, n=64)
     grid = make_grid(3, 64, 20.0)
-    witness = _trial_field(grid, 1.0, 2.0, est.seed, est.params)
+    witness = _trial_field(grid, 2.0, est.seed, est.params)
     if est.params["family"] != "random-band-limited":
         assert boundary_decay(witness) < 1e-7
 

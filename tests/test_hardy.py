@@ -267,10 +267,11 @@ def test_refined_single_level_consistency(grid2):
     s, q = 0.3, 4.0
     rep = refined_hardy_quotient(f, s, q, part)
     from hardylp.spectral_core import fractional_laplacian
-    from hardylp.littlewood_paley import triebel_lizorkin_norm
+    from hardylp.littlewood_paley import level_sums
 
     sob = lq_norm(fractional_laplacian(f, s), q)
-    tl = triebel_lizorkin_norm(f, part, s, q, 2 * (q - 1))
+    r = 2 * (q - 1)
+    tl = level_sums(f, part, s, q, (r,)).triebel_lizorkin(r)
     assert rep.rhs == pytest.approx(sob ** (1 / q) * tl ** ((q - 1) / q), rel=1e-12)
 
 
@@ -279,12 +280,14 @@ def test_refined_dominated_by_fractional_route(grid2):
     # at most the square-function route times an equivalence constant
     s, q = 0.5, 3.0
     part = build_partition(grid2)
-    from hardylp.littlewood_paley import triebel_lizorkin_norm
+    from hardylp.littlewood_paley import level_sums
 
+    r = 2 * (q - 1)
     for seed in range(6):
         f = random_band_limited_field(grid2, 800 + seed)
-        tl_high = triebel_lizorkin_norm(f, part, s, q, 2 * (q - 1))
-        tl_two = triebel_lizorkin_norm(f, part, s, q, 2.0)
+        sums = level_sums(f, part, s, q, (r, 2.0))
+        tl_high = sums.triebel_lizorkin(r)
+        tl_two = sums.triebel_lizorkin(2.0)
         assert tl_high <= tl_two * (1 + 1e-12)
 
 

@@ -88,6 +88,12 @@ def test_make_grid_rejects_bad_length():
         make_grid(1, 16, 0.0)
 
 
+@pytest.mark.parametrize("L", [np.inf, np.nan])
+def test_make_grid_rejects_non_finite_length(L):
+    with pytest.raises(ValueError, match="positive and finite"):
+        make_grid(1, 16, L)
+
+
 def test_make_grid_refuses_oversized_grids():
     # the check is arithmetic on n and d: no array of the refused size exists
     for d, n in ((4, 128), (3, 512), (2, 8192), (1, 2**25)):

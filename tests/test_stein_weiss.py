@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import direct_inner_ball_potential, random_field
+from conftest import direct_inner_ball_potential, radial_average_profile, random_field
 
 from hardylp.corpus import gaussian_field, random_band_limited_field
 from hardylp.hardy import fractional_hardy_quotient
@@ -19,15 +19,12 @@ from hardylp.stein_weiss import (
     RadialProfile,
     SteinWeissParams,
     geometric_radii,
-    homogeneous_kernel,
     inner_ball_bound_check,
     inner_ball_potential,
     inner_ball_potential_radial,
-    radial_average_profile,
     radial_kernel_integral,
     riesz_constant,
     riesz_potential,
-    split_weighted_potential,
     sphere_area,
     stein_weiss_check,
 )
@@ -177,29 +174,53 @@ def test_stein_weiss_dimension_mismatch(coarse2):
         stein_weiss_check(f, params)
 
 
-# --- homogeneous kernel -----------------------------------------------------------------
+# --- the inner-ball operator's kernel ----------------------------------------------------
+# U g(x) = h^d sum_y K(x, y) |g(y)| with the degree -d homogeneous kernel
+# K(x, y) = 1 / (|y|^s |x|^(d-s)) on |y| <= |x|/2, zero elsewhere.
 
 
-def test_kernel_direct_value():
-    assert homogeneous_kernel(2.0, 1.0, 1.0, 3) == pytest.approx(0.25, rel=1e-15)
+def point_mass(grid, index):
+    vals = np.zeros(grid.shape)
+    vals[index] = 1.0
+    return make_field(grid, vals)
 
 
-def test_kernel_support():
-    assert homogeneous_kernel(2.0, 1.01, 1.0, 3) == 0.0
-    assert homogeneous_kernel(1.0, 10.0, 0.5, 2) == 0.0
+def test_kernel_direct_value(coarse3):
+    # a unit mass at the innermost sample y0 = (h/2, h/2, h/2) reads the kernel
+    s, d, h = 1.0, 3, coarse3.h
+    y0 = (coarse3.n // 2,) * 3
+    out = inner_ball_potential(point_mass(coarse3, y0), s).values
+    r = radius_mesh(coarse3)
+    r0 = r[y0]
+    assert r0 == pytest.approx(np.sqrt(3) * h / 2, rel=1e-15)
+    support = r >= 2 * r0
+    expected = h**d / (r0**s * r[support] ** (d - s))
+    assert np.all(np.abs(out[support] - expected) <= 1e-13 * expected)
 
 
-def test_kernel_homogeneity_degree():
-    s, d = 0.7, 3
+def test_kernel_support(coarse2):
+    # U g(x) sees g only on |y| <= |x|/2: a unit mass at y0 is invisible
+    # inside |x| < 2 |y0|, and a support inside {|y| > max|x| / 2} leaves
+    # every inner ball empty
+    r = radius_mesh(coarse2)
+    y0 = (coarse2.n // 2 + 3, coarse2.n // 2)
+    out = inner_ball_potential(point_mass(coarse2, y0), 0.5).values
+    assert np.array_equal(out > 0, r >= 2 * r[y0])
+    vals = np.where((r > r.max() / 2 + 0.5) & (r < 0.45 * coarse2.L), 1.0, 0.0)
+    assert vals.any()
+    assert np.abs(inner_ball_potential(make_field(coarse2, vals), 0.5).values).max() == 0.0
+
+
+def test_kernel_homogeneity_degree(coarse3):
+    # K(lam x, lam y) = lam^-d K(x, y) against dy = lam^d dy': the same
+    # samples on a box lam times larger give the same U g
+    s = 0.7
+    g = random_band_limited_field(coarse3, 16)
+    base = inner_ball_potential(g, s).values
     for lam in (2.0, 3.0, 7.5):
-        base = homogeneous_kernel(2.0, 0.9, s, d)
-        scaled = homogeneous_kernel(lam * 2.0, lam * 0.9, s, d)
-        assert scaled == pytest.approx(lam ** (-d) * base, rel=1e-13)
-
-
-def test_kernel_rejects_origin():
-    with pytest.raises(ValueError):
-        homogeneous_kernel(0.0, 0.0, 0.5, 2)
+        grid = make_grid(3, coarse3.n, lam * coarse3.L)
+        scaled = inner_ball_potential(make_field(grid, g.values), s).values
+        assert np.all(np.abs(scaled - base) <= 1e-13 * base)
 
 
 # --- inner-ball operator -----------------------------------------------------------------
@@ -245,6 +266,13 @@ def test_inner_ball_refuses_lattice_grids(coarse2):
         inner_ball_potential(f, 0.5)
 
 
+def test_inner_ball_rejects_bad_order(coarse2):
+    g = random_band_limited_field(coarse2, 15)
+    for s in (0.0, 2.0, 2.5):
+        with pytest.raises(ValueError, match="weight order"):
+            inner_ball_potential(g, s)
+
+
 def test_inner_ball_exactly_radial(coarse2):
     # the output depends on x only through |x|: equal radii, equal values
     g = random_band_limited_field(coarse2, 12)
@@ -282,26 +310,11 @@ def test_inner_ball_matches_radial_reduction_oracle(coarse2):
 # --- weighted potential split ----------------------------------------------------------------
 
 
-def test_split_zero_field(coarse2):
-    z = make_field(coarse2, np.zeros(coarse2.shape))
-    outer, inner = split_weighted_potential(z, 0.5)
-    assert np.abs(outer.values).max() == 0.0
-    assert np.abs(inner.values).max() == 0.0
-
-
-def test_split_inner_empty_for_far_support(coarse2):
-    # support inside {|y| > max|x| / 2} leaves every inner ball empty
-    r = radius_mesh(coarse2)
-    r_max = r.max()
-    vals = np.where((r > r_max / 2 + 0.5) & (r < 0.45 * coarse2.L), 1.0, 0.0)
-    assert vals.any()
-    _, inner = split_weighted_potential(make_field(coarse2, vals), 0.5)
-    assert np.abs(inner.values).max() == 0.0
-
-
 def test_split_pointwise_domination_against_direct_oracle(coarse2):
-    # direct-quadrature oracle for the full weighted potential; on the
-    # kernel split the domination constant is 2^s against the direct outer
+    # direct-quadrature oracle for the full weighted potential
+    # int |g(y)| |y|^-s |x-y|^(s-d) dy: on |y| > |x|/2 the weight is below
+    # 2^s |x|^-s, and on |y| <= |x|/2 the kernel is below 2^(d-s) |x|^(s-d),
+    # so the full value is at most 2^s outer + 2^(d-s) U g
     s = 0.5
     g = random_band_limited_field(coarse2, 14)
     mesh = coordinate_mesh(coarse2)
@@ -317,27 +330,10 @@ def test_split_pointwise_domination_against_direct_oracle(coarse2):
         dist[i] = np.inf  # self-term excluded from the pair quadrature
         full[i] = (mag * radii ** (-s) * dist ** (s - d)).sum() * hd
         outer_direct[i] = radii[i] ** (-s) * (mag * dist ** (s - d)).sum() * hd
-    _, inner = split_weighted_potential(g, s)
-    dom = 2.0**s * outer_direct + inner.values.real.ravel()
+    inner = inner_ball_potential(g, s).values.ravel()
+    dom = 2.0**s * outer_direct + 2.0 ** (d - s) * inner
     ratio = full / np.maximum(dom, 1e-300)
     assert ratio.max() <= 1.0 + 1e-9
-    # and the module's spectral outer stays finite and nonnegative
-    outer, _ = split_weighted_potential(g, s)
-    assert np.isfinite(outer.values.real).all()
-    assert outer.values.real.min() >= 0.0
-
-
-def test_split_refuses_fine_grids():
-    g = make_grid(2, 64, 20.0)
-    f = make_field(g, np.zeros(g.shape))
-    with pytest.raises(ValueError, match="coarse"):
-        split_weighted_potential(f, 0.5)
-
-
-def test_split_rejects_bad_order(coarse2):
-    g = random_band_limited_field(coarse2, 15)
-    with pytest.raises(ValueError):
-        split_weighted_potential(g, 2.5)
 
 
 # --- radial reduction --------------------------------------------------------------------------
