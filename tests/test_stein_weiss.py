@@ -200,12 +200,16 @@ def test_kernel_direct_value(coarse3):
 
 def test_kernel_support(coarse2):
     # U g(x) sees g only on |y| <= |x|/2: a unit mass at y0 is invisible
-    # inside |x| < 2 |y0|, and a support inside {|y| > max|x| / 2} leaves
-    # every inner ball empty
+    # inside |x| < 2 |y0|
     r = radius_mesh(coarse2)
     y0 = (coarse2.n // 2 + 3, coarse2.n // 2)
     out = inner_ball_potential(point_mass(coarse2, y0), 0.5).values
     assert np.array_equal(out > 0, r >= 2 * r[y0])
+
+
+def test_split_inner_empty_for_far_support(coarse2):
+    # support inside {|y| > max|x| / 2} leaves every inner ball empty
+    r = radius_mesh(coarse2)
     vals = np.where((r > r.max() / 2 + 0.5) & (r < 0.45 * coarse2.L), 1.0, 0.0)
     assert vals.any()
     assert np.abs(inner_ball_potential(make_field(coarse2, vals), 0.5).values).max() == 0.0
