@@ -739,6 +739,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if val is not None:
             setattr(cfg, f.name, val)
     cfg.command = args.command
+    # a non-finite tolerance would pass every check (inf) or fail every one
+    # (nan), so it is refused before any check runs
+    if cfg.tolerance is not None and not np.isfinite(cfg.tolerance):
+        raise ValueError(f"tolerance must be finite, got {cfg.tolerance!r}")
     return cfg
 
 

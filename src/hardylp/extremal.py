@@ -70,7 +70,12 @@ class _BudgetExhausted(Exception):
 
 class _Search:
     """Deterministic evaluation sequence with a hard budget; keeps the
-    running best so truncating the sequence can only lower the estimate."""
+    running best so truncating the sequence can only lower the estimate.
+
+    A point met again in the sequence is read from the search's own table
+    of quotients, not evaluated again; it still counts against the budget,
+    so the budget is the length of the sequence.  The table belongs to one
+    search, because a quotient depends on its grid and seed as well."""
 
     def __init__(self, objective, budget: int):
         self.objective = objective
@@ -78,12 +83,16 @@ class _Search:
         self.count = 0
         self.best = -np.inf
         self.best_params = None
+        self.quotients = {}
 
     def evaluate(self, params: dict) -> float:
         if self.count >= self.budget:
             raise _BudgetExhausted
         self.count += 1
-        value = self.objective(params)
+        key = tuple(sorted(params.items()))
+        if key not in self.quotients:
+            self.quotients[key] = self.objective(params)
+        value = self.quotients[key]
         if value > self.best:
             self.best = value
             self.best_params = dict(params)
@@ -181,9 +190,11 @@ def estimate_constant(
 
     The first evaluation is always the default Gaussian, then golden-section
     sweeps run per coordinate for each family in a fixed order; the budget
-    caps the number of quotient evaluations, and the reported best is the
-    running maximum, so it is nondecreasing in the budget.  The trend field
-    re-evaluates the maximizing trial on grids n and 2n.
+    caps the length of that evaluation sequence, in which a point met again
+    is read from the search's table instead of being evaluated again.  The
+    reported best is the running maximum, so it is nondecreasing in the
+    budget.  The trend field re-evaluates the maximizing trial on grids n
+    and 2n.
     """
     if budget < 1:
         raise ValueError("budget must allow at least one evaluation")

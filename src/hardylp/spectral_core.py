@@ -21,9 +21,10 @@ so each partial derivative takes one 1-D transform pair along its own axis.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -400,7 +401,9 @@ def _parseval_energy(f: SampledField, symbols):
     real = np.isrealobj(f.values)
     spec = np.fft.rfftn(f.values) if real else np.fft.fftn(f.values)
     half = grid.n // 2 + 1 if real else None
-    power = (spec.real**2 + spec.imag**2) * sum(m[..., :half] for m in symbols)
+    power = (spec.real**2 + spec.imag**2) * reduce(
+        operator.add, (m[..., :half] for m in symbols)
+    )
     total = power.sum()
     if real:
         total = 2.0 * total - power[..., 0].sum() - power[..., -1].sum()

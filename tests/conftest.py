@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hardylp.corpus import smooth_step
+from hardylp.extremal import _BudgetExhausted, _Search
 from hardylp.hardy import NOISE_FLOOR, shell_index_mesh, shell_radii
 from hardylp.littlewood_paley import decompose
 from hardylp.spectral_core import (
@@ -134,6 +135,22 @@ def dd_gradient(f):
     spectral_core.gradient: one forward rfftn (fftn when f is complex), then
     per component a d-D inverse of the spectrum times 2 pi i xi_j."""
     return list(_apply_diag(f.values, _gradient_symbols(f)))
+
+
+class DirectSearch(_Search):
+    """The constant search with no table of quotients, the reference for
+    extremal._Search: evaluate calls the objective at every point of the
+    sequence, a point met again included."""
+
+    def evaluate(self, params: dict) -> float:
+        if self.count >= self.budget:
+            raise _BudgetExhausted
+        self.count += 1
+        value = self.objective(params)
+        if value > self.best:
+            self.best = value
+            self.best_params = dict(params)
+        return value
 
 
 def full_field_boundary_decay(f):

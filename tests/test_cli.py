@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hardylp.cli as cli
 import hardylp.corpus as corpus
+import hardylp.extremal as extremal
 import hardylp.littlewood_paley as littlewood_paley
 import hardylp.spectral_core as spectral_core
 from conftest import random_mean_zero_field, stack_level_norms, weighted_stack
@@ -208,6 +210,34 @@ def test_gradient_check_fft_budget(capsys, fft_calls):
     # takes one rfft and one irfft along each of the 4 axes, and no d-D
     # transform; the weighted norm takes none
     assert dict(fft_calls) == {"rfft": 6 * 4, "irfft": 6 * 4, "irfftn": 4}
+
+
+def test_estimate_constant_evaluates_each_distinct_point_once(
+    capsys, monkeypatch, call_log, fft_calls
+):
+    trials = call_log(extremal, "_trial_quotient")
+    estimates = []
+
+    def recorded(*args, **kwargs):
+        estimates.append(extremal.estimate_constant(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(cli, "estimate_constant", recorded)
+    code, _, _ = run(
+        capsys, "estimate-constant", "--identity", "fractional", "--d", "3",
+        "--s", "1", "--q", "2", "--n", "64", "--budget", "100",
+    )
+    assert code == 0
+    # the sequence is 19 Gaussian, 55 truncated-power and 19 band points, of
+    # which 7, 35 and 7 are distinct; a point met again is read from the
+    # search's table, and still counts as an evaluation
+    assert estimates[0].evaluations == 93
+    search = [args[-1] for args in trials if args[1].n == 64]
+    assert len(search) == len({tuple(sorted(p.items())) for p in search}) == 49
+    assert len(trials) == 49 + 1  # and the trend's trial on the n = 128 grid
+    # each quotient takes one rfftn (q = 2, by Parseval), and each band field
+    # one irfftn
+    assert dict(fft_calls) == {"rfftn": 50, "irfftn": 7}
 
 
 @pytest.mark.parametrize(
@@ -782,6 +812,33 @@ def test_config_value_of_wrong_type_exit_2(capsys, tmp_path, text):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_non_finite_tolerance_flag_exit_2(capsys, tmp_path, value):
+    # inf passed every check and nan failed every one, after all had run
+    argv = (
+        "hardy-check", "--identity", "classical", "--d", "3", "--n", "32",
+        "--corpus-size", "2", f"--tolerance={value}", "--format", "csv",
+    )
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "tolerance must be finite" in err
+    target = tmp_path / "reports.csv"
+    assert run(capsys, *argv, "--out", str(target))[0] == 2
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_non_finite_tolerance_in_config_exit_2(capsys, tmp_path, token):
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"identity": "classical", "d": 3, "n": 32, "tolerance": {token}}}')
+    target = tmp_path / "reports.json"
+    for out_args in ((), ("--out", str(target))):
+        code, out, err = run(capsys, "hardy-check", "--config", str(path), *out_args)
+        assert (code, out) == (2, "")
+        assert "tolerance must be finite" in err
+    assert not target.exists()
+
+
 def test_config_int_accepted_for_float_field():
     cfg = RunConfig.from_json('{"L": 20, "tolerance": null}')
     assert cfg.L == 20.0 and isinstance(cfg.L, float)
@@ -818,8 +875,6 @@ def test_verify_deterministic_byte_identical(capsys):
 
 
 def test_internal_error_exit_3(capsys, monkeypatch):
-    import hardylp.cli as cli
-
     def boom(cfg):
         raise RuntimeError("synthetic failure")
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import hardylp.extremal as extremal
+from conftest import DirectSearch
 from hardylp.corpus import truncated_power_field
 from hardylp.extremal import (
     ESTIMATE_IDENTITIES,
@@ -113,3 +115,48 @@ def test_estimate_other_identities_run():
         est = estimate_constant(identity, 2, 0.3, q, budget=5, n=64)
         assert identity in ESTIMATE_IDENTITIES
         assert est.best > 0
+
+
+# --- the search's table of quotients ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "identity, s, q, n",
+    [
+        ("fractional", 1.0, 2.0, 32),
+        ("besov", 0.5, 3.0, 32),
+        ("refined", 0.5, 3.0, 32),
+        # n = 64 resolves the truncated-power taper, so that family runs too
+        ("fractional", 1.0, 2.0, 64),
+    ],
+)
+def test_search_table_matches_direct_search(monkeypatch, identity, s, q, n):
+    def estimates():
+        return [
+            estimate_constant(identity, 3, s, q, budget=budget, n=n)
+            for budget in (1, 7, 20, 38, 60, 100)
+        ]
+
+    tabled = estimates()
+    monkeypatch.setattr(extremal, "_Search", DirectSearch)
+    direct = estimates()
+    for a, b in zip(tabled, direct):
+        # repr tells apart any two floats that differ in a bit
+        assert repr(a.to_dict()) == repr(b.to_dict())
+        assert a.evaluations == b.evaluations
+
+
+def test_search_table_is_per_search(monkeypatch, call_log):
+    """A band trial's quotient depends on the seed, not on the params alone,
+    so one search's table must not answer another's points."""
+    trials = call_log(extremal, "_trial_quotient")
+    estimate_constant("fractional", 3, 1.0, 2.0, budget=38, n=32, seed=1)
+    start = len(trials)
+    after = estimate_constant("fractional", 3, 1.0, 2.0, budget=38, n=32, seed=2)
+    # 7 distinct Gaussian and 7 distinct band points, and the trend's trial
+    assert len(trials) - start == 7 + 7 + 1
+    assert all(args[5] == 2 for args in trials[start:])
+    monkeypatch.setattr(extremal, "_Search", DirectSearch)
+    alone = estimate_constant("fractional", 3, 1.0, 2.0, budget=38, n=32, seed=2)
+    assert repr(after.to_dict()) == repr(alone.to_dict())
+    assert after.evaluations == alone.evaluations == 38
