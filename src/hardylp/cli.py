@@ -4,8 +4,8 @@ and constant estimation, with machine-readable reports.
 Exit codes: 0 all checks passed (or nothing to check), 1 at least one check
 failed, 2 usage or configuration error, 3 internal error.  Reports go to
 stdout as a JSON array (CSV with --format csv; estimate-constant prints one
-JSON object and refuses CSV); --out adds them to a JSON report file instead,
-and refuses a file that does not hold JSON.
+JSON object and refuses CSV); --out adds them to a JSON or CSV report file
+instead, and refuses a file of another kind.
 
 Each subcommand takes --config and only the flags its handler reads
 (COMMAND_FLAGS); any other flag is a usage error, exit 2.  Config-file keys
@@ -120,6 +120,8 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
         hints = typing.get_type_hints(cls)
         bad = set(data) - set(hints)
         if bad:
@@ -180,6 +182,18 @@ def _write_json(path: str, update) -> None:
             os.unlink(tmp)
 
 
+def _append_csv(path: str, reports) -> None:
+    """Append the CSV rows of reports to path, after a header only in a new or
+    empty file; a file whose first line is not the header is left as it was."""
+    header, _, rows = reports_to_csv(reports).partition("\n")
+    with open(path, "a+") as fh:
+        fh.seek(0)
+        first = fh.readline()
+        if first not in ("", header + "\n"):
+            raise ValueError(f"refusing to append to {path}: not a CSV report file")
+        fh.write(rows if first else header + "\n" + rows)
+
+
 def _emit(reports, cfg: RunConfig) -> None:
     """Print the reports, or write them to --out: JSON reports join the
     array the file holds, CSV rows are appended."""
@@ -192,8 +206,7 @@ def _emit(reports, cfg: RunConfig) -> None:
     if not cfg.out:
         print(reports_to_csv(reports) if cfg.fmt == "csv" else reports_to_json(reports))
     elif cfg.fmt == "csv":
-        with open(cfg.out, "a") as fh:
-            fh.write(reports_to_csv(reports))
+        _append_csv(cfg.out, reports)
     else:
         _write_json(cfg.out, merged)
 
@@ -281,18 +294,15 @@ def _hardy_reports(cfg: RunConfig, warn: bool) -> list[CheckReport]:
         raise ValueError(f"unknown hardy identity {cfg.identity!r}")
     needs_partition, quotient = IDENTITIES[cfg.identity]
     grid = make_grid(cfg.d, cfg.n, cfg.L)
-    fields_ = corpus_mod.standard_corpus(
-        grid, cfg.corpus_size, cfg.seed, s=cfg.s, q=cfg.q
-    )
     partition = build_partition(grid, cfg.coverage) if needs_partition else None
     tol = cfg.tolerance if cfg.tolerance is not None else QUADRATURE_TOL
     reports = []
-    for label, f in fields_:
+    for label, f in corpus_mod.corpus_fields(
+        grid, cfg.corpus_size, cfg.seed, s=cfg.s, q=cfg.q
+    ):
         if warn:
             _check_decay(f, label)
-        rep = quotient(f, cfg.s, cfg.q, partition, tol)
-        rep.extra["field"] = label
-        reports.append(rep)
+        reports += _labelled([quotient(f, cfg.s, cfg.q, partition, tol)], label)
     return reports
 
 
@@ -320,13 +330,12 @@ def cmd_stein_weiss_check(cfg: RunConfig) -> int:
     )
     params.require()
     grid = make_grid(cfg.d, cfg.n, cfg.L)
-    fields_ = corpus_mod.standard_corpus(grid, cfg.corpus_size, cfg.seed, s=beta, q=cfg.q)
     reports = []
-    for label, f in fields_:
+    for label, f in corpus_mod.corpus_fields(
+        grid, cfg.corpus_size, cfg.seed, s=beta, q=cfg.q
+    ):
         f0 = f.with_values(f.values - np.mean(f.values))
-        rep = stein_weiss_check(f0, params)
-        rep.extra["field"] = label
-        reports.append(rep)
+        reports += _labelled([stein_weiss_check(f0, params)], label)
     _emit(reports, cfg)
     return _exit_from(reports)
 
@@ -499,11 +508,12 @@ def _field_reports(cfg: RunConfig, runs, f, partition, specialization):
     and the stein-weiss specialization, and freed before the field's one
     level pass; the Besov, refined, chain and Holder checks all read the
     sums of that pass.  specialization is the (params, Riesz constant) pair
-    of the stein-weiss specialization when that suite runs.
+    of the stein-weiss specialization when that suite runs; in d = 4 that
+    suite's inner-ball bound also runs on f.
     """
     s, q = cfg.s, cfg.q
     tol = cfg.tolerance if cfg.tolerance is not None else QUADRATURE_TOL
-    hardy, sw, chain = [], [], []
+    hardy, sw, ball, chain = [], [], [], []
     sobolev = weighted = None
     if runs & {"hardy", "stein-weiss"}:
         lifted = None
@@ -524,6 +534,8 @@ def _field_reports(cfg: RunConfig, runs, f, partition, specialization):
             if rep is not None:
                 sw.append(rep)
         del lifted
+    if specialization is not None and cfg.d == 4 and cfg.d - cfg.d / q - s > 0:
+        ball.append(inner_ball_bound_check(f, s, q))
     if partition is not None:
         # the refined check reads the pointwise sum of p_N^(2(q-1)), the
         # Holder check also those of p_N^q and p_N^2, the chain the shell sums
@@ -543,27 +555,22 @@ def _field_reports(cfg: RunConfig, runs, f, partition, specialization):
             chain.append(shell_chain_check(f, s, q, partition, sums=sums))
             if q > 2:
                 chain.append(holder_refinement_check(f, s, q, partition, sums=sums))
-    return {"hardy": hardy, "stein-weiss": sw, "chain": chain}
+    return {"hardy": hardy, "stein-weiss": sw, "inner-ball": ball, "chain": chain}
 
 
-def _stein_weiss_tail(cfg: RunConfig, grid, fields_) -> list[CheckReport]:
-    """The stein-weiss checks that follow the per-field specializations: the
-    inner-ball bound and the radial-reduction consistency."""
+def _stein_weiss_tail(cfg: RunConfig, grid) -> list[CheckReport]:
+    """The stein-weiss checks that follow the per-field ones: the inner-ball
+    bound in d = 1..3, on their mandated coarse grids, and the
+    radial-reduction consistency."""
     reports = []
     d = cfg.d
-    # inner-ball operator bound: d = 1..3 on their mandated coarse grids,
-    # d = 4 on the suite's own grid and corpus
     coarse_n = {1: 256, 2: 32, 3: 16}.get(d)
-    if d - d / cfg.q - cfg.s > 0:
-        if coarse_n is not None:
-            coarse = make_grid(d, coarse_n, cfg.L)
-            fields_ = corpus_mod.standard_corpus(
-                coarse, cfg.corpus_size, cfg.seed, s=cfg.s, q=cfg.q
-            )
-        for label, g in fields_:
-            rep = inner_ball_bound_check(g, cfg.s, cfg.q)
-            rep.extra["field"] = label
-            reports.append(rep)
+    if coarse_n is not None and d - d / cfg.q - cfg.s > 0:
+        coarse = make_grid(d, coarse_n, cfg.L)
+        for label, g in corpus_mod.corpus_fields(
+            coarse, cfg.corpus_size, cfg.seed, s=cfg.s, q=cfg.q
+        ):
+            reports += _labelled([inner_ball_bound_check(g, cfg.s, cfg.q)], label)
     # radial reduction consistency on a smooth profile
     radii = geometric_radii(grid)
     profile = RadialProfile(radii, np.exp(-(radii**2) / 2.0))
@@ -602,9 +609,6 @@ def cmd_verify(cfg: RunConfig) -> int:
         # when a suite that uses it has fields, so a grid too coarse for one
         # still runs the stein-weiss suite
         grid = make_grid(cfg.d, cfg.n, cfg.L)
-        fields_ = corpus_mod.corpus_fields(
-            grid, cfg.corpus_size, cfg.seed, s=cfg.s, q=cfg.q
-        )
         partition = specialization = None
         if cfg.corpus_size > 0 and runs & {"hardy", "chain"}:
             partition = build_partition(grid, cfg.coverage)
@@ -614,18 +618,18 @@ def cmd_verify(cfg: RunConfig) -> int:
                 lam=d - s, p=cfg.q, q=cfg.q, alpha=0.0, beta=s, d=d
             )
             specialization = (params, riesz_constant(d, d - s))
-            if d == 4:
-                fields_ = list(fields_)  # the inner-ball check reads them again
         # each field through every suite at once, built when its turn comes
         # and freed after it; the reports keep suite order
-        by_suite = {"hardy": [], "stein-weiss": [], "chain": []}
-        for label, f in fields_:
+        by_suite = {"hardy": [], "stein-weiss": [], "inner-ball": [], "chain": []}
+        for label, f in corpus_mod.corpus_fields(
+            grid, cfg.corpus_size, cfg.seed, s=cfg.s, q=cfg.q
+        ):
             field_reports = _field_reports(cfg, runs, f, partition, specialization)
             for suite, reps in field_reports.items():
                 by_suite[suite] += _labelled(reps, label)
         if specialization is not None:
-            by_suite["stein-weiss"] += _stein_weiss_tail(cfg, grid, fields_)
-        reports += by_suite["hardy"] + by_suite["stein-weiss"] + by_suite["chain"]
+            by_suite["inner-ball"] += _stein_weiss_tail(cfg, grid)
+        reports += [rep for reps in by_suite.values() for rep in reps]
     _emit(reports, cfg)
     checked, passed, failed = summarize(reports)
     print(
@@ -743,6 +747,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     # (nan), so it is refused before any check runs
     if cfg.tolerance is not None and not np.isfinite(cfg.tolerance):
         raise ValueError(f"tolerance must be finite, got {cfg.tolerance!r}")
+    if cfg.fmt not in FLAGS["format"]["choices"]:
+        raise ValueError(f"unknown report format {cfg.fmt!r}")
     return cfg
 
 

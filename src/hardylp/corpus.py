@@ -33,7 +33,6 @@ __all__ = [
     "truncated_power_field",
     "random_band_limited_field",
     "corpus_fields",
-    "standard_corpus",
 ]
 
 # Gaussian widths as a fraction of L.  On the outermost sample layer, at
@@ -180,10 +179,3 @@ def corpus_fields(grid: GridSpec, size: int, seed: int, s: float = 1.0, q: float
         yield f"band-{idx:03d}-env{env:g}", random_band_limited_field(
             grid, seed + idx, envelope=env
         )
-
-
-def standard_corpus(
-    grid: GridSpec, size: int, seed: int, s: float = 1.0, q: float = 2.0
-) -> list[tuple[str, SampledField]]:
-    """The fields of corpus_fields, as a list."""
-    return list(corpus_fields(grid, size, seed, s, q))

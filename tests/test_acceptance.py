@@ -25,7 +25,7 @@ import pytest
 
 from conftest import discrete_hardy_ceiling, random_field, random_mean_zero_field
 from hardylp.cli import main as cli_main
-from hardylp.corpus import gaussian_field, random_band_limited_field, standard_corpus
+from hardylp.corpus import corpus_fields, gaussian_field, random_band_limited_field
 from hardylp.extremal import estimate_constant
 from hardylp.hardy import (
     classical_hardy_quotient,
@@ -137,7 +137,7 @@ def test_criterion_03_classical_hardy():
         rel = abs(rep.quotient - 4.0 / 3.0) / (4.0 / 3.0)
         gauss_ok &= rel <= 0.02
         detail.append(f"{rel:.3%}")
-    corpus = standard_corpus(grid, 10, SEED, s=1.0, q=2.0)
+    corpus = list(corpus_fields(grid, 10, SEED, s=1.0, q=2.0))
     bound_ok = True
     worst_nq = 0.0
     for label, f in corpus:
@@ -160,7 +160,7 @@ def test_criterion_04_gradient_hardy_constant():
     results = []
     for d, q, n in ((3, 2.0, 64), (4, 3.0, 32)):
         grid = make_grid(d, n, 20.0)
-        corpus = standard_corpus(grid, 8, SEED, s=1.0, q=q)
+        corpus = list(corpus_fields(grid, 8, SEED, s=1.0, q=q))
         for label, f in corpus:
             rep = gradient_hardy_quotient(f, q, tol=0.03)
             results.append((d, q, label, bool(rep.passed or rep.vacuous)))
@@ -212,7 +212,7 @@ def test_criterion_07_proof_chain():
     for d, n, s, q in ((1, 256, 0.3, 2.0), (2, 64, 0.4, 3.0)):
         grid = make_grid(d, n, 20.0)
         part = build_partition(grid)
-        corpus = standard_corpus(grid, 50, SEED, s=s, q=q)
+        corpus = list(corpus_fields(grid, 50, SEED, s=s, q=q))
         for label, f in corpus:
             rep = shell_chain_check(f, s, q, part)
             all_ok &= rep.passed
@@ -261,7 +261,7 @@ def test_criterion_09_lr_monotonicity():
     s = 0.4
     ok = True
     worst = 0.0
-    corpus = standard_corpus(grid, 12, SEED, s=s, q=3.0)
+    corpus = list(corpus_fields(grid, 12, SEED, s=s, q=3.0))
     for q in (3.0, 4.0):
         for label, f in corpus:
             high = scale_aggregate(f, part, s, 2.0 * (q - 1.0))
@@ -280,7 +280,7 @@ def test_criterion_10_inner_ball_bound():
     assert radial_kernel_integral(3, 2.0, 1.0) == 2.0
     for d, n, s, q in ((2, 32, 0.5, 2.0), (3, 16, 1.0, 2.0)):
         grid = make_grid(d, n, 20.0)
-        corpus = standard_corpus(grid, 50, SEED, s=s, q=q)
+        corpus = list(corpus_fields(grid, 50, SEED, s=s, q=q))
         for label, f in corpus:
             rep = inner_ball_bound_check(f, s, q)
             ok &= bool(rep.passed)

@@ -3,6 +3,7 @@
 import argparse
 import json
 import shlex
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from hardylp.hardy import (
     refined_hardy_quotient,
     shell_chain_check,
 )
-from hardylp.report import EXACT_TOL, CheckReport, reports_to_json
+from hardylp.report import CSV_HEADER, EXACT_TOL, CheckReport, reports_to_json
 from hardylp.spectral_core import (
     fractional_laplacian,
     make_field,
@@ -140,8 +141,8 @@ def test_verify_builds_one_corpus_and_one_partition(capsys, call_log):
         "--s", "0.5", "--corpus-size", "2",
     )
     assert code == 0
-    # the suite's corpus, one field at a time, plus the inner-ball check's
-    # coarse d = 3 corpus, whose standard_corpus list is built by corpus_fields
+    # the suite's corpus and the inner-ball check's coarse d = 3 corpus, each
+    # one field at a time
     assert (len(corpora), len(partitions)) == (2, 1)
 
 
@@ -154,7 +155,7 @@ def test_verify_runs_the_level_pass_once_per_corpus_field(capsys, call_log):
     )
     assert code == 0
     grid = make_grid(3, 32, 20.0)
-    fields_ = [f for _, f in corpus.standard_corpus(grid, 5, 1, s=0.5, q=3.0)]
+    fields_ = [f for _, f in corpus.corpus_fields(grid, 5, 1, s=0.5, q=3.0)]
     assert len(passes) == len(decomposed) == len(fields_) == 5
     for (field, *_), f in zip(passes, fields_):
         assert np.array_equal(field.values, f.values)
@@ -190,7 +191,7 @@ def test_verify_takes_one_weighted_norm_per_field_for_the_fractional_trio(
     identities = [r["identity"] for r in json.loads(out)]
     assert {"fractional", "besov", "refined"} <= set(identities)
     grid = make_grid(3, 32, 20.0)
-    fields_ = [f for _, f in corpus.standard_corpus(grid, 3, 1, s=0.5, q=3.0)]
+    fields_ = [f for _, f in corpus.corpus_fields(grid, 3, 1, s=0.5, q=3.0)]
     trio = [args for args in weighted if args[1:] == (-0.5, 3.0)]
     # the fractional, Besov and refined quotients share one ||f / |x|^s||_q;
     # the homogeneity check takes its own, of 3.5 f
@@ -273,6 +274,44 @@ def test_verify_band_fields_on_a_grid_below_16_is_exit_2(capsys):
     assert "n >= 16, got n = 8" in err
 
 
+def test_hardy_check_builds_the_partition_before_the_first_field(capsys):
+    # an n = 8 grid is too coarse for both the partition and the band fields;
+    # the corpus streams, so the partition is refused first
+    code, out, err = run(
+        capsys, "hardy-check", "--identity", "besov", "--d", "2", "--n", "8",
+        "--corpus-size", "6",
+    )
+    assert (code, out) == (2, "")
+    assert "grid too coarse" in err
+
+
+FIELD_BYTES = 16**4 * 8  # one real field on the d = 4, n = 16 grid
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hardy-check", "--identity", "gradient"),
+        ("stein-weiss-check",),
+        ("verify", "--suite", "stein-weiss", "--q", "3", "--s", "0.5"),
+    ],
+    ids=["hardy-check", "stein-weiss-check", "verify"],
+)
+def test_peak_memory_does_not_grow_with_the_corpus(capsys, argv):
+    def peak(size):
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--d", "4", "--n", "16", "--corpus-size", str(size)])
+            assert code == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # fills the per-grid caches, which the runs below reuse
+    assert peak(8) <= peak(2) + FIELD_BYTES
+    capsys.readouterr()
+
+
 def test_verify_empty_corpus_vacuous_pass(capsys):
     code, out, err = run(
         capsys, "verify", "--suite", "hardy", "--corpus-size", "0",
@@ -298,7 +337,7 @@ def _standalone_verify(d, n, q, s, size, suite, capsys):
         assert code == 0
         expected += [(rep, 0.0) for rep in json.loads(out)]
     grid = make_grid(d, n, 20.0)
-    fields_ = corpus.standard_corpus(grid, size, 1, s=s, q=q)
+    fields_ = list(corpus.corpus_fields(grid, size, 1, s=s, q=q))
     part = littlewood_paley.build_partition(grid)
     hardy, sw, chain = [], [], []
     params = SteinWeissParams(lam=d - s, p=q, q=q, alpha=0.0, beta=s, d=d)
@@ -329,7 +368,7 @@ def _standalone_verify(d, n, q, s, size, suite, capsys):
         if q > 2:
             chain.append((holder_refinement_check(f, s, q, part), 0.0, label))
     coarse = make_grid(d, {2: 32, 3: 16}[d], 20.0)
-    for label, g in corpus.standard_corpus(coarse, size, 1, s=s, q=q):
+    for label, g in corpus.corpus_fields(coarse, size, 1, s=s, q=q):
         sw.append((inner_ball_bound_check(g, s, q), 0.0, label))
     radii = geometric_radii(grid)
     profile = RadialProfile(radii, np.exp(-(radii**2) / 2.0))
@@ -839,6 +878,25 @@ def test_non_finite_tolerance_in_config_exit_2(capsys, tmp_path, token):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('"abc"', "must hold a JSON object"),
+        ("[1, 2]", "must hold a JSON object"),
+        ("null", "must hold a JSON object"),
+        ("5", "must hold a JSON object"),
+        ('{"fmt": "xml"}', "unknown report format 'xml'"),
+    ],
+    ids=["string", "array", "null", "number", "format"],
+)
+def test_config_refused_before_any_check(capsys, tmp_path, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *OUT_COMMANDS["schur-check"], "--config", str(path))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_config_int_accepted_for_float_field():
     cfg = RunConfig.from_json('{"L": 20, "tolerance": null}')
     assert cfg.L == 20.0 and isinstance(cfg.L, float)
@@ -929,6 +987,34 @@ def test_out_refuses_json_that_is_not_a_report_array(capsys, tmp_path):
     code, _, err = run(capsys, *OUT_COMMANDS["schur-check"], "--out", str(target))
     assert code == 2
     assert target.read_text() == '{"best": 1.0}\n'
+
+
+CSV_ARGV = (
+    "hardy-check", "--identity", "fractional", "--d", "2", "--n", "16", "--s",
+    "0.5", "--corpus-size", "1", "--format", "csv",
+)
+
+
+def test_csv_out_writes_the_header_once(capsys, tmp_path):
+    target = tmp_path / "reports.csv"
+    target.touch()  # an empty file takes the header like a new one
+    assert main([*CSV_ARGV, "--out", str(target)]) == 0
+    assert main([*CSV_ARGV, "--out", str(target)]) == 0
+    header, row, again = target.read_text().splitlines()
+    assert header == CSV_HEADER
+    assert again == row
+
+
+def test_csv_out_refuses_a_file_that_is_not_csv(capsys, tmp_path):
+    target = tmp_path / "reports.json"
+    assert run(capsys, *OUT_COMMANDS["schur-check"], "--out", str(target))[0] == 0
+    before = target.read_bytes()
+    code, out, err = run(capsys, *CSV_ARGV, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert "refusing" in err
+    assert target.read_bytes() == before
+    assert run(capsys, *OUT_COMMANDS["schur-check"], "--out", str(target))[0] == 0
+    assert len(json.loads(target.read_text())) == 2 * len(json.loads(before))
 
 
 def test_estimate_out_replaces_json_file(capsys, tmp_path):

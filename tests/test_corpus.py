@@ -11,9 +11,9 @@ from conftest import (
     phased_band_limited_field,
 )
 from hardylp.corpus import (
+    corpus_fields,
     gaussian_field,
     random_band_limited_field,
-    standard_corpus,
     truncated_power_field,
 )
 from hardylp.extremal import _trial_field
@@ -86,8 +86,8 @@ def test_truncated_power_validates_cutoffs(grid2):
         truncated_power_field(grid2, 0.5, 4 * grid2.h, 6 * grid2.h)
 
 
-def test_standard_corpus_layout(grid2):
-    fields = standard_corpus(grid2, 8, seed=3, s=0.5, q=2.0)
+def test_corpus_fields_layout(grid2):
+    fields = list(corpus_fields(grid2, 8, seed=3, s=0.5, q=2.0))
     labels = [name for name, _ in fields]
     assert len(fields) == 8
     assert labels[0].startswith("gaussian")
@@ -95,22 +95,22 @@ def test_standard_corpus_layout(grid2):
     assert any(name.startswith("band") for name in labels)
 
 
-def test_standard_corpus_deterministic(grid2):
-    a = standard_corpus(grid2, 6, seed=3, s=0.5, q=2.0)
-    b = standard_corpus(grid2, 6, seed=3, s=0.5, q=2.0)
+def test_corpus_fields_deterministic(grid2):
+    a = list(corpus_fields(grid2, 6, seed=3, s=0.5, q=2.0))
+    b = list(corpus_fields(grid2, 6, seed=3, s=0.5, q=2.0))
     for (la, fa), (lb, fb) in zip(a, b):
         assert la == lb
         assert np.array_equal(fa.values, fb.values)
 
 
-def test_standard_corpus_empty():
+def test_corpus_fields_empty():
     grid = make_grid(2, 32, 20.0)
-    assert standard_corpus(grid, 0, seed=1) == []
+    assert list(corpus_fields(grid, 0, seed=1)) == []
 
 
-def test_standard_corpus_skips_powers_on_coarse_grids():
+def test_corpus_fields_skips_powers_on_coarse_grids():
     grid = make_grid(3, 32, 20.0)  # 8h = L/4: power cutoffs collapse
-    fields = standard_corpus(grid, 6, seed=1, s=1.0, q=2.0)
+    fields = list(corpus_fields(grid, 6, seed=1, s=1.0, q=2.0))
     assert len(fields) == 6
     assert not any(name.startswith("power") for name, _ in fields)
 

@@ -5,7 +5,7 @@ import pytest
 
 import hardylp.littlewood_paley as littlewood_paley
 from conftest import discrete_hardy_ceiling, lp_stack, random_mean_zero_field
-from hardylp.corpus import gaussian_field, random_band_limited_field, standard_corpus
+from hardylp.corpus import corpus_fields, gaussian_field, random_band_limited_field
 from hardylp.hardy import (
     besov_hardy_quotient,
     classical_hardy_quotient,
@@ -90,7 +90,7 @@ def test_classical_rhs_is_the_energy_of_the_spectral_gradient(kind):
     # noise carries content on every Nyquist plane
     grid = make_grid(3, 32, 20.0)
     if kind == "corpus":
-        fields_ = [f for _, f in standard_corpus(grid, 6, 1, s=0.5, q=3.0)]
+        fields_ = [f for _, f in corpus_fields(grid, 6, 1, s=0.5, q=3.0)]
     else:
         real = kind == "noise"
         fields_ = [random_mean_zero_field(grid, 520 + i, real=real) for i in range(3)]

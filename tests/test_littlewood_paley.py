@@ -17,7 +17,7 @@ from conftest import (
     stack_triebel_lizorkin_norm,
     weighted_stack,
 )
-from hardylp.corpus import random_band_limited_field, standard_corpus
+from hardylp.corpus import corpus_fields, random_band_limited_field
 from hardylp.hardy import holder_refinement_check, shell_chain_check, shell_groups
 from hardylp.littlewood_paley import (
     besov_terms,
@@ -123,7 +123,7 @@ def test_decompose_ignores_the_mean_on_the_corpus(dim, n, q):
     # stack of f - mean up to FFT rounding
     grid = make_grid(dim, n, 20.0)
     part = build_partition(grid)
-    for label, f in standard_corpus(grid, 6, 1, s=0.3, q=q):
+    for label, f in corpus_fields(grid, 6, 1, s=0.3, q=q):
         stack = lp_stack(f, part)
         mean_free = lp_stack(f.with_values(f.values - np.mean(f.values)), part)
         scale = np.abs(stack).max()
@@ -364,7 +364,7 @@ def test_level_pass_matches_the_stack(d, q, s):
     part = build_partition(grid)
     groups = shell_groups(grid)
     rs = (2.0, 2.0 * (q - 1.0), np.inf)
-    fields_ = [f for _, f in standard_corpus(grid, 4, 1, s=s, q=q)]
+    fields_ = [f for _, f in corpus_fields(grid, 4, 1, s=s, q=q)]
     fields_.append(random_mean_zero_field(grid, seed=300 + d))  # complex
     for f in fields_:
         sums = level_sums(f, part, s, q, (*rs, q), groups)
