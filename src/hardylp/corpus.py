@@ -9,7 +9,8 @@ Every field is a deterministic function of (grid, seed, index).
 The radial families are evaluated once per radial class of the
 cell-centred grid and gathered onto the mesh.  A band-limited field keeps
 only the Hermitian part of its coefficients, scattered onto the half
-spectrum, and is synthesized by one real inverse FFT.
+spectrum on the annulus' bounding box, and is synthesized by one real
+inverse FFT pruned to that box.
 """
 
 from __future__ import annotations
@@ -22,9 +23,14 @@ from .littlewood_paley import _mollifier
 from .spectral_core import (
     GridSpec,
     SampledField,
+    _box_indices,
+    _half_box,
+    _inverse_real,
     _phase_1d,
+    _pruned,
     _radial_values,
-    frequency_radius,
+    _radius,
+    frequency_axes,
 )
 
 __all__ = [
@@ -103,29 +109,36 @@ def random_band_limited_field(
     field is the real part, so the spectrum stays inside the (symmetric)
     annulus and the mean vanishes.  The default band (2/L, n/(8L)) is empty,
     and refused, for n < 16.  The real part of sum_k g_k e^(2 pi i k x)
-    has coefficients (g_k + conj g_-k) / 2, which is what the half spectrum
-    receives before one irfftn.  All but the envelope is drawn once per
-    (grid, seed, band) and cached (_band_support).
+    has coefficients (g_k + conj g_-k) / 2, which the half spectrum on the
+    annulus' bounding box receives before one pruned real inverse.  The
+    support is built once per (grid, band) (_band_support) and the draws
+    once per seed (_band_draws); only the envelope is applied per call.
     """
     band = None if band is None else tuple(band)
-    ratio, draws, phases, scatter = _band_support(grid, seed, band)
-    coef = draws * ratio ** (-envelope)
+    K, ratio, phases, scatter = _band_support(grid, band)
+    coef = _band_draws(grid, seed, band) * ratio ** (-envelope)
     for phase in phases:  # the cell-centring phases of inverse_transform
         coef = coef * phase
     coef *= grid.size / 2.0
-    spec = np.zeros(grid.shape[:-1] + (grid.n // 2 + 1,), dtype=np.complex128)
+    box = tuple(k.size for k in _half_box(grid.n, grid.d, K))
+    spec = np.zeros(box, dtype=np.complex128)
     for points, keep, mirrored in scatter:
         spec[points] += coef[keep].conj() if mirrored else coef[keep]
-    vals = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.d)))
-    peak = np.max(np.abs(vals))
-    return SampledField(grid, vals / peak if peak > 0 else vals)
+    vals = _inverse_real(spec, grid.n, K)
+    peak = max(vals.max(), -vals.min())  # max |vals|, with no |vals| array
+    if peak > 0:
+        vals /= peak
+    return SampledField(grid, vals)
 
 
 @lru_cache(maxsize=2)
-def _band_support(grid: GridSpec, seed: int, band: tuple[float, float] | None):
-    """The envelope-free part of random_band_limited_field: |xi| / band_lo
-    and the draws at the annulus points, the per-axis phases there, and
-    where the points and their mirrors land on the half spectrum."""
+def _band_support(grid: GridSpec, band: tuple[float, float] | None):
+    """The seed- and envelope-free part of random_band_limited_field: the
+    pruning box K of the annulus (None: the whole lattice), |xi| / band_lo
+    and the per-axis phases at the annulus points, and where the points and
+    their mirrors land on the half spectrum's box (_half_box).  Built on the
+    annulus' bounding box |k_i| <= hi L, whose ascending indices keep the
+    lattice's C order over the annulus."""
     if band is None:
         band = (2.0 / grid.L, grid.n / (8.0 * grid.L))
         if grid.n < 16:
@@ -136,19 +149,31 @@ def _band_support(grid: GridSpec, seed: int, band: tuple[float, float] | None):
     lo, hi = band
     if not (0.0 < lo <= hi):
         raise ValueError(f"invalid frequency band {band}")
-    rad = frequency_radius(grid)
+    n = grid.n
+    K = _pruned(n, int(min(hi * grid.L * (1.0 + 1e-9), n)))
+    axis = _box_indices(n, K)
+    rad = _radius([frequency_axes(grid)[axis]] * grid.d)
     mask = (rad >= lo * (1.0 - 1e-12)) & (rad <= hi * (1.0 + 1e-12))
     if not mask.any():
         raise ValueError(f"no lattice frequencies inside the band {band}")
-    rng = np.random.default_rng(seed)
-    idx = np.nonzero(mask)
-    draws = rng.standard_normal(idx[0].size) + 1j * rng.standard_normal(idx[0].size)
+    where = np.zeros(n, dtype=np.int64)  # lattice index -> place in the box
+    where[axis] = np.arange(axis.size)
+    pos = np.nonzero(mask)
+    idx = tuple(axis[p] for p in pos)
     phase = _phase_1d(grid, "cell").conj()
     scatter = []
-    for points, mirrored in ((idx, False), (tuple((-k) % grid.n for k in idx), True)):
-        keep = points[-1] < grid.n // 2 + 1
-        scatter.append((tuple(k[keep] for k in points), keep, mirrored))
-    return rad[idx] / lo, draws, tuple(phase[k] for k in idx), tuple(scatter)
+    for points, mirrored in ((idx, False), (tuple((-k) % n for k in idx), True)):
+        keep = points[-1] < n // 2 + 1
+        scatter.append((tuple(where[k[keep]] for k in points), keep, mirrored))
+    return K, rad[pos] / lo, tuple(phase[k] for k in idx), tuple(scatter)
+
+
+@lru_cache(maxsize=2)
+def _band_draws(grid: GridSpec, seed: int, band: tuple[float, float] | None):
+    """The complex Gaussian draws at the annulus points, in C order."""
+    count = _band_support(grid, band)[1].size
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(count) + 1j * rng.standard_normal(count)
 
 
 def corpus_fields(grid: GridSpec, size: int, seed: int, s: float = 1.0, q: float = 2.0):

@@ -23,6 +23,7 @@ from .spectral_core import (
     _apply_diag,
     _frequency_classes,
     _lq,
+    _radial_symbol,
 )
 
 __all__ = [
@@ -143,15 +144,20 @@ def project(f: SampledField, partition: DyadicPartition, N: float) -> SampledFie
             f"dyadic level {N:g} outside the partition range "
             f"[{partition.n_min:g}, {partition.n_max:g}]"
         )
-    mult = partition.multiplier(N, np.isrealobj(f.values))
+    mult = _radial_symbol(partition.grid, partition.tables[N], np.isrealobj(f.values))
     return f.with_values(next(_apply_diag(f.values, [mult])))
 
 
 def decompose(f: SampledField, partition: DyadicPartition):
     """The pieces P_N f in partition order, as an iterator that makes each
-    piece when it is taken; they sum to the mean-free part of f."""
+    piece when it is taken; they sum to the mean-free part of f.  The level-N
+    table vanishes from |xi| = 2N on, so on a real field every level below
+    the top takes the inverse pruned to the box |k_i| < 2NL of its support
+    (_radial_symbol); the top level is a high-pass and takes the whole
+    in-place inverse."""
     real = np.isrealobj(f.values)
-    mults = (partition.multiplier(N, real) for N in partition.levels)
+    grid, tables = partition.grid, partition.tables
+    mults = (_radial_symbol(grid, tables[N], real) for N in partition.levels)
     return _apply_diag(f.values, mults)
 
 

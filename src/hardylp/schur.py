@@ -145,9 +145,10 @@ def hardy_kernel(s: float, d: int, q: float, levels=None) -> SchurKernel:
 def hardy_row_sum_closed_form(s: float, d: int, q: float) -> float:
     """Exact value of the full dyadic row sum:
     2^-s / (1 - 2^-s) + 1 / (1 - 2^-(d/q - s))."""
-    ratio = d / q
-    if s <= 0 or s >= ratio or ratio - s <= 0:
-        raise ValueError("Schur sums diverge at endpoint exponents")
+    try:
+        ratio = _require_hardy_exponents(s, d, q)
+    except ValueError as err:  # the endpoints, beyond them, and NaN
+        raise ValueError(f"Schur row sums diverge: {err}") from None
     return 2.0 ** (-s) / (1.0 - 2.0 ** (-s)) + 1.0 / (1.0 - 2.0 ** (-(ratio - s)))
 
 

@@ -16,15 +16,27 @@ mirror image on the lattice, so an odd symbol has no Hermitian value there
 in MATLAB, SIAM 2000, ch. 3).  Complex fields keep every symbol as given.
 Generic multipliers (apply_multiplier) need not be Hermitian and always take
 the complex path.  The gradient's symbol 2 pi i xi_j depends on xi_j alone,
-so each partial derivative takes one 1-D transform pair along its own axis.
+so each partial derivative takes one 1-D transform pair along its own axis,
+made slab by slab of lines so that only part of its spectrum exists at once.
+
+The d-D transforms make no field-size temporaries.  The forward transform
+hands numpy one output array (out=), which every stage writes into.  The
+inverse runs as irfftn does, ifft along each leading axis and then irfft
+along the last, but in place in its input.  A half spectrum that vanishes
+outside the box |k_i| <= K is inverted pruned to that box (FFT pruning;
+Markel, IEEE Trans. Audio Electroacoust. 19 (1971)): along each leading axis
+only the lines that cross the box are transformed, and irfft zero-pads the
+K + 1 columns of the last axis itself.  Fallback rule: a box with 4K > n is
+inverted whole, since widening it costs more than the skipped lines save.
+Both paths are bitwise equal to np.fft.irfftn; dyadic levels below the top
+and the band-limited corpus fields take the pruned one.
 """
 
 from __future__ import annotations
 
-import operator
 import struct
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,6 +77,10 @@ SUPPORTED_DIMENSIONS = (1, 2, 3, 4)
 # far outside the quadrature tolerances this package promises.
 WEIGHT_REFINE_RADIUS = 6.0
 WEIGHT_REFINE_FACTOR = 16
+
+# The gradient transforms each axis's lines in this many slabs, so its
+# spectrum is a quarter of a field array at a time.
+GRADIENT_SLABS = 4
 
 # Largest grid make_grid accepts: d = 3, n = 256 is 2**24 samples, 134 MB per
 # real field and 268 MB per complex one.
@@ -266,20 +282,75 @@ def _phase_1d(grid: GridSpec, centering: str) -> np.ndarray:
 
 def forward_transform(f: SampledField) -> Spectrum:
     """Fourier coefficients of f; a constant field c maps to c at frequency 0."""
-    g = np.fft.fftn(f.values) / f.grid.size
+    g = np.fft.fftn(f.values, out=np.empty(f.grid.shape, np.complex128))
+    g /= f.grid.size
     ph = _phase_1d(f.grid, f.centering)
     for ax in range(f.grid.d):
-        g = g * _along_axis(f.grid, ax, ph)
+        g *= _along_axis(f.grid, ax, ph)
     return Spectrum(grid=f.grid, coefficients=g, centering=f.centering)
 
 
 def inverse_transform(spec: Spectrum) -> SampledField:
-    g = spec.coefficients
     ph = _phase_1d(spec.grid, spec.centering).conj()
-    for ax in range(spec.grid.d):
-        g = g * _along_axis(spec.grid, ax, ph)
-    values = np.fft.ifftn(g * spec.grid.size)
+    g = spec.coefficients * _along_axis(spec.grid, 0, ph)
+    for ax in range(1, spec.grid.d):
+        g *= _along_axis(spec.grid, ax, ph)
+    g *= spec.grid.size
+    values = np.fft.ifftn(g, out=g)
     return SampledField(grid=spec.grid, values=values, centering=spec.centering)
+
+
+def _forward(values: np.ndarray) -> np.ndarray:
+    """rfftn of real values, fftn of complex ones, bitwise: numpy writes
+    every stage into the one output array it is handed."""
+    shape = values.shape
+    if np.iscomplexobj(values):
+        return np.fft.fftn(values, out=np.empty(shape, np.complex128))
+    half = shape[:-1] + (shape[-1] // 2 + 1,)
+    return np.fft.rfftn(values, out=np.empty(half, np.complex128))
+
+
+def _pruned(n: int, K: int) -> int | None:
+    """K when the box |k_i| <= K is narrow enough to invert pruned (4K <= n),
+    else None: the box is inverted as the whole half spectrum."""
+    return K if 4 * K <= n else None
+
+
+def _box_indices(n: int, K: int | None) -> np.ndarray:
+    """The FFT indices of |k| <= K on one axis, ascending: [0..K] and
+    [n-K..n-1]; every index 0..n-1 when K is None."""
+    return np.arange(n) if K is None else np.r_[0 : K + 1, n - K : n]
+
+
+def _half_box(n: int, d: int, K: int | None) -> tuple[np.ndarray, ...]:
+    """Per-axis indices of the box |k_i| <= K in the rfftn half spectrum of
+    the (n,)*d grid: _box_indices on each leading axis and 0..K on the last;
+    the whole half spectrum when K is None."""
+    last = np.arange(n // 2 + 1 if K is None else K + 1)
+    return (_box_indices(n, K),) * (d - 1) + (last,)
+
+
+def _inverse_real(half: np.ndarray, n: int, K: int | None = None) -> np.ndarray:
+    """np.fft.irfftn(spectrum, s=(n,)*d), bitwise; half serves as the work
+    buffer and is overwritten.
+
+    half is the whole rfftn half spectrum when K is None, and otherwise the
+    spectrum on the box _half_box(n, d, K), zero outside it.  ifft runs in
+    place along each leading axis in turn; before each, a pruned box is
+    widened along that axis to whole lines of n, zeros between its two index
+    runs, so only the lines that cross the box are transformed.  irfft then
+    zero-pads the K + 1 columns of the last axis.
+    """
+    for ax in range(half.ndim - 1):
+        if K is not None:
+            shape = half.shape[:ax] + (n,) + half.shape[ax + 1 :]
+            lines = np.zeros(shape, np.complex128)
+            lead = (slice(None),) * ax
+            lines[lead + (slice(0, K + 1),)] = half[lead + (slice(0, K + 1),)]
+            lines[lead + (slice(n - K, n),)] = half[lead + (slice(K + 1, None),)]
+            half = lines
+        np.fft.ifft(half, axis=ax, out=half)
+    return np.fft.irfft(half, n, axis=-1)
 
 
 def _multiplier_values(grid: GridSpec, m) -> np.ndarray:
@@ -306,22 +377,42 @@ def _apply_diag(values: np.ndarray, mults):
     Real values go through rfftn/irfftn: each m is cut to the half lattice,
     its first n//2 + 1 entries along the last axis, and the pieces are real.
     That keeps only the Hermitian part of m, so a caller with real values
-    passes symbols that are Hermitian on the lattice.  Complex values go
-    through fftn/ifftn with m as given.  The per-axis phases of
-    forward_transform and inverse_transform cancel for a diagonal
-    multiplier, so they are left out.
+    passes symbols that are Hermitian on the lattice.  For real values an m
+    may also be a pair (K, values of m on _half_box(n, d, K)) from
+    _radial_symbol, for a symbol that vanishes outside that box; its piece
+    takes the pruned inverse.  Complex values go through fftn/ifftn with m
+    as given.  The per-axis phases of forward_transform and
+    inverse_transform cancel for a diagonal multiplier, so they are left out.
+    Each piece's product buffer is freed before the next piece is made.
     """
+    spec = _forward(values)
     if np.iscomplexobj(values):
-        spec = np.fft.fftn(values)
         for m in mults:
-            yield np.fft.ifftn(spec * m)
+            piece = spec * m
+            yield np.fft.ifftn(piece, out=piece)
+            del piece
         return
-    shape = values.shape
-    axes = tuple(range(len(shape)))
-    half = shape[-1] // 2 + 1
-    spec = np.fft.rfftn(values)
+    n, half = values.shape[0], spec.shape[-1]
     for m in mults:
-        yield np.fft.irfftn(spec * m[..., :half], s=shape, axes=axes)
+        K, m = m if isinstance(m, tuple) else (None, m[..., :half])
+        box = spec if K is None else spec[np.ix_(*_half_box(n, values.ndim, K))]
+        yield _inverse_real(np.multiply(box, m), n, K)
+
+
+def _radial_symbol(grid: GridSpec, table: np.ndarray, real: bool):
+    """The symbol with value table[j] on radial class j of _frequency_classes,
+    as _apply_diag takes it.  For real fields whose table vanishes beyond the
+    radius K/L, with 4K <= n, it is the pair (K, its values on the box
+    _half_box(n, d, K)), which holds the ball |k| <= K; otherwise its values
+    on the whole lattice (the rfftn half when real)."""
+    index, radii = _frequency_classes(grid, real)
+    if real:
+        support = np.flatnonzero(table)
+        top = radii[support[-1]] * grid.L if support.size else 0.0
+        K = _pruned(grid.n, int(top + 1e-6))  # |k_i| <= |k| = top, past rounding
+        if K is not None:
+            return K, np.take(table, index[np.ix_(*_half_box(grid.n, grid.d, K))])
+    return np.take(table, index)
 
 
 def apply_multiplier(f: SampledField, m) -> SampledField:
@@ -396,14 +487,19 @@ def _parseval_energy(f: SampledField, symbols):
     and m the sum of symbols: by Parseval, ||g||_2^2 for g with spectrum
     F sqrt(m).  A real f takes rfftn, each symbol cut to the half lattice as
     in _apply_diag; there the planes k_last = 0 and n/2 are their own mirror
-    images and count once, and every other plane counts twice."""
+    images and count once, and every other plane counts twice.  Besides the
+    spectrum it holds one real half array, the power."""
     grid = f.grid
     real = np.isrealobj(f.values)
-    spec = np.fft.rfftn(f.values) if real else np.fft.fftn(f.values)
+    spec = _forward(f.values)
     half = grid.n // 2 + 1 if real else None
-    power = (spec.real**2 + spec.imag**2) * reduce(
-        operator.add, (m[..., :half] for m in symbols)
-    )
+    power = np.square(spec.real)
+    power += np.square(spec.imag, out=spec.imag)
+    weight = None  # the sum of symbols, left to right, in the spent spectrum
+    for m in symbols:
+        m = m[..., :half]
+        weight = m if weight is None else np.add(weight, m, out=spec.real)
+    power *= weight
     total = power.sum()
     if real:
         total = 2.0 * total - power[..., 0].sum() - power[..., -1].sum()
@@ -456,18 +552,34 @@ def _gradient_components(f: SampledField):
     along axis j for real f, with the symbol's Nyquist entry zero, else fft/ifft."""
     n, real = f.grid.n, np.isrealobj(f.values)
     k = 2j * np.pi * _odd_frequencies(f.grid, real)[: n // 2 + 1 if real else None]
-    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     for ax in range(f.grid.d):
-        spec = fwd(f.values, axis=ax)
-        yield inv(np.multiply(spec, _along_axis(f.grid, ax, k), out=spec), n, axis=ax)
+        yield _partial(f.values, ax, _along_axis(f.grid, ax, k))
+
+
+def _partial(values: np.ndarray, ax: int, k: np.ndarray) -> np.ndarray:
+    """The 1-D transform pair along axis ax with symbol k, in GRADIENT_SLABS
+    slabs of lines cut along another axis and written into one output array.
+    Each line is transformed as in the whole-array call, bitwise, and no
+    spectrum larger than a slab's exists."""
+    real = np.isrealobj(values)
+    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    n = values.shape[ax]
+    out = np.empty_like(values)
+    step = n // GRADIENT_SLABS
+    lead = (slice(None),) * (1 if ax == 0 else 0)  # the slabs cut axis 1 or 0
+    slabs = [lead + (slice(i, i + step),) for i in range(0, n, step)]
+    for slab in slabs if values.ndim > 1 else [()]:
+        spec = fwd(values[slab], axis=ax)
+        inv(np.multiply(spec, k, out=spec), n, axis=ax, out=out[slab])
+    return out
 
 
 def gradient_magnitude(f: SampledField) -> np.ndarray:
     """Pointwise length of the spectral gradient, summed in place per component."""
-    total = 0.0
+    total = None
     for g in _gradient_components(f):
-        g = np.abs(g, out=g if np.isrealobj(g) else None)
-        total += np.square(g, out=g)
+        g = np.square(g, out=g) if np.isrealobj(g) else np.square(np.abs(g))
+        total = g if total is None else np.add(total, g, out=total)
         del g  # frees the component before the next one is made
     return np.sqrt(total, out=total)
 
@@ -483,7 +595,8 @@ def _lq(values: np.ndarray, cell_volume: float, q: float) -> float:
         return float(np.max(np.abs(values), initial=0.0))
     if q < 1:
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
-    absq = np.abs(values) ** q
+    absq = np.abs(values)
+    np.power(absq, q, out=absq)
     return float((absq.sum() * cell_volume) ** (1.0 / q))
 
 
@@ -500,7 +613,14 @@ def _refined_weight(grid: GridSpec, centering: str, exponent: float) -> np.ndarr
 
 def _build_weight(grid: GridSpec, centering: str, exponent: float) -> np.ndarray:
     rad = radius_mesh(grid, centering)
-    if np.any(rad == 0.0):
+    h = grid.h
+    # |x| >= |x_i| on every axis, so the origin's sample and every near cell
+    # (|x| <= WEIGHT_REFINE_RADIUS * h) lie in the sub-cube of the axis
+    # coordinates with |x_i| <= WEIGHT_REFINE_RADIUS * h
+    x = axis_coordinates(grid, centering)
+    cube = np.flatnonzero(np.abs(x) <= WEIGHT_REFINE_RADIUS * h)
+    cube_rad = rad[np.ix_(*([cube] * grid.d))]
+    if np.any(cube_rad == 0.0):
         if exponent < 0:
             raise ValueError(
                 "a sample sits at |x| = 0; use a cell-centered grid for "
@@ -512,16 +632,14 @@ def _build_weight(grid: GridSpec, centering: str, exponent: float) -> np.ndarray
         if exponent == 0:
             w[~nz] = 1.0
         return w
-    w = rad**exponent
+    w = np.power(rad, exponent, out=rad)
     if exponent >= 0:
         return w
-    h = grid.h
     # A near cell's average is invariant under the 2^d d! sign flips and axis
     # permutations of the cell-centred lattice and scales exactly as h^exponent:
     # average once per class of sorted odd integers 2|x_c|/h, on the unit cell.
-    near = np.argwhere(rad <= WEIGHT_REFINE_RADIUS * h)
-    x = axis_coordinates(grid, centering) / h
-    keys = np.sort(np.rint(2.0 * np.abs(x[near])).astype(np.int64), axis=1)
+    near = cube[np.argwhere(cube_rad <= WEIGHT_REFINE_RADIUS * h)]
+    keys = np.sort(np.rint(2.0 * np.abs(x[near] / h)).astype(np.int64), axis=1)
     classes, inverse = np.unique(keys, axis=0, return_inverse=True)
     off = (np.arange(WEIGHT_REFINE_FACTOR) + 0.5) / WEIGHT_REFINE_FACTOR - 0.5
     sub = np.meshgrid(*([off] * grid.d), indexing="ij")
@@ -545,8 +663,10 @@ def power_weighted_lq_norm(f: SampledField, weight_power: float, q: float) -> fl
     if q < 1:
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
     w = _refined_weight(f.grid, f.centering, weight_power * q)
-    absq = np.abs(f.values) ** q
-    return float(((absq * w).sum() * f.grid.h**f.grid.d) ** (1.0 / q))
+    absq = np.abs(f.values)
+    np.power(absq, q, out=absq)
+    absq *= w
+    return float((absq.sum() * f.grid.h**f.grid.d) ** (1.0 / q))
 
 
 def weighted_lq_norm(f: SampledField, s: float, q: float) -> float:

@@ -1,5 +1,6 @@
 import collections
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,41 @@ def direct_refined_weight(grid, centering, exponent):
         rr = np.sqrt(sum((center[ax] + sub[ax]) ** 2 for ax in range(grid.d)))
         w[tuple(idx)] = float(np.mean(rr**exponent))
     return w
+
+
+def mesh_class_refined_weight(grid, centering, exponent):
+    """_refined_weight's table with every scan over the whole mesh, the
+    bitwise reference for the build that scans the sub-cube around the
+    origin: the zero test, the near cells (np.argwhere) and the power of the
+    radius all run on the full mesh; each near cell takes its symmetry
+    class's average on the unit cell, scaled by h^exponent."""
+    rad = radius_mesh(grid, centering)
+    if np.any(rad == 0.0):
+        return direct_refined_weight(grid, centering, exponent)
+    w = rad**exponent
+    if exponent >= 0:
+        return w
+    h = grid.h
+    near = np.argwhere(rad <= WEIGHT_REFINE_RADIUS * h)
+    x = axis_coordinates(grid, centering) / h
+    keys = np.sort(np.rint(2.0 * np.abs(x[near])).astype(np.int64), axis=1)
+    classes, inverse = np.unique(keys, axis=0, return_inverse=True)
+    off = (np.arange(WEIGHT_REFINE_FACTOR) + 0.5) / WEIGHT_REFINE_FACTOR - 0.5
+    sub = np.meshgrid(*([off] * grid.d), indexing="ij")
+    sq = (sum((u / 2.0 + o) ** 2 for u, o in zip(c, sub)) for c in classes)
+    means = np.array([np.mean(np.sqrt(r) ** exponent) for r in sq])
+    w[tuple(near.T)] = means[inverse.ravel()] * h**exponent
+    return w
+
+
+def peak_field_arrays(fn, nbytes):
+    """The peak memory traced while fn runs, in field arrays of nbytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / nbytes
+    finally:
+        tracemalloc.stop()
 
 
 def dd_gradient(f):

@@ -3,7 +3,6 @@
 import argparse
 import json
 import shlex
-import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,7 +14,12 @@ import hardylp.corpus as corpus
 import hardylp.extremal as extremal
 import hardylp.littlewood_paley as littlewood_paley
 import hardylp.spectral_core as spectral_core
-from conftest import random_mean_zero_field, stack_level_norms, weighted_stack
+from conftest import (
+    peak_field_arrays,
+    random_mean_zero_field,
+    stack_level_norms,
+    weighted_stack,
+)
 from hardylp.cli import COMMAND_FLAGS, COMMANDS, FLAGS, RunConfig, _build_parser, main
 from hardylp.corpus import random_band_limited_field
 from hardylp.extremal import ESTIMATE_IDENTITIES
@@ -31,6 +35,7 @@ from hardylp.hardy import (
 )
 from hardylp.report import CSV_HEADER, EXACT_TOL, CheckReport, reports_to_json
 from hardylp.spectral_core import (
+    GRADIENT_SLABS,
     fractional_laplacian,
     make_field,
     make_grid,
@@ -170,13 +175,16 @@ def test_verify_fft_budget(capsys, fft_calls):
     # n = 32 gives 3 dyadic levels; the corpus is 2 Gaussians and 4 band
     # fields (the power-law cutoffs do not fit), and the coarse n = 16 corpus
     # of the inner-ball check is 2 Gaussians and 4 band fields.  Per field:
-    #   |D|^s f (fractional, refined, stein-weiss base)   1 rfftn + 1 irfftn
-    #   classical ||grad f||_2^2 by Parseval               1 rfftn
-    #   fractional homogeneity, |D|^s (3.5 f)              1 rfftn + 1 irfftn
-    #   stein-weiss Riesz potential of |D|^s f             1 rfftn + 1 irfftn
-    #   level pass, 3 levels                               1 rfftn + 3 irfftn
-    # that is 5 rfftn and 6 irfftn, and each band field takes one irfftn.
-    assert dict(fft_calls) == {"rfftn": 6 * 5, "irfftn": 6 * 6 + 4 + 4}
+    #   |D|^s f (fractional, refined, stein-weiss base)   1 forward + 1 inverse
+    #   classical ||grad f||_2^2 by Parseval               1 forward
+    #   fractional homogeneity, |D|^s (3.5 f)              1 forward + 1 inverse
+    #   stein-weiss Riesz potential of |D|^s f             1 forward + 1 inverse
+    #   level pass, 3 levels                               1 forward + 3 inverses
+    # that is 5 forward and 6 inverse transforms, and each band field takes
+    # one inverse.  A forward transform is one rfftn; an inverse is an ifft
+    # along each of the 2 leading axes and one irfft, as irfftn makes it.
+    inverses = 6 * 6 + 4 + 4
+    assert dict(fft_calls) == {"rfftn": 6 * 5, "ifft": 2 * inverses, "irfft": inverses}
 
 
 def test_verify_takes_one_weighted_norm_per_field_for_the_fractional_trio(
@@ -207,10 +215,13 @@ def test_gradient_check_fft_budget(capsys, fft_calls):
     )
     assert code == 0
     # the corpus is 2 Gaussians and 4 band fields (the power-law cutoffs do
-    # not fit); each band field takes one irfftn.  Per field, the gradient
-    # takes one rfft and one irfft along each of the 4 axes, and no d-D
-    # transform; the weighted norm takes none
-    assert dict(fft_calls) == {"rfft": 6 * 4, "irfft": 6 * 4, "irfftn": 4}
+    # not fit); each band field takes one d-D inverse, an ifft along each of
+    # the 3 leading axes and one irfft.  Per field, the gradient takes one
+    # 1-D transform pair along each of the 4 axes, made as one rfft and one
+    # irfft per slab of lines, and no d-D transform; the weighted norm takes
+    # none
+    pairs = 6 * 4 * GRADIENT_SLABS
+    assert dict(fft_calls) == {"rfft": pairs, "irfft": pairs + 4, "ifft": 3 * 4}
 
 
 def test_estimate_constant_evaluates_each_distinct_point_once(
@@ -236,9 +247,10 @@ def test_estimate_constant_evaluates_each_distinct_point_once(
     search = [args[-1] for args in trials if args[1].n == 64]
     assert len(search) == len({tuple(sorted(p.items())) for p in search}) == 49
     assert len(trials) == 49 + 1  # and the trend's trial on the n = 128 grid
-    # each quotient takes one rfftn (q = 2, by Parseval), and each band field
-    # one irfftn
-    assert dict(fft_calls) == {"rfftn": 50, "irfftn": 7}
+    # each quotient takes one forward rfftn (q = 2, by Parseval), and each
+    # band field one inverse: an ifft along each of the 2 leading axes and
+    # one irfft
+    assert dict(fft_calls) == {"rfftn": 50, "ifft": 2 * 7, "irfft": 7}
 
 
 @pytest.mark.parametrize(
@@ -299,16 +311,16 @@ FIELD_BYTES = 16**4 * 8  # one real field on the d = 4, n = 16 grid
 )
 def test_peak_memory_does_not_grow_with_the_corpus(capsys, argv):
     def peak(size):
-        tracemalloc.start()
-        try:
-            code = main([*argv, "--d", "4", "--n", "16", "--corpus-size", str(size)])
-            assert code == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        codes = []
+        run_ = [*argv, "--d", "4", "--n", "16", "--corpus-size", str(size)]
+        arrays = peak_field_arrays(lambda: codes.append(main(run_)), FIELD_BYTES)
+        assert codes == [0]
+        return arrays
 
     peak(8)  # fills the per-grid caches, which the runs below reuse
-    assert peak(8) <= peak(2) + FIELD_BYTES
+    # 3 fields are 2 Gaussians and 1 band field, so both families are built
+    # at either size; the corpus streams, so 5 more fields add under one array
+    assert peak(8) <= peak(3) + 1.0
     capsys.readouterr()
 
 
@@ -864,6 +876,22 @@ def test_non_finite_tolerance_flag_exit_2(capsys, tmp_path, value):
     target = tmp_path / "reports.csv"
     assert run(capsys, *argv, "--out", str(target))[0] == 2
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("schur-check", "--d", "3", "--s", "nan"),
+        ("verify", "--suite", "all", "--d", "3", "--n", "16", "--s", "nan",
+         "--corpus-size", "2"),
+    ],
+    ids=["schur-check", "verify"],
+)
+def test_nan_smoothness_exit_2(capsys, argv):
+    # NaN fails every comparison, so only the not (0 < s < d/q) form refuses it
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "need 0 < s < d/q" in err
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])

@@ -8,6 +8,7 @@ from conftest import (
     mesh_capped_power,
     mesh_gaussian,
     mesh_truncated_power,
+    peak_field_arrays,
     phased_band_limited_field,
 )
 from hardylp.corpus import (
@@ -166,17 +167,36 @@ def test_band_limited_matches_phased_oracle(d, n):
 
 
 def test_band_limited_takes_one_real_inverse_fft(grid2, fft_calls):
+    # one d-D inverse, made as irfftn makes it: an ifft along the leading
+    # axis, then one irfft
     random_band_limited_field(grid2, 5)
-    assert dict(fft_calls) == {"irfftn": 1}
+    assert dict(fft_calls) == {"ifft": 1, "irfft": 1}
 
 
-def test_band_support_is_built_once_per_grid_and_seed(grid2, call_log):
-    # an envelope search draws the support once; only the synthesis repeats
+def test_band_support_is_built_once_per_grid_and_seed(grid2):
+    # an envelope search builds the support once per grid and band and draws
+    # once per seed; only the synthesis repeats
     corpus._band_support.cache_clear()
-    radii = call_log(corpus, "frequency_radius")
+    corpus._band_draws.cache_clear()
+
+    def builds():
+        return (corpus._band_support.cache_info().misses,
+                corpus._band_draws.cache_info().misses)
+
     for envelope in (0.5, 1.3, 2.5, 0.5):
         got = random_band_limited_field(grid2, 8, envelope).values
         assert_matches(got, phased_band_limited_field(grid2, 8, envelope))
-    assert len(radii) == 1
+    assert builds() == (1, 1)
+    random_band_limited_field(grid2, 9)  # a new seed on the same support
+    assert builds() == (1, 2)
     random_band_limited_field(grid2, 9, band=[0.1, 0.4])  # a list band is hashed
-    assert len(radii) == 2
+    assert builds() == (2, 3)
+
+
+def test_band_limited_peak_memory():
+    # the synthesized field and the SampledField's copy of it; the box
+    # spectrum and its widened lines are freed before the copy is made
+    grid = make_grid(4, 16, 20.0)
+    random_band_limited_field(grid, 1)  # builds the support
+    nbytes = grid.size * 8
+    assert peak_field_arrays(lambda: random_band_limited_field(grid, 1), nbytes) <= 2.25

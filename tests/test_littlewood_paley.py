@@ -1,13 +1,13 @@
 """Dyadic partition construction, projectors, and the scale-indexed norms."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 
 from conftest import (
     lp_stack,
+    peak_field_arrays,
+    random_field,
     random_mean_zero_field,
     stack_besov_norm,
     stack_holder_sides,
@@ -22,6 +22,7 @@ from hardylp.hardy import holder_refinement_check, shell_chain_check, shell_grou
 from hardylp.littlewood_paley import (
     besov_terms,
     build_partition,
+    decompose,
     dyadic_bump,
     level_sums,
     partition_record,
@@ -30,6 +31,7 @@ from hardylp.littlewood_paley import (
 )
 from hardylp.spectral_core import (
     Spectrum,
+    _radial_symbol,
     forward_transform,
     fractional_laplacian,
     frequency_radius,
@@ -408,14 +410,52 @@ def test_level_pass_peak_memory_does_not_grow_with_the_levels():
     for coverage in (0.25, 1.0):
         part = build_partition(grid, coverage)
         level_sums(f, part, 0.5, 3.0, (3.0, 2.0, 4.0), groups)  # warm the caches
-        tracemalloc.start()
-        try:
-            level_sums(f, part, 0.5, 3.0, (3.0, 2.0, 4.0), groups)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(peak_field_arrays(
+            lambda: level_sums(f, part, 0.5, 3.0, (3.0, 2.0, 4.0), groups),
+            f.values.nbytes,
+        ))
         assert len(part.levels) == {0.25: 3, 1.0: 5}[coverage]
-    assert abs(peaks[1] - peaks[0]) <= f.values.nbytes
+    assert abs(peaks[1] - peaks[0]) <= 1.0
+
+
+def test_level_pass_peak_memory_with_the_verify_sums():
+    # verify's pass at q = 3: three pointwise sums and the shell groups.
+    # The piece is made in place from the one spectrum, so the peak is held
+    # by the sums and the level's own arrays; irfftn's stage temporaries
+    # gave 7.64 field arrays here
+    grid = make_grid(3, 64, 20.0)
+    f = random_band_limited_field(grid, 1)
+    part, groups = build_partition(grid), shell_groups(grid)
+
+    def run():
+        level_sums(f, part, 0.5, 3.0, (4.0, 3.0, 2.0), groups)
+
+    run()  # warm the caches
+    assert peak_field_arrays(run, f.values.nbytes) <= 7.64
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("d,n", [(1, 256), (2, 64), (3, 32), (4, 32)])
+def test_level_pieces_match_the_direct_inverse(d, n, real):
+    # every level below the top is pruned to the box of its support, within
+    # |k_i| <= 2NL; the top level is a high-pass and takes the whole inverse
+    grid = make_grid(d, n, 20.0)
+    part = build_partition(grid)
+    f = random_field(grid, seed=d, real=real)
+    axes = tuple(range(d))
+    spec = np.fft.rfftn(f.values) if real else np.fft.fftn(f.values)
+    for N, piece in zip(part.levels, decompose(f, part), strict=True):
+        m = part.multiplier(N, real)
+        if real:
+            want = np.fft.irfftn(spec * m, s=grid.shape, axes=axes)
+        else:
+            want = np.fft.ifftn(spec * m)
+        assert np.array_equal(piece, want)
+        symbol = _radial_symbol(grid, part.tables[N], real)
+        if real and N < part.n_max:
+            assert isinstance(symbol, tuple) and symbol[0] <= 2 * N * grid.L
+        else:
+            assert not isinstance(symbol, tuple)
 
 
 def test_level_sums_refuse_an_aggregate_they_did_not_take(grid2):

@@ -229,6 +229,11 @@ def test_row_sums_diverge_at_endpoints():
         hardy_row_sum_closed_form(1.5, 3, 2.0)
 
 
+def test_row_sums_refuse_nan():
+    with pytest.raises(ValueError, match="need 0 < s < d/q"):
+        hardy_row_sum_closed_form(float("nan"), 3, 2.0)
+
+
 def test_row_sums_grow_as_s_shrinks():
     values = [hardy_row_sum_closed_form(s, 3, 2.0) for s in (0.5, 0.25, 0.125)]
     assert values[0] < values[1] < values[2]

@@ -1,7 +1,6 @@
 """Grid construction, transforms, multipliers, fractional operators, norms."""
 
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,8 @@ from conftest import (
     dd_gradient,
     direct_refined_weight,
     full_field_boundary_decay,
+    mesh_class_refined_weight,
+    peak_field_arrays,
     random_field,
     random_mean_zero_field,
 )
@@ -19,7 +20,15 @@ from hardylp.spectral_core import (
     MAX_GRID_SAMPLES,
     WEIGHT_REFINE_RADIUS,
     Spectrum,
+    _build_weight,
+    _forward,
+    _gradient_symbols,
+    _half_box,
+    _inverse_real,
+    _lq,
+    _parseval_energy,
     _power_symbol,
+    _pruned,
     _refined_weight,
     apply_multiplier,
     axis_coordinates,
@@ -472,18 +481,98 @@ def test_gradient_matches_the_dd_transform_reference(d, real, centering):
 
 @pytest.mark.parametrize("d, n", [(3, 64), (4, 32)])
 def test_gradient_magnitude_peak_memory(d, n):
-    # one component at a time: its half-line spectrum (about one field array
-    # of complex half lines), its inverse and the running sum
+    # one component at a time: its inverse and the running sum, and the
+    # half-line spectrum of one slab of lines (a quarter of about one field
+    # array of complex half lines); unslabbed, the whole spectrum made 3.06
     grid = make_grid(d, n, 20.0)
     f = random_field(grid, seed=7, real=True)
     gradient_magnitude(f)
-    tracemalloc.start()
-    try:
-        gradient_magnitude(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.25 * f.values.nbytes
+    assert peak_field_arrays(lambda: gradient_magnitude(f), f.values.nbytes) <= 2.75
+
+
+# --- in-place and pruned transforms -----------------------------------------
+
+TRANSFORM_GRIDS = [(1, 64), (2, 32), (3, 32), (4, 16)]
+
+
+def box_cut(spec, n, K):
+    """spec with every entry outside the box |k_i| <= K set to zero."""
+    k = np.abs(np.fft.fftfreq(n) * n)
+    inside = np.ones(spec.shape, dtype=bool)
+    for ax, size in enumerate(spec.shape):
+        shape = [1] * spec.ndim
+        shape[ax] = size
+        inside &= (k[:size] <= K).reshape(shape)
+    return np.where(inside, spec, 0.0)
+
+
+@pytest.mark.parametrize("d,n", TRANSFORM_GRIDS)
+def test_pruned_inverse_matches_irfftn(d, n):
+    # K = n/2 covers the whole half spectrum: the fallback, as for no box
+    rng = np.random.default_rng(d)
+    half = (n,) * (d - 1) + (n // 2 + 1,)
+    axes = tuple(range(d))
+    for K in (0, 1, n // 8, n // 4, n // 2):
+        spec = box_cut(rng.standard_normal(half) + 1j * rng.standard_normal(half), n, K)
+        want = np.fft.irfftn(spec, s=(n,) * d, axes=axes)
+        box = _pruned(n, K)
+        assert (box is None) == (K > n // 4)
+        got = _inverse_real(spec[np.ix_(*_half_box(n, d, box))], n, box)
+        assert np.array_equal(got, want)
+    spec = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+    want = np.fft.irfftn(spec, s=(n,) * d, axes=axes)
+    assert np.array_equal(_inverse_real(spec, n), want)
+
+
+@pytest.mark.parametrize("d,n", TRANSFORM_GRIDS)
+def test_forward_into_one_buffer_matches_numpy(d, n):
+    rng = np.random.default_rng(d)
+    v = rng.standard_normal((n,) * d)
+    assert np.array_equal(_forward(v), np.fft.rfftn(v))
+    c = v + 1j * rng.standard_normal((n,) * d)
+    assert np.array_equal(_forward(c), np.fft.fftn(c))
+
+
+def test_transforms_make_no_field_size_temporaries():
+    # the forward transform allocates its output only; the whole inverse
+    # works in its input and allocates the real output only
+    grid = make_grid(3, 64, 20.0)
+    v = random_field(grid, seed=3, real=True).values
+    spec = _forward(v)
+    assert peak_field_arrays(lambda: _forward(v), spec.nbytes) <= 1.01
+    assert peak_field_arrays(lambda: _inverse_real(spec, grid.n), v.nbytes) <= 1.01
+
+
+def parseval_formula(f, symbols):
+    """_parseval_energy as one expression over whole-array temporaries."""
+    real = np.isrealobj(f.values)
+    spec = np.fft.rfftn(f.values) if real else np.fft.fftn(f.values)
+    half = f.grid.n // 2 + 1 if real else None
+    power = (spec.real**2 + spec.imag**2) * sum(m[..., :half] for m in symbols)
+    total = power.sum()
+    if real:
+        total = 2.0 * total - power[..., 0].sum() - power[..., -1].sum()
+    return total * f.grid.h**f.grid.d / f.grid.size
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 16), (4, 8)])
+def test_in_place_quadratures_match_the_formulas(d, n, real):
+    # bitwise: squares, powers and products taken in place in one array
+    grid = make_grid(d, n, 20.0)
+    f = random_field(grid, seed=d, real=real)
+    gradient_symbols = [np.abs(m) ** 2 for m in _gradient_symbols(f)]
+    for symbols in ([_power_symbol(grid, 1.0, real)], gradient_symbols):
+        assert _parseval_energy(f, symbols) == parseval_formula(f, symbols)
+    hd = grid.h**d
+    for q in (1.0, 2.0, 3.0, 3.5):
+        absq = np.abs(f.values) ** q
+        assert _lq(f.values, hd, q) == float((absq.sum() * hd) ** (1.0 / q))
+        w = _refined_weight(grid, "cell", -0.5 * q)
+        want = float(((absq * w).sum() * hd) ** (1.0 / q))
+        assert power_weighted_lq_norm(f, -0.5, q) == want
+    want = np.sqrt(sum(np.abs(g.values) ** 2 for g in gradient(f)))
+    assert np.array_equal(gradient_magnitude(f), want)
 
 
 # --- norms ------------------------------------------------------------------
@@ -569,6 +658,20 @@ def test_refined_weight_matches_direct_oracle(d, n, exponent):
     images += [np.swapaxes(got, 0, ax) for ax in range(1, d)]
     for image in images:
         assert np.array_equal(image[near], got[near])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_weight_build_matches_the_whole_mesh_build_bitwise(d):
+    # the zero test and the near cells are found in the sub-cube around the
+    # origin, and the power is taken in place
+    for n, L in ((8, 20.0), (16, 1.0), (32, 20.0)):
+        grid = make_grid(d, n, L)
+        for centering, exponent in (
+            ("cell", -0.4), ("cell", -1.0), ("cell", -3.0), ("cell", 0.0),
+            ("cell", 0.5), ("lattice", 0.0), ("lattice", 0.5),
+        ):
+            want = mesh_class_refined_weight(grid, centering, exponent)
+            assert np.array_equal(_build_weight(grid, centering, exponent), want)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
