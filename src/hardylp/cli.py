@@ -19,23 +19,14 @@ import json
 import os
 import sys
 import typing
+from collections import defaultdict
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import corpus as corpus_mod
 from .extremal import ESTIMATE_IDENTITIES, estimate_constant
-from .hardy import (
-    IDENTITIES,
-    besov_hardy_quotient,
-    classical_hardy_quotient,
-    fractional_hardy_quotient,
-    gradient_hardy_quotient,
-    holder_refinement_check,
-    refined_hardy_quotient,
-    shell_chain_check,
-    shell_groups,
-)
+from .hardy import CHECKS, IDENTITIES, Check, FieldValues, fractional_hardy_quotient
 from .littlewood_paley import besov_terms, build_partition, level_sums, partition_record
 from .report import (
     EXACT_TOL,
@@ -55,7 +46,6 @@ from .schur import (
 )
 from .spectral_core import (
     boundary_decay,
-    fractional_laplacian,
     lq_norm,
     make_grid,
     read_field,
@@ -78,6 +68,8 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 DECAY_THRESHOLD = 1e-8
+
+MAX_SWEEP_POINTS = 10_000
 
 SUITES = ("hardy", "schur", "stein-weiss", "chain", "all")
 
@@ -292,18 +284,8 @@ def _hardy_reports(cfg: RunConfig, warn: bool) -> list[CheckReport]:
     do not decay at the box faces."""
     if cfg.identity not in IDENTITIES:
         raise ValueError(f"unknown hardy identity {cfg.identity!r}")
-    needs_partition, quotient = IDENTITIES[cfg.identity]
-    grid = make_grid(cfg.d, cfg.n, cfg.L)
-    partition = build_partition(grid, cfg.coverage) if needs_partition else None
-    tol = cfg.tolerance if cfg.tolerance is not None else QUADRATURE_TOL
-    reports = []
-    for label, f in corpus_mod.corpus_fields(
-        grid, cfg.corpus_size, cfg.seed, s=cfg.s, q=cfg.q
-    ):
-        if warn:
-            _check_decay(f, label)
-        reports += _labelled([quotient(f, cfg.s, cfg.q, partition, tol)], label)
-    return reports
+    plan = (("hardy", CHECKS[cfg.identity], lambda d, s, q: True),)
+    return _corpus_reports(cfg, plan, warn)["hardy"]
 
 
 def cmd_hardy_check(cfg: RunConfig) -> int:
@@ -364,6 +346,11 @@ def _sweep_values(cfg: RunConfig) -> list[float]:
     if cfg.values:
         vals = [float(v) for v in cfg.values.split(",") if v.strip()]
     elif cfg.start is not None and cfg.stop is not None and cfg.step:
+        count = np.ceil((cfg.stop + 1e-12 - cfg.start) / cfg.step)  # arange's length
+        if count > MAX_SWEEP_POINTS:
+            raise ValueError(
+                f"sweep range has {count:g} points, more than {MAX_SWEEP_POINTS}"
+            )
         vals = list(np.arange(cfg.start, cfg.stop + 1e-12, cfg.step))
     else:
         raise ValueError("sweep needs --values or --start/--stop/--step")
@@ -460,11 +447,42 @@ def _labelled(reports: list[CheckReport], label: str) -> list[CheckReport]:
     return reports
 
 
-def _fractional_report(f, s: float, q: float, sobolev: float) -> CheckReport:
+def _corpus_reports(cfg: RunConfig, plan, warn: bool) -> dict:
+    """The checks of plan, (suite, Check, applies(d, s, q)) in run order, on
+    every corpus field, as {suite: reports}; warn flags fields that do not
+    decay at the box faces.  Each field gets one FieldValues that serves the
+    union of what the checks read, released before the next field is built.
+    The partition is built only when a check reads the level pass and the
+    corpus has fields, so a grid too coarse for one runs the other checks.
+    """
+    d, s, q = cfg.d, cfg.s, cfg.q
+    checks = [(suite, check) for suite, check, applies in plan if applies(d, s, q)]
+    grid = make_grid(d, cfg.n, cfg.L)
+    partition = None
+    if cfg.corpus_size > 0 and any(check.levels for _, check in checks):
+        partition = build_partition(grid, cfg.coverage)
+    powers = dict.fromkeys(r for _, check in checks for r in check.powers(q))
+    shells = any(check.shells for _, check in checks)
+    tol = cfg.tolerance if cfg.tolerance is not None else QUADRATURE_TOL
+    reports = defaultdict(list)
+    for label, f in corpus_mod.corpus_fields(grid, cfg.corpus_size, cfg.seed, s=s, q=q):
+        if warn:
+            _check_decay(f, label)
+        values = FieldValues(f, s, q, partition, powers, shells)
+        for suite, check in checks:
+            rep = check.run(values, tol)
+            if rep is not None:
+                reports[suite] += _labelled([rep], label)
+        values = None
+    return reports
+
+
+def _homogeneous_fractional(values: FieldValues, tol: float) -> CheckReport:
     """The fractional quotient of f, asserted homogeneous: the quotient of
     3.5 f must match it to EXACT_TOL."""
-    frac = fractional_hardy_quotient(f, s, q, sobolev=sobolev)
-    scaled = fractional_hardy_quotient(f.with_values(3.5 * f.values), s, q)
+    f, s, q = values.f, values.s, values.q
+    frac = fractional_hardy_quotient(values)
+    scaled = fractional_hardy_quotient(FieldValues(f.with_values(3.5 * f.values), s, q))
     if frac.quotient is not None and scaled.quotient is not None:
         drift = abs(scaled.quotient - frac.quotient) / max(frac.quotient, 1e-300)
         frac.passed = drift <= EXACT_TOL
@@ -473,24 +491,29 @@ def _fractional_report(f, s: float, q: float, sobolev: float) -> CheckReport:
     return frac
 
 
-def _specialization_report(cfg: RunConfig, f, lifted, sobolev, params, c):
+def _specialization(values: FieldValues, tol: float) -> CheckReport | None:
     """Stein-Weiss at alpha = 0, beta = s, lam = d - s on |D|^s f against c
     times the fractional Hardy quotient of f - mean, or None when either
-    quotient is vacuous.  lifted is |D|^s f and sobolev its L^q norm; both
-    are the same for f and f - mean, as |2 pi xi|^s vanishes at xi = 0."""
-    f0 = f.with_values(f.values - np.mean(f.values))
-    base = fractional_hardy_quotient(f0, cfg.s, cfg.q, sobolev=sobolev)
-    sw = stein_weiss_check(lifted, params)
+    quotient is vacuous.  |D|^s f and its L^q norm are the same for f and
+    f - mean, as |2 pi xi|^s vanishes at xi = 0."""
+    f, s, q = values.f, values.s, values.q
+    d = f.grid.d
+    mean_free = FieldValues(f.with_values(f.values - np.mean(f.values)), s, q)
+    mean_free.sobolev = values.sobolev
+    base = fractional_hardy_quotient(mean_free)
+    params = SteinWeissParams(lam=d - s, p=q, q=q, alpha=0.0, beta=s, d=d)
+    sw = stein_weiss_check(values.lifted, params)
     if not (base.quotient and sw.quotient):
         return None
+    c = riesz_constant(d, d - s)
     ratio = sw.quotient / (c * base.quotient)
     return CheckReport(
         identity="stein-weiss-specialization",
-        d=cfg.d,
-        n=cfg.n,
-        L=cfg.L,
-        s=cfg.s,
-        q=cfg.q,
+        d=d,
+        n=f.grid.n,
+        L=f.grid.L,
+        s=s,
+        q=q,
         lhs=sw.quotient,
         rhs=c * base.quotient,
         quotient=ratio,
@@ -500,65 +523,27 @@ def _specialization_report(cfg: RunConfig, f, lifted, sobolev, params, c):
     )
 
 
-def _field_reports(cfg: RunConfig, runs, f, partition, specialization):
-    """One corpus field through the per-field checks of every suite in runs,
-    as {suite: reports}.
-
-    |D|^s f is computed once, for the fractional and refined Sobolev factor
-    and the stein-weiss specialization, and freed before the field's one
-    level pass; the Besov, refined, chain and Holder checks all read the
-    sums of that pass.  specialization is the (params, Riesz constant) pair
-    of the stein-weiss specialization when that suite runs; in d = 4 that
-    suite's inner-ball bound also runs on f.
-    """
-    s, q = cfg.s, cfg.q
-    tol = cfg.tolerance if cfg.tolerance is not None else QUADRATURE_TOL
-    hardy, sw, ball, chain = [], [], [], []
-    sobolev = weighted = None
-    if runs & {"hardy", "stein-weiss"}:
-        lifted = None
-        if q != 2 or specialization is not None:
-            lifted = fractional_laplacian(f, s)
-        # sobolev_norm's own value: one forward FFT by Parseval at q = 2, the
-        # L^q norm of |D|^s f otherwise
-        sobolev = sobolev_norm(f, s, q) if q == 2 else lq_norm(lifted, q)
-        if "hardy" in runs:
-            if cfg.d >= 3:
-                hardy.append(classical_hardy_quotient(f, tol))
-            if q < cfg.d:
-                hardy.append(gradient_hardy_quotient(f, q, tol=tol))
-            hardy.append(_fractional_report(f, s, q, sobolev))
-            weighted = hardy[-1].lhs  # ||f / |x|^s||_q, for besov and refined
-        if specialization is not None:
-            rep = _specialization_report(cfg, f, lifted, sobolev, *specialization)
-            if rep is not None:
-                sw.append(rep)
-        del lifted
-    if specialization is not None and cfg.d == 4 and cfg.d - cfg.d / q - s > 0:
-        ball.append(inner_ball_bound_check(f, s, q))
-    if partition is not None:
-        # the refined check reads the pointwise sum of p_N^(2(q-1)), the
-        # Holder check also those of p_N^q and p_N^2, the chain the shell sums
-        high = (2.0 * (q - 1.0),) if q > 2 else ()
-        powers = high + ((q, 2.0) if high and "chain" in runs else ())
-        shells = shell_groups(f.grid, f.centering) if "chain" in runs else None
-        sums = level_sums(f, partition, s, q, powers, shells)
-        if "hardy" in runs:
-            hardy.append(
-                besov_hardy_quotient(f, s, q, partition, sums=sums, weighted=weighted)
-            )
-            if q > 2:
-                hardy.append(refined_hardy_quotient(
-                    f, s, q, partition, sums=sums, sobolev=sobolev, weighted=weighted
-                ))
-        if "chain" in runs:
-            chain.append(shell_chain_check(f, s, q, partition, sums=sums))
-            if q > 2:
-                chain.append(holder_refinement_check(f, s, q, partition, sums=sums))
-    return {"hardy": hardy, "stein-weiss": sw, "inner-ball": ball, "chain": chain}
+# The per-field checks of verify in run order, as (suite, Check, applies(d,
+# s, q)); the inner-ball bound is the stein-weiss suite's, reported after
+# its specialization.  Every reader of |D|^s f runs before the level pass,
+# which drops it.  The runs look the check functions up by module-global
+# name when they run, so a wrapper installed on this module's bindings sees
+# each call.
+VERIFY_CHECKS = (
+    ("hardy", CHECKS["classical"], lambda d, s, q: d >= 3),
+    ("hardy", CHECKS["gradient"], lambda d, s, q: q < d),
+    ("hardy", Check(_homogeneous_fractional), lambda d, s, q: True),
+    ("stein-weiss", Check(_specialization), lambda d, s, q: True),
+    ("inner-ball", Check(lambda v, tol: inner_ball_bound_check(v.f, v.s, v.q)),
+     lambda d, s, q: d == 4 and d - d / q - s > 0),
+    ("hardy", CHECKS["besov"], lambda d, s, q: True),
+    ("hardy", CHECKS["refined"], lambda d, s, q: q > 2),
+    ("chain", CHECKS["chain"], lambda d, s, q: True),
+    ("chain", CHECKS["holder-refinement"], lambda d, s, q: q > 2),
+)
 
 
-def _stein_weiss_tail(cfg: RunConfig, grid) -> list[CheckReport]:
+def _stein_weiss_tail(cfg: RunConfig) -> list[CheckReport]:
     """The stein-weiss checks that follow the per-field ones: the inner-ball
     bound in d = 1..3, on their mandated coarse grids, and the
     radial-reduction consistency."""
@@ -572,7 +557,7 @@ def _stein_weiss_tail(cfg: RunConfig, grid) -> list[CheckReport]:
         ):
             reports += _labelled([inner_ball_bound_check(g, cfg.s, cfg.q)], label)
     # radial reduction consistency on a smooth profile
-    radii = geometric_radii(grid)
+    radii = geometric_radii(make_grid(d, cfg.n, cfg.L))
     profile = RadialProfile(radii, np.exp(-(radii**2) / 2.0))
     s_red = min(cfg.s, d - 1e-6) if cfg.s > 0 else 0.5
     direct = inner_ball_potential_radial(profile, s_red, d, form="direct")
@@ -603,33 +588,18 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}, got {cfg.suite!r}")
     runs = {suite for suite in SUITES if cfg.suite in (suite, "all")}
+    if "stein-weiss" in runs:
+        runs.add("inner-ball")
     reports = _schur_suite(cfg) if "schur" in runs else []
     if runs & {"hardy", "stein-weiss", "chain"}:
-        # one grid, corpus and partition for every suite; the partition only
-        # when a suite that uses it has fields, so a grid too coarse for one
-        # still runs the stein-weiss suite
-        grid = make_grid(cfg.d, cfg.n, cfg.L)
-        partition = specialization = None
-        if cfg.corpus_size > 0 and runs & {"hardy", "chain"}:
-            partition = build_partition(grid, cfg.coverage)
-        if cfg.corpus_size > 0 and "stein-weiss" in runs:
-            d, s = cfg.d, cfg.s
-            params = SteinWeissParams(
-                lam=d - s, p=cfg.q, q=cfg.q, alpha=0.0, beta=s, d=d
-            )
-            specialization = (params, riesz_constant(d, d - s))
-        # each field through every suite at once, built when its turn comes
-        # and freed after it; the reports keep suite order
-        by_suite = {"hardy": [], "stein-weiss": [], "inner-ball": [], "chain": []}
-        for label, f in corpus_mod.corpus_fields(
-            grid, cfg.corpus_size, cfg.seed, s=cfg.s, q=cfg.q
-        ):
-            field_reports = _field_reports(cfg, runs, f, partition, specialization)
-            for suite, reps in field_reports.items():
-                by_suite[suite] += _labelled(reps, label)
-        if specialization is not None:
-            by_suite["inner-ball"] += _stein_weiss_tail(cfg, grid)
-        reports += [rep for reps in by_suite.values() for rep in reps]
+        # one grid, corpus and partition for every suite, each field through
+        # every suite at once; the reports keep suite order
+        plan = [entry for entry in VERIFY_CHECKS if entry[0] in runs]
+        by_suite = _corpus_reports(cfg, plan, warn=False)
+        if "stein-weiss" in runs and cfg.corpus_size > 0:
+            by_suite["inner-ball"] += _stein_weiss_tail(cfg)
+        for suite in ("hardy", "stein-weiss", "inner-ball", "chain"):
+            reports += by_suite[suite]
     _emit(reports, cfg)
     checked, passed, failed = summarize(reports)
     print(
@@ -671,7 +641,7 @@ FLAGS = {
     "coverage": {"type": float},
     "field": {"required": True},
     "kind": {"choices": ("lq", "weighted", "sobolev", "besov", "triebel-lizorkin")},
-    "identity": {"choices": tuple(IDENTITIES)},
+    "identity": {"choices": IDENTITIES},
     "lam": {"type": float},
     "alpha": {"type": float},
     "beta": {"type": float},
@@ -743,10 +713,17 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if val is not None:
             setattr(cfg, f.name, val)
     cfg.command = args.command
-    # a non-finite tolerance would pass every check (inf) or fail every one
-    # (nan), so it is refused before any check runs
-    if cfg.tolerance is not None and not np.isfinite(cfg.tolerance):
-        raise ValueError(f"tolerance must be finite, got {cfg.tolerance!r}")
+    # refused before any check runs: a NaN, which fails every comparison and
+    # so passes a not-in-range test, and an infinity (an infinite tolerance
+    # passes every check) except in the exponents q and r; make_grid refuses
+    # a non-finite L with the box's own message
+    for name, value in asdict(cfg).items():
+        if name == "L" or not isinstance(value, float) or np.isfinite(value):
+            continue
+        if name not in ("q", "r") or np.isnan(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if cfg.corpus_size < 0:
+        raise ValueError(f"corpus size must be >= 0, got {cfg.corpus_size}")
     if cfg.fmt not in FLAGS["format"]["choices"]:
         raise ValueError(f"unknown report format {cfg.fmt!r}")
     return cfg

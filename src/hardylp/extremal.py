@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import gaussian_field, random_band_limited_field
-from .hardy import IDENTITIES
+from .hardy import CHECKS, FieldValues
 from .littlewood_paley import build_partition
 from .report import QUADRATURE_TOL
 from .spectral_core import GridSpec, _radial_values, make_field, make_grid
@@ -150,12 +150,14 @@ def _partition_for(identity: str, grid: GridSpec):
         raise ValueError(
             f"identity must be one of {ESTIMATE_IDENTITIES}, got {identity!r}"
         )
-    return build_partition(grid) if IDENTITIES[identity][0] else None
+    return build_partition(grid) if CHECKS[identity].levels else None
 
 
 def _trial_quotient(identity, grid, partition, s, q, seed, params) -> float:
     f = _trial_field(grid, q, seed, params)
-    rep = IDENTITIES[identity][1](f, s, q, partition, QUADRATURE_TOL)
+    check = CHECKS[identity]
+    values = FieldValues(f, s, q, partition, check.powers(q), check.shells)
+    rep = check.run(values, QUADRATURE_TOL)
     return rep.quotient if rep.quotient is not None else 0.0
 
 

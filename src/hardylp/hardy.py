@@ -10,7 +10,9 @@ recorded, never asserted.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -28,13 +30,18 @@ from .spectral_core import (
     _gradient_symbols,
     _lq,
     _parseval_energy,
+    fractional_laplacian,
     gradient_magnitude,
+    lq_norm,
     radius_mesh,
     sobolev_norm,
     weighted_lq_norm,
 )
 
 __all__ = [
+    "FieldValues",
+    "Check",
+    "CHECKS",
     "IDENTITIES",
     "classical_hardy_quotient",
     "fractional_hardy_quotient",
@@ -106,72 +113,71 @@ def _require_fractional(d: int, s: float, q: float) -> None:
         raise ValueError(f"need 1 < q < inf, got q = {q}")
 
 
-def _level_sums(f, partition, s, q, sums, powers=(), groups=None) -> LevelSums:
-    """sums, checked to serve (s, q, powers, groups), or else a level pass."""
-    if sums is None:
-        return level_sums(f, partition or build_partition(f.grid), s, q, powers, groups)
-    sums.require(s, q, powers, groups is not None)
-    return sums
+class FieldValues:
+    """The values of f its checks read, each made on first read and kept:
+    weighted ||f / |x|^s||_q, lifted |D|^s f, sobolev || |D|^s f ||_q, and
+    sums, the one level pass at (s, q) over partition (the default when None)
+    with the pointwise sums of powers and, when shells, the shell sums.  sums
+    drops lifted, a field array less in the pass: read |D|^s f before it."""
+
+    def __init__(self, f: SampledField, s: float, q: float,
+                 partition: DyadicPartition | None = None, powers=(), shells=False):
+        self.f, self.s, self.q = f, s, q
+        self.partition, self.powers, self.shells = partition, tuple(powers), shells
+
+    @cached_property
+    def weighted(self) -> float:
+        return weighted_lq_norm(self.f, self.s, self.q)
+
+    @cached_property
+    def lifted(self) -> SampledField:
+        return fractional_laplacian(self.f, self.s)
+
+    @cached_property
+    def sobolev(self) -> float:
+        # sobolev_norm's own value: one forward FFT by Parseval at q = 2, the
+        # L^q norm of |D|^s f otherwise
+        if self.q == 2:
+            return sobolev_norm(self.f, self.s, self.q)
+        return lq_norm(self.lifted, self.q)
+
+    @cached_property
+    def sums(self) -> LevelSums:
+        self.__dict__.pop("lifted", None)
+        f = self.f
+        if self.partition is None:
+            self.partition = build_partition(f.grid)
+        groups = shell_groups(f.grid, f.centering) if self.shells else None
+        return level_sums(f, self.partition, self.s, self.q, self.powers, groups)
 
 
-def fractional_hardy_quotient(
-    f: SampledField, s: float, q: float, *, sobolev: float | None = None
-) -> CheckReport:
-    """||f / |x|^s||_q against the homogeneous Sobolev norm || |D|^s f ||_q.
-
-    sobolev, when given, is that norm, computed once and shared by every
-    quotient of f that needs it."""
+def fractional_hardy_quotient(values: FieldValues) -> CheckReport:
+    """||f / |x|^s||_q against the homogeneous Sobolev norm || |D|^s f ||_q."""
+    f, s, q = values.f, values.s, values.q
     _require_fractional(f.grid.d, s, q)
-    lhs = weighted_lq_norm(f, s, q)
-    rhs = sobolev if sobolev is not None else sobolev_norm(f, s, q)
-    return _report("fractional", f, s, q, lhs, rhs)
+    return _report("fractional", f, s, q, values.weighted, values.sobolev)
 
 
-def besov_hardy_quotient(
-    f: SampledField,
-    s: float,
-    q: float,
-    partition: DyadicPartition | None = None,
-    *,
-    sums: LevelSums | None = None,
-    weighted: float | None = None,
-) -> CheckReport:
-    """||f / |x|^s||_q against the Besov norm with both exponents q.
-
-    sums, when given, is level_sums(f, partition, s, q, ...), one level pass
-    shared by every norm of f that reads it; weighted is ||f / |x|^s||_q."""
+def besov_hardy_quotient(values: FieldValues) -> CheckReport:
+    """||f / |x|^s||_q against the Besov norm with both exponents q."""
+    f, s, q = values.f, values.s, values.q
     _require_fractional(f.grid.d, s, q)
-    lhs = weighted if weighted is not None else weighted_lq_norm(f, s, q)
-    rhs = _level_sums(f, partition, s, q, sums).besov(q)
-    return _report("besov", f, s, q, lhs, rhs)
+    return _report("besov", f, s, q, values.weighted, values.sums.besov(q))
 
 
-def refined_hardy_quotient(
-    f: SampledField,
-    s: float,
-    q: float,
-    partition: DyadicPartition | None = None,
-    *,
-    sums: LevelSums | None = None,
-    sobolev: float | None = None,
-    weighted: float | None = None,
-) -> CheckReport:
+def refined_hardy_quotient(values: FieldValues) -> CheckReport:
     """||f / |x|^s||_q against the q > 2 refinement
-    || |D|^s f ||_q^(1/q) * TL(s, q, 2(q-1))^((q-1)/q).
-
-    sums and weighted, when given, are as for besov_hardy_quotient, sobolev
-    as for fractional_hardy_quotient."""
+    || |D|^s f ||_q^(1/q) * TL(s, q, 2(q-1))^((q-1)/q); values has the
+    pointwise sums of power 2(q-1)."""
+    f, s, q = values.f, values.s, values.q
     if q <= 2:
         raise ValueError(
             "refined quotient needs q > 2; use fractional_hardy_quotient for "
             "1 < q <= 2"
         )
     _require_fractional(f.grid.d, s, q)
-    lhs = weighted if weighted is not None else weighted_lq_norm(f, s, q)
-    if sobolev is None:
-        sobolev = sobolev_norm(f, s, q)
-    r = 2.0 * (q - 1.0)
-    tl = _level_sums(f, partition, s, q, sums, (r,)).triebel_lizorkin(r)
+    lhs, sobolev = values.weighted, values.sobolev
+    tl = values.sums.triebel_lizorkin(2.0 * (q - 1.0))
     rhs = sobolev ** (1.0 / q) * tl ** ((q - 1.0) / q)
     return _report(
         "refined",
@@ -218,7 +224,8 @@ def gradient_hardy_quotient(
         )
     if q <= 2:
         raise ValueError(f"refined gradient quotient needs 2 < q < d, got q = {q}")
-    sums = _level_sums(f, partition, 1.0, q, None, (2.0 * (q - 1.0), 2.0))
+    partition = partition or build_partition(f.grid)
+    sums = level_sums(f, partition, 1.0, q, (2.0 * (q - 1.0), 2.0))
     tl_high = sums.triebel_lizorkin(2.0 * (q - 1.0))
     tl_two = sums.triebel_lizorkin(2.0)
     rhs = grad_norm ** (1.0 / q) * tl_high ** ((q - 1.0) / q)
@@ -238,23 +245,6 @@ def gradient_hardy_quotient(
             "square_vs_gradient": tl_two / grad_norm if grad_norm > 0 else None,
         },
     )
-
-
-# Every Hardy identity by name: (needs a dyadic partition, quotient call).  A
-# call takes (f, s, q, partition, tol) and ignores what its identity does not
-# use.  The lambdas look the quotient functions up by module-global name when
-# they run, so a wrapper installed on this module's bindings sees each call.
-IDENTITIES = {
-    "classical": (False, lambda f, s, q, p, tol: classical_hardy_quotient(f, tol)),
-    "fractional": (False, lambda f, s, q, p, tol: fractional_hardy_quotient(f, s, q)),
-    "besov": (True, lambda f, s, q, p, tol: besov_hardy_quotient(f, s, q, p)),
-    "refined": (True, lambda f, s, q, p, tol: refined_hardy_quotient(f, s, q, p)),
-    "gradient": (False, lambda f, s, q, p, tol: gradient_hardy_quotient(f, q, tol=tol)),
-    "gradient-refined": (
-        True,
-        lambda f, s, q, p, tol: gradient_hardy_quotient(f, q, True, p),
-    ),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +291,7 @@ def _link(name, lhs, rhs, ratio, passed) -> dict:
     return {"name": name, "lhs": lhs, "rhs": rhs, "ratio": ratio, "passed": passed}
 
 
-def shell_chain_check(
-    f: SampledField,
-    s: float,
-    q: float,
-    partition: DyadicPartition | None = None,
-    *,
-    sums: LevelSums | None = None,
-) -> CheckReport:
+def shell_chain_check(values: FieldValues) -> CheckReport:
     """Verify each link of the shell-decomposition estimate chain.
 
     (a) the weighted integral against its dyadic-shell majorant with the
@@ -321,20 +304,19 @@ def shell_chain_check(
     (d) the end-to-end ratio against the assembled constant
         2^(sq) * E_b^q * a1 * a2.
 
-    The field's mean is removed first: the decomposition reproduces only the
-    mean-free part, matching the homogeneous setting.  Links (b) to (d) read
-    the level sums of N^s |P_N f| with their per-shell sums: the ones passed
-    as sums, which are level_sums(f, partition, s, q, ..., shell_groups), or
-    else one level pass over f - mean.  The two agree to rounding, as
-    every partition multiplier is exactly 0 at frequency zero.
+    Link (a) and the noise floor read f - mean: the decomposition reproduces
+    only the mean-free part, matching the homogeneous setting.  Links (b) to
+    (d) read the level sums of N^s |P_N f| with their per-shell sums, from
+    the level pass of values, which has the shell sums; the pieces of f and
+    of f - mean are the same, as every partition multiplier is exactly 0 at
+    frequency zero.
     """
+    f, s, q = values.f, values.s, values.q
     grid = f.grid
     d = grid.d
     _require_fractional(d, s, q)
     if s == 0:
         raise ValueError("chain check needs s > 0")
-    if partition is None:
-        partition = build_partition(grid)
     f0 = f.with_values(f.values - np.mean(f.values))
     hd = grid.h**d
     absq = np.abs(f0.values) ** q
@@ -352,8 +334,8 @@ def shell_chain_check(
     ratio_a = lhs_q / rhs_a if rhs_a > 0 else 0.0
     link_a = _link("shell-majorant", lhs_q, rhs_a, ratio_a, ratio_a <= 1.0 + 1e-12)
 
-    levels = partition.levels
-    sums = _level_sums(f0, partition, s, q, sums, groups=shells)
+    sums = values.sums
+    levels = values.partition.levels
     c_vec = sums.norms  # N^s ||P_N f||_q
 
     # link (b): empirical localization constant over all (level, shell) pairs
@@ -413,14 +395,7 @@ def shell_chain_check(
     )
 
 
-def holder_refinement_check(
-    f: SampledField,
-    s: float,
-    q: float,
-    partition: DyadicPartition | None = None,
-    *,
-    sums: LevelSums | None = None,
-) -> CheckReport:
+def holder_refinement_check(values: FieldValues) -> CheckReport:
     """Check both displayed steps of the q > 2 refinement exactly.
 
     lhs = int sum_N N^(sq) |P_N f|^q
@@ -431,15 +406,13 @@ def holder_refinement_check(
     and the pointwise scale-monotonicity
     sum_N N^(sq)|P_N f(x)|^q <= (sum_N N^(2s)|P_N f(x)|^2)^(q/2)
     and the l^r monotonicity of the refinement aggregates hold to EXACT_TOL.
-    sums, when given, is level_sums(f, partition, s, q, powers), one level
-    pass shared by every norm of f that reads it, with powers q, 2, 2(q-1).
+    values has the pointwise sums of powers q, 2 and 2(q-1).
     """
+    s, q = values.s, values.q
     if q <= 2:
         raise ValueError(f"refinement steps need q > 2, got q = {q}")
-    grid = f.grid
-    powers = (q, 2.0, 2.0 * (q - 1.0))
-    sums = _level_sums(f, partition, s, q, sums, powers)
-    t, a, b = (sums.powers[r] for r in powers)
+    grid = values.f.grid
+    t, a, b = (values.sums.powers[r] for r in (q, 2.0, 2.0 * (q - 1.0)))
     hd = grid.h**grid.d
     lhs = float(t.sum() * hd)
     mid = float(np.sqrt(a * b).sum() * hd)
@@ -478,3 +451,41 @@ def holder_refinement_check(
         extra={"mid": mid},
     )
 
+
+@dataclass(frozen=True)
+class Check:
+    """One per-field check: run(values, tol) gives its report on the
+    FieldValues of a field, and the rest says what it reads of their level
+    pass: any at all (levels), the pointwise sums of powers(q), and the shell
+    sums (shells)."""
+
+    run: Callable
+    levels: bool = False
+    powers: Callable = lambda q: ()
+    shells: bool = False
+
+
+# Every per-field check of this module by name.  The runs look the check
+# functions up by module-global name when they run, so a wrapper installed
+# on this module's bindings sees each call.
+CHECKS = {
+    "classical": Check(lambda v, tol: classical_hardy_quotient(v.f, tol)),
+    "fractional": Check(lambda v, tol: fractional_hardy_quotient(v)),
+    "besov": Check(lambda v, tol: besov_hardy_quotient(v), levels=True),
+    "refined": Check(
+        lambda v, tol: refined_hardy_quotient(v), True, lambda q: (2.0 * (q - 1.0),)
+    ),
+    "gradient": Check(lambda v, tol: gradient_hardy_quotient(v.f, v.q, tol=tol)),
+    "gradient-refined": Check(
+        lambda v, tol: gradient_hardy_quotient(v.f, v.q, True, v.partition), True
+    ),
+    "chain": Check(lambda v, tol: shell_chain_check(v), True, shells=True),
+    "holder-refinement": Check(
+        lambda v, tol: holder_refinement_check(v),
+        True,
+        lambda q: (q, 2.0, 2.0 * (q - 1.0)),
+    ),
+}
+
+# The Hardy identities, which hardy-check and sweep offer: the first six checks.
+IDENTITIES = tuple(CHECKS)[:6]

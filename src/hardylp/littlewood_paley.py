@@ -168,7 +168,6 @@ class LevelSums:
     sum over levels of p_N^r (the pointwise max at r = inf); and, when the
     pass had sample groups, the (levels, groups) sums of p_N^p (shells)."""
 
-    s: float
     p: float
     cell_volume: float
     norms: np.ndarray
@@ -176,18 +175,8 @@ class LevelSums:
     powers: dict
     shells: np.ndarray | None
 
-    def require(self, s: float, p: float, powers=(), groups: bool = False) -> None:
-        """Raise ValueError unless these sums serve a reader at (s, p) of the
-        pointwise sums of powers and, when groups, of the group sums."""
-        missing = set(powers) - set(self.powers)
-        if (self.s, self.p) != (s, p) or missing or (groups and self.shells is None):
-            have = (self.s, self.p, sorted(self.powers), self.shells is not None)
-            want = (s, p, sorted(powers), groups)
-            raise ValueError(f"level sums with {have} do not serve a reader of {want}")
-
     def aggregate(self, r: float) -> np.ndarray:
         """The pointwise l^r aggregate over levels; the max when r = inf."""
-        self.require(self.s, self.p, (r,))
         return self.powers[r] if r == np.inf else self.powers[r] ** (1.0 / r)
 
     def besov(self, q: float) -> float:
@@ -240,7 +229,7 @@ def level_sums(
             term = None
         level = level_p = None  # one level's arrays at a time
     shells = np.array(shells) if groups is not None else None
-    return LevelSums(s, p, hd, np.array(norms), np.array(maxima), totals, shells)
+    return LevelSums(p, hd, np.array(norms), np.array(maxima), totals, shells)
 
 
 def group_sums(values: np.ndarray, groups: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -256,13 +245,6 @@ def besov_terms(
 ) -> dict:
     """Per-level contributions N^s ||P_N f||_p of the Besov sum."""
     return dict(zip(partition.levels, level_sums(f, partition, s, p).norms.tolist()))
-
-
-def scale_aggregate(
-    f: SampledField, partition: DyadicPartition, s: float, r: float
-) -> np.ndarray:
-    """Pointwise l^r aggregate over scales of N^s |P_N f(x)|."""
-    return level_sums(f, partition, s, powers=(r,)).aggregate(r)
 
 
 def partition_record(partition: DyadicPartition) -> str:

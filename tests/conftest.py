@@ -7,8 +7,9 @@ import pytest
 
 from hardylp.corpus import smooth_step
 from hardylp.extremal import _BudgetExhausted, _Search
-from hardylp.hardy import NOISE_FLOOR, shell_index_mesh, shell_radii
+from hardylp.hardy import CHECKS, NOISE_FLOOR, FieldValues, shell_index_mesh, shell_radii
 from hardylp.littlewood_paley import decompose
+from hardylp.report import QUADRATURE_TOL
 from hardylp.spectral_core import (
     WEIGHT_REFINE_FACTOR,
     WEIGHT_REFINE_RADIUS,
@@ -71,6 +72,14 @@ def call_log(monkeypatch):
         return calls
 
     return install
+
+
+def check(name, f, s, q, part=None, tol=QUADRATURE_TOL):
+    """The check hardy.CHECKS[name] on f alone, run on a FieldValues that
+    reads what the entry declares; part None is the grid's default
+    partition."""
+    entry = CHECKS[name]
+    return entry.run(FieldValues(f, s, q, part, entry.powers(q), entry.shells), tol)
 
 
 @pytest.fixture(scope="session")
@@ -317,12 +326,13 @@ def stack_shell_sums(f, stack, q):
 
 
 def stack_localization_constant(f, partition, s, q):
-    """E_b of shell_chain_check's link (b), from the stack of f - mean."""
+    """E_b of shell_chain_check's link (b), from the stack of f, with the
+    noise floor of f - mean."""
     d = f.grid.d
     f0 = f.with_values(f.values - np.mean(f.values))
-    stack = weighted_stack(f0, partition, s)
-    norms = stack_level_norms(f0, stack, q)
-    sums = stack_shell_sums(f0, stack, q)
+    stack = weighted_stack(f, partition, s)
+    norms = stack_level_norms(f, stack, q)
+    sums = stack_shell_sums(f, stack, q)
     floor = NOISE_FLOOR * float(np.max(np.abs(f0.values), initial=0.0))
     e_b = 0.0
     for N, level, c, masses in zip(partition.levels, stack, norms, sums):

@@ -23,18 +23,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import discrete_hardy_ceiling, random_field, random_mean_zero_field
+from conftest import check, discrete_hardy_ceiling, random_field, random_mean_zero_field
 from hardylp.cli import main as cli_main
 from hardylp.corpus import corpus_fields, gaussian_field, random_band_limited_field
 from hardylp.extremal import estimate_constant
-from hardylp.hardy import (
-    classical_hardy_quotient,
-    fractional_hardy_quotient,
-    gradient_hardy_quotient,
-    holder_refinement_check,
-    shell_chain_check,
-)
-from hardylp.littlewood_paley import build_partition, scale_aggregate
+from hardylp.hardy import classical_hardy_quotient, gradient_hardy_quotient
+from hardylp.littlewood_paley import build_partition, level_sums
 from hardylp.schur import dyadic_levels, hardy_kernel, hardy_row_sums, schur_bound_check
 from hardylp.spectral_core import (
     forward_transform,
@@ -214,7 +208,7 @@ def test_criterion_07_proof_chain():
         part = build_partition(grid)
         corpus = list(corpus_fields(grid, 50, SEED, s=s, q=q))
         for label, f in corpus:
-            rep = shell_chain_check(f, s, q, part)
+            rep = check("chain", f, s, q, part)
             all_ok &= rep.passed
             if rep.rhs > 0:
                 worst_frac = max(worst_frac, rep.lhs / rep.rhs)
@@ -235,7 +229,7 @@ def test_criterion_08_holder_refinement():
     ok = True
     for i in range(500):
         f = random_band_limited_field(grid, SEED + i, envelope=0.5 + (i % 5) * 0.4)
-        rep = holder_refinement_check(f, s, q, part)
+        rep = check("holder-refinement", f, s, q, part)
         ok &= rep.passed
     # single-level fields: equality within rounding
     from test_littlewood_paley import single_mode_field
@@ -243,7 +237,7 @@ def test_criterion_08_holder_refinement():
     worst_eq = 0.0
     for N in part.levels[1:-1]:
         f = single_mode_field(grid, (int(round(N * grid.L)),))
-        rep = holder_refinement_check(f, s, q, part)
+        rep = check("holder-refinement", f, s, q, part)
         scale = max(rep.rhs, 1.0)
         worst_eq = max(worst_eq, abs(rep.extra["mid"] - rep.lhs) / scale,
                        abs(rep.rhs - rep.extra["mid"]) / scale)
@@ -264,8 +258,8 @@ def test_criterion_09_lr_monotonicity():
     corpus = list(corpus_fields(grid, 12, SEED, s=s, q=3.0))
     for q in (3.0, 4.0):
         for label, f in corpus:
-            high = scale_aggregate(f, part, s, 2.0 * (q - 1.0))
-            two = scale_aggregate(f, part, s, 2.0)
+            sums = level_sums(f, part, s, powers=(2.0 * (q - 1.0), 2.0))
+            high, two = sums.aggregate(2.0 * (q - 1.0)), sums.aggregate(2.0)
             scale = float(two.max()) or 1.0
             violation = float((high - two).max()) / scale
             worst = max(worst, violation)
@@ -303,7 +297,7 @@ def test_criterion_11_stein_weiss_specialization():
         c = riesz_constant(d, d - s)
         for i in range(6):
             g = random_band_limited_field(grid, SEED + i)
-            base = fractional_hardy_quotient(g, s, q)
+            base = check("fractional", g, s, q)
             rep = stein_weiss_check(fractional_laplacian(g, s), params)
             rel = abs(rep.quotient / (c * base.quotient) - 1.0)
             worst = max(worst, rel)

@@ -15,6 +15,7 @@ import hardylp.extremal as extremal
 import hardylp.littlewood_paley as littlewood_paley
 import hardylp.spectral_core as spectral_core
 from conftest import (
+    check,
     peak_field_arrays,
     random_mean_zero_field,
     stack_level_norms,
@@ -23,16 +24,7 @@ from conftest import (
 from hardylp.cli import COMMAND_FLAGS, COMMANDS, FLAGS, RunConfig, _build_parser, main
 from hardylp.corpus import random_band_limited_field
 from hardylp.extremal import ESTIMATE_IDENTITIES
-from hardylp.hardy import (
-    IDENTITIES,
-    besov_hardy_quotient,
-    classical_hardy_quotient,
-    fractional_hardy_quotient,
-    gradient_hardy_quotient,
-    holder_refinement_check,
-    refined_hardy_quotient,
-    shell_chain_check,
-)
+from hardylp.hardy import IDENTITIES, classical_hardy_quotient, gradient_hardy_quotient
 from hardylp.report import CSV_HEADER, EXACT_TOL, CheckReport, reports_to_json
 from hardylp.spectral_core import (
     GRADIENT_SLABS,
@@ -335,7 +327,7 @@ def test_verify_empty_corpus_vacuous_pass(capsys):
 
 # --- verify against the standalone calls ----------------------------------------
 
-SHARED_PATH_TOL = 1e-14  # chain: stack of f, not f - mean; specialization: |D|^s f
+SHARED_PATH_TOL = 1e-14  # specialization: |D|^s f, not |D|^s (f - mean)
 
 
 def _standalone_verify(d, n, q, s, size, suite, capsys):
@@ -357,16 +349,16 @@ def _standalone_verify(d, n, q, s, size, suite, capsys):
     for label, f in fields_:
         reps = [classical_hardy_quotient(f)] if d >= 3 else []
         reps += [gradient_hardy_quotient(f, q)] if q < d else []
-        frac = fractional_hardy_quotient(f, s, q)
-        scaled = fractional_hardy_quotient(f.with_values(3.5 * f.values), s, q)
+        frac = check("fractional", f, s, q)
+        scaled = check("fractional", f.with_values(3.5 * f.values), s, q)
         drift = abs(scaled.quotient - frac.quotient) / frac.quotient
         frac.passed, frac.tolerance = drift <= EXACT_TOL, EXACT_TOL
         frac.extra["homogeneity_drift"] = drift
-        reps += [frac, besov_hardy_quotient(f, s, q, part)]
-        reps += [refined_hardy_quotient(f, s, q, part)] if q > 2 else []
+        reps += [frac, check("besov", f, s, q, part)]
+        reps += [check("refined", f, s, q, part)] if q > 2 else []
         hardy += [(rep, 0.0, label) for rep in reps]
         f0 = f.with_values(f.values - np.mean(f.values))
-        base = fractional_hardy_quotient(f0, s, q)
+        base = check("fractional", f0, s, q)
         lifted = stein_weiss_check(fractional_laplacian(f0, s), params)
         ratio = lifted.quotient / (c * base.quotient)
         spec = CheckReport(
@@ -376,9 +368,9 @@ def _standalone_verify(d, n, q, s, size, suite, capsys):
             extra={"riesz_constant": c},
         )
         sw.append((spec, SHARED_PATH_TOL, label))
-        chain.append((shell_chain_check(f, s, q, part), SHARED_PATH_TOL, label))
+        chain.append((check("chain", f, s, q, part), 0.0, label))
         if q > 2:
-            chain.append((holder_refinement_check(f, s, q, part), 0.0, label))
+            chain.append((check("holder-refinement", f, s, q, part), 0.0, label))
     coarse = make_grid(d, {2: 32, 3: 16}[d], 20.0)
     for label, g in corpus.corpus_fields(coarse, size, 1, s=s, q=q):
         sw.append((inner_ball_bound_check(g, s, q), 0.0, label))
@@ -888,10 +880,92 @@ def test_non_finite_tolerance_flag_exit_2(capsys, tmp_path, value):
     ids=["schur-check", "verify"],
 )
 def test_nan_smoothness_exit_2(capsys, argv):
-    # NaN fails every comparison, so only the not (0 < s < d/q) form refuses it
+    # NaN fails every comparison, so it is refused with the config, before a
+    # range test could let it through
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert "need 0 < s < d/q" in err
+    assert "config error: s must be finite, got nan" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--kind", "lq", "--q", "nan"),
+        ("--kind", "weighted", "--s", "nan"),
+        ("--kind", "sobolev", "--s", "nan"),
+        ("--kind", "besov", "--s", "nan"),
+        ("--kind", "besov", "--r", "nan"),
+        ("--kind", "sobolev", "--s", "inf"),
+    ],
+    ids=["lq-q-nan", "weighted-s-nan", "sobolev-s-nan", "besov-s-nan", "besov-r-nan",
+         "sobolev-s-inf"],
+)
+def test_norm_refuses_non_finite_parameters(capsys, band_field_file, flags, fmt):
+    # these printed a row of nan and exited 0 in CSV
+    code, out, err = run(
+        capsys, "norm", "--field", str(band_field_file), *flags, "--format", fmt
+    )
+    assert (code, out) == (2, "")
+    assert f"config error: {flags[2][2:]} must be finite, got {flags[3]}" in err
+
+
+def test_norm_takes_an_infinite_exponent(capsys, band_field_file):
+    code, out, _ = run(
+        capsys, "norm", "--field", str(band_field_file), "--kind", "triebel-lizorkin",
+        "--s", "0.5", "--q", "2", "--r", "inf",
+    )
+    assert code == 0
+    assert np.isfinite(json.loads(out)[0]["lhs"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("schur-check", "--corpus-size", "-3"),
+        ("verify", "--suite", "schur", "--corpus-size", "-5"),
+    ],
+    ids=["schur-check", "verify"],
+)
+def test_negative_corpus_size_exit_2(capsys, argv):
+    # these ran 20 Schur trials and exited 0
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"corpus size must be >= 0, got {argv[-1]}" in err
+
+
+def test_sweep_refuses_a_range_above_the_cap_before_making_it(capsys, monkeypatch):
+    # this range has 1e18 points; np.arange failed on it with a MemoryError
+    def no_range(*args, **kwargs):
+        raise AssertionError("the range was made")
+
+    monkeypatch.setattr(np, "arange", no_range)
+    code, out, err = run(
+        capsys, "sweep", "--identity", "fractional", "--d", "3", "--n", "32",
+        "--axis", "s", "--start", "0.1", "--stop", "1e9", "--step", "1e-9",
+        "--corpus-size", "1",
+    )
+    assert (code, out) == (2, "")
+    assert f"has 1e+18 points, more than {cli.MAX_SWEEP_POINTS}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--suite", "stein-weiss", "--s", "0"),
+         "error: kernel order must satisfy 0 < lam < d; got lam = 3.0"),
+        (("--suite", "hardy", "--s", "-0.5"),
+         "error: need 0 <= s < d/q = 1, got s = -0.5"),
+    ],
+    ids=["stein-weiss-s-0", "hardy-negative-s"],
+)
+def test_verify_refuses_a_field_check_out_of_range(capsys, argv, message):
+    # each check refuses its own range before reading a value of the field
+    code, out, err = run(
+        capsys, "verify", *argv, "--d", "3", "--n", "32", "--q", "3",
+        "--corpus-size", "2",
+    )
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 import hardylp.extremal as extremal
-from conftest import DirectSearch
+from conftest import DirectSearch, check
 from hardylp.corpus import truncated_power_field
 from hardylp.extremal import (
     ESTIMATE_IDENTITIES,
     estimate_constant,
     evaluate_trial,
 )
-from hardylp.hardy import fractional_hardy_quotient
 from hardylp.spectral_core import boundary_decay, make_grid
 
 GAUSS_QUOTIENT = 1.1547005383792517  # 2/sqrt(3), radial quadrature oracle
@@ -41,8 +40,8 @@ def test_quasi_extremal_large_epsilon_small_quotient(grid3f):
     # a -> 0: nearly a smooth bump, quotient well below the near-extremal one
     bump = quasi_extremal(grid3f, 1.0, 2.0, 0.45)
     near = quasi_extremal(grid3f, 1.0, 2.0, 0.05)
-    q_bump = fractional_hardy_quotient(bump, 1.0, 2.0).quotient
-    q_near = fractional_hardy_quotient(near, 1.0, 2.0).quotient
+    q_bump = check("fractional", bump, 1.0, 2.0).quotient
+    q_near = check("fractional", near, 1.0, 2.0).quotient
     assert q_bump < q_near
 
 
@@ -50,14 +49,14 @@ def test_quasi_extremal_quotient_increases_as_epsilon_drops(grid3f):
     values = []
     for eps in (0.4, 0.2, 0.1):
         f = quasi_extremal(grid3f, 1.0, 2.0, eps)
-        values.append(fractional_hardy_quotient(f, 1.0, 2.0).quotient)
+        values.append(check("fractional", f, 1.0, 2.0).quotient)
     assert values[0] < values[1] < values[2]
 
 
 def test_quasi_extremal_amplitude_invariance(grid3f):
     f = quasi_extremal(grid3f, 1.0, 2.0, 0.2)
-    base = fractional_hardy_quotient(f, 1.0, 2.0).quotient
-    scaled = fractional_hardy_quotient(f.with_values(11.0 * f.values), 1.0, 2.0)
+    base = check("fractional", f, 1.0, 2.0).quotient
+    scaled = check("fractional", f.with_values(11.0 * f.values), 1.0, 2.0)
     assert scaled.quotient == pytest.approx(base, rel=1e-12)
 
 

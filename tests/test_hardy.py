@@ -1,20 +1,19 @@
 """Hardy-type quotients, the shell proof chain, and the refinement steps."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import hardylp.littlewood_paley as littlewood_paley
-from conftest import discrete_hardy_ceiling, lp_stack, random_mean_zero_field
+import hardylp.spectral_core as spectral_core
+from conftest import check, discrete_hardy_ceiling, lp_stack, random_mean_zero_field
 from hardylp.corpus import corpus_fields, gaussian_field, random_band_limited_field
 from hardylp.hardy import (
-    besov_hardy_quotient,
+    CHECKS,
+    FieldValues,
     classical_hardy_quotient,
-    fractional_hardy_quotient,
     gradient_hardy_quotient,
-    holder_refinement_check,
-    refined_hardy_quotient,
-    shell_chain_check,
-    shell_groups,
     shell_index_mesh,
     shell_radii,
 )
@@ -29,8 +28,6 @@ from hardylp.spectral_core import (
     make_field,
     make_grid,
     radius_mesh,
-    sobolev_norm,
-    weighted_lq_norm,
 )
 
 # radial quadrature oracle values for the centered Gaussian exp(-|x|^2/(2 s^2)),
@@ -115,45 +112,45 @@ def test_classical_holds_on_corpus(grid3f):
 
 
 def test_fractional_gaussian_quotient(grid3f, gauss3):
-    rep = fractional_hardy_quotient(gauss3, 1.0, 2.0)
+    rep = check("fractional", gauss3, 1.0, 2.0)
     assert rep.quotient == pytest.approx(GAUSS_FRACTIONAL_QUOTIENT, rel=0.02)
 
 
 def test_fractional_rhs_matches_gradient_norm_at_s1_q2(grid3f, gauss3):
     # || |D| f ||_2 = || grad f ||_2 by the frequency-side identity
-    rep = fractional_hardy_quotient(gauss3, 1.0, 2.0)
+    rep = check("fractional", gauss3, 1.0, 2.0)
     assert rep.rhs**2 == pytest.approx(GAUSS_CLASSICAL_RHS[1.5], rel=0.005)
 
 
 def test_fractional_quotient_at_q2_takes_one_real_fft(grid3f, gauss3, fft_calls):
     # Parseval: || |D|^s f ||_2 from the forward transform alone
-    fractional_hardy_quotient(gauss3, 1.0, 2.0)
+    check("fractional", gauss3, 1.0, 2.0)
     assert dict(fft_calls) == {"rfftn": 1}
 
 
 def test_fractional_s_zero_limit(grid3f, gauss3):
-    rep = fractional_hardy_quotient(gauss3, 0.0, 2.0)
+    rep = check("fractional", gauss3, 0.0, 2.0)
     assert rep.quotient == 1.0
 
 
 def test_fractional_rejects_inadmissible(grid3f, gauss3):
     with pytest.raises(ValueError):
-        fractional_hardy_quotient(gauss3, 1.6, 2.0)  # s >= d/q
+        check("fractional", gauss3, 1.6, 2.0)  # s >= d/q
     with pytest.raises(ValueError):
-        fractional_hardy_quotient(gauss3, 0.5, 1.0)  # q <= 1
+        check("fractional", gauss3, 0.5, 1.0)  # q <= 1
 
 
 def test_fractional_dilation_invariance(grid3f):
     # f(x) -> f(2x) maps the Gaussian width 1.6 to 0.8; both sides scale by
     # the same power so the quotient is unchanged up to quadrature error
-    q_wide = fractional_hardy_quotient(gaussian_field(grid3f, 1.6), 1.0, 2.0)
-    q_narrow = fractional_hardy_quotient(gaussian_field(grid3f, 0.8), 1.0, 2.0)
+    q_wide = check("fractional", gaussian_field(grid3f, 1.6), 1.0, 2.0)
+    q_narrow = check("fractional", gaussian_field(grid3f, 0.8), 1.0, 2.0)
     assert q_narrow.quotient == pytest.approx(q_wide.quotient, rel=0.02)
 
 
 def test_quotient_scaling_invariance_exact(grid3f, gauss3):
-    base = fractional_hardy_quotient(gauss3, 0.8, 2.0)
-    scaled = fractional_hardy_quotient(
+    base = check("fractional", gauss3, 0.8, 2.0)
+    scaled = check("fractional", 
         gauss3.with_values(-7.25 * gauss3.values), 0.8, 2.0
     )
     assert scaled.quotient == pytest.approx(base.quotient, rel=1e-12)
@@ -178,7 +175,7 @@ def test_discrete_ceiling_matches_dense_eigensolve(d, s):
     assert ceiling == pytest.approx(np.sqrt(lam), rel=1e-10)
     # the top vector attains the ceiling in the program's own quotient
     f = fractional_laplacian(make_field(grid, top), -s)
-    rep = fractional_hardy_quotient(f, s, 2.0)
+    rep = check("fractional", f, s, 2.0)
     assert rep.quotient == pytest.approx(ceiling, rel=1e-10)
 
 
@@ -190,9 +187,9 @@ def test_every_quotient_homogeneous():
     g = f.with_values(3.7j * f.values)
     evaluators = [
         lambda h: classical_hardy_quotient(h),
-        lambda h: fractional_hardy_quotient(h, 0.7, 2.0),
-        lambda h: besov_hardy_quotient(h, 0.7, 2.0, part),
-        lambda h: refined_hardy_quotient(h, 0.5, 2.5, part),
+        lambda h: check("fractional", h, 0.7, 2.0),
+        lambda h: check("besov", h, 0.7, 2.0, part),
+        lambda h: check("refined", h, 0.5, 2.5, part),
         lambda h: gradient_hardy_quotient(h, 2.0),
         lambda h: gradient_hardy_quotient(h, 2.5, refined=True, partition=part),
     ]
@@ -211,7 +208,7 @@ def test_besov_single_level_rhs(grid2):
 
     f = single_mode_field(grid2, (int(round(N * grid2.L)), 0))
     s, q = 0.4, 2.0
-    rep = besov_hardy_quotient(f, s, q, part)
+    rep = check("besov", f, s, q, part)
     assert rep.rhs == pytest.approx(N**s * lq_norm(project(f, part, N), q), rel=1e-10)
 
 
@@ -221,7 +218,7 @@ def test_besov_corpus_finite(grid2):
     best = 0.0
     for seed in range(8):
         f = random_band_limited_field(grid2, 600 + seed)
-        rep = besov_hardy_quotient(f, s, q, part)
+        rep = check("besov", f, s, q, part)
         assert rep.quotient is not None and np.isfinite(rep.quotient)
         best = max(best, rep.quotient)
     assert best < 50.0
@@ -238,8 +235,8 @@ def test_besov_vs_fractional_rhs_band_stable(grid2):
         ratios = []
         for seed in range(6):
             f = random_band_limited_field(grid, 700 + seed)
-            b = besov_hardy_quotient(f, s, q, part)
-            fr = fractional_hardy_quotient(f, s, q)
+            b = check("besov", f, s, q, part)
+            fr = check("fractional", f, s, q)
             ratios.append(b.rhs / fr.rhs)
         return min(ratios), max(ratios)
 
@@ -255,7 +252,7 @@ def test_besov_vs_fractional_rhs_band_stable(grid2):
 def test_refined_rejects_small_q(grid2):
     f = random_band_limited_field(grid2, 1)
     with pytest.raises(ValueError, match="fractional_hardy_quotient"):
-        refined_hardy_quotient(f, 0.3, 2.0)
+        check("refined", f, 0.3, 2.0)
 
 
 def test_refined_single_level_consistency(grid2):
@@ -265,7 +262,7 @@ def test_refined_single_level_consistency(grid2):
 
     f = single_mode_field(grid2, (int(round(N * grid2.L)), 0))
     s, q = 0.3, 4.0
-    rep = refined_hardy_quotient(f, s, q, part)
+    rep = check("refined", f, s, q, part)
     from hardylp.spectral_core import fractional_laplacian
     from hardylp.littlewood_paley import level_sums
 
@@ -298,7 +295,7 @@ def test_refined_corpus_finite():
     best = 0.0
     for seed in range(6):
         f = random_band_limited_field(grid, 900 + seed)
-        rep = refined_hardy_quotient(f, s, q, part)
+        rep = check("refined", f, s, q, part)
         assert rep.quotient is not None and np.isfinite(rep.quotient)
         best = max(best, rep.quotient)
     assert best < 50.0
@@ -375,7 +372,7 @@ def test_shell_assignment(grid2):
 
 
 def test_chain_zero_field(grid2):
-    rep = shell_chain_check(make_field(grid2, np.zeros(grid2.shape)), 0.4, 2.0)
+    rep = check("chain", make_field(grid2, np.zeros(grid2.shape)), 0.4, 2.0)
     assert rep.lhs == 0.0
     assert rep.passed
 
@@ -386,7 +383,7 @@ def test_chain_single_level_field(grid2):
     from test_littlewood_paley import single_mode_field
 
     f = single_mode_field(grid2, (int(round(N * grid2.L)), 0))
-    rep = shell_chain_check(f, 0.4, 2.0, part)
+    rep = check("chain", f, 0.4, 2.0, part)
     assert rep.passed
     # one nonvanishing coefficient: the end-to-end ratio is directly
     # lhs / (N^(sq) ||P_N f||_q^q)
@@ -399,7 +396,7 @@ def test_chain_shell_majorant_direction_exact(grid2):
     # link (a) holds with the exact 2^(sq) factor for every field
     for seed in range(6):
         f = random_band_limited_field(grid2, 950 + seed)
-        rep = shell_chain_check(f, 0.4, 3.0)
+        rep = check("chain", f, 0.4, 3.0)
         link = rep.links[0]
         assert link["name"] == "shell-majorant"
         assert link["ratio"] <= 1.0 + 1e-12
@@ -411,7 +408,7 @@ def test_chain_bounded_on_corpus(dim, n, s, q):
     part = build_partition(grid)
     for seed in range(8):
         f = random_band_limited_field(grid, 1000 + seed)
-        rep = shell_chain_check(f, s, q, part)
+        rep = check("chain", f, s, q, part)
         assert rep.passed
         assert rep.lhs <= rep.rhs
         assert np.isfinite(rep.extra["localization_constant"])
@@ -429,7 +426,7 @@ def test_chain_schur_link_matches_direct_sum(grid2):
         [[hardy_kernel_entry(N, R, s, 2, q) for R in shell_radii(grid2)]
          for N in part.levels]
     )
-    rep = shell_chain_check(f, s, q, part)
+    rep = check("chain", f, s, q, part)
     link = rep.links[2]
     assert link["name"] == "schur-bound"
     assert link["lhs"] == pytest.approx(float(((c @ kernel) ** q).sum()), rel=1e-12)
@@ -442,7 +439,7 @@ def test_chain_localized_bump(grid2):
     # a bump concentrated in a couple of shells still verifies every link
     r = radius_mesh(grid2)
     vals = np.exp(-((r - 2.5) ** 2) / 0.18)
-    rep = shell_chain_check(make_field(grid2, vals), 0.4, 2.0)
+    rep = check("chain", make_field(grid2, vals), 0.4, 2.0)
     assert rep.passed
 
 
@@ -454,80 +451,70 @@ def test_chain_skips_a_level_of_rounding_noise():
     f = random_band_limited_field(grid, 1)
     top = lp_stack(f, part)[-1]
     assert 0.0 < np.abs(top).max() < 1e-14
-    sums = level_sums(f, part, 0.5, 3.0, groups=shell_groups(grid))
-    rep = shell_chain_check(f, 0.5, 3.0, part)
-    shared = shell_chain_check(f, 0.5, 3.0, part, sums=sums)
+    rep = check("chain", f, 0.5, 3.0, part)
     assert rep.extra["worst_pair"][0] != part.levels[-1]
-    assert shared.extra["worst_pair"] == rep.extra["worst_pair"]
-    assert shared.rhs == pytest.approx(rep.rhs, rel=1e-14)
 
 
 def test_chain_rejects_inadmissible(grid2):
     f = random_band_limited_field(grid2, 3)
     with pytest.raises(ValueError):
-        shell_chain_check(f, 1.2, 2.0)  # s >= d/q
+        check("chain", f, 1.2, 2.0)  # s >= d/q
 
 
-# --- one shared level pass and Sobolev norm ----------------------------------------
+# --- one value cache per field ------------------------------------------------------
+
+VERIFY_NAMES = ("fractional", "besov", "refined", "chain", "holder-refinement")
+
+
+def _shared_values(f, s, q, part, names):
+    entries = [CHECKS[name] for name in names]
+    powers = [r for entry in entries for r in entry.powers(q)]
+    return FieldValues(f, s, q, part, powers, any(e.shells for e in entries))
 
 
 def test_shared_stack_and_sobolev_norm_give_the_same_reports(grid2):
-    # the shared input is now one level pass, the sums that replace the stack
+    # the shared input is one FieldValues, read by every check: its reports
+    # are those of one FieldValues per check
     s, q = 0.4, 3.0
     part = build_partition(grid2)
     f = random_band_limited_field(grid2, 5)
-    sums = level_sums(f, part, s, q, (q, 2.0, 2.0 * (q - 1.0)))
-    sobolev = sobolev_norm(f, s, q)
-    pairs = [
-        (fractional_hardy_quotient(f, s, q),
-         fractional_hardy_quotient(f, s, q, sobolev=sobolev)),
-        (besov_hardy_quotient(f, s, q, part),
-         besov_hardy_quotient(f, s, q, part, sums=sums)),
-        (refined_hardy_quotient(f, s, q, part),
-         refined_hardy_quotient(f, s, q, part, sums=sums, sobolev=sobolev)),
-        (holder_refinement_check(f, s, q, part),
-         holder_refinement_check(f, s, q, part, sums=sums)),
-    ]
-    for alone, shared in pairs:
-        assert shared.to_dict() == alone.to_dict()
+    shared = _shared_values(f, s, q, part, VERIFY_NAMES)
+    for name in VERIFY_NAMES:
+        alone = check(name, f, s, q, part)
+        assert CHECKS[name].run(shared, 0.03).to_dict() == alone.to_dict()
 
 
-def test_shared_sobolev_norm_is_used_as_given(grid2):
-    f = random_band_limited_field(grid2, 5)
-    rep = fractional_hardy_quotient(f, 0.4, 3.0, sobolev=2.0)
-    assert rep.rhs == 2.0 and rep.quotient == rep.lhs / 2.0
-
-
-def test_shared_weighted_norm_gives_the_same_reports_and_is_used_as_given(grid2):
-    s, q = 0.4, 3.0
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_each_value_is_made_at_most_once_whichever_checks_read_it(grid2, call_log, q):
+    s = 0.4
     part = build_partition(grid2)
     f = random_band_limited_field(grid2, 5)
-    weighted = weighted_lq_norm(f, s, q)
-    quotients = [
-        lambda **kw: besov_hardy_quotient(f, s, q, part, **kw),
-        lambda **kw: refined_hardy_quotient(f, s, q, part, **kw),
+    logs = [
+        call_log(spectral_core, "power_weighted_lq_norm"),
+        call_log(spectral_core, "fractional_laplacian"),
+        call_log(spectral_core, "sobolev_norm"),
+        call_log(littlewood_paley, "level_sums"),
     ]
-    for quotient in quotients:
-        assert quotient(weighted=weighted).to_dict() == quotient().to_dict()
-        rep = quotient(weighted=2.0)
-        assert rep.lhs == 2.0 and rep.quotient == 2.0 / rep.rhs
+    names = VERIFY_NAMES if q > 2 else ("fractional", "besov", "chain")
+    for k in range(1, len(names) + 1):
+        for chosen in itertools.combinations(names, k):
+            for order in (chosen, chosen[::-1]):
+                values = _shared_values(f, s, q, part, order)
+                for name in order:
+                    CHECKS[name].run(values, 0.03)
+                assert all(len(log) <= 1 for log in logs), (order, logs)
+                assert all(args[0] is f for log in logs for args in log)
+                for log in logs:
+                    log.clear()
 
 
-@pytest.mark.parametrize(
-    "check",
-    [besov_hardy_quotient, refined_hardy_quotient, shell_chain_check,
-     holder_refinement_check],
-)
-def test_level_sums_that_do_not_serve_the_check_are_refused(grid2, check):
-    part = build_partition(grid2)
+def test_the_level_pass_drops_the_lifted_field(grid2):
     f = random_band_limited_field(grid2, 5)
-    powers, groups = (3.0, 2.0, 4.0), shell_groups(grid2)
-    for s, p in ((0.5, 3.0), (0.4, 4.0)):  # another s, another p
-        with pytest.raises(ValueError, match="do not serve"):
-            check(f, 0.4, 3.0, part, sums=level_sums(f, part, s, p, powers, groups))
-    if check is not besov_hardy_quotient:  # it reads the level norms alone
-        with pytest.raises(ValueError, match="do not serve"):
-            check(f, 0.4, 3.0, part, sums=level_sums(f, part, 0.4, 3.0))
+    values = FieldValues(f, 0.4, 3.0, build_partition(grid2))
+    lifted = values.lifted
+    assert values.lifted is lifted
+    assert len(values.sums.norms) == len(values.partition.levels)
+    assert "lifted" not in vars(values)
 
 
 # --- two-step Holder refinement ------------------------------------------------------
@@ -538,14 +525,14 @@ def test_one_decomposition_per_refinement_check(call_log):
     part = build_partition(grid)
     f = random_mean_zero_field(grid, seed=91)
     calls = call_log(littlewood_paley, "decompose")
-    holder_refinement_check(f, 0.5, 3.0, part)
+    check("holder-refinement", f, 0.5, 3.0, part)
     assert len(calls) == 1
     gradient_hardy_quotient(f, 2.5, refined=True, partition=part)
     assert len(calls) == 2
 
 
 def test_holder_zero_field(grid2):
-    rep = holder_refinement_check(make_field(grid2, np.zeros(grid2.shape)), 0.3, 4.0)
+    rep = check("holder-refinement", make_field(grid2, np.zeros(grid2.shape)), 0.3, 4.0)
     assert rep.lhs == 0.0 and rep.extra["mid"] == 0.0 and rep.rhs == 0.0
     assert rep.passed
 
@@ -556,7 +543,7 @@ def test_holder_single_level_equality(grid2):
     from test_littlewood_paley import single_mode_field
 
     f = single_mode_field(grid2, (int(round(N * grid2.L)), 0))
-    rep = holder_refinement_check(f, 0.3, 4.0, part)
+    rep = check("holder-refinement", f, 0.3, 4.0, part)
     scale = max(rep.rhs, 1.0)
     assert abs(rep.extra["mid"] - rep.lhs) <= 1e-12 * scale
     assert abs(rep.rhs - rep.extra["mid"]) <= 1e-12 * scale
@@ -565,7 +552,7 @@ def test_holder_single_level_equality(grid2):
 def test_holder_rejects_small_q(grid2):
     f = random_band_limited_field(grid2, 4)
     with pytest.raises(ValueError):
-        holder_refinement_check(f, 0.3, 2.0)
+        check("holder-refinement", f, 0.3, 2.0)
 
 
 def test_holder_random_fields_nonnegative_slack():
@@ -573,12 +560,12 @@ def test_holder_random_fields_nonnegative_slack():
     part = build_partition(grid)
     for seed in range(50):
         f = random_band_limited_field(grid, 1100 + seed, envelope=0.8)
-        rep = holder_refinement_check(f, 0.3, 4.0, part)
+        rep = check("holder-refinement", f, 0.3, 4.0, part)
         assert rep.passed, (seed, rep.lhs, rep.extra["mid"], rep.rhs)
 
 
 def test_holder_general_complex_fields(grid2):
     for seed in range(10):
         f = random_mean_zero_field(grid2, 1200 + seed)
-        rep = holder_refinement_check(f, 0.5, 3.0)
+        rep = check("holder-refinement", f, 0.5, 3.0)
         assert rep.passed

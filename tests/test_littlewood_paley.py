@@ -5,6 +5,7 @@ import pytest
 
 
 from conftest import (
+    check,
     lp_stack,
     peak_field_arrays,
     random_field,
@@ -18,7 +19,7 @@ from conftest import (
     weighted_stack,
 )
 from hardylp.corpus import corpus_fields, random_band_limited_field
-from hardylp.hardy import holder_refinement_check, shell_chain_check, shell_groups
+from hardylp.hardy import shell_groups
 from hardylp.littlewood_paley import (
     besov_terms,
     build_partition,
@@ -380,11 +381,11 @@ def test_level_pass_matches_the_stack(d, q, s):
         # group_sums keeps each shell's samples in C order, as a mask does
         assert np.array_equal(sums.shells, stack_shell_sums(f, stack, q))
         if q > 2:
-            rep = holder_refinement_check(f, s, q, part, sums=sums)
+            rep = check("holder-refinement", f, s, q, part)
             sides = (rep.lhs, rep.extra["mid"], rep.rhs)
             assert sides == stack_holder_sides(f, stack, q)
         if s < d / q:
-            e_b = shell_chain_check(f, s, q, part).extra["localization_constant"]
+            e_b = check("chain", f, s, q, part).extra["localization_constant"]
             oracle = stack_localization_constant(f, part, s, q)
             assert e_b == oracle
 
@@ -456,14 +457,6 @@ def test_level_pieces_match_the_direct_inverse(d, n, real):
             assert isinstance(symbol, tuple) and symbol[0] <= 2 * N * grid.L
         else:
             assert not isinstance(symbol, tuple)
-
-
-def test_level_sums_refuse_an_aggregate_they_did_not_take(grid2):
-    part = build_partition(grid2)
-    sums = level_sums(random_band_limited_field(grid2, 5), part, 0.4, 3.0, (2.0,))
-    sums.aggregate(2.0)
-    with pytest.raises(ValueError, match="do not serve"):
-        sums.aggregate(4.0)
 
 
 # --- localization bound -------------------------------------------------------

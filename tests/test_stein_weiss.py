@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
-from conftest import direct_inner_ball_potential, radial_average_profile, random_field
+from conftest import (
+    check,
+    direct_inner_ball_potential,
+    radial_average_profile,
+    random_field,
+)
 
 from hardylp.corpus import gaussian_field, random_band_limited_field
-from hardylp.hardy import fractional_hardy_quotient
 from hardylp.spectral_core import (
     Spectrum,
     coordinate_mesh,
@@ -142,7 +146,7 @@ def test_stein_weiss_specialization_matches_fractional(coarse2):
     for seed in range(4):
         g = random_band_limited_field(coarse2, 20 + seed)
         g = g.with_values(g.values - g.values.mean())
-        base = fractional_hardy_quotient(g, s, q)
+        base = check("fractional", g, s, q)
         rep = stein_weiss_check(fractional_laplacian(g, s), params)
         assert rep.quotient == pytest.approx(c * base.quotient, rel=0.02)
 
