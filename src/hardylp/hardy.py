@@ -118,7 +118,8 @@ class FieldValues:
     weighted ||f / |x|^s||_q, lifted |D|^s f, sobolev || |D|^s f ||_q, and
     sums, the one level pass at (s, q) over partition (the default when None)
     with the pointwise sums of powers and, when shells, the shell sums.  sums
-    drops lifted, a field array less in the pass: read |D|^s f before it."""
+    drops lifted, a field array less in the pass: read |D|^s f before it, and
+    sobolev before weighted, so a new grid's spectrum is freed first."""
 
     def __init__(self, f: SampledField, s: float, q: float,
                  partition: DyadicPartition | None = None, powers=(), shells=False):
@@ -155,7 +156,8 @@ def fractional_hardy_quotient(values: FieldValues) -> CheckReport:
     """||f / |x|^s||_q against the homogeneous Sobolev norm || |D|^s f ||_q."""
     f, s, q = values.f, values.s, values.q
     _require_fractional(f.grid.d, s, q)
-    return _report("fractional", f, s, q, values.weighted, values.sobolev)
+    sobolev = values.sobolev  # first: see FieldValues
+    return _report("fractional", f, s, q, values.weighted, sobolev)
 
 
 def besov_hardy_quotient(values: FieldValues) -> CheckReport:

@@ -201,35 +201,40 @@ def level_sums(
     groups: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LevelSums:
     """The LevelSums of f: one pass over the pieces of decompose, one level
-    at a time, with no (levels, *shape) stack.  groups, when given, is the
+    at a time, with no (levels, *shape) stack, each raised to p in place
+    once its max and other powers are taken.  groups, when given, is the
     (order, starts) of group_sums, and needs a finite p."""
     hd = f.grid.h**f.grid.d
-    totals = dict.fromkeys(sorted(powers, key=lambda r: r != p))  # p first
+    totals, others = {}, set(powers) - {p}
     norms, maxima, shells = [], [], []
     pieces = decompose(f, partition)
     for N in partition.levels:  # not zip, whose result tuple keeps a piece alive
         level = next(pieces)
         level = np.abs(level, out=level) if np.isrealobj(level) else np.abs(level)
         level *= N**s
-        top = float(level.max(initial=0.0))
-        level_p = level if p == np.inf else level**p
-        maxima.append(top)
-        norms.append(top if p == np.inf else float((level_p.sum() * hd) ** (1.0 / p)))
+        maxima.append(float(level.max(initial=0.0)))
+        for r in others:
+            if r != np.inf:
+                _accumulate(totals, r, level**r)
+            else:  # level is raised to p below, so a first max copies it
+                _accumulate(totals, r, level if r in totals else level.copy())
+        if p != np.inf:
+            level **= p
+        norms.append(maxima[-1] if p == np.inf else float((level.sum() * hd) ** (1.0 / p)))
         if groups is not None:
-            shells.append(group_sums(level_p, groups))
-        for r, total in totals.items():
-            term = level if r == np.inf else level_p if r == p else level**r
-            level_p = None  # read for the first power at the latest
-            if total is None:
-                totals[r] = term
-            elif r == np.inf:
-                np.maximum(total, term, out=total)
-            else:
-                total += term
-            term = None
-        level = level_p = None  # one level's arrays at a time
+            shells.append(group_sums(level, groups))
+        if p in powers:
+            _accumulate(totals, p, level)
+        level = None  # one level's arrays at a time
     shells = np.array(shells) if groups is not None else None
     return LevelSums(p, hd, np.array(norms), np.array(maxima), totals, shells)
+
+
+def _accumulate(totals: dict, r: float, term: np.ndarray) -> None:
+    """Add term into totals[r] in place (max at r = inf); a first term is kept."""
+    total = totals.setdefault(r, term)
+    if total is not term:
+        (np.maximum if r == np.inf else np.add)(total, term, out=total)
 
 
 def group_sums(values: np.ndarray, groups: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

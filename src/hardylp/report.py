@@ -47,6 +47,8 @@ class CheckReport:
     quotient is None when the right-hand side vanishes; passed is None for
     pure measurements (no asserted bound), True/False for checks, and a
     vacuous zero-against-zero check reports passed=True with vacuous=True.
+    An infinite exponent q (the max norm) is written as the string "inf",
+    which strict JSON can hold.
     """
 
     identity: str
@@ -78,6 +80,8 @@ class CheckReport:
             val = getattr(self, key)
             if val is not None:
                 out[key] = float(val)
+        if self.q == float("inf"):
+            out["q"] = "inf"
         if self.passed is not None:
             out["passed"] = bool(self.passed)
         if self.vacuous:

@@ -27,6 +27,7 @@ __all__ = [
 DEFAULT_LEVEL_SPAN = 20  #: kernel index sets default to 2^-20 .. 2^20
 ROW_SUM_SPAN = 200  #: least truncation span for the geometric row-sum check
 ROW_SUM_TOL = 1e-10  #: tolerance of the row-sum check against its closed form
+ROW_SUM_MAX_SPAN = 1022  #: widest row-sum span: every product 2^k is a normal float
 
 
 def dyadic_levels(span: int = DEFAULT_LEVEL_SPAN, base: float = 1.0) -> tuple:
@@ -124,10 +125,12 @@ def _require_hardy_exponents(s: float, d: int, q: float) -> float:
 
 def hardy_kernel_entry(N: float, R: float, s: float, d: int, q: float) -> float:
     """min{(NR)^-s, (NR)^(d/q - s)}: the coupling between the dyadic
-    frequency N and the dyadic spatial shell R in the Hardy estimate."""
+    frequency N and the dyadic spatial shell R in the Hardy estimate.  Only
+    the smaller power is taken (t^-s when t = NR >= 1), as the other may
+    overflow."""
     _require_hardy_exponents(s, d, q)
     t = N * R
-    return min(t ** (-s), t ** (d / q - s))
+    return t ** (-s) if t >= 1.0 else t ** (d / q - s)
 
 
 def hardy_kernel(s: float, d: int, q: float, levels=None) -> SchurKernel:
@@ -161,12 +164,21 @@ def hardy_row_sums(s: float, d: int, q: float, span: int | None = None):
     increases them monotonically toward the closed form.  The default span
     is ROW_SUM_SPAN, widened until the omitted geometric tail
     2^-(span+1)c / (1 - 2^-c), c = min(s, d/q - s), is at most ROW_SUM_TOL/100.
+    A span past ROW_SUM_MAX_SPAN, where 2^k leaves the float range, is
+    refused (ValueError): s lies too close to 0 or to d/q.
     """
-    closed = hardy_row_sum_closed_form(s, d, q)
-    if span is None:
+    if span is None and 0.0 < s < d / q:  # else the closed form refuses s
         c = min(s, d / q - s)
-        tail = math.log2(100.0 / ROW_SUM_TOL / (1.0 - 2.0**-c)) / c
-        span = max(ROW_SUM_SPAN, math.ceil(tail) - 1)
+        gap = 1.0 - 2.0**-c or c * math.log(2.0)  # 2^-c rounds to 1 at tiny c
+        tail = math.log2(100.0 / ROW_SUM_TOL / gap) / c
+        span = max(ROW_SUM_SPAN, math.ceil(tail) - 1) if tail < math.inf else tail
+    if span is not None and span > ROW_SUM_MAX_SPAN:
+        raise ValueError(
+            f"Schur row sums at s = {s:g}, d/q = {d / q:g} need a truncation "
+            f"span of {span} dyadic levels, past the {ROW_SUM_MAX_SPAN} that "
+            "floats hold; take s farther from 0 and from d/q"
+        )
+    closed = hardy_row_sum_closed_form(s, d, q)
     sum_over_n = 0.0
     for k in range(-span, span + 1):
         sum_over_n += hardy_kernel_entry(2.0**k, 1.0, s, d, q)

@@ -434,10 +434,13 @@ def _power_symbol(grid: GridSpec, s: float, real: bool) -> np.ndarray:
     returned array is read-only."""
     k = frequency_axes(grid)
     half = k[: grid.n // 2 + 1] if real else k
-    rad = _radius([k] * (grid.d - 1) + [half])
-    mult = np.zeros(rad.shape)
-    nz = rad > 0
-    mult[nz] = (2.0 * np.pi * rad[nz]) ** s
+    mesh = np.meshgrid(*([k] * (grid.d - 1) + [half]), indexing="ij", sparse=True)
+    mult = sum(c**2 for c in mesh)  # _radius, with the root taken in place
+    np.sqrt(mult, out=mult)
+    mult *= 2.0 * np.pi
+    mult.flat[0] = 1.0  # frequency zero, the only zero radius: no 0**s at s < 0
+    mult **= s
+    mult.flat[0] = 0.0
     mult.setflags(write=False)
     return mult
 
@@ -487,18 +490,18 @@ def _parseval_energy(f: SampledField, symbols):
     and m the sum of symbols: by Parseval, ||g||_2^2 for g with spectrum
     F sqrt(m).  A real f takes rfftn, each symbol cut to the half lattice as
     in _apply_diag; there the planes k_last = 0 and n/2 are their own mirror
-    images and count once, and every other plane counts twice.  Besides the
-    spectrum it holds one real half array, the power."""
+    images and count once, and every other plane counts twice.  The power is
+    made in the spectrum's real part, the symbols' sum in its imag part."""
     grid = f.grid
     real = np.isrealobj(f.values)
     spec = _forward(f.values)
     half = grid.n // 2 + 1 if real else None
-    power = np.square(spec.real)
+    power = np.square(spec.real, out=spec.real)
     power += np.square(spec.imag, out=spec.imag)
-    weight = None  # the sum of symbols, left to right, in the spent spectrum
+    weight = None  # the sum of symbols, left to right, in the spent imag part
     for m in symbols:
         m = m[..., :half]
-        weight = m if weight is None else np.add(weight, m, out=spec.real)
+        weight = m if weight is None else np.add(weight, m, out=spec.imag)
     power *= weight
     total = power.sum()
     if real:

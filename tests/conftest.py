@@ -8,7 +8,7 @@ import pytest
 from hardylp.corpus import smooth_step
 from hardylp.extremal import _BudgetExhausted, _Search
 from hardylp.hardy import CHECKS, NOISE_FLOOR, FieldValues, shell_index_mesh, shell_radii
-from hardylp.littlewood_paley import decompose
+from hardylp.littlewood_paley import LevelSums, decompose, group_sums
 from hardylp.report import QUADRATURE_TOL
 from hardylp.spectral_core import (
     WEIGHT_REFINE_FACTOR,
@@ -20,6 +20,7 @@ from hardylp.spectral_core import (
     _refined_weight,
     axis_coordinates,
     coordinate_mesh,
+    frequency_axes,
     frequency_radius,
     inverse_transform,
     make_field,
@@ -265,6 +266,49 @@ def radial_average_profile(f):
 def lp_stack(f, partition):
     """The (levels, *shape) stack of the pieces P_N f of decompose."""
     return np.stack(list(decompose(f, partition)))
+
+
+def masked_power_symbol(grid, s, real):
+    """|2 pi xi|^s built as zeros with the power taken on the nonzero radii
+    through a boolean mask, the reference for spectral_core._power_symbol."""
+    k = frequency_axes(grid)
+    half = k[: grid.n // 2 + 1] if real else k
+    mesh = np.meshgrid(*([k] * (grid.d - 1) + [half]), indexing="ij", sparse=True)
+    rad = np.sqrt(sum(c**2 for c in mesh))
+    mult = np.zeros(rad.shape)
+    nz = rad > 0
+    mult[nz] = (2.0 * np.pi * rad[nz]) ** s
+    return mult
+
+
+def ordered_level_sums(f, partition, s, p=2.0, powers=(), groups=None):
+    """littlewood_paley.level_sums with each level's p-th power taken as an
+    array of its own before the other powers, p's running sum first, the
+    reference for the pass that raises the level to p in place last."""
+    hd = f.grid.h**f.grid.d
+    totals = dict.fromkeys(sorted(powers, key=lambda r: r != p))  # p first
+    norms, maxima, shells = [], [], []
+    pieces = decompose(f, partition)
+    for N in partition.levels:
+        level = next(pieces)
+        level = np.abs(level, out=level) if np.isrealobj(level) else np.abs(level)
+        level *= N**s
+        top = float(level.max(initial=0.0))
+        level_p = level if p == np.inf else level**p
+        maxima.append(top)
+        norms.append(top if p == np.inf else float((level_p.sum() * hd) ** (1.0 / p)))
+        if groups is not None:
+            shells.append(group_sums(level_p, groups))
+        for r, total in totals.items():
+            term = level if r == np.inf else level_p if r == p else level**r
+            if total is None:
+                totals[r] = term
+            elif r == np.inf:
+                np.maximum(total, term, out=total)
+            else:
+                total += term
+    shells = np.array(shells) if groups is not None else None
+    return LevelSums(p, hd, np.array(norms), np.array(maxima), totals, shells)
 
 
 # The materialised-stack path, the oracle for littlewood_paley.level_sums:

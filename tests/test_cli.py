@@ -31,6 +31,7 @@ from hardylp.spectral_core import (
     fractional_laplacian,
     make_field,
     make_grid,
+    read_field,
     write_field,
 )
 from hardylp.stein_weiss import (
@@ -917,6 +918,63 @@ def test_norm_takes_an_infinite_exponent(capsys, band_field_file):
     )
     assert code == 0
     assert np.isfinite(json.loads(out)[0]["lhs"])
+
+
+def test_norm_max_norm_prints_strict_json_and_csv(capsys, band_field_file):
+    # the report's q = inf made the JSON output exit 2 ("Out of range float
+    # values are not JSON compliant"); strict JSON holds it as the string "inf"
+    argv = ("norm", "--field", str(band_field_file), "--kind", "lq", "--q", "inf")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    (rep,) = json.loads(out, parse_constant=pytest.fail)
+    assert rep["q"] == "inf"
+    want = float(np.abs(read_field(band_field_file).values).max())
+    assert rep["lhs"] == want
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == f"norm-lq,2,64,20.0,1.0,inf,{want!r},0.0,,"
+
+
+@pytest.mark.parametrize("s", ["0.05", "0.06", "1.45"])
+def test_schur_row_sums_near_the_ends_are_computed(capsys, s):
+    # these exited 3 with OverflowError
+    code, out, _ = run(capsys, "verify", "--suite", "schur", "--d", "3", "--n", "32",
+                       "--q", "2", "--corpus-size", "1", "--s", s)
+    assert code == 0
+    assert json.loads(out)[0]["identity"] == "schur-row-sum"
+
+
+@pytest.mark.parametrize(
+    "argv,span",
+    [
+        (("--d", "3", "--q", "2", "--s", "0.04"), 1126),
+        (("--d", "3", "--q", "2", "--s", "1e-5"), 5700154),
+        (("--d", "3", "--q", "2", "--s", "1.48"), 2302),
+        (("--d", "2", "--q", "1e10", "--s", "1e-12", "--suite", "all"), 80255113388191),
+    ],
+    ids=["s-0.04", "s-1e-5", "s-1.48", "q-1e10"],
+)
+def test_schur_row_sums_past_the_float_span_exit_2(capsys, argv, span):
+    # these exited 3 with ZeroDivisionError; the last would have summed 1e14
+    # terms had it not
+    code, out, err = run(capsys, "verify", "--suite", "schur", "--n", "32",
+                         "--corpus-size", "1", *argv)
+    assert (code, out) == (2, "")
+    assert f"need a truncation span of {span} dyadic levels" in err
+
+
+def test_verify_schur_row_sum_report_is_unchanged(capsys):
+    # the verify-d3 argv's row-sum report, byte for byte
+    code, out, _ = run(capsys, "verify", "--suite", "schur", "--d", "3", "--n", "64",
+                       "--q", "3", "--s", "0.5", "--corpus-size", "6")
+    assert code == 0
+    want = (
+        '{"L": 20.0, "d": 3, "extra": {"sum_over_shells": 5.82842712474619}, '
+        '"identity": "schur-row-sum", "lhs": 5.82842712474619, "n": 64, '
+        '"passed": true, "q": 3.0, "quotient": 0.9999999999999997, '
+        '"rhs": 5.828427124746192, "s": 0.5, "tolerance": 1e-10}'
+    )
+    assert json.dumps(json.loads(out)[0], sort_keys=True) == want
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hardylp.extremal as extremal
-from conftest import DirectSearch, check
+from conftest import DirectSearch, check, peak_field_arrays
 from hardylp.corpus import truncated_power_field
 from hardylp.extremal import (
     ESTIMATE_IDENTITIES,
@@ -159,3 +159,18 @@ def test_search_table_is_per_search(monkeypatch, call_log):
     alone = estimate_constant("fractional", 3, 1.0, 2.0, budget=38, n=32, seed=2)
     assert repr(after.to_dict()) == repr(alone.to_dict())
     assert after.evaluations == alone.evaluations == 38
+
+
+def test_cold_trend_trial_peak_memory():
+    # the trend step evaluates one trial on a grid the search has not seen,
+    # so the run builds its |2 pi xi|^s symbol and weight table too.  The
+    # L = 18 grids are cold in this process; the n = 32 run warms what is
+    # not per grid.  A symbol built beside its radius and a boolean mask
+    # gave 4.13 field arrays here
+    params = {"family": "truncated-power", "exponent_fraction": 0.75,
+              "inner_cells": 2.2, "outer_fraction": 0.08}
+    evaluate_trial("fractional", 3, 1.0, 2.0, params, 32, 18.0)
+    peak = peak_field_arrays(
+        lambda: evaluate_trial("fractional", 3, 1.0, 2.0, params, 64, 18.0), 8 * 64**3
+    )
+    assert peak <= 3.6

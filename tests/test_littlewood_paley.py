@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     check,
     lp_stack,
+    ordered_level_sums,
     peak_field_arrays,
     random_field,
     random_mean_zero_field,
@@ -419,11 +420,47 @@ def test_level_pass_peak_memory_does_not_grow_with_the_levels():
     assert abs(peaks[1] - peaks[0]) <= 1.0
 
 
+# (p, powers, with shell groups): the groups need a finite p
+LEVEL_PASS_CASES = [
+    (3.0, (4.0, 3.0, 2.0, np.inf), True),
+    (2.0, (np.inf,), False),
+    (np.inf, (np.inf, 2.0), False),
+    (np.inf, (3.0,), False),
+    (2.5, (), True),
+]
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 16), (4, 16)])
+def test_level_pass_matches_the_ordered_reference(d, n, real):
+    # bitwise: the level raised to p in place, after its other powers and
+    # its running max, gives every norm, maximum, pointwise sum and shell sum
+    # of the pass that takes the p-th power as an array of its own first;
+    # full coverage gives the small grids three levels or more
+    grid = make_grid(d, n, 20.0)
+    part = build_partition(grid, 1.0)
+    f = random_field(grid, seed=40 + d, real=real)
+    groups = shell_groups(grid)
+    for p, powers, shells in LEVEL_PASS_CASES:
+        g = groups if shells else None
+        got = level_sums(f, part, 0.5, p, powers, g)
+        want = ordered_level_sums(f, part, 0.5, p, powers, g)
+        assert np.array_equal(got.norms, want.norms)
+        assert np.array_equal(got.maxima, want.maxima)
+        assert got.powers.keys() == want.powers.keys()
+        for r in powers:
+            assert np.array_equal(got.powers[r], want.powers[r])
+        assert (got.shells is None) == (not shells)
+        if shells:
+            assert np.array_equal(got.shells, want.shells)
+
+
 def test_level_pass_peak_memory_with_the_verify_sums():
     # verify's pass at q = 3: three pointwise sums and the shell groups.
-    # The piece is made in place from the one spectrum, so the peak is held
-    # by the sums and the level's own arrays; irfftn's stage temporaries
-    # gave 7.64 field arrays here
+    # The piece is made in place from the one spectrum, and the level is
+    # raised to q in place once its other powers are taken, so the peak is
+    # held by the sums, the level and one power or gathered copy of it; a
+    # separate q-th power array gave 7.55 field arrays here
     grid = make_grid(3, 64, 20.0)
     f = random_band_limited_field(grid, 1)
     part, groups = build_partition(grid), shell_groups(grid)
@@ -432,7 +469,7 @@ def test_level_pass_peak_memory_with_the_verify_sums():
         level_sums(f, part, 0.5, 3.0, (4.0, 3.0, 2.0), groups)
 
     run()  # warm the caches
-    assert peak_field_arrays(run, f.values.nbytes) <= 7.64
+    assert peak_field_arrays(run, f.values.nbytes) <= 6.7
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])

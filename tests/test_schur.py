@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from hardylp.schur import (
+    ROW_SUM_MAX_SPAN,
+    ROW_SUM_TOL,
     SchurKernel,
     dyadic_levels,
     hardy_kernel,
@@ -249,3 +251,42 @@ def test_truncated_sums_monotone_from_below():
         assert val <= closed + 1e-12
         prev = val
     assert abs(prev - closed) < 1e-10
+
+
+def test_kernel_entry_is_the_min_of_both_powers():
+    # bitwise: only the smaller power is taken, the branch picked by t >= 1
+    rng = np.random.default_rng(11)
+    for s, d, q in [(0.5, 3, 3.0), (1.0, 3, 2.0), (0.05, 3, 2.0), (1.45, 3, 2.0)]:
+        for t in np.concatenate([2.0 ** np.arange(-60, 61), rng.uniform(0.01, 100.0, 200)]):
+            want = min(t ** (-s), t ** (d / q - s))
+            assert hardy_kernel_entry(float(t), 1.0, s, d, q) == want
+
+
+@pytest.mark.parametrize("s", [0.05, 0.06, 1.45])
+def test_row_sums_near_the_ends_within_the_float_span(s):
+    # spans 747 to 896: each product 2^k is a normal float, and the larger
+    # power, which overflowed at (2^896)^1.45, is never taken
+    sum_n, sum_r, closed = hardy_row_sums(s, 3, 2.0)
+    assert abs(sum_n - closed) <= ROW_SUM_TOL
+    assert sum_n == sum_r
+
+
+@pytest.mark.parametrize(
+    "s,d,q,span",
+    [(0.04, 3, 2.0, 1126), (1.48, 3, 2.0, 2302), (1e-12, 2, 1e10, 80255113388191)],
+)
+def test_row_sums_past_the_float_span_are_refused(s, d, q, span):
+    # 2^k left the float range: these raised ZeroDivisionError, or would have
+    # summed for 1e13 terms
+    with pytest.raises(ValueError, match=f"truncation span of {span} dyadic levels"):
+        hardy_row_sums(s, d, q)
+
+
+def test_row_sums_past_the_float_span_are_refused_at_any_s():
+    # 2^-s rounds to 1 below s = 1e-16, so the closed form would divide by
+    # zero; a span given past the float range is refused as well
+    for s in (1e-17, 1e-300):
+        with pytest.raises(ValueError, match="truncation span of"):
+            hardy_row_sums(s, 3, 2.0)
+    with pytest.raises(ValueError, match=f"past the {ROW_SUM_MAX_SPAN}"):
+        hardy_row_sums(0.5, 3, 2.0, span=ROW_SUM_MAX_SPAN + 1)

@@ -9,6 +9,7 @@ from conftest import (
     dd_gradient,
     direct_refined_weight,
     full_field_boundary_decay,
+    masked_power_symbol,
     mesh_class_refined_weight,
     peak_field_arrays,
     random_field,
@@ -556,7 +557,18 @@ def parseval_formula(f, symbols):
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-@pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 16), (4, 8)])
+@pytest.mark.parametrize("d,n", TRANSFORM_GRIDS)
+def test_power_symbol_matches_the_masked_build(d, n, real):
+    # built in place in the radius array, frequency zero set apart by index
+    grid = make_grid(d, n, 20.0)
+    for s in (0.0, 0.5, 1.0, 2.0, -1.0):
+        got = _power_symbol(grid, s, real)
+        assert np.array_equal(got, masked_power_symbol(grid, s, real))
+        assert got.flat[0] == 0.0 and not got.flags.writeable
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 16), (4, 8), (3, 64)])
 def test_in_place_quadratures_match_the_formulas(d, n, real):
     # bitwise: squares, powers and products taken in place in one array
     grid = make_grid(d, n, 20.0)
