@@ -556,9 +556,11 @@ def _stein_weiss_tail(cfg: RunConfig) -> list[CheckReport]:
             coarse, cfg.corpus_size, cfg.seed, s=cfg.s, q=cfg.q
         ):
             reports += _labelled([inner_ball_bound_check(g, cfg.s, cfg.q)], label)
-    # radial reduction consistency on a smooth profile
+    # radial reduction consistency on a smooth profile, of width L / 20 so
+    # that it scales with the radii
     radii = geometric_radii(make_grid(d, cfg.n, cfg.L))
-    profile = RadialProfile(radii, np.exp(-(radii**2) / 2.0))
+    width = cfg.L / 20.0
+    profile = RadialProfile(radii, np.exp(-(radii**2) / (2.0 * width**2)))
     s_red = min(cfg.s, d - 1e-6) if cfg.s > 0 else 0.5
     direct = inner_ball_potential_radial(profile, s_red, d, form="direct")
     subst = inner_ball_potential_radial(profile, s_red, d, form="substituted")

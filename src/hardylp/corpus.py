@@ -56,12 +56,16 @@ def smooth_step(u) -> np.ndarray:
     return np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, up / (up + down)))
 
 
-def gaussian_field(grid: GridSpec, sigma: float) -> SampledField:
-    """exp(-|x|^2 / (2 sigma^2)) centered in the box."""
+def _gaussian_profile(sigma: float):
+    """The profile r -> exp(-r^2 / (2 sigma^2)) of gaussian_field."""
     if sigma <= 0:
         raise ValueError("width must be positive")
-    vals = _radial_values(grid, lambda r: np.exp(-(r**2) / (2.0 * sigma**2)))
-    return SampledField(grid, vals)
+    return lambda r: np.exp(-(r**2) / (2.0 * sigma**2))
+
+
+def gaussian_field(grid: GridSpec, sigma: float) -> SampledField:
+    """exp(-|x|^2 / (2 sigma^2)) centered in the box."""
+    return SampledField(grid, _radial_values(grid, _gaussian_profile(sigma)))
 
 
 def truncated_power_field(

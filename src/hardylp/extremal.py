@@ -4,7 +4,9 @@ The sharp constants are not attained; this module maximizes the quotients
 over parametric trial families (Gaussians, truncated power laws approaching
 the virtual extremizer |x|^-(d/q - s), and random band-limited fields) with
 a derivative-free golden-section coordinate search, and always reports the
-value again on a once-refined grid so discretization bias is visible.
+value again on a once-refined grid so discretization bias is visible.  A
+radial trial's fractional quotient at q = 2 is taken from its octant
+(spectral_core._radial_norms), with no field built.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import gaussian_field, random_band_limited_field
-from .hardy import CHECKS, FieldValues
+from .corpus import _gaussian_profile, random_band_limited_field
+from .hardy import CHECKS, FieldValues, _require_fractional
 from .littlewood_paley import build_partition
 from .report import QUADRATURE_TOL
-from .spectral_core import GridSpec, _radial_values, make_field, make_grid
+from .spectral_core import GridSpec, _radial_norms, _radial_values, make_field, make_grid
 
 __all__ = [
     "ConstantEstimate",
@@ -118,10 +120,11 @@ class _Search:
         return {**params, coord: (x1 if f1 >= f2 else x2)}
 
 
-def _trial_field(grid: GridSpec, q: float, seed: int, params: dict):
+def _radial_profile(grid: GridSpec, q: float, params: dict):
+    """The profile of a radial trial, or None for a band-limited one."""
     kind = params["family"]
     if kind == "gaussian":
-        return gaussian_field(grid, params["width_fraction"] * grid.L)
+        return _gaussian_profile(params["width_fraction"] * grid.L)
     if kind == "truncated-power":
         # capped power: plateau of radius inner_cells * h at the center, a
         # Gaussian outer taper at scale outer_fraction * L; the exponent is
@@ -138,10 +141,17 @@ def _trial_field(grid: GridSpec, q: float, seed: int, params: dict):
                 -r2 / (2.0 * taper**2)
             )
 
-        return make_field(grid, _radial_values(grid, profile))
+        return profile
     if kind == "random-band-limited":
-        return random_band_limited_field(grid, seed, envelope=params["envelope"])
+        return None
     raise ValueError(f"unknown trial family {kind!r}")
+
+
+def _trial_field(grid: GridSpec, q: float, seed: int, params: dict):
+    profile = _radial_profile(grid, q, params)
+    if profile is None:
+        return random_band_limited_field(grid, seed, envelope=params["envelope"])
+    return make_field(grid, _radial_values(grid, profile))
 
 
 def _partition_for(identity: str, grid: GridSpec):
@@ -154,6 +164,13 @@ def _partition_for(identity: str, grid: GridSpec):
 
 
 def _trial_quotient(identity, grid, partition, s, q, seed, params) -> float:
+    profile = _radial_profile(grid, q, params)
+    if identity == "fractional" and q == 2 and profile is not None:
+        # a radial trial's two norms from its octant, with no field built;
+        # the quotient and its rhs > 0 rule are those of the full path
+        _require_fractional(grid.d, s, q)
+        weighted, sobolev = _radial_norms(grid, profile, s)
+        return weighted / sobolev if sobolev > 0 else 0.0
     f = _trial_field(grid, q, seed, params)
     check = CHECKS[identity]
     values = FieldValues(f, s, q, partition, check.powers(q), check.shells)

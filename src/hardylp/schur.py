@@ -152,7 +152,13 @@ def hardy_row_sum_closed_form(s: float, d: int, q: float) -> float:
         ratio = _require_hardy_exponents(s, d, q)
     except ValueError as err:  # the endpoints, beyond them, and NaN
         raise ValueError(f"Schur row sums diverge: {err}") from None
-    return 2.0 ** (-s) / (1.0 - 2.0 ** (-s)) + 1.0 / (1.0 - 2.0 ** (-(ratio - s)))
+    low, high = 1.0 - 2.0 ** (-s), 1.0 - 2.0 ** (-(ratio - s))
+    if low == 0.0 or high == 0.0:  # 2^-c rounds to 1 at c below about 1e-16
+        raise ValueError(
+            f"Schur row sums at s = {s:g}, d/q = {ratio:g}: 1 - 2^-c rounds to 0 "
+            "for c = min(s, d/q - s); take s farther from 0 and from d/q"
+        )
+    return 2.0 ** (-s) / low + 1.0 / high
 
 
 def hardy_row_sums(s: float, d: int, q: float, span: int | None = None):

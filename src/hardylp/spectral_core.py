@@ -30,6 +30,13 @@ K + 1 columns of the last axis itself.  Fallback rule: a box with 4K > n is
 inverted whole, since widening it costs more than the skipped lines save.
 Both paths are bitwise equal to np.fft.irfftn; dyadic levels below the top
 and the band-limited corpus fields take the pruned one.
+
+A radial field f(|x|) on the cell-centred grid is even in every coordinate,
+so its two q = 2 norms of the fractional quotient need only its octant
+x_i > 0 (_radial_norms): each grid sum is 2^d times the octant's, and its
+spectrum is, up to a phase, the separable DCT-II of the octant, made with
+one n/2-point rfft per axis (_even_transform).  The constant search takes
+its radial trials this way; every other field and norm takes the full grid.
 """
 
 from __future__ import annotations
@@ -85,6 +92,11 @@ GRADIENT_SLABS = 4
 # Largest grid make_grid accepts: d = 3, n = 256 is 2**24 samples, 134 MB per
 # real field and 268 MB per complex one.
 MAX_GRID_SAMPLES = 2**24
+
+# make_grid keeps the box's scales L^p and h^p (p = 2 max(d, 2)) within
+# 10^(+-BOX_SCALE_DECADES), well inside the normal float range, for the
+# constants and sums the checks multiply them by.
+BOX_SCALE_DECADES = 240
 
 FIELD_MAGIC = b"HLF2"
 HLF1_MAGIC = b"HLF1"
@@ -171,8 +183,9 @@ class Spectrum:
 
 
 def make_grid(d: int, n: int, L: float) -> GridSpec:
-    """Validated periodic grid; n must be a power of two >= 8, and the grid
-    may hold at most MAX_GRID_SAMPLES samples."""
+    """Validated periodic grid; n must be a power of two >= 8, the grid may
+    hold at most MAX_GRID_SAMPLES samples, and L must lie in the range
+    _box_length_range(d)."""
     if d not in SUPPORTED_DIMENSIONS:
         raise ValueError(f"dimension must be one of {SUPPORTED_DIMENSIONS}, got {d}")
     if n < 8 or (n & (n - 1)) != 0:
@@ -184,7 +197,24 @@ def make_grid(d: int, n: int, L: float) -> GridSpec:
         )
     if not (0 < L < np.inf):
         raise ValueError(f"box length must be positive and finite, got {L}")
+    lo, hi = _box_length_range(d)
+    if not (lo <= L <= hi):
+        raise ValueError(
+            f"box length must lie in [{lo:.6g}, {hi:.6g}] in d = {d}, got {L}"
+        )
     return GridSpec(d=d, n=n, L=float(L))
+
+
+def _box_length_range(d: int) -> tuple[float, float]:
+    """The box lengths make_grid accepts in d dimensions: with p = 2 max(d, 2),
+    L^p at most 10^BOX_SCALE_DECADES, and h^p at least its reciprocal on the
+    finest grid (n^d = MAX_GRID_SAMPLES).  Every power of a length or a
+    frequency that the checks take has an exponent below 2d in magnitude
+    (the Hölder step's N^(2s(q-1)), s < d/q, is the largest), so on every grid
+    they, the cell volume h^d and the squares neither underflow nor overflow."""
+    decades = BOX_SCALE_DECADES / (2 * max(d, 2))
+    finest = 2 ** ((MAX_GRID_SAMPLES.bit_length() - 1) // d)
+    return finest * 10.0**-decades, 10.0**decades
 
 
 def make_field(grid: GridSpec, values, centering: str = "cell") -> SampledField:
@@ -217,25 +247,28 @@ def radius_mesh(grid: GridSpec, centering: str = "cell") -> np.ndarray:
     return _radius([axis_coordinates(grid, centering)] * grid.d)
 
 
-def _radial_classes(grid: GridSpec) -> np.ndarray:
-    """k = |2x/h|^2 on the cell-centred mesh, as int64.
+def _radial_classes(grid: GridSpec, octant: bool = False) -> np.ndarray:
+    """k = |2x/h|^2 on the cell-centred mesh, or on its octant x_i > 0, as
+    int64.
 
     Each coordinate 2x/h is an odd integer, so k is a sum of d odd squares:
     an integer with k = d (mod 8), and |x| = sqrt(k) h / 2.
     """
     odd = 2 * np.arange(grid.n) - grid.n + 1
+    odd = odd[grid.n // 2 :] if octant else odd
     return sum(np.meshgrid(*([odd**2] * grid.d), indexing="ij", sparse=True))
 
 
-def _radial_values(grid: GridSpec, profile) -> np.ndarray:
-    """profile(|x|) on the cell-centred mesh, evaluated once per radial class.
+def _radial_values(grid: GridSpec, profile, octant: bool = False) -> np.ndarray:
+    """profile(|x|) on the cell-centred mesh, evaluated once per radial class;
+    only its block on the octant x_i > 0 when octant, bitwise.
 
     The table holds profile(sqrt(d + 8j) h / 2) for every class j up to the
     largest on the grid, attained or not.  k = d + 8j with 0 < d < 8, so
     k // 8 = (k - d) // 8 = j indexes it.  When the table would be longer than
     the grid (d = 1) the profile is evaluated per sample, at the same radii.
     """
-    k = _radial_classes(grid)
+    k = _radial_classes(grid, octant)
     top = (grid.d * (grid.n - 1) ** 2) // 8
     if top + 1 > grid.size:
         return profile(np.sqrt(k) * (grid.h / 2.0))
@@ -428,13 +461,15 @@ def apply_multiplier(f: SampledField, m) -> SampledField:
 
 
 @lru_cache(maxsize=4)
-def _power_symbol(grid: GridSpec, s: float, real: bool) -> np.ndarray:
+def _power_symbol(grid: GridSpec, s: float, real: bool, octant=False) -> np.ndarray:
     """|2 pi xi|^s on the frequency lattice, zero at frequency zero; only the
-    half lattice of rfftn when real.  Cached per (grid, s, real); the
-    returned array is read-only."""
+    half lattice of rfftn when real, and only the block k_i < n/2 of every
+    axis (that of _even_transform) when octant.  Cached per (grid, s, real,
+    octant); the returned array is read-only."""
     k = frequency_axes(grid)
     half = k[: grid.n // 2 + 1] if real else k
-    mesh = np.meshgrid(*([k] * (grid.d - 1) + [half]), indexing="ij", sparse=True)
+    axes = [k[: grid.n // 2]] * grid.d if octant else [k] * (grid.d - 1) + [half]
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     mult = sum(c**2 for c in mesh)  # _radius, with the root taken in place
     np.sqrt(mult, out=mult)
     mult *= 2.0 * np.pi
@@ -507,6 +542,55 @@ def _parseval_energy(f: SampledField, symbols):
     if real:
         total = 2.0 * total - power[..., 0].sum() - power[..., -1].sum()
     return total * grid.h**grid.d / grid.size
+
+
+def _even_transform(octant: np.ndarray) -> np.ndarray:
+    """rfftn of the cell-centred field that is even in every coordinate and
+    equals octant on x_i > 0, on its block k_i < n/2, with the phase
+    (-1)^k_i exp(i pi k_i / n) of each axis divided out; the rows k_i = n/2
+    of that field's spectrum are zero.  The result is real: 2 C per axis,
+    C the DCT-II of the octant's N = n/2 samples, each made from one N-point
+    rfft of the samples reordered even-then-reversed-odd (Makhoul, IEEE
+    Trans. ASSP 28 (1980))."""
+    spec = octant
+    for ax in range(octant.ndim):
+        g = np.moveaxis(spec, ax, -1)
+        N = g.shape[-1]
+        v = np.concatenate((g[..., 0::2], g[..., :0:-2]), axis=-1)
+        half = np.fft.rfft(v, axis=-1)
+        half *= 2.0 * np.exp(-0.5j * np.pi * np.arange(N // 2 + 1) / N)
+        v[..., : N // 2 + 1] = half.real  # C(k) = Re, C(N - k) = -Im
+        np.negative(half.imag[..., N // 2 - 1 : 0 : -1], out=v[..., N // 2 + 1 :])
+        del half
+        spec = np.moveaxis(v, -1, ax)
+    return spec
+
+
+def _radial_norms(grid: GridSpec, profile, s: float) -> tuple[float, float]:
+    """(||f / |x|^s||_2, || |D|^s f ||_2) of f = profile(|x|) on the
+    cell-centred grid, s >= 0, from its octant x_i > 0 alone.
+
+    f is even in every coordinate, so each grid sum is 2^d times the
+    octant's, against the octant block of the weight table, and the
+    Sobolev energy is _parseval_energy's sum over the spectrum of
+    _even_transform: each plane k_i = 0 counts once, every other plane
+    twice, as its mirror k_i -> n - k_i holds the same value, and the
+    planes k_i = n/2 are zero.  s = 0 gives the plain L^2 norm twice, mean
+    included, as sobolev_norm does."""
+    d = grid.d
+    g = _radial_values(grid, profile, octant=True)
+    cell = 2.0**d * grid.h**d
+    if s == 0:
+        plain = _lq(g, cell, 2.0)
+        return plain, plain
+    weighted = _lq(g, cell, 2.0, _refined_weight(grid, "cell", -2.0 * s, True))
+    power = _even_transform(g)
+    del g
+    np.square(power, out=power)
+    power *= _power_symbol(grid, 2.0 * s, True, octant=True)
+    for ax in range(d):
+        power[(slice(None),) * ax + (0,)] *= 0.5
+    return weighted, float(np.sqrt(power.sum() * cell / grid.size))
 
 
 def _odd_frequencies(grid: GridSpec, real: bool) -> np.ndarray:
@@ -592,35 +676,44 @@ def lq_norm(f: SampledField, q: float) -> float:
     return _lq(f.values, f.grid.h**f.grid.d, q)
 
 
-def _lq(values: np.ndarray, cell_volume: float, q: float) -> float:
-    """lq_norm of bare samples on cells of the given volume."""
+def _lq(values: np.ndarray, cell_volume: float, q: float, weight=None) -> float:
+    """lq_norm of bare samples on cells of the given volume; with a weight
+    table at finite q, of the samples times weight^(1/q)."""
     if q == np.inf:
         return float(np.max(np.abs(values), initial=0.0))
     if q < 1:
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
     absq = np.abs(values)
     np.power(absq, q, out=absq)
+    if weight is not None:
+        absq *= weight
     return float((absq.sum() * cell_volume) ** (1.0 / q))
 
 
 @lru_cache(maxsize=8)
-def _refined_weight(grid: GridSpec, centering: str, exponent: float) -> np.ndarray:
-    """|x|^exponent on the mesh, cell-averaged near the origin when singular.
+def _refined_weight(grid: GridSpec, centering: str, exponent: float, octant=False):
+    """|x|^exponent on the mesh, cell-averaged near the origin when singular;
+    only its block on the octant x_i > 0 when octant, bitwise: the same
+    build on the octant's axis coordinates.
 
-    Cached per (grid, centering, exponent); the returned array is read-only.
+    Cached per (grid, centering, exponent, octant); the returned array is
+    read-only.
     """
-    w = _build_weight(grid, centering, exponent)
+    x = axis_coordinates(grid, centering)
+    w = _build_weight(grid, centering, exponent, x[grid.n // 2 :] if octant else x)
     w.setflags(write=False)
     return w
 
 
-def _build_weight(grid: GridSpec, centering: str, exponent: float) -> np.ndarray:
-    rad = radius_mesh(grid, centering)
+def _build_weight(grid: GridSpec, centering: str, exponent: float, x=None):
+    """The table of _refined_weight on the mesh of the axis coordinates x,
+    by default the grid's own."""
+    x = axis_coordinates(grid, centering) if x is None else x
+    rad = _radius([x] * grid.d)
     h = grid.h
     # |x| >= |x_i| on every axis, so the origin's sample and every near cell
     # (|x| <= WEIGHT_REFINE_RADIUS * h) lie in the sub-cube of the axis
     # coordinates with |x_i| <= WEIGHT_REFINE_RADIUS * h
-    x = axis_coordinates(grid, centering)
     cube = np.flatnonzero(np.abs(x) <= WEIGHT_REFINE_RADIUS * h)
     cube_rad = rad[np.ix_(*([cube] * grid.d))]
     if np.any(cube_rad == 0.0):
@@ -629,7 +722,7 @@ def _build_weight(grid: GridSpec, centering: str, exponent: float) -> np.ndarray
                 "a sample sits at |x| = 0; use a cell-centered grid for "
                 "singular weights"
             )
-        w = np.zeros(grid.shape)
+        w = np.zeros(rad.shape)
         nz = rad > 0
         w[nz] = rad[nz] ** exponent
         if exponent == 0:
@@ -666,10 +759,7 @@ def power_weighted_lq_norm(f: SampledField, weight_power: float, q: float) -> fl
     if q < 1:
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
     w = _refined_weight(f.grid, f.centering, weight_power * q)
-    absq = np.abs(f.values)
-    np.power(absq, q, out=absq)
-    absq *= w
-    return float((absq.sum() * f.grid.h**f.grid.d) ** (1.0 / q))
+    return _lq(f.values, f.grid.h**f.grid.d, q, w)
 
 
 def weighted_lq_norm(f: SampledField, s: float, q: float) -> float:

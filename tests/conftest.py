@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hardylp.corpus import smooth_step
-from hardylp.extremal import _BudgetExhausted, _Search
+from hardylp.extremal import _BudgetExhausted, _Search, _trial_field
 from hardylp.hardy import CHECKS, NOISE_FLOOR, FieldValues, shell_index_mesh, shell_radii
 from hardylp.littlewood_paley import LevelSums, decompose, group_sums
 from hardylp.report import QUADRATURE_TOL
@@ -181,6 +181,16 @@ def dd_gradient(f):
     spectral_core.gradient: one forward rfftn (fftn when f is complex), then
     per component a d-D inverse of the spectrum times 2 pi i xi_j."""
     return list(_apply_diag(f.values, _gradient_symbols(f)))
+
+
+def full_grid_quotient(identity, grid, partition, s, q, seed, params):
+    """The search's objective on the full grid, the reference for
+    extremal._trial_quotient: every trial's field is built and its check
+    run on one FieldValues, radial trials of the fractional identity at
+    q = 2 included."""
+    f = _trial_field(grid, q, seed, params)
+    rep = check(identity, f, s, q, partition)
+    return rep.quotient if rep.quotient is not None else 0.0
 
 
 class DirectSearch(_Search):

@@ -240,10 +240,11 @@ def test_estimate_constant_evaluates_each_distinct_point_once(
     search = [args[-1] for args in trials if args[1].n == 64]
     assert len(search) == len({tuple(sorted(p.items())) for p in search}) == 49
     assert len(trials) == 49 + 1  # and the trend's trial on the n = 128 grid
-    # each quotient takes one forward rfftn (q = 2, by Parseval), and each
-    # band field one inverse: an ifft along each of the 2 leading axes and
-    # one irfft
-    assert dict(fft_calls) == {"rfftn": 50, "ifft": 2 * 7, "irfft": 7}
+    # the 42 radial quotients and the trend's take their Sobolev norm from the
+    # octant, by one rfft along each of the 3 axes; each band quotient takes
+    # one forward rfftn (q = 2, by Parseval), and each band field one
+    # inverse: an ifft along each of the 2 leading axes and one irfft
+    assert dict(fft_calls) == {"rfft": 3 * 43, "rfftn": 7, "ifft": 2 * 7, "irfft": 7}
 
 
 @pytest.mark.parametrize(
@@ -1188,13 +1189,13 @@ def test_estimate_out_replaces_json_file(capsys, tmp_path):
 
 def test_estimate_constant_refuses_oversized_trend_grid(capsys, monkeypatch):
     # n = 256 is allowed in d = 3, its 2n trend grid is not; the refusal
-    # comes before the first trial field is built
+    # comes before the first trial, on the octant path or the full grid
     import hardylp.extremal as extremal
 
     def no_trial(*args):
         raise AssertionError("the search started")
 
-    monkeypatch.setattr(extremal, "_trial_field", no_trial)
+    monkeypatch.setattr(extremal, "_radial_profile", no_trial)
     code, out, err = run(
         capsys, "estimate-constant", "--identity", "fractional", "--d", "3",
         "--n", "256", "--s", "1", "--budget", "3",
@@ -1212,6 +1213,55 @@ def test_estimate_constant_refuses_infinite_box(capsys):
     assert code == 2
     assert out == ""
     assert "box length must be positive and finite, got inf" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate-constant", "--s", "1", "--q", "2", "--budget", "3"),
+        ("hardy-check", "--identity", "fractional", "--s", "1", "--q", "2",
+         "--corpus-size", "1"),
+        ("verify", "--suite", "all", "--corpus-size", "1"),
+    ],
+    ids=["estimate-constant", "hardy-check", "verify"],
+)
+@pytest.mark.parametrize("L", ["1e200", "1e-200"])
+def test_box_length_out_of_range_exit_2(capsys, argv, L):
+    # 1e200 exited 3 on an OverflowError, 1e-200 blamed a sample at |x| = 0
+    code, out, err = run(capsys, *argv, "--d", "3", "--n", "16", "--L", L)
+    assert code == 2
+    assert out == ""
+    assert f"box length must lie in [2.56e-38, 1e+40] in d = 3, got {float(L)}" in err
+
+
+def test_estimate_is_the_same_at_both_ends_of_the_box_range(capsys):
+    # the fractional quotient is invariant under dilation
+    bests = []
+    for L in ("2.56e-38", "20", "1e40"):
+        code, out, _ = run(
+            capsys, "estimate-constant", "--d", "3", "--n", "16", "--s", "1",
+            "--q", "2", "--budget", "12", "--L", L,
+        )
+        assert code == 0
+        bests.append(json.loads(out)["best"])
+    assert bests[0] == pytest.approx(bests[1], rel=1e-9)
+    assert bests[2] == pytest.approx(bests[1], rel=1e-9)
+
+
+def test_radial_reduction_is_scale_invariant(capsys):
+    # its profile has width L / 20, as its radii scale with L; a fixed width
+    # failed the check at L = 600 and exited 2 from L = 1e5 on
+    lhs = []
+    for L in ("0.01", "20", "600", "1000", "1e5", "1e20"):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "stein-weiss", "--d", "3", "--n", "32",
+            "--q", "3", "--s", "0.5", "--corpus-size", "2", "--L", L,
+        )
+        assert code == 0
+        (report,) = [r for r in json.loads(out) if r["identity"] == "radial-reduction"]
+        assert report["passed"] is True
+        lhs.append(report["lhs"])
+    assert max(lhs) - min(lhs) <= 1e-12 * lhs[1]
 
 
 def test_unknown_field_file_code_is_exit_2(capsys, const_field_file):

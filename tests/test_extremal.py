@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import hardylp.extremal as extremal
-from conftest import DirectSearch, check, peak_field_arrays
+from conftest import DirectSearch, check, full_grid_quotient, peak_field_arrays
 from hardylp.corpus import truncated_power_field
 from hardylp.extremal import (
     ESTIMATE_IDENTITIES,
+    _trial_quotient,
     estimate_constant,
     evaluate_trial,
 )
@@ -166,11 +167,53 @@ def test_cold_trend_trial_peak_memory():
     # so the run builds its |2 pi xi|^s symbol and weight table too.  The
     # L = 18 grids are cold in this process; the n = 32 run warms what is
     # not per grid.  A symbol built beside its radius and a boolean mask
-    # gave 4.13 field arrays here
+    # gave 4.13 field arrays here, and the full-grid trial 3.51; the octant
+    # path holds octant arrays of 1/8 field array each, 0.70 at the peak
     params = {"family": "truncated-power", "exponent_fraction": 0.75,
               "inner_cells": 2.2, "outer_fraction": 0.08}
     evaluate_trial("fractional", 3, 1.0, 2.0, params, 32, 18.0)
     peak = peak_field_arrays(
         lambda: evaluate_trial("fractional", 3, 1.0, 2.0, params, 64, 18.0), 8 * 64**3
     )
-    assert peak <= 3.6
+    assert peak <= 0.75
+
+
+# --- radial trials on the octant ---------------------------------------------
+
+RADIAL_TRIALS = (
+    {"family": "gaussian", "width_fraction": 0.07},
+    {"family": "truncated-power", "exponent_fraction": 0.75, "inner_cells": 2.2,
+     "outer_fraction": 0.08},
+)
+
+
+@pytest.mark.parametrize(
+    "d, sizes",
+    [(1, (8, 16, 32, 64, 128)), (2, (8, 16, 32, 64, 128)), (3, (8, 16, 32, 64, 128)),
+     (4, (8, 16, 32))],
+)
+def test_octant_quotient_matches_the_full_grid(d, sizes):
+    for n in sizes:
+        grid = make_grid(d, n, 20.0)
+        for s in (0.0, 0.3, 0.5, 1.0, 0.95 * d / 2):
+            if s >= d / 2:
+                continue
+            for params in RADIAL_TRIALS:
+                got = _trial_quotient("fractional", grid, None, s, 2.0, 7, params)
+                want = full_grid_quotient("fractional", grid, None, s, 2.0, 7, params)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (n, s, params)
+
+
+def test_octant_quotient_keeps_the_full_paths_rules(fft_calls):
+    grid = make_grid(3, 16, 20.0)
+    # a Gaussian too narrow for the grid: both norms 0, the quotient 0
+    narrow = {"family": "gaussian", "width_fraction": 1e-4}
+    assert _trial_quotient("fractional", grid, None, 1.0, 2.0, 7, narrow) == 0.0
+    # the octant path takes no d-D transform, only an rfft along each axis
+    assert dict(fft_calls) == {"rfft": 3}
+    assert full_grid_quotient("fractional", grid, None, 1.0, 2.0, 7, narrow) == 0.0
+    with pytest.raises(ValueError, match="need 0 <= s < d/q"):
+        _trial_quotient("fractional", grid, None, 1.5, 2.0, 7, RADIAL_TRIALS[0])
+    coarse = {**RADIAL_TRIALS[1], "inner_cells": 1.5}
+    with pytest.raises(ValueError, match="inner cutoff"):
+        _trial_quotient("fractional", grid, None, 1.0, 2.0, 7, coarse)

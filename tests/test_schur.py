@@ -231,6 +231,15 @@ def test_row_sums_diverge_at_endpoints():
         hardy_row_sum_closed_form(1.5, 3, 2.0)
 
 
+def test_closed_form_refuses_a_denominator_that_rounds_to_0():
+    # 1 - 2^-s rounds to 0 below s = 1.1e-16, and 1 - 2^-(d/q - s) as s
+    # comes within an ulp of a small d/q; these raised ZeroDivisionError
+    with pytest.raises(ValueError, match="rounds to 0"):
+        hardy_row_sum_closed_form(1e-17, 3, 2.0)
+    with pytest.raises(ValueError, match="rounds to 0"):
+        hardy_row_sum_closed_form(float(np.nextafter(0.01, 0.0)), 1, 100.0)
+
+
 def test_row_sums_refuse_nan():
     with pytest.raises(ValueError, match="need 0 < s < d/q"):
         hardy_row_sum_closed_form(float("nan"), 3, 2.0)

@@ -21,7 +21,9 @@ from hardylp.spectral_core import (
     MAX_GRID_SAMPLES,
     WEIGHT_REFINE_RADIUS,
     Spectrum,
+    _box_length_range,
     _build_weight,
+    _even_transform,
     _forward,
     _gradient_symbols,
     _half_box,
@@ -30,6 +32,7 @@ from hardylp.spectral_core import (
     _parseval_energy,
     _power_symbol,
     _pruned,
+    _radial_values,
     _refined_weight,
     apply_multiplier,
     axis_coordinates,
@@ -805,3 +808,70 @@ def test_boundary_decay_is_the_full_field_value(d, real):
         assert boundary_decay(f) == full_field_boundary_decay(f)
         on_boundary = 0 in pos or n - 1 in pos
         assert (boundary_decay(f) == 0.75) == on_boundary
+
+
+# --- the octant of an even field ----------------------------------------------
+
+
+def _octant_block(grid):
+    """The index of the octant x_i > 0 on the cell-centred mesh."""
+    return (slice(grid.n // 2, None),) * grid.d
+
+
+@pytest.mark.parametrize("d, sizes", [(1, (8, 64)), (2, (8, 32)), (3, (8, 32)), (4, (8, 16))])
+def test_even_transform_matches_rfftn_of_the_mirrored_field(d, sizes):
+    rng = np.random.default_rng(d)
+    for n in sizes:
+        octant = rng.standard_normal((n // 2,) * d)
+        full = octant
+        for ax in range(d):
+            full = np.concatenate((np.flip(full, axis=ax), full), axis=ax)
+        spec = np.fft.rfftn(full)
+        top = np.max(np.abs(spec))
+        # the non-negative octant k_i <= n/2, each axis's phase divided out
+        k = np.arange(n // 2 + 1)
+        phase = (-1.0) ** k * np.exp(1j * np.pi * k / n)
+        spec = spec[(slice(0, n // 2 + 1),) * d]
+        for ax in range(d):
+            spec = spec / phase.reshape([-1 if a == ax else 1 for a in range(d)])
+        got = _even_transform(octant)
+        assert np.max(np.abs(spec[(slice(0, n // 2),) * d] - got)) <= 1e-13 * top
+        # the rows k_i = n/2 of the mirrored field's spectrum vanish
+        for ax in range(d):
+            assert np.max(np.abs(np.take(spec, n // 2, axis=ax))) <= 1e-13 * top
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_octant_tables_are_bitwise_blocks_of_the_full_ones(d):
+    for n, L in ((8, 20.0), (16, 20.0 / 3.0), (32 if d < 4 else 16, 20.0)):
+        grid = make_grid(d, n, L)
+        block = _octant_block(grid)
+        for exponent in (-0.4, -1.0, -2.0, -3.0):
+            want = _refined_weight(grid, "cell", exponent)[block]
+            assert np.array_equal(_refined_weight(grid, "cell", exponent, True), want)
+        for s in (0.6, 2.0):
+            want = _power_symbol(grid, s, True)[(slice(0, n // 2),) * d]
+            assert np.array_equal(_power_symbol(grid, s, True, octant=True), want)
+
+        def profile(r):
+            return np.exp(-(r**2) / 7.0) / (1.0 + r)
+
+        want = _radial_values(grid, profile)[block]
+        assert np.array_equal(_radial_values(grid, profile, octant=True), want)
+
+
+# --- the box length range -----------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_make_grid_takes_the_box_range_and_refuses_just_past_it(d):
+    lo, hi = _box_length_range(d)
+    # every grid of the range has a normal cell volume and finite squares
+    finest = 2 ** (24 // d)
+    for n, L in ((8, lo), (8, hi), (finest, lo), (finest, hi)):
+        grid = make_grid(d, n, L)
+        assert grid.L == L
+        assert np.finfo(float).tiny < grid.h**d < np.inf and L**2 < np.inf
+    for L in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf), lo / 2, hi * 2):
+        with pytest.raises(ValueError, match=r"box length must lie in \["):
+            make_grid(d, 8, L)
