@@ -473,7 +473,7 @@ def _corpus_reports(cfg: RunConfig, plan, warn: bool) -> dict:
             rep = check.run(values, tol)
             if rep is not None:
                 reports[suite] += _labelled([rep], label)
-        values = None
+        values = f = None  # both freed before the next field is built
     return reports
 
 

@@ -202,6 +202,7 @@ def corpus_fields(grid: GridSpec, size: int, seed: int, s: float = 1.0, q: float
             break  # grid too coarse for the cutoffs; skip the family
         built += 1
         yield f"power-{beta:g}", fld
+        del fld  # else it outlives the consumer's copy, through the band fields
     envelopes = (0.5, 1.0, 2.0)
     for idx in range(size - built):
         env = envelopes[idx % len(envelopes)]

@@ -275,9 +275,11 @@ def shell_index_mesh(grid, centering: str = "cell") -> np.ndarray:
 @lru_cache(maxsize=2)
 def shell_groups(grid, centering: str = "cell") -> tuple[np.ndarray, np.ndarray]:
     """The shells of shell_index_mesh as the (order, starts) sample groups of
-    group_sums; every shell holds samples.  Cached, read-only."""
+    group_sums; every shell holds samples.  The order is int32, as a grid
+    holds at most MAX_GRID_SAMPLES = 2**24 samples.  Cached, read-only."""
     idx = shell_index_mesh(grid, centering).ravel()
-    groups = np.argsort(idx, kind="stable"), np.cumsum(np.bincount(idx))[:-1]
+    order = np.argsort(idx, kind="stable").astype(np.int32)
+    groups = order, np.cumsum(np.bincount(idx))[:-1]
     for a in groups:
         a.setflags(write=False)
     return groups
@@ -319,31 +321,33 @@ def shell_chain_check(values: FieldValues) -> CheckReport:
     _require_fractional(d, s, q)
     if s == 0:
         raise ValueError("chain check needs s > 0")
-    f0 = f.with_values(f.values - np.mean(f.values))
     hd = grid.h**d
-    absq = np.abs(f0.values) ** q
+    sums = values.sums  # first, so its pass holds none of link (a)'s arrays
 
     # plain midpoint weights: the 2^(sq) factor in link (a) is exact cell by
     # cell only when the weighted sum sees the same |x| values as the shells
     r = radius_mesh(grid, f.centering)
-    lhs_q = float((absq * r ** (-s * q)).sum() * hd)
+    r **= -s * q
+    absq = np.subtract(f.values, np.mean(f.values))  # |f - mean|^q, in place
+    absq = np.abs(absq, out=absq if np.isrealobj(absq) else None)
+    floor = NOISE_FLOOR * float(absq.max(initial=0.0))
+    absq **= q
+    lhs_q = float(np.multiply(r, absq, out=r).sum() * hd)
+    del r
 
     radii = shell_radii(grid)
-    shells = shell_groups(grid, f.centering)
-    shell_mass = group_sums(absq, shells) * hd
+    shell_mass = group_sums(absq, shell_groups(grid, f.centering)) * hd
     majorant = float(sum(R ** (-s * q) * m for R, m in zip(radii, shell_mass)))
     rhs_a = 2.0 ** (s * q) * majorant
     ratio_a = lhs_q / rhs_a if rhs_a > 0 else 0.0
     link_a = _link("shell-majorant", lhs_q, rhs_a, ratio_a, ratio_a <= 1.0 + 1e-12)
 
-    sums = values.sums
     levels = values.partition.levels
     c_vec = sums.norms  # N^s ||P_N f||_q
 
     # link (b): empirical localization constant over all (level, shell) pairs
     e_b = 0.0
     worst_pair = None
-    floor = NOISE_FLOOR * float(np.max(np.abs(f0.values), initial=0.0))
     for N, top, c, masses in zip(levels, sums.maxima, c_vec, sums.shells):
         if top <= floor * N**s:
             continue
@@ -418,18 +422,20 @@ def holder_refinement_check(values: FieldValues) -> CheckReport:
     hd = grid.h**grid.d
     lhs = float(t.sum() * hd)
     mid = float(np.sqrt(a * b).sum() * hd)
+    a_half_q = a ** (q / 2.0)
     rhs = float(
-        ((a ** (q / 2.0)).sum() * hd) ** (1.0 / q)
+        (a_half_q.sum() * hd) ** (1.0 / q)
         * ((b ** (q / (2.0 * (q - 1.0)))).sum() * hd) ** ((q - 1.0) / q)
     )
-    scale = float(np.max(a ** (q / 2.0), initial=0.0))
-    pointwise = float(np.max(t - a ** (q / 2.0), initial=0.0))
+    scale = float(np.max(a_half_q, initial=0.0))
+    pointwise = float(np.max(np.subtract(t, a_half_q, out=a_half_q), initial=0.0))
+    del a_half_q
     pointwise = pointwise / scale if scale > 0 else 0.0
     # l^r monotonicity of the aggregates used by the refinement factors
     agg_two = np.sqrt(a)
     agg_high = b ** (1.0 / (2.0 * (q - 1.0)))
     mscale = float(np.max(agg_two, initial=0.0))
-    monotone = float(np.max(agg_high - agg_two, initial=0.0))
+    monotone = float(np.max(np.subtract(agg_high, agg_two, out=agg_high), initial=0.0))
     monotone = monotone / mscale if mscale > 0 else 0.0
     tol_scale = EXACT_TOL * max(1.0, rhs)
     passed = (

@@ -101,11 +101,11 @@ class DyadicPartition:
 
     def multiplier(self, N: float, real: bool = False) -> np.ndarray:
         """The level-N multiplier on the lattice (its rfftn half when real)."""
-        return np.take(self.tables[N], _frequency_classes(self.grid, real)[0])
+        return self.tables[N][_frequency_classes(self.grid, real)[0]]
 
     def multiplier_sum(self) -> np.ndarray:
         total = sum(self.tables[N] for N in self.levels)
-        return np.take(total, _frequency_classes(self.grid, False)[0])
+        return total[_frequency_classes(self.grid, False)[0]]
 
 
 def build_partition(grid: GridSpec, coverage: float = 0.5) -> DyadicPartition:

@@ -17,7 +17,8 @@ in MATLAB, SIAM 2000, ch. 3).  Complex fields keep every symbol as given.
 Generic multipliers (apply_multiplier) need not be Hermitian and always take
 the complex path.  The gradient's symbol 2 pi i xi_j depends on xi_j alone,
 so each partial derivative takes one 1-D transform pair along its own axis,
-made slab by slab of lines so that only part of its spectrum exists at once.
+made slab by slab of lines so that only part of its spectrum exists at once;
+on short lines, as a product with the pair's derivative matrix.
 
 The d-D transforms make no field-size temporaries.  The forward transform
 hands numpy one output array (out=), which every stage writes into.  The
@@ -85,8 +86,12 @@ SUPPORTED_DIMENSIONS = (1, 2, 3, 4)
 WEIGHT_REFINE_RADIUS = 6.0
 WEIGHT_REFINE_FACTOR = 16
 
-# The gradient transforms each axis's lines in this many slabs, so its
-# spectrum is a quarter of a field array at a time.
+# The gradient takes lines of n <= GRADIENT_MATRIX_N as products with its
+# derivative matrix, each BLAS call of at most GRADIENT_BLOCK multiply-adds,
+# which OpenBLAS keeps on the calling thread, whatever its thread count; it
+# takes longer lines in GRADIENT_SLABS slabs, a quarter spectrum at a time.
+GRADIENT_MATRIX_N = 64
+GRADIENT_BLOCK = 2**18
 GRADIENT_SLABS = 4
 
 # Largest grid make_grid accepts: d = 3, n = 256 is 2**24 samples, 134 MB per
@@ -295,11 +300,12 @@ def frequency_radius(grid: GridSpec) -> np.ndarray:
 def _frequency_classes(grid: GridSpec, real: bool) -> tuple[np.ndarray, np.ndarray]:
     """(index, radii): the distinct values radii of frequency_radius (on the
     half lattice of rfftn when real), and where each lattice point finds its
-    own; a radial symbol is then a table over radii.  Cached, read-only."""
+    own, as int32 (a grid holds at most 2**24 samples); a radial symbol is
+    then the gather table[index].  Cached, read-only."""
     k = frequency_axes(grid)
     rad = _radius([k] * (grid.d - 1) + [k[: grid.n // 2 + 1] if real else k])
     radii, index = np.unique(rad, return_inverse=True)
-    index = index.reshape(rad.shape)
+    index = index.reshape(rad.shape).astype(np.int32)
     for a in (index, radii):
         a.setflags(write=False)
     return index, radii
@@ -444,8 +450,8 @@ def _radial_symbol(grid: GridSpec, table: np.ndarray, real: bool):
         top = radii[support[-1]] * grid.L if support.size else 0.0
         K = _pruned(grid.n, int(top + 1e-6))  # |k_i| <= |k| = top, past rounding
         if K is not None:
-            return K, np.take(table, index[np.ix_(*_half_box(grid.n, grid.d, K))])
-    return np.take(table, index)
+            return K, table[index[np.ix_(*_half_box(grid.n, grid.d, K))]]
+    return table[index]
 
 
 def apply_multiplier(f: SampledField, m) -> SampledField:
@@ -636,11 +642,44 @@ def _gradient_symbols(f: SampledField) -> list[np.ndarray]:
 
 def _gradient_components(f: SampledField):
     """The components of gradient(f), each made when it is taken: rfft/irfft
-    along axis j for real f, with the symbol's Nyquist entry zero, else fft/ifft."""
+    along axis j for real f, with the symbol's Nyquist entry zero, else
+    fft/ifft; as products with that pair's derivative matrix on short lines."""
     n, real = f.grid.n, np.isrealobj(f.values)
     k = 2j * np.pi * _odd_frequencies(f.grid, real)[: n // 2 + 1 if real else None]
     for ax in range(f.grid.d):
-        yield _partial(f.values, ax, _along_axis(f.grid, ax, k))
+        if n <= GRADIENT_MATRIX_N:
+            yield _matrix_partial(f.values, ax, _derivative_matrix(f.grid, real))
+        else:
+            yield _partial(f.values, ax, _along_axis(f.grid, ax, k))
+
+
+@lru_cache(maxsize=4)
+def _derivative_matrix(grid: GridSpec, real: bool) -> np.ndarray:
+    """The n x n matrix D whose product with a line is the gradient's pair on
+    it: _partial on the n unit vectors, so the same symbol, Nyquist rule and
+    dtype.  Cached per (grid, real), read-only."""
+    k = 2j * np.pi * _odd_frequencies(grid, real)[: grid.n // 2 + 1 if real else None]
+    eye = np.eye(grid.n, dtype=np.float64 if real else np.complex128)
+    D = _partial(eye, 0, k[:, None])
+    D.setflags(write=False)
+    return D
+
+
+def _matrix_partial(values: np.ndarray, ax: int, D: np.ndarray) -> np.ndarray:
+    """D times every line along axis ax, in BLAS calls of at most
+    GRADIENT_BLOCK multiply-adds: blocks of rows (lines, n) D^T on the last
+    axis, else D (n, columns) on blocks of columns."""
+    n, trail = values.shape[ax], int(np.prod(values.shape[ax + 1 :]))
+    block = max(1, GRADIENT_BLOCK // (n * n))
+    out = np.empty_like(values)
+    if trail == 1:
+        v, o = (a.reshape(-1, min(block, values.size // n), n) for a in (values, out))
+        np.matmul(v, D.T, out=o)
+    else:
+        cols = min(block, trail)
+        v, o = (a.reshape(-1, n, trail // cols, cols).swapaxes(1, 2) for a in (values, out))
+        np.matmul(D, v, out=o)
+    return out
 
 
 def _partial(values: np.ndarray, ax: int, k: np.ndarray) -> np.ndarray:

@@ -177,10 +177,25 @@ def peak_field_arrays(fn, nbytes):
 
 
 def dd_gradient(f):
-    """The spectral gradient by d-D transforms, the reference for
+    """The spectral gradient by d-D transforms, a reference for
     spectral_core.gradient: one forward rfftn (fftn when f is complex), then
-    per component a d-D inverse of the spectrum times 2 pi i xi_j."""
-    return list(_apply_diag(f.values, _gradient_symbols(f)))
+    per component a d-D inverse of the spectrum times 2 pi i xi_j, each made
+    when it is taken."""
+    return _apply_diag(f.values, _gradient_symbols(f))
+
+
+def line_gradient(f):
+    """The spectral gradient by one whole-array 1-D transform pair per axis,
+    the reference for spectral_core's derivative-matrix path: rfft along
+    axis j, times 2 pi i xi_j with its Nyquist entry zero, and irfft (fft
+    and ifft with the whole symbol when f is complex); each component made
+    when it is taken."""
+    real = np.isrealobj(f.values)
+    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    half = slice(0, f.grid.n // 2 + 1 if real else None)
+    for ax, k in enumerate(_gradient_symbols(f)):
+        k = k[(slice(None),) * ax + (half,)]
+        yield inv(fwd(f.values, axis=ax) * k, f.grid.n, axis=ax)
 
 
 def full_grid_quotient(identity, grid, partition, s, q, seed, params):
@@ -398,6 +413,19 @@ def stack_localization_constant(f, partition, s, q):
             if cap > 0:
                 e_b = max(e_b, shell_lq / cap)
     return e_b
+
+
+def shell_majorant_sides(f, s, q):
+    """(lhs, rhs) of shell_chain_check's link (a) by whole-array expressions
+    of f - mean and one boolean mask per shell, the reference for its
+    one-buffer form."""
+    hd = f.grid.h**f.grid.d
+    absq = np.abs(f.values - np.mean(f.values)) ** q
+    lhs = float((absq * radius_mesh(f.grid, f.centering) ** (-s * q)).sum() * hd)
+    shell_idx = shell_index_mesh(f.grid, f.centering)
+    masses = [absq[shell_idx == j].sum() * hd for j in range(len(shell_radii(f.grid)))]
+    majorant = float(sum(R ** (-s * q) * m for R, m in zip(shell_radii(f.grid), masses)))
+    return lhs, 2.0 ** (s * q) * majorant
 
 
 def phased_band_limited_field(grid, seed, envelope=1.0, band=None):

@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
 import shlex
+import subprocess
+import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -202,6 +206,7 @@ def test_verify_takes_one_weighted_norm_per_field_for_the_fractional_trio(
 
 
 def test_gradient_check_fft_budget(capsys, fft_calls):
+    spectral_core._derivative_matrix.cache_clear()
     code, _, _ = run(
         capsys, "hardy-check", "--identity", "gradient", "--d", "4", "--n", "16",
         "--q", "3", "--corpus-size", "6",
@@ -209,12 +214,46 @@ def test_gradient_check_fft_budget(capsys, fft_calls):
     assert code == 0
     # the corpus is 2 Gaussians and 4 band fields (the power-law cutoffs do
     # not fit); each band field takes one d-D inverse, an ifft along each of
-    # the 3 leading axes and one irfft.  Per field, the gradient takes one
-    # 1-D transform pair along each of the 4 axes, made as one rfft and one
-    # irfft per slab of lines, and no d-D transform; the weighted norm takes
-    # none
-    pairs = 6 * 4 * GRADIENT_SLABS
-    assert dict(fft_calls) == {"rfft": pairs, "irfft": pairs + 4, "ifft": 3 * 4}
+    # the 3 leading axes and one irfft.  On lines of n = 16 the gradient is a
+    # product with the derivative matrix and takes no FFT per field; the
+    # matrix is made once for the grid, by the transform pair on the unit
+    # vectors in GRADIENT_SLABS slabs.  The weighted norm takes none
+    slabs = GRADIENT_SLABS
+    assert dict(fft_calls) == {"rfft": slabs, "irfft": slabs + 4, "ifft": 3 * 4}
+
+
+def test_corpus_loop_frees_each_field_before_the_next_is_built(capsys, monkeypatch):
+    inner = corpus.corpus_fields
+    held = []
+
+    def watched(*args, **kwargs):
+        refs = []
+        for label, f in inner(*args, **kwargs):
+            refs.append(weakref.ref(f))
+            yield label, f
+            del f  # the consumer asks for the next field: count what is alive
+            held.append(sum(ref() is not None for ref in refs))
+
+    monkeypatch.setattr(corpus, "corpus_fields", watched)
+    code, _, _ = run(
+        capsys, "hardy-check", "--identity", "gradient", "--d", "4", "--n", "16",
+        "--q", "3", "--corpus-size", "3",
+    )
+    assert code == 0 and held == [0, 0, 0]
+
+
+def test_gradient_check_output_does_not_depend_on_the_blas_threads():
+    # each derivative-matrix product is small enough for OpenBLAS to keep on
+    # the calling thread; the default thread count is the machine's cores
+    argv = [sys.executable, "-m", "hardylp.cli", "hardy-check", "--identity",
+            "gradient", "--d", "4", "--n", "32", "--corpus-size", "4"]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    outs = [
+        subprocess.run(argv, env=e, capture_output=True, text=True, check=True).stdout
+        for e in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})
+    ]
+    assert outs[0] == outs[1] and json.loads(outs[0])
 
 
 def test_estimate_constant_evaluates_each_distinct_point_once(

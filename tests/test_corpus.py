@@ -1,5 +1,7 @@
 """Reproducibility and structural properties of the test-field families."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,15 @@ def test_band_limited_peak_memory():
     random_band_limited_field(grid, 1)  # builds the support
     nbytes = grid.size * 8
     assert peak_field_arrays(lambda: random_band_limited_field(grid, 1), nbytes) <= 2.25
+
+
+def test_corpus_keeps_no_field_the_consumer_dropped():
+    # the generator holds no reference to a field it has handed out, so a
+    # field the consumer drops is freed before the next one is built
+    grid = make_grid(3, 64, 20.0)
+    refs = {}
+    for label, f in corpus_fields(grid, 6, 1, s=0.5, q=3.0):
+        assert [k for k, ref in refs.items() if ref() is not None] == [], label
+        refs[label] = weakref.ref(f)
+        del f
+    assert {"power-0.35", "power-0.6"} < set(refs) and len(refs) == 6

@@ -7,13 +7,23 @@ import pytest
 
 import hardylp.littlewood_paley as littlewood_paley
 import hardylp.spectral_core as spectral_core
-from conftest import check, discrete_hardy_ceiling, lp_stack, random_mean_zero_field
+from conftest import (
+    check,
+    discrete_hardy_ceiling,
+    lp_stack,
+    peak_field_arrays,
+    random_field,
+    random_mean_zero_field,
+    shell_majorant_sides,
+)
 from hardylp.corpus import corpus_fields, gaussian_field, random_band_limited_field
 from hardylp.hardy import (
     CHECKS,
     FieldValues,
     classical_hardy_quotient,
     gradient_hardy_quotient,
+    holder_refinement_check,
+    shell_chain_check,
     shell_index_mesh,
     shell_radii,
 )
@@ -400,6 +410,31 @@ def test_chain_shell_majorant_direction_exact(grid2):
         link = rep.links[0]
         assert link["name"] == "shell-majorant"
         assert link["ratio"] <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("d,n", [(1, 256), (2, 64), (3, 32)])
+def test_chain_shell_majorant_matches_the_whole_array_formula(d, n, real):
+    # link (a) makes |f - mean|^q in one buffer and weights the radius mesh
+    # in place; the whole-array expressions give the same numbers, bitwise
+    grid = make_grid(d, n, 20.0)
+    for q, s in ((3.0, 0.3), (2.0, 0.25)):
+        f = random_field(grid, seed=960 + d, real=real)
+        link = check("chain", f, s, q).links[0]
+        assert (link["lhs"], link["rhs"]) == shell_majorant_sides(f, s, q)
+
+
+def test_chain_and_holder_checks_peak_memory():
+    # beside the level pass's sums, which the FieldValues holds: link (a)'s
+    # |f - mean|^q with the weighted radius mesh or the shell gather, and the
+    # Holder check's pairs of pointwise terms; 4.0 and 3.0 field arrays
+    # before they were made in place
+    grid = make_grid(3, 64, 20.0)
+    f = random_band_limited_field(grid, 1)
+    values = FieldValues(f, 0.5, 3.0, build_partition(grid), (3.0, 2.0, 4.0), True)
+    for run in (shell_chain_check, holder_refinement_check):
+        run(values)  # makes the level pass and warms the caches
+        assert peak_field_arrays(lambda: run(values), f.values.nbytes) <= 2.2
 
 
 @pytest.mark.parametrize("dim,n,s,q", [(1, 256, 0.3, 2.0), (2, 64, 0.4, 3.0)])

@@ -20,12 +20,15 @@ from conftest import (
     weighted_stack,
 )
 from hardylp.corpus import corpus_fields, random_band_limited_field
-from hardylp.hardy import shell_groups
+import hardylp.littlewood_paley as littlewood_paley
+import hardylp.spectral_core as spectral_core
+from hardylp.hardy import shell_groups, shell_index_mesh
 from hardylp.littlewood_paley import (
     besov_terms,
     build_partition,
     decompose,
     dyadic_bump,
+    group_sums,
     level_sums,
     partition_record,
     project,
@@ -33,6 +36,7 @@ from hardylp.littlewood_paley import (
 )
 from hardylp.spectral_core import (
     Spectrum,
+    _frequency_classes,
     _radial_symbol,
     forward_transform,
     fractional_laplacian,
@@ -418,6 +422,41 @@ def test_level_pass_peak_memory_does_not_grow_with_the_levels():
         ))
         assert len(part.levels) == {0.25: 3, 1.0: 5}[coverage]
     assert abs(peaks[1] - peaks[0]) <= 1.0
+
+
+@pytest.mark.parametrize("d,n", [(1, 256), (2, 64), (3, 32), (4, 16)])
+def test_held_index_tables_are_int32_and_match_int64(d, n, monkeypatch):
+    # a grid holds at most 2**24 samples, so the cached shell order and
+    # frequency-class index are int32; the gathers through them give the
+    # same group sums, pieces and level pass as int64 tables, bitwise
+    grid = make_grid(d, n, 20.0)
+    part = build_partition(grid, 1.0)
+    groups = shell_groups(grid)
+    assert groups[0].dtype == np.int32
+    wide = (np.argsort(shell_index_mesh(grid).ravel(), kind="stable"), groups[1])
+    assert wide[0].dtype == np.int64 and np.array_equal(groups[0], wide[0])
+    fields_ = [random_field(grid, seed=60 + d, real=real) for real in (True, False)]
+    got = []
+    for f in fields_:
+        assert _frequency_classes(grid, np.isrealobj(f.values))[0].dtype == np.int32
+        assert np.array_equal(group_sums(f.values, groups), group_sums(f.values, wide))
+        sums = level_sums(f, part, 0.5, 3.0, (2.0,), groups)
+        got.append((list(decompose(f, part)), sums))
+    narrow = _frequency_classes.__wrapped__
+
+    def int64_classes(grid, real):
+        index, radii = narrow(grid, real)
+        return index.astype(np.int64), radii
+
+    for module in (spectral_core, littlewood_paley):
+        monkeypatch.setattr(module, "_frequency_classes", int64_classes)
+    for f, (pieces, sums) in zip(fields_, got):
+        for piece, want in zip(pieces, decompose(f, part)):
+            assert np.array_equal(piece, want)
+        want = level_sums(f, part, 0.5, 3.0, (2.0,), wide)
+        assert np.array_equal(sums.norms, want.norms)
+        assert np.array_equal(sums.shells, want.shells)
+        assert np.array_equal(sums.powers[2.0], want.powers[2.0])
 
 
 # (p, powers, with shell groups): the groups need a finite p

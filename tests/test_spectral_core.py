@@ -9,6 +9,7 @@ from conftest import (
     dd_gradient,
     direct_refined_weight,
     full_field_boundary_decay,
+    line_gradient,
     masked_power_symbol,
     mesh_class_refined_weight,
     peak_field_arrays,
@@ -18,13 +19,16 @@ from conftest import (
 from hardylp.corpus import gaussian_field
 from hardylp.littlewood_paley import build_partition, decompose, project
 from hardylp.spectral_core import (
+    GRADIENT_MATRIX_N,
     MAX_GRID_SAMPLES,
     WEIGHT_REFINE_RADIUS,
     Spectrum,
     _box_length_range,
     _build_weight,
+    _derivative_matrix,
     _even_transform,
     _forward,
+    _gradient_components,
     _gradient_symbols,
     _half_box,
     _inverse_real,
@@ -464,34 +468,74 @@ def test_gradient_parseval(grid2):
     assert abs(space_side - freq_side) < 1e-10 * space_side
 
 
+def assert_gradient_matches_the_references(d, n, real, centering, fft_calls):
+    """The derivative-matrix products (n <= GRADIENT_MATRIX_N) or the slabbed
+    transform pair against the whole-array transform pair and the d-D round
+    trip, for white noise, which carries content on every Nyquist plane."""
+    grid = make_grid(d, n, 20.0)
+    f = make_field(grid, random_field(grid, seed=290 + grid.d, real=real).values, centering)
+    coef = forward_transform(f).coefficients
+    for ax in range(grid.d):
+        assert np.abs(np.take(coef, grid.n // 2, axis=ax)).max() > 1e-3
+    del coef
+    matrix = grid.n <= GRADIENT_MATRIX_N
+    magnitude = np.zeros(grid.shape)
+    for g, line, w in zip(_gradient_components(f), line_gradient(f), dd_gradient(f)):
+        assert g.dtype == line.dtype == w.dtype
+        if not matrix:  # the slabs transform each line as the whole array does
+            assert np.array_equal(g, line)
+        for want in (line, w):
+            assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+        magnitude += np.abs(w) ** 2
+    np.sqrt(magnitude, out=magnitude)
+    calls = sum(fft_calls.values())
+    got = gradient_magnitude(f)
+    # the matrix path makes no FFT call once its matrix is cached
+    assert (sum(fft_calls.values()) == calls) == matrix
+    assert np.abs(got - magnitude).max() <= 1e-13 * magnitude.max()
+
+
 @pytest.mark.parametrize("centering", ["cell", "lattice"])
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_gradient_matches_the_dd_transform_reference(d, real, centering):
-    # one 1-D transform pair along each component's own axis against the d-D
-    # round trip; white noise carries content on every Nyquist plane
-    grid = make_grid(d, 16, 20.0)
-    f = make_field(grid, random_field(grid, seed=290 + d, real=real).values, centering)
-    coef = forward_transform(f).coefficients
-    for ax in range(d):
-        assert np.abs(np.take(coef, grid.n // 2, axis=ax)).max() > 1e-3
-    want = dd_gradient(f)
-    for g, w in zip(gradient(f), want):
-        assert g.values.dtype == w.dtype
-        assert np.abs(g.values - w).max() <= 1e-13 * np.abs(w).max()
-    magnitude = np.sqrt(sum(np.abs(w) ** 2 for w in want))
-    assert np.abs(gradient_magnitude(f) - magnitude).max() <= 1e-13 * magnitude.max()
+def test_gradient_matches_the_dd_transform_reference(d, real, centering, fft_calls):
+    assert_gradient_matches_the_references(d, 16, real, centering, fft_calls)
 
 
-@pytest.mark.parametrize("d, n", [(3, 64), (4, 32)])
+# n = 64 takes the derivative matrix, n = 128 the transform pair; d = 4 stops
+# at n = 32, as n = 64 is a 134 MB field
+@pytest.mark.parametrize("centering", ["cell", "lattice"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "d, n", [(1, 64), (1, 128), (2, 64), (2, 128), (3, 64), (3, 128), (4, 32)]
+)
+def test_gradient_matches_the_references_on_longer_lines(d, n, real, centering, fft_calls):
+    assert_gradient_matches_the_references(d, n, real, centering, fft_calls)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_derivative_matrix_is_the_transform_pair_on_unit_vectors(real):
+    grid = make_grid(1, 32, 20.0)
+    D = _derivative_matrix(grid, real)
+    assert D.shape == (32, 32) and D.dtype == (np.float64 if real else np.complex128)
+    assert not D.flags.writeable and _derivative_matrix(grid, real) is D
+    for j in (0, 5, 16, 31):
+        e = make_field(grid, np.eye(32)[j] if real else np.eye(32)[j] + 0j)
+        assert np.array_equal(D[:, j], next(line_gradient(e)))
+
+
+@pytest.mark.parametrize("d, n", [(3, 64), (4, 32), (3, 128)])
 def test_gradient_magnitude_peak_memory(d, n):
-    # one component at a time: its inverse and the running sum, and the
-    # half-line spectrum of one slab of lines (a quarter of about one field
-    # array of complex half lines); unslabbed, the whole spectrum made 3.06
+    # one component at a time: its output and the running sum, 2.00 field
+    # arrays measured on the matrix path (n <= 64); the transform pair adds
+    # the half-line spectrum of one slab of lines, a quarter of about one
+    # field array of complex half lines: 2.51 at n = 128, where the whole
+    # unslabbed spectrum made 3.06
     grid = make_grid(d, n, 20.0)
     f = random_field(grid, seed=7, real=True)
     gradient_magnitude(f)
-    assert peak_field_arrays(lambda: gradient_magnitude(f), f.values.nbytes) <= 2.75
+    bound = 2.05 if n <= GRADIENT_MATRIX_N else 2.75
+    assert peak_field_arrays(lambda: gradient_magnitude(f), f.values.nbytes) <= bound
 
 
 # --- in-place and pruned transforms -----------------------------------------

@@ -2,11 +2,14 @@
 attributed to its own span."""
 
 import collections
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from hardylp.spectral_core import GRADIENT_SLABS
 
 ROOT = Path(__file__).parents[1]
 ARGV = (
@@ -39,3 +42,38 @@ def test_traced_verify_prints_the_same_and_spans_every_check(tmp_path):
     assert {name: counts[name] for name in ("hardy.fractional_hardy_quotient", *twice)} == {
         "hardy.fractional_hardy_quotient": 6, **dict.fromkeys(twice, 2)
     }
+
+
+def _spans_module():
+    """perfbench/spans.py, which derives the benchmark's metrics from spans."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_gradient_prints_the_same_and_its_time_is_a_multiplier(tmp_path):
+    argv = ("hardy-check", "--identity", "gradient", "--d", "4", "--n", "16",
+            "--corpus-size", "2")
+    spans_path = tmp_path / "spans.jsonl"
+    assert _child("--trace", str(spans_path), *argv) == _child(*argv)
+    spans = [json.loads(line) for line in spans_path.read_text().splitlines()]
+    magnitudes = [s for s in spans if s[2] == "spectral_core.gradient_magnitude"]
+    assert len(magnitudes) == 2  # once per corpus field
+
+    def inside(span, ancestor):
+        while span[1] is not None:
+            span = spans[span[1]]
+            if span is ancestor:
+                return True
+        return False
+
+    # the products with the derivative matrix are no numpy.fft call: the
+    # only transforms are the rfft/irfft slabs that make the matrix, in the
+    # first field's gradient, and the gradient's whole time is multiplier time
+    fft = collections.Counter(s[2] for s in spans if s[3] == "numpy.fft")
+    assert fft == {"numpy.fft.rfft": GRADIENT_SLABS, "numpy.fft.irfft": GRADIENT_SLABS}
+    assert all(inside(s, magnitudes[0]) for s in spans if s[3] == "numpy.fft")
+    metrics = _spans_module().layer_metrics(spans)
+    own = sum(s[5] - s[4] for s in magnitudes)
+    assert metrics["spectral_core.multiplier_s"] == own > 0
