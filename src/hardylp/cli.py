@@ -8,8 +8,10 @@ JSON object and refuses CSV); --out adds them to a JSON or CSV report file
 instead, and refuses a file of another kind.
 
 Each subcommand takes --config and only the flags its handler reads
-(COMMAND_FLAGS); any other flag is a usage error, exit 2.  Config-file keys
-are not checked per command, and a key the command does not read is ignored.
+(COMMAND_FLAGS); any other flag is a usage error, exit 2.  So is a value,
+set by flag or config file, outside its key's domain, which one table gives
+(the choices in FLAGS, DOMAINS, FREE_KEYS); config keys are not checked per
+command, and a key the command does not read is ignored.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .schur import (
     schur_conditions,
 )
 from .spectral_core import (
+    SUPPORTED_DIMENSIONS,
     boundary_decay,
     lq_norm,
     make_grid,
@@ -72,6 +75,7 @@ DECAY_THRESHOLD = 1e-8
 MAX_SWEEP_POINTS = 10_000
 
 SUITES = ("hardy", "schur", "stein-weiss", "chain", "all")
+NORM_KINDS = ("lq", "weighted", "sobolev", "besov", "triebel-lizorkin")
 
 
 @dataclass
@@ -204,10 +208,7 @@ def _emit(reports, cfg: RunConfig) -> None:
 
 
 def _exit_from(reports) -> int:
-    checked, _, failed = summarize(reports)
-    if failed:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return EXIT_CHECK_FAILED if summarize(reports)[2] else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +229,7 @@ def cmd_norm(cfg: RunConfig) -> int:
         value = weighted_lq_norm(f, cfg.s, cfg.q)
     elif cfg.kind == "sobolev":
         value = sobolev_norm(f, cfg.s, cfg.q)
-    elif cfg.kind in ("besov", "triebel-lizorkin"):
+    else:  # besov or triebel-lizorkin
         part = build_partition(grid, cfg.coverage)
         tl = cfg.kind == "triebel-lizorkin"
         sums = level_sums(f, part, cfg.s, cfg.q, (cfg.r,) if tl else ())
@@ -237,8 +238,6 @@ def cmd_norm(cfg: RunConfig) -> int:
             "last_level": part.n_max,
             "last_level_contribution": float(sums.norms[-1]),
         }
-    else:
-        raise ValueError(f"unknown norm kind {cfg.kind!r}")
     report = CheckReport(
         identity=f"norm-{cfg.kind}",
         d=grid.d,
@@ -279,18 +278,9 @@ def cmd_lp(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _hardy_reports(cfg: RunConfig, warn: bool) -> list[CheckReport]:
-    """cfg.identity's quotient on every corpus field; warn flags fields that
-    do not decay at the box faces."""
-    if cfg.identity not in IDENTITIES:
-        raise ValueError(f"unknown hardy identity {cfg.identity!r}")
-    plan = (("hardy", CHECKS[cfg.identity], lambda d, s, q: True),)
-    return _corpus_reports(cfg, plan, warn)["hardy"]
-
-
 def cmd_hardy_check(cfg: RunConfig) -> int:
     """Hardy quotients over a corpus."""
-    reports = _hardy_reports(cfg, warn=True)
+    reports = _field_reports(cfg, CHECKS[cfg.identity], warn=True)
     _emit(reports, cfg)
     return _exit_from(reports)
 
@@ -311,13 +301,12 @@ def cmd_stein_weiss_check(cfg: RunConfig) -> int:
         lam=lam, p=p, q=cfg.q, alpha=cfg.alpha, beta=beta, d=cfg.d
     )
     params.require()
-    grid = make_grid(cfg.d, cfg.n, cfg.L)
-    reports = []
-    for label, f in corpus_mod.corpus_fields(
-        grid, cfg.corpus_size, cfg.seed, s=beta, q=cfg.q
-    ):
-        f0 = f.with_values(f.values - np.mean(f.values))
-        reports += _labelled([stein_weiss_check(f0, params)], label)
+
+    def mean_free_check(values: FieldValues, tol: float) -> CheckReport:
+        f = values.f
+        return stein_weiss_check(f.with_values(f.values - np.mean(f.values)), params)
+
+    reports = _field_reports(replace(cfg, s=beta), Check(mean_free_check))
     _emit(reports, cfg)
     return _exit_from(reports)
 
@@ -364,12 +353,11 @@ def _sweep_values(cfg: RunConfig) -> list[float]:
 def cmd_sweep(cfg: RunConfig) -> int:
     """Parameter sweep, CSV output."""
     vals = _sweep_values(cfg)
-    if cfg.axis not in ("s", "q", "n"):
-        raise ValueError(f"sweep axis must be s, q or n, got {cfg.axis!r}")
     reports = []
     for v in vals:
         value = int(round(v)) if cfg.axis == "n" else float(v)
-        reports += _hardy_reports(replace(cfg, **{cfg.axis: value}), warn=False)
+        point = replace(cfg, **{cfg.axis: value})
+        reports += _field_reports(point, CHECKS[cfg.identity])
     _emit(reports, replace(cfg, fmt="csv"))
     return _exit_from(reports)
 
@@ -379,16 +367,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def _schur_suite(cfg: RunConfig) -> list[CheckReport]:
+    """The Schur row sums, conditions and bound.  They read no field, but
+    their reports name the grid of cfg, which make_grid checks first."""
+    grid = make_grid(cfg.d, cfg.n, cfg.L)
+    at = {"d": grid.d, "n": grid.n, "L": grid.L, "s": cfg.s, "q": cfg.q}
     reports = []
-    sum_n, sum_r, closed = hardy_row_sums(cfg.s, cfg.d, cfg.q)
+    sum_n, sum_r, closed = hardy_row_sums(cfg.s, grid.d, cfg.q)
     reports.append(
         CheckReport(
             identity="schur-row-sum",
-            d=cfg.d,
-            n=cfg.n,
-            L=cfg.L,
-            s=cfg.s,
-            q=cfg.q,
+            **at,
             lhs=sum_n,
             rhs=closed,
             quotient=sum_n / closed,
@@ -397,16 +385,12 @@ def _schur_suite(cfg: RunConfig) -> list[CheckReport]:
             extra={"sum_over_shells": sum_r},
         )
     )
-    kern = hardy_kernel(cfg.s, cfg.d, cfg.q)
+    kern = hardy_kernel(cfg.s, grid.d, cfg.q)
     a1, a2 = schur_conditions(kern, cfg.q)
     reports.append(
         CheckReport(
             identity="schur-conditions",
-            d=cfg.d,
-            n=cfg.n,
-            L=cfg.L,
-            s=cfg.s,
-            q=cfg.q,
+            **at,
             lhs=a1,
             rhs=a2,
             bound_constant=a1 * a2,
@@ -415,7 +399,7 @@ def _schur_suite(cfg: RunConfig) -> list[CheckReport]:
     )
     rng = np.random.default_rng(cfg.seed)
     levels = dyadic_levels(8)
-    small = hardy_kernel(cfg.s, cfg.d, cfg.q, levels)
+    small = hardy_kernel(cfg.s, grid.d, cfg.q, levels)
     trials = max(cfg.corpus_size * 5, 20)
     worst = 0.0
     for _ in range(trials):
@@ -425,11 +409,7 @@ def _schur_suite(cfg: RunConfig) -> list[CheckReport]:
     reports.append(
         CheckReport(
             identity="schur-bound",
-            d=cfg.d,
-            n=cfg.n,
-            L=cfg.L,
-            s=cfg.s,
-            q=cfg.q,
+            **at,
             lhs=worst,
             rhs=1.0,
             quotient=worst,
@@ -438,12 +418,6 @@ def _schur_suite(cfg: RunConfig) -> list[CheckReport]:
             extra={"trials": trials},
         )
     )
-    return reports
-
-
-def _labelled(reports: list[CheckReport], label: str) -> list[CheckReport]:
-    for rep in reports:
-        rep.extra["field"] = label
     return reports
 
 
@@ -472,9 +446,15 @@ def _corpus_reports(cfg: RunConfig, plan, warn: bool) -> dict:
         for suite, check in checks:
             rep = check.run(values, tol)
             if rep is not None:
-                reports[suite] += _labelled([rep], label)
+                rep.extra["field"] = label
+                reports[suite].append(rep)
         values = f = None  # both freed before the next field is built
     return reports
+
+
+def _field_reports(cfg: RunConfig, check: Check, warn: bool = False) -> list:
+    """The reports of check on every corpus field of cfg."""
+    return _corpus_reports(cfg, (("", check, lambda d, s, q: True),), warn)[""]
 
 
 def _homogeneous_fractional(values: FieldValues, tol: float) -> CheckReport:
@@ -523,6 +503,10 @@ def _specialization(values: FieldValues, tol: float) -> CheckReport | None:
     )
 
 
+# The inner-ball bound of the stein-weiss suite, on verify's grid in d = 4
+# and on a coarse grid of its own in d = 1..3 (_stein_weiss_tail).
+INNER_BALL = Check(lambda v, tol: inner_ball_bound_check(v.f, v.s, v.q))
+
 # The per-field checks of verify in run order, as (suite, Check, applies(d,
 # s, q)); the inner-ball bound is the stein-weiss suite's, reported after
 # its specialization.  Every reader of |D|^s f runs before the level pass,
@@ -534,8 +518,7 @@ VERIFY_CHECKS = (
     ("hardy", CHECKS["gradient"], lambda d, s, q: q < d),
     ("hardy", Check(_homogeneous_fractional), lambda d, s, q: True),
     ("stein-weiss", Check(_specialization), lambda d, s, q: True),
-    ("inner-ball", Check(lambda v, tol: inner_ball_bound_check(v.f, v.s, v.q)),
-     lambda d, s, q: d == 4 and d - d / q - s > 0),
+    ("inner-ball", INNER_BALL, lambda d, s, q: d == 4 and d - d / q - s > 0),
     ("hardy", CHECKS["besov"], lambda d, s, q: True),
     ("hardy", CHECKS["refined"], lambda d, s, q: q > 2),
     ("chain", CHECKS["chain"], lambda d, s, q: True),
@@ -551,11 +534,7 @@ def _stein_weiss_tail(cfg: RunConfig) -> list[CheckReport]:
     d = cfg.d
     coarse_n = {1: 256, 2: 32, 3: 16}.get(d)
     if coarse_n is not None and d - d / cfg.q - cfg.s > 0:
-        coarse = make_grid(d, coarse_n, cfg.L)
-        for label, g in corpus_mod.corpus_fields(
-            coarse, cfg.corpus_size, cfg.seed, s=cfg.s, q=cfg.q
-        ):
-            reports += _labelled([inner_ball_bound_check(g, cfg.s, cfg.q)], label)
+        reports += _field_reports(replace(cfg, n=coarse_n), INNER_BALL)
     # radial reduction consistency on a smooth profile, of width L / 20 so
     # that it scales with the radii
     radii = geometric_radii(make_grid(d, cfg.n, cfg.L))
@@ -587,8 +566,6 @@ def _stein_weiss_tail(cfg: RunConfig) -> list[CheckReport]:
 
 def cmd_verify(cfg: RunConfig) -> int:
     """Run a verification suite."""
-    if cfg.suite not in SUITES:
-        raise ValueError(f"suite must be one of {SUITES}, got {cfg.suite!r}")
     runs = {suite for suite in SUITES if cfg.suite in (suite, "all")}
     if "stein-weiss" in runs:
         runs.add("inner-ball")
@@ -626,10 +603,11 @@ COMMANDS = {
     "verify": cmd_verify,
 }
 
-# Each flag's argparse spec, keyed by the flag without its "--".
+# Each flag's argparse spec, keyed by the flag without its "--".  A flag with
+# choices names what it chooses in its help.
 FLAGS = {
     "config": {"help": "JSON config file (flags override it)"},
-    "d": {"type": int},
+    "d": {"type": int, "choices": SUPPORTED_DIMENSIONS, "help": "dimension"},
     "n": {"type": int},
     "L": {"type": float},
     "s": {"type": float},
@@ -639,27 +617,41 @@ FLAGS = {
     "seed": {"type": int},
     "tolerance": {"type": float},
     "out": {},
-    "format": {"dest": "fmt", "choices": ("json", "csv")},
+    "format": {"dest": "fmt", "choices": ("json", "csv"), "help": "report format"},
     "coverage": {"type": float},
     "field": {"required": True},
-    "kind": {"choices": ("lq", "weighted", "sobolev", "besov", "triebel-lizorkin")},
-    "identity": {"choices": IDENTITIES},
+    "kind": {"choices": NORM_KINDS, "help": "norm kind"},
+    "identity": {"choices": IDENTITIES, "help": "hardy identity"},
     "lam": {"type": float},
     "alpha": {"type": float},
     "beta": {"type": float},
     "p": {"type": float},
     "budget": {"type": int},
-    "axis": {"choices": ("s", "q", "n")},
+    "axis": {"choices": ("s", "q", "n"), "help": "sweep axis"},
     "values": {},
     "start": {"type": float},
     "stop": {"type": float},
     "step": {"type": float},
-    "suite": {"choices": SUITES},
+    "suite": {"choices": SUITES, "help": "verification suite"},
 }
 
+# The domain of each config key, checked before any command runs: its flag's
+# choices, else its DOMAINS test with the words refusing a value outside it,
+# else, for a float, finiteness (an infinite tolerance passes every check);
+# NaN, which passes a range test, is refused in every key.  FREE_KEYS take any
+# value, or are refused by what reads them (seed, n, L, budget).  A rule
+# across keys, such as s < d/q, stays with the check it guards.
+DOMAINS = {
+    "q": (lambda v: v > 0, "q must be > 0 or inf"),
+    "r": (lambda v: v > 0, "r must be > 0 or inf"),
+    "p": (lambda v: 0 < v < np.inf, "p must be finite and > 0"),
+    "corpus_size": (lambda v: v >= 0, "corpus size must be >= 0"),
+}
+FREE_KEYS = ("command", "out", "field", "values", "seed", "n", "L", "budget")
+
 # The flags each command's handler reads; every command also takes --config.
-# Any other flag is a usage error (exit 2).  Config-file keys are not checked
-# per command.
+# Any other flag is a usage error (exit 2).  Config-file keys are checked
+# against their domains, but not per command.
 COMMAND_FLAGS = {
     "norm": "s q r out format coverage field kind",
     "lp": "out format coverage field",
@@ -715,19 +707,20 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if val is not None:
             setattr(cfg, f.name, val)
     cfg.command = args.command
-    # refused before any check runs: a NaN, which fails every comparison and
-    # so passes a not-in-range test, and an infinity (an infinite tolerance
-    # passes every check) except in the exponents q and r; make_grid refuses
-    # a non-finite L with the box's own message
-    for name, value in asdict(cfg).items():
-        if name == "L" or not isinstance(value, float) or np.isfinite(value):
+    for flag, spec in FLAGS.items():
+        key = spec.get("dest", flag.replace("-", "_"))
+        value = getattr(cfg, key, None)  # None for config, which is no key
+        if key in FREE_KEYS or value is None:
             continue
-        if name not in ("q", "r") or np.isnan(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if cfg.corpus_size < 0:
-        raise ValueError(f"corpus size must be >= 0, got {cfg.corpus_size}")
-    if cfg.fmt not in FLAGS["format"]["choices"]:
-        raise ValueError(f"unknown report format {cfg.fmt!r}")
+        if "choices" in spec:
+            if value not in spec["choices"]:
+                raise ValueError(f"unknown {spec['help']} {value!r}")
+        elif value != value:  # NaN
+            raise ValueError(f"{key} must be finite, got {value!r}")
+        else:
+            test, words = DOMAINS.get(key, (np.isfinite, f"{key} must be finite"))
+            if not test(value):
+                raise ValueError(f"{words}, got {value!r}")
     return cfg
 
 

@@ -191,6 +191,8 @@ def corpus_fields(grid: GridSpec, size: int, seed: int, s: float = 1.0, q: float
     """
     if size < 0:
         raise ValueError("corpus size must be nonnegative")
+    if not q > 0:  # before the power exponents divide by it
+        raise ValueError(f"corpus exponent q must be positive, got q = {q}")
     for frac in GAUSSIAN_WIDTHS[:size]:
         yield f"gaussian-{frac:g}", gaussian_field(grid, frac * grid.L)
     built = min(size, len(GAUSSIAN_WIDTHS))

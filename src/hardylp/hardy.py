@@ -107,10 +107,10 @@ def classical_hardy_quotient(
 
 
 def _require_fractional(d: int, s: float, q: float) -> None:
+    if not (1.0 < q < np.inf):  # first: the range of s divides by q
+        raise ValueError(f"need 1 < q < inf, got q = {q}")
     if not (0.0 <= s < d / q):
         raise ValueError(f"need 0 <= s < d/q = {d / q:g}, got s = {s}")
-    if not (1.0 < q < np.inf):
-        raise ValueError(f"need 1 < q < inf, got q = {q}")
 
 
 class FieldValues:

@@ -117,6 +117,8 @@ def schur_bound_check(kernel: SchurKernel, coeffs, q: float):
 
 
 def _require_hardy_exponents(s: float, d: int, q: float) -> float:
+    if not q > 0:  # first: the range of s divides by q
+        raise ValueError(f"need q > 0, got q = {q}")
     ratio = d / q
     if not (0.0 < s < ratio):
         raise ValueError(f"need 0 < s < d/q = {ratio:g}, got s = {s}")
@@ -150,7 +152,7 @@ def hardy_row_sum_closed_form(s: float, d: int, q: float) -> float:
     2^-s / (1 - 2^-s) + 1 / (1 - 2^-(d/q - s))."""
     try:
         ratio = _require_hardy_exponents(s, d, q)
-    except ValueError as err:  # the endpoints, beyond them, and NaN
+    except ValueError as err:  # q <= 0; s at the endpoints, beyond them, or NaN
         raise ValueError(f"Schur row sums diverge: {err}") from None
     low, high = 1.0 - 2.0 ** (-s), 1.0 - 2.0 ** (-(ratio - s))
     if low == 0.0 or high == 0.0:  # 2^-c rounds to 1 at c below about 1e-16
@@ -173,7 +175,7 @@ def hardy_row_sums(s: float, d: int, q: float, span: int | None = None):
     A span past ROW_SUM_MAX_SPAN, where 2^k leaves the float range, is
     refused (ValueError): s lies too close to 0 or to d/q.
     """
-    if span is None and 0.0 < s < d / q:  # else the closed form refuses s
+    if span is None and q > 0 and 0.0 < s < d / q:  # else the closed form refuses
         c = min(s, d / q - s)
         gap = 1.0 - 2.0**-c or c * math.log(2.0)  # 2^-c rounds to 1 at tiny c
         tail = math.log2(100.0 / ROW_SUM_TOL / gap) / c

@@ -58,16 +58,18 @@ class SteinWeissParams:
         d = self.d
         if not (0.0 < self.lam < d):
             out.append(f"kernel order must satisfy 0 < lam < d; got lam = {self.lam}")
+        # d, p and q before the rules that divide by them
+        if not d >= 1:
+            out.append(f"need d >= 1; got d = {d}")
         if not (1.0 < self.p < np.inf):
             out.append(f"need 1 < p < inf; got p = {self.p}")
-        else:
-            p_conj = self.p / (self.p - 1.0)
-            if not (self.alpha < d / p_conj):
-                out.append(
-                    f"need alpha < d/p' = {d / p_conj:g}; got alpha = {self.alpha}"
-                )
         if not (self.p <= self.q < np.inf):
             out.append(f"need p <= q < inf; got p = {self.p}, q = {self.q}")
+        if not (d >= 1 and 1.0 < self.p <= self.q < np.inf):
+            return out
+        p_conj = self.p / (self.p - 1.0)
+        if not (self.alpha < d / p_conj):
+            out.append(f"need alpha < d/p' = {d / p_conj:g}; got alpha = {self.alpha}")
         if not (self.beta < d / self.q):
             out.append(f"need beta < d/q = {d / self.q:g}; got beta = {self.beta}")
         if not (self.alpha + self.beta >= 0.0):

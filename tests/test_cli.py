@@ -6,8 +6,9 @@ import os
 import shlex
 import subprocess
 import sys
+import typing
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,15 @@ from conftest import (
 from hardylp.cli import COMMAND_FLAGS, COMMANDS, FLAGS, RunConfig, _build_parser, main
 from hardylp.corpus import random_band_limited_field
 from hardylp.extremal import ESTIMATE_IDENTITIES
-from hardylp.hardy import IDENTITIES, classical_hardy_quotient, gradient_hardy_quotient
+from hardylp.hardy import (
+    IDENTITIES,
+    FieldValues,
+    classical_hardy_quotient,
+    fractional_hardy_quotient,
+    gradient_hardy_quotient,
+)
 from hardylp.report import CSV_HEADER, EXACT_TOL, CheckReport, reports_to_json
+from hardylp.schur import hardy_kernel, hardy_row_sums
 from hardylp.spectral_core import (
     GRADIENT_SLABS,
     fractional_laplacian,
@@ -235,11 +243,15 @@ def test_corpus_loop_frees_each_field_before_the_next_is_built(capsys, monkeypat
             held.append(sum(ref() is not None for ref in refs))
 
     monkeypatch.setattr(corpus, "corpus_fields", watched)
-    code, _, _ = run(
-        capsys, "hardy-check", "--identity", "gradient", "--d", "4", "--n", "16",
-        "--q", "3", "--corpus-size", "3",
-    )
-    assert code == 0 and held == [0, 0, 0]
+    # stein-weiss-check held each field and its mean-free copy into the next
+    for argv in (
+        ("hardy-check", "--identity", "gradient", "--d", "4", "--n", "16", "--q", "3",
+         "--corpus-size", "3"),
+        ("stein-weiss-check", "--d", "3", "--n", "16", "--corpus-size", "3"),
+    ):
+        held.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and held == [0, 0, 0]
 
 
 def test_gradient_check_output_does_not_depend_on_the_blas_threads():
@@ -1311,3 +1323,136 @@ def test_unknown_field_file_code_is_exit_2(capsys, const_field_file):
     assert code == 2
     assert out == ""
     assert "unknown field dtype code 9" in err
+
+
+# --- the domain table -------------------------------------------------------------
+
+
+def test_every_config_key_has_a_domain():
+    # a key added without one fails here: choices, a DOMAINS entry, the
+    # finite-float rule, or a place among the keys left to what reads them
+    specs = {s.get("dest", flag.replace("-", "_")): s for flag, s in FLAGS.items()}
+    hints = typing.get_type_hints(RunConfig)
+    assert set(cli.DOMAINS) | set(cli.FREE_KEYS) <= set(hints)
+    assert not set(cli.DOMAINS) & set(cli.FREE_KEYS)
+    for key, hint in hints.items():
+        assert (
+            "choices" in specs.get(key, {})
+            or key in cli.DOMAINS
+            or float in (typing.get_args(hint) or (hint,))
+            or key in cli.FREE_KEYS
+        ), key
+
+
+S = ("--s", "0.5")  # a smoothness every command in these runs takes
+Q0 = "config error: q must be > 0 or inf, got 0.0"
+POINTS = "points per axis must be a power of two >= 8"
+BOX = "box length must be positive and finite"
+SWEEP = ("sweep", "--identity", "fractional", "--axis", "s", "--start", "0.5",
+         "--stop", "0.5", "--step", "0.1")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("hardy-check", "--identity", "classical", "--q", "0"), Q0),
+        (("hardy-check", "--identity", "fractional", *S, "--q", "0"), Q0),
+        (("schur-check", *S, "--q", "0"), Q0),
+        (("stein-weiss-check", "--q", "0"), Q0),
+        (("estimate-constant", "--s", "1", "--budget", "3", "--q", "0"), Q0),
+        ((*SWEEP, "--q", "0"), Q0),
+        (("verify", *S, "--q", "0"), Q0),
+        (("stein-weiss-check", "--p", "0"),
+         "config error: p must be finite and > 0, got 0.0"),
+        (("stein-weiss-check", "--d", "0"), "argument --d: invalid choice: 0"),
+        (("schur-check", *S, "--n", "-1"), f"{POINTS}, got -1"),
+        (("schur-check", *S, "--n", "0"), f"{POINTS}, got 0"),
+        (("schur-check", *S, "--L", "-1"), f"{BOX}, got -1.0"),
+        (("schur-check", *S, "--L", "0"), f"{BOX}, got 0.0"),
+    ],
+    ids=["hardy-check-classical-q", "hardy-check-fractional-q", "schur-check-q",
+         "stein-weiss-check-q", "estimate-constant-q", "sweep-q", "verify-q",
+         "stein-weiss-check-p", "stein-weiss-check-d", "schur-check-n-1",
+         "schur-check-n0", "schur-check-L-1", "schur-check-L0"],
+)
+def test_value_outside_its_domain_exit_2(capsys, argv, message):
+    # the first nine exited 3 on a ZeroDivisionError, and schur-check, which
+    # reads no field, put the last four in its reports and exited 0
+    code, out, err = run(capsys, argv[0], "--d", "3", "--n", "16", *argv[1:])
+    assert (code, out) == (2, "")
+    assert message in err
+    assert "internal error" not in err
+
+
+SW_PARAMS = SteinWeissParams(lam=2.5, p=2.0, q=2.0, alpha=0.0, beta=0.5, d=3)
+# one direct call per validator that divided by q, p or d before testing it
+DIVIDING_CALLS = {
+    "hardy-fractional-q": lambda f: fractional_hardy_quotient(FieldValues(f, 0.5, 0.0)),
+    "schur-kernel-q": lambda f: hardy_kernel(0.5, 3, 0.0),
+    "schur-row-sums-q": lambda f: hardy_row_sums(0.5, 3, 0.0),
+    "corpus-q": lambda f: list(corpus.corpus_fields(f.grid, 3, 1, 0.5, 0.0)),
+    "stein-weiss-p": lambda f: replace(SW_PARAMS, p=0.0).require(),
+    "stein-weiss-q": lambda f: replace(SW_PARAMS, q=0.0).require(),
+    "stein-weiss-d": lambda f: replace(SW_PARAMS, d=0).require(),
+}
+
+
+@pytest.mark.parametrize("name", list(DIVIDING_CALLS))
+def test_validators_check_what_they_divide_by_first(name):
+    # each raised ZeroDivisionError
+    f = random_band_limited_field(make_grid(3, 16, 20.0), 1)
+    with pytest.raises(ValueError):
+        DIVIDING_CALLS[name](f)
+
+
+FUZZ_FLOATS = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "0.999", "1")
+FUZZ_INTS = ("-1", "0", "1", "2", "5")
+# Small valid runs at d = 3, n = 16 for each command that takes --d; verify
+# takes coverage 1, as coverage 0.5 leaves too few dyadic levels at n = 16.
+FUZZ_RUNS = {
+    "hardy-check": ("--identity", "fractional", *S, "--corpus-size", "2"),
+    "schur-check": (*S, "--corpus-size", "2"),
+    "stein-weiss-check": ("--corpus-size", "2"),
+    "estimate-constant": ("--s", "1", "--budget", "3"),
+    "sweep": (*SWEEP[1:], "--corpus-size", "1"),
+    "verify": (*S, "--corpus-size", "2", "--coverage", "1"),
+}
+# Left out: values that only make the run larger.  --corpus-size 5 and
+# --budget 5 pass the small-run caps (corpus <= 2, budget <= 3), and a value
+# such as --corpus-size 10**9 would make a valid but huge run.
+FUZZ_SKIP = {("corpus-size", "5"), ("budget", "5")}
+
+
+def _outside_domain(flag: str, text: str) -> bool:
+    spec = FLAGS[flag]
+    key = spec.get("dest", flag.replace("-", "_"))
+    value = spec["type"](text)
+    if key in cli.FREE_KEYS:
+        return False
+    if "choices" in spec:
+        return value not in spec["choices"]
+    test, _ = cli.DOMAINS.get(key, (np.isfinite, None))
+    return value != value or not test(value)
+
+
+@pytest.mark.parametrize("command", list(FUZZ_RUNS))
+def test_numeric_flag_matrix_exits_0_1_or_2(capsys, command):
+    # every numeric flag of the command against edge values, in process
+    calls = 0
+    for flag in COMMAND_FLAGS[command].split():
+        kind = FLAGS[flag].get("type")
+        for text in {float: FUZZ_FLOATS, int: FUZZ_INTS}.get(kind, ()):
+            if (flag, text) in FUZZ_SKIP:
+                continue
+            argv = (command, "--d", "3", "--n", "16", *FUZZ_RUNS[command],
+                    f"--{flag}={text}")
+            code, out, err = run(capsys, *argv)
+            calls += 1
+            assert code in (0, 1, 2), argv
+            assert "internal error" not in err, argv
+            if _outside_domain(flag, text):
+                assert (code, out) == (2, ""), argv
+                key = flag.replace("-", " ")
+                named = (f"argument --{flag}:", f"config error: {key} must")
+                assert any(words in err for words in named), (argv, err)
+    assert calls >= 40
