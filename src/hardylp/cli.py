@@ -336,6 +336,8 @@ def _sweep_values(cfg: RunConfig) -> list[float]:
         vals = [float(v) for v in cfg.values.split(",") if v.strip()]
     elif cfg.start is not None and cfg.stop is not None and cfg.step:
         count = np.ceil((cfg.stop + 1e-12 - cfg.start) / cfg.step)  # arange's length
+        if count <= 0:
+            raise ValueError("empty sweep range")
         if count > MAX_SWEEP_POINTS:
             raise ValueError(
                 f"sweep range has {count:g} points, more than {MAX_SWEEP_POINTS}"
@@ -639,15 +641,16 @@ FLAGS = {
 # choices, else its DOMAINS test with the words refusing a value outside it,
 # else, for a float, finiteness (an infinite tolerance passes every check);
 # NaN, which passes a range test, is refused in every key.  FREE_KEYS take any
-# value, or are refused by what reads them (seed, n, L, budget).  A rule
+# value, or are refused by what reads them (n, L, budget).  A rule
 # across keys, such as s < d/q, stays with the check it guards.
 DOMAINS = {
     "q": (lambda v: v > 0, "q must be > 0 or inf"),
     "r": (lambda v: v > 0, "r must be > 0 or inf"),
     "p": (lambda v: 0 < v < np.inf, "p must be finite and > 0"),
     "corpus_size": (lambda v: v >= 0, "corpus size must be >= 0"),
+    "seed": (lambda v: v >= 0, "seed must be >= 0"),
 }
-FREE_KEYS = ("command", "out", "field", "values", "seed", "n", "L", "budget")
+FREE_KEYS = ("command", "out", "field", "values", "n", "L", "budget")
 
 # The flags each command's handler reads; every command also takes --config.
 # Any other flag is a usage error (exit 2).  Config-file keys are checked

@@ -24,7 +24,7 @@ from .littlewood_paley import (
     level_sums,
 )
 from .report import EXACT_TOL, QUADRATURE_TOL, CheckReport
-from .schur import SchurKernel, hardy_kernel_entry, schur_bound_check, schur_conditions
+from .schur import hardy_kernel, schur_bound_check, schur_conditions
 from .spectral_core import (
     SampledField,
     _gradient_symbols,
@@ -361,12 +361,7 @@ def shell_chain_check(values: FieldValues) -> CheckReport:
     link_b = _link("shell-localization", e_b, 1.0, e_b, None)
 
     # link (c): Schur bound for the coupling kernel on the actual index sets
-    kernel = SchurKernel(
-        entry=lambda N, R: hardy_kernel_entry(N, R, s, d, q),
-        weights=lambda _: 1.0,
-        levels=levels,
-        col_levels=radii,
-    )
+    kernel = hardy_kernel(s, d, q, levels, radii)
     a1, a2 = schur_conditions(kernel, q)
     lhs_c, rhs_c, ratio_c = schur_bound_check(kernel, dict(zip(levels, c_vec)), q)
     link_c = _link("schur-bound", lhs_c, rhs_c, ratio_c, ratio_c <= 1.0 + 1e-12)

@@ -1,8 +1,9 @@
 """Dyadic Schur test and the Hardy coupling kernel with its geometric sums.
 
-The test bounds the l^q operator norm of a nonnegative dyadic kernel by two
-weighted sum conditions.  Chasing the constants through the proof (Holder,
-then the first condition plus Fubini, then the second condition) gives the
+A kernel is a nonnegative entry matrix over dyadic levels.  The test bounds
+its l^q operator norm by two sum conditions with unit weights, the weights
+of the paper's proof.  Chasing the constants through the proof (Holder, then
+the first condition plus Fubini, then the second condition) gives the
 explicit bound a1 * a2 for the conclusion, not just an asymptotic one.
 """
 
@@ -35,81 +36,58 @@ def dyadic_levels(span: int = DEFAULT_LEVEL_SPAN, base: float = 1.0) -> tuple:
     return tuple(base * 2.0**j for j in range(-span, span + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurKernel:
-    """Nonnegative kernel entry(N, R) with candidate weights over a finite
-    dyadic index set.
+    """Nonnegative entry matrix a[i, j] = K(N_i, R_j) of a dyadic kernel: one
+    row per level N_i in levels, one column per R_j of an index set that may
+    carry another truncation (frequency levels against spatial shells, say).
+    The entries are copied once and made read-only."""
 
-    col_levels lets the two copies of the dyadic scale carry different
-    truncations (frequency levels against spatial shells, say); it defaults
-    to the row index set.
-    """
-
-    entry: object  # (N, R) -> float >= 0
-    weights: object  # N -> float > 0
+    entries: np.ndarray
     levels: tuple
-    col_levels: tuple | None = None
 
-    @property
-    def cols(self) -> tuple:
-        return self.levels if self.col_levels is None else self.col_levels
-
-    def entries(self) -> np.ndarray:
-        return np.array(
-            [[float(self.entry(N, R)) for R in self.cols] for N in self.levels]
-        )
-
-    def weight_values(self) -> np.ndarray:
-        return np.array([float(self.weights(N)) for N in self.levels])
-
-    def col_weight_values(self) -> np.ndarray:
-        return np.array([float(self.weights(R)) for R in self.cols])
-
-
-def _validate_kernel(kernel: SchurKernel):
-    a = kernel.entries()
-    p_row = kernel.weight_values()
-    p_col = kernel.col_weight_values()
-    if (a < 0).any():
-        raise ValueError("kernel entries must be nonnegative")
-    if (p_row <= 0).any() or (p_col <= 0).any():
-        raise ValueError("candidate weights must be positive")
-    return a, p_row, p_col
+    def __post_init__(self):
+        a = np.array(self.entries, dtype=float)
+        if a.ndim != 2 or len(a) != len(self.levels):
+            n = len(self.levels)
+            raise ValueError(f"kernel needs one entry row per level ({n}): {a.shape}")
+        if (a < 0).any():
+            raise ValueError("kernel entries must be nonnegative")
+        a.flags.writeable = False
+        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "levels", tuple(self.levels))
 
 
 def schur_conditions(kernel: SchurKernel, q: float) -> tuple[float, float]:
-    """Exact suprema (a1, a2) of the two Schur conditions over the kernel's
-    index set; a1 * a2 is the explicit constant in the conclusion.
+    """Exact suprema (a1, a2) of the two Schur conditions with unit weights
+    over the kernel's index set; a1 * a2 is the explicit constant in the
+    conclusion.
 
-    a1 = sup_R (sum_N entry(N,R) p_N^(q'/q))^(q/q') / p_R
-    a2 = sup_N (sum_R entry(N,R) p_R) / p_N
+    a1 = max_R (sum_N a(N,R))^(q/q')   (from the largest column sum)
+    a2 = max_N sum_R a(N,R)            (the largest row sum)
     """
     if q <= 1:
         raise ValueError(f"exponent must satisfy q > 1, got {q}")
-    a, p_row, p_col = _validate_kernel(kernel)
     qc = q / (q - 1.0)
-    col = (a * (p_row[:, None] ** (qc / q))).sum(axis=0)  # sum over N at fixed R
-    a1 = float(np.max(col ** (q / qc) / p_col))
-    row = (a * p_col[None, :]).sum(axis=1)  # sum over R at fixed N
-    a2 = float(np.max(row / p_row))
+    a1 = float(np.max(kernel.entries.sum(axis=0) ** (q / qc)))
+    a2 = float(np.max(kernel.entries.sum(axis=1)))
     return a1, a2
 
 
 def schur_bound_check(kernel: SchurKernel, coeffs, q: float):
-    """Check the conclusion sum_R (sum_N entry * C_N)^q <= a1 a2 sum_N C_N^q.
+    """Check the conclusion sum_R (sum_N a(N,R) C_N)^q <= a1 a2 sum_N C_N^q.
 
     coeffs maps row levels to nonnegative values (dict or callable); returns
     (lhs, rhs, ratio) with ratio = lhs / rhs (0 when both vanish).
     """
     a1, a2 = schur_conditions(kernel, q)
-    a, _, _ = _validate_kernel(kernel)
     if callable(coeffs):
         c = np.array([float(coeffs(N)) for N in kernel.levels])
     else:
         c = np.array([float(coeffs.get(N, 0.0)) for N in kernel.levels])
     if (c < 0).any():
         raise ValueError("coefficient sequence must be nonnegative")
-    inner = (a * c[:, None]).sum(axis=0)
+    inner = (kernel.entries * c[:, None]).sum(axis=0)
     lhs = float((inner**q).sum())
     rhs = float(a1 * a2 * (c**q).sum())
     ratio = lhs / rhs if rhs > 0 else 0.0
@@ -135,16 +113,14 @@ def hardy_kernel_entry(N: float, R: float, s: float, d: int, q: float) -> float:
     return t ** (-s) if t >= 1.0 else t ** (d / q - s)
 
 
-def hardy_kernel(s: float, d: int, q: float, levels=None) -> SchurKernel:
-    """The Hardy coupling kernel as a SchurKernel with unit weights."""
+def hardy_kernel(s: float, d: int, q: float, levels=None, cols=None) -> SchurKernel:
+    """The Hardy coupling kernel on rows levels (default dyadic_levels())
+    and columns cols (default levels), each entry from hardy_kernel_entry."""
     _require_hardy_exponents(s, d, q)
-    if levels is None:
-        levels = dyadic_levels()
-    return SchurKernel(
-        entry=lambda N, R: hardy_kernel_entry(N, R, s, d, q),
-        weights=lambda N: 1.0,
-        levels=tuple(levels),
-    )
+    levels = dyadic_levels() if levels is None else tuple(levels)
+    cols = levels if cols is None else tuple(cols)
+    entries = [[hardy_kernel_entry(N, R, s, d, q) for R in cols] for N in levels]
+    return SchurKernel(np.reshape(entries, (len(levels), len(cols))), levels)
 
 
 def hardy_row_sum_closed_form(s: float, d: int, q: float) -> float:
@@ -187,10 +163,7 @@ def hardy_row_sums(s: float, d: int, q: float, span: int | None = None):
             "floats hold; take s farther from 0 and from d/q"
         )
     closed = hardy_row_sum_closed_form(s, d, q)
-    sum_over_n = 0.0
-    for k in range(-span, span + 1):
-        sum_over_n += hardy_kernel_entry(2.0**k, 1.0, s, d, q)
-    sum_over_r = 0.0
-    for k in range(-span, span + 1):
-        sum_over_r += hardy_kernel_entry(1.0, 2.0**k, s, d, q)
+    products = dyadic_levels(span)
+    sum_over_n = float(hardy_kernel(s, d, q, products, (1.0,)).entries.sum())
+    sum_over_r = float(hardy_kernel(s, d, q, (1.0,), products).entries.sum())
     return sum_over_n, sum_over_r, closed

@@ -1059,6 +1059,21 @@ def test_sweep_refuses_a_range_above_the_cap_before_making_it(capsys, monkeypatc
     assert f"has 1e+18 points, more than {cli.MAX_SWEEP_POINTS}" in err
 
 
+def test_sweep_refuses_a_start_far_past_the_stop_before_making_it(capsys, monkeypatch):
+    # this range has -1e301 points; np.arange refused it with "Maximum
+    # allowed size exceeded", which names no flag
+    def no_range(*args, **kwargs):
+        raise AssertionError("the range was made")
+
+    monkeypatch.setattr(np, "arange", no_range)
+    code, out, err = run(
+        capsys, "sweep", "--identity", "fractional", "--d", "3", "--n", "16",
+        "--axis", "s", "--start", "1e300", "--stop", "0.5", "--step", "0.1",
+    )
+    assert (code, out) == (2, "")
+    assert "empty sweep range" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -1348,6 +1363,7 @@ S = ("--s", "0.5")  # a smoothness every command in these runs takes
 Q0 = "config error: q must be > 0 or inf, got 0.0"
 POINTS = "points per axis must be a power of two >= 8"
 BOX = "box length must be positive and finite"
+SEED = "config error: seed must be >= 0, got -1"
 SWEEP = ("sweep", "--identity", "fractional", "--axis", "s", "--start", "0.5",
          "--stop", "0.5", "--step", "0.1")
 
@@ -1369,15 +1385,22 @@ SWEEP = ("sweep", "--identity", "fractional", "--axis", "s", "--start", "0.5",
         (("schur-check", *S, "--n", "0"), f"{POINTS}, got 0"),
         (("schur-check", *S, "--L", "-1"), f"{BOX}, got -1.0"),
         (("schur-check", *S, "--L", "0"), f"{BOX}, got 0.0"),
+        (("hardy-check", "--identity", "fractional", *S, "--corpus-size", "2",
+          "--seed", "-1"), SEED),
+        (("schur-check", *S, "--seed", "-1"), SEED),
+        (("verify", *S, "--seed", "-1"), SEED),
     ],
     ids=["hardy-check-classical-q", "hardy-check-fractional-q", "schur-check-q",
          "stein-weiss-check-q", "estimate-constant-q", "sweep-q", "verify-q",
          "stein-weiss-check-p", "stein-weiss-check-d", "schur-check-n-1",
-         "schur-check-n0", "schur-check-L-1", "schur-check-L0"],
+         "schur-check-n0", "schur-check-L-1", "schur-check-L0", "hardy-check-seed",
+         "schur-check-seed", "verify-seed"],
 )
 def test_value_outside_its_domain_exit_2(capsys, argv, message):
-    # the first nine exited 3 on a ZeroDivisionError, and schur-check, which
-    # reads no field, put the last four in its reports and exited 0
+    # the first nine exited 3 on a ZeroDivisionError, schur-check, which
+    # reads no field, put the next four in its reports and exited 0,
+    # hardy-check took the seed -1 and exited 0, and schur-check and verify
+    # refused it with numpy's words, which name no key
     code, out, err = run(capsys, argv[0], "--d", "3", "--n", "16", *argv[1:])
     assert (code, out) == (2, "")
     assert message in err

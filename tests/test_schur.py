@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from hardylp import schur
+from hardylp.hardy import shell_radii
+from hardylp.littlewood_paley import build_partition
 from hardylp.schur import (
     ROW_SUM_MAX_SPAN,
     ROW_SUM_TOL,
@@ -15,6 +18,7 @@ from hardylp.schur import (
     schur_bound_check,
     schur_conditions,
 )
+from hardylp.spectral_core import make_grid
 
 # geometric-series closed forms, frozen from the independent truncated-sum
 # oracle below (agreement to ~1e-15):
@@ -38,11 +42,7 @@ def truncated_sum_oracle(s, d, q, span=400):
 
 
 def identity_kernel(levels):
-    return SchurKernel(
-        entry=lambda a, b: 1.0 if a == b else 0.0,
-        weights=lambda _: 1.0,
-        levels=levels,
-    )
+    return SchurKernel(np.eye(len(levels)), levels)
 
 
 # --- conditions ----------------------------------------------------------------
@@ -58,7 +58,7 @@ def test_diagonal_kernel_conditions():
 
 def test_zero_kernel_conditions():
     levels = dyadic_levels(4)
-    kern = SchurKernel(entry=lambda a, b: 0.0, weights=lambda _: 1.0, levels=levels)
+    kern = SchurKernel(np.zeros((len(levels), len(levels))), levels)
     a1, a2 = schur_conditions(kern, 3.0)
     assert a1 == 0.0 and a2 == 0.0
 
@@ -71,15 +71,23 @@ def test_conditions_reject_bad_exponent():
 
 
 def test_conditions_reject_negative_entries():
-    kern = SchurKernel(entry=lambda a, b: -1.0, weights=lambda _: 1.0, levels=(1.0, 2.0))
     with pytest.raises(ValueError, match="nonnegative"):
-        schur_conditions(kern, 2.0)
+        schur_conditions(SchurKernel(-np.ones((2, 2)), (1.0, 2.0)), 2.0)
 
 
-def test_conditions_reject_nonpositive_weights():
-    kern = SchurKernel(entry=lambda a, b: 1.0, weights=lambda _: 0.0, levels=(1.0, 2.0))
-    with pytest.raises(ValueError, match="positive"):
-        schur_conditions(kern, 2.0)
+def test_kernel_refuses_a_row_count_other_than_its_levels():
+    for entries in (np.ones((3, 2)), np.ones(2), np.ones((2, 2, 1))):
+        with pytest.raises(ValueError, match=r"one entry row per level \(2\)"):
+            SchurKernel(entries, (1.0, 2.0))
+
+
+def test_kernel_entries_are_a_read_only_copy():
+    a = np.eye(2)
+    kern = SchurKernel(a, [1.0, 2.0])
+    a[0, 0] = 5.0
+    assert kern.entries[0, 0] == 1.0 and kern.levels == (1.0, 2.0)
+    with pytest.raises(ValueError, match="read-only"):
+        kern.entries[0, 0] = 2.0
 
 
 def test_unit_weights_reduce_to_row_and_column_sums():
@@ -89,7 +97,7 @@ def test_unit_weights_reduce_to_row_and_column_sums():
     s, d, q = 1.0, 3, 2.0
     kern = hardy_kernel(s, d, q, levels)
     a1, a2 = schur_conditions(kern, q)
-    a = kern.entries()
+    a = kern.entries
     col = a.sum(axis=0).max()
     row = a.sum(axis=1).max()
     assert a1 == pytest.approx(col ** (q / (q / (q - 1))), rel=1e-14)
@@ -108,17 +116,59 @@ def test_hardy_conditions_wide_range_match_closed_form():
 def test_rectangular_kernel_conditions():
     rows = dyadic_levels(3)
     cols = dyadic_levels(2, base=0.5)
-    kern = SchurKernel(
-        entry=lambda a, b: hardy_kernel_entry(a, b, 0.5, 2, 2.0),
-        weights=lambda _: 1.0,
-        levels=rows,
-        col_levels=cols,
-    )
+    kern = hardy_kernel(0.5, 2, 2.0, rows, cols)
     a1, a2 = schur_conditions(kern, 2.0)
-    a = kern.entries()
+    a = kern.entries
     assert a.shape == (len(rows), len(cols))
     assert a1 == pytest.approx(a.sum(axis=0).max(), rel=1e-14)
     assert a2 == pytest.approx(a.sum(axis=1).max(), rel=1e-14)
+
+
+def _chain_index_sets(n):
+    """The row levels and shell radii of the chain check's link (c)."""
+    grid = make_grid(3, n, 20.0)
+    return build_partition(grid).levels, shell_radii(grid)
+
+
+# the spans hardy_row_sums takes at d = 3, q = 2 near the ends of 0 < s < 1.5
+ROW_SUM_SPANS = ((0.05, 894), (0.06, 741), (1.45, 894))
+
+
+@pytest.mark.parametrize(
+    "s,d,q,rows,cols",
+    [
+        (0.5, 3, 3.0, *_chain_index_sets(32)),
+        (0.3, 3, 2.5, *_chain_index_sets(64)),
+        (1.2, 2, 1.5, dyadic_levels(3), dyadic_levels(5, base=0.75)),
+        # the products 2^k of hardy_row_sums at its widest spans, as rows
+        # (the sum over N) and as columns (the sum over R)
+        *[(s, 3, 2.0, dyadic_levels(span), (1.0,)) for s, span in ROW_SUM_SPANS],
+        *[(s, 3, 2.0, (1.0,), dyadic_levels(span)) for s, span in ROW_SUM_SPANS],
+    ],
+    ids=["chain-n32", "chain-n64", "shifted",
+         *[f"{axis}-{s}" for axis in ("over-n", "over-r") for s, _ in ROW_SUM_SPANS]],
+)
+def test_kernel_entries_are_the_scalar_entry_bitwise(s, d, q, rows, cols):
+    a = hardy_kernel(s, d, q, rows, cols).entries
+    assert a.shape == (len(rows), len(cols))
+    want = [[hardy_kernel_entry(N, R, s, d, q) for R in cols] for N in rows]
+    assert a.tolist() == want
+    assert np.isfinite(a).all()
+
+
+def test_the_entries_are_evaluated_once_per_kernel(monkeypatch):
+    calls = []
+    entry = schur.hardy_kernel_entry
+    monkeypatch.setattr(
+        schur, "hardy_kernel_entry", lambda *args: calls.append(args) or entry(*args)
+    )
+    rows, cols = dyadic_levels(4), dyadic_levels(2, base=0.5)
+    kern = hardy_kernel(0.6, 3, 2.0, rows, cols)
+    assert len(calls) == len(rows) * len(cols)
+    calls.clear()
+    schur_conditions(kern, 2.0)
+    schur_bound_check(kern, dict.fromkeys(rows, 1.0), 2.0)
+    assert calls == []
 
 
 # --- bound check ----------------------------------------------------------------
@@ -273,8 +323,8 @@ def test_kernel_entry_is_the_min_of_both_powers():
 
 @pytest.mark.parametrize("s", [0.05, 0.06, 1.45])
 def test_row_sums_near_the_ends_within_the_float_span(s):
-    # spans 747 to 896: each product 2^k is a normal float, and the larger
-    # power, which overflowed at (2^896)^1.45, is never taken
+    # spans 741 to 894: each product 2^k is a normal float, and the larger
+    # power, which overflowed at (2^-894)^-1.45, is never taken
     sum_n, sum_r, closed = hardy_row_sums(s, 3, 2.0)
     assert abs(sum_n - closed) <= ROW_SUM_TOL
     assert sum_n == sum_r

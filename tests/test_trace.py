@@ -2,7 +2,9 @@
 attributed to its own span."""
 
 import collections
+import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -50,6 +52,33 @@ def _spans_module():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_every_span_name_a_metric_reads_is_wrapped():
+    # a metric built from a name that Tracer.install does not wrap reads 0 on
+    # working code: install wraps the functions a hardylp module defines and
+    # names in its __all__, and spectral_core._build_weight
+    spans = _spans_module()
+    wrapped = set()
+    for layer in spans.LAYERS:
+        mod = importlib.import_module(f"hardylp.{layer}")
+        extra = ("_build_weight",) if layer == "spectral_core" else ()
+        for name in (*getattr(mod, "__all__", ()), *extra):
+            fn = getattr(mod, name)
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__:
+                wrapped.add(f"{layer}.{name}")
+    read = {
+        *(f"spectral_core.{n}"
+          for n in spans.TRANSFORMS + spans.MULTIPLIERS + spans.QUADRATURES),
+        *(f"stein_weiss.{n}" for n in spans.INNER_BALL),
+        "littlewood_paley.decompose", "littlewood_paley.build_partition",
+        "hardy.shell_chain_check", "hardy.holder_refinement_check",
+        "extremal.estimate_constant", "extremal.evaluate_trial",
+    }
+    assert read - wrapped == set()
+    # standard_corpus is gone from hardylp; its dead key is ROADMAP direction 1
+    annotated = set(spans._ANNOTATORS) - {"standard_corpus"}
+    assert annotated - {name.partition(".")[2] for name in wrapped} == set()
 
 
 def test_traced_gradient_prints_the_same_and_its_time_is_a_multiplier(tmp_path):
