@@ -34,6 +34,7 @@ from .report import (
     EXACT_TOL,
     QUADRATURE_TOL,
     CheckReport,
+    check_report,
     reports_to_csv,
     reports_to_json,
     summarize,
@@ -372,54 +373,34 @@ def _schur_suite(cfg: RunConfig) -> list[CheckReport]:
     """The Schur row sums, conditions and bound.  They read no field, but
     their reports name the grid of cfg, which make_grid checks first."""
     grid = make_grid(cfg.d, cfg.n, cfg.L)
-    at = {"d": grid.d, "n": grid.n, "L": grid.L, "s": cfg.s, "q": cfg.q}
-    reports = []
-    sum_n, sum_r, closed = hardy_row_sums(cfg.s, grid.d, cfg.q)
-    reports.append(
-        CheckReport(
-            identity="schur-row-sum",
-            **at,
-            lhs=sum_n,
-            rhs=closed,
-            quotient=sum_n / closed,
-            tolerance=ROW_SUM_TOL,
+    s, q = cfg.s, cfg.q
+    sum_n, sum_r, closed = hardy_row_sums(s, grid.d, q)
+    a1, a2 = schur_conditions(hardy_kernel(s, grid.d, q), q)
+    reports = [
+        check_report(
+            "schur-row-sum", grid, s, q, sum_n, closed, tolerance=ROW_SUM_TOL,
             passed=abs(sum_n - closed) <= ROW_SUM_TOL and sum_n == sum_r,
             extra={"sum_over_shells": sum_r},
-        )
-    )
-    kern = hardy_kernel(cfg.s, grid.d, cfg.q)
-    a1, a2 = schur_conditions(kern, cfg.q)
-    reports.append(
+        ),
+        # a1 against a2, which is no quotient
         CheckReport(
-            identity="schur-conditions",
-            **at,
-            lhs=a1,
-            rhs=a2,
-            bound_constant=a1 * a2,
-            passed=np.isfinite(a1 * a2),
-        )
-    )
+            identity="schur-conditions", d=grid.d, n=grid.n, L=grid.L, s=s, q=q,
+            lhs=a1, rhs=a2, bound_constant=a1 * a2, passed=np.isfinite(a1 * a2),
+        ),
+    ]
     rng = np.random.default_rng(cfg.seed)
     levels = dyadic_levels(8)
-    small = hardy_kernel(cfg.s, grid.d, cfg.q, levels)
+    small = hardy_kernel(s, grid.d, q, levels)
     trials = max(cfg.corpus_size * 5, 20)
     worst = 0.0
     for _ in range(trials):
         c = {N: float(v) for N, v in zip(levels, rng.random(len(levels)))}
-        _, _, ratio = schur_bound_check(small, c, cfg.q)
+        _, _, ratio = schur_bound_check(small, c, q)
         worst = max(worst, ratio)
-    reports.append(
-        CheckReport(
-            identity="schur-bound",
-            **at,
-            lhs=worst,
-            rhs=1.0,
-            quotient=worst,
-            tolerance=EXACT_TOL,
-            passed=worst <= 1.0 + EXACT_TOL,
-            extra={"trials": trials},
-        )
-    )
+    reports.append(check_report(
+        "schur-bound", grid, s, q, worst, 1.0, tolerance=EXACT_TOL,
+        passed=worst <= 1.0 + EXACT_TOL, extra={"trials": trials},
+    ))
     return reports
 
 
@@ -488,21 +469,12 @@ def _specialization(values: FieldValues, tol: float) -> CheckReport | None:
     if not (base.quotient and sw.quotient):
         return None
     c = riesz_constant(d, d - s)
-    ratio = sw.quotient / (c * base.quotient)
-    return CheckReport(
-        identity="stein-weiss-specialization",
-        d=d,
-        n=f.grid.n,
-        L=f.grid.L,
-        s=s,
-        q=q,
-        lhs=sw.quotient,
-        rhs=c * base.quotient,
-        quotient=ratio,
-        tolerance=0.02,
-        passed=abs(ratio - 1.0) <= 0.02,
-        extra={"riesz_constant": c},
+    rep = check_report(
+        "stein-weiss-specialization", f.grid, s, q, sw.quotient, c * base.quotient,
+        tolerance=0.02, extra={"riesz_constant": c},
     )
+    rep.passed = abs(rep.quotient - 1.0) <= 0.02
+    return rep
 
 
 # The inner-ball bound of the stein-weiss suite, on verify's grid in d = 4

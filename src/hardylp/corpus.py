@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .littlewood_paley import _mollifier
+from .littlewood_paley import smooth_step
 from .spectral_core import (
     GridSpec,
     SampledField,
@@ -34,7 +34,6 @@ from .spectral_core import (
 )
 
 __all__ = [
-    "smooth_step",
     "gaussian_field",
     "truncated_power_field",
     "random_band_limited_field",
@@ -46,14 +45,6 @@ __all__ = [
 # does only for n >= 64, and reaches 1.03e-8 to 1.1e-8 at n = 32 (d = 4 to 1).
 GAUSSIAN_WIDTHS = (0.075, 0.08)
 SINGULARITY_FRACTIONS = (0.35, 0.6)
-
-
-def smooth_step(u) -> np.ndarray:
-    """C^inf monotone step: 0 for u <= 0, 1 for u >= 1."""
-    u = np.asarray(u, dtype=float)
-    up = _mollifier(u)
-    down = _mollifier(1.0 - u)
-    return np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, up / (up + down)))
 
 
 def _gaussian_profile(sigma: float):

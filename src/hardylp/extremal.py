@@ -34,6 +34,10 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_GAUSSIAN_WIDTH = 0.0775  # fraction of L; decays below 1e-8 at faces
 
+# Coordinate sweeps per family, and interval shrinks per golden-section search.
+SWEEPS = 3
+GOLDEN_ITERATIONS = 4
+
 
 @dataclass
 class ConstantEstimate:
@@ -100,15 +104,14 @@ class _Search:
             self.best_params = dict(params)
         return value
 
-    def golden_section(self, params: dict, coord: str, lo: float, hi: float,
-                       iterations: int = 4) -> dict:
+    def golden_section(self, params: dict, coord: str, lo: float, hi: float) -> dict:
         """Golden-section maximization over one coordinate; returns params
         moved to the better of the surviving interior points."""
         x1 = hi - GOLDEN * (hi - lo)
         x2 = lo + GOLDEN * (hi - lo)
         f1 = self.evaluate({**params, coord: x1})
         f2 = self.evaluate({**params, coord: x2})
-        for _ in range(iterations):
+        for _ in range(GOLDEN_ITERATIONS):
             if f1 >= f2:
                 hi, x2, f2 = x2, x1, f1
                 x1 = hi - GOLDEN * (hi - lo)
@@ -203,17 +206,16 @@ def estimate_constant(
     n: int = 64,
     L: float = 20.0,
     seed: int = 7,
-    sweeps: int = 3,
 ) -> ConstantEstimate:
     """Coordinate-search maximization of a Hardy quotient over trial families.
 
-    The first evaluation is always the default Gaussian, then golden-section
-    sweeps run per coordinate for each family in a fixed order; the budget
-    caps the length of that evaluation sequence, in which a point met again
-    is read from the search's table instead of being evaluated again.  The
-    reported best is the running maximum, so it is nondecreasing in the
-    budget.  The trend field re-evaluates the maximizing trial on grids n
-    and 2n.
+    The first evaluation is always the default Gaussian, then SWEEPS
+    golden-section sweeps run per coordinate for each family in a fixed
+    order; the budget caps the length of that evaluation sequence, in which
+    a point met again is read from the search's table instead of being
+    evaluated again.  The reported best is the running maximum, so it is
+    nondecreasing in the budget.  The trend field re-evaluates the
+    maximizing trial on grids n and 2n.
     """
     if budget < 1:
         raise ValueError("budget must allow at least one evaluation")
@@ -228,7 +230,7 @@ def estimate_constant(
     try:
         gauss = {"family": "gaussian", "width_fraction": DEFAULT_GAUSSIAN_WIDTH}
         search.evaluate(gauss)
-        for _ in range(sweeps):
+        for _ in range(SWEEPS):
             gauss = search.golden_section(gauss, "width_fraction", 0.05, 0.0825)
         # outer tapers stay inside the boundary-decay rule: a wider taper
         # wraps around the box, feeds the field's mean into the weighted
@@ -242,7 +244,7 @@ def estimate_constant(
         power_ok = 0.05 * grid.L >= 3.0 * grid.h  # taper must be resolved
         if power_ok:
             search.evaluate(power)
-            for _ in range(sweeps):
+            for _ in range(SWEEPS):
                 power = search.golden_section(
                     power, "exponent_fraction", 0.1, 0.95
                 )
@@ -252,7 +254,7 @@ def estimate_constant(
                 )
         band = {"family": "random-band-limited", "envelope": 1.0}
         search.evaluate(band)
-        for _ in range(sweeps):
+        for _ in range(SWEEPS):
             band = search.golden_section(band, "envelope", 0.4, 2.5)
     except _BudgetExhausted:
         pass

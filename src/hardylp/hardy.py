@@ -23,7 +23,7 @@ from .littlewood_paley import (
     group_sums,
     level_sums,
 )
-from .report import EXACT_TOL, QUADRATURE_TOL, CheckReport
+from .report import EXACT_TOL, QUADRATURE_TOL, CheckReport, check_report
 from .schur import hardy_kernel, schur_bound_check, schur_conditions
 from .spectral_core import (
     SampledField,
@@ -56,28 +56,6 @@ __all__ = [
 ]
 
 
-def _report(identity, f, s, q, lhs, rhs, **kw) -> CheckReport:
-    quotient = None
-    vacuous = False
-    if rhs > 0:
-        quotient = lhs / rhs
-    elif lhs == 0:
-        vacuous = True
-    return CheckReport(
-        identity=identity,
-        d=f.grid.d,
-        n=f.grid.n,
-        L=f.grid.L,
-        s=s,
-        q=q,
-        lhs=lhs,
-        rhs=rhs,
-        quotient=quotient,
-        vacuous=vacuous,
-        **kw,
-    )
-
-
 def _bound_passed(lhs, rhs, bound, tol) -> bool:
     return lhs <= bound * rhs * (1.0 + tol) or (lhs == 0.0 and rhs == 0.0)
 
@@ -93,16 +71,9 @@ def classical_hardy_quotient(
     # ||grad f||_2^2 of the spectral gradient, by Parseval from one forward FFT
     rhs = float(_parseval_energy(f, (np.abs(m) ** 2 for m in _gradient_symbols(f))))
     bound = 4.0 / (d - 2) ** 2
-    return _report(
-        "classical",
-        f,
-        1.0,
-        2.0,
-        lhs,
-        rhs,
-        bound_constant=bound,
-        tolerance=tol,
-        passed=_bound_passed(lhs, rhs, bound, tol),
+    return check_report(
+        "classical", f.grid, 1.0, 2.0, lhs, rhs, bound_constant=bound,
+        tolerance=tol, passed=_bound_passed(lhs, rhs, bound, tol),
     )
 
 
@@ -157,14 +128,14 @@ def fractional_hardy_quotient(values: FieldValues) -> CheckReport:
     f, s, q = values.f, values.s, values.q
     _require_fractional(f.grid.d, s, q)
     sobolev = values.sobolev  # first: see FieldValues
-    return _report("fractional", f, s, q, values.weighted, sobolev)
+    return check_report("fractional", f.grid, s, q, values.weighted, sobolev)
 
 
 def besov_hardy_quotient(values: FieldValues) -> CheckReport:
     """||f / |x|^s||_q against the Besov norm with both exponents q."""
     f, s, q = values.f, values.s, values.q
     _require_fractional(f.grid.d, s, q)
-    return _report("besov", f, s, q, values.weighted, values.sums.besov(q))
+    return check_report("besov", f.grid, s, q, values.weighted, values.sums.besov(q))
 
 
 def refined_hardy_quotient(values: FieldValues) -> CheckReport:
@@ -181,13 +152,8 @@ def refined_hardy_quotient(values: FieldValues) -> CheckReport:
     lhs, sobolev = values.weighted, values.sobolev
     tl = values.sums.triebel_lizorkin(2.0 * (q - 1.0))
     rhs = sobolev ** (1.0 / q) * tl ** ((q - 1.0) / q)
-    return _report(
-        "refined",
-        f,
-        s,
-        q,
-        lhs,
-        rhs,
+    return check_report(
+        "refined", f.grid, s, q, lhs, rhs,
         extra={"sobolev_factor": sobolev, "tl_factor": tl},
     )
 
@@ -213,16 +179,9 @@ def gradient_hardy_quotient(
     grad_norm = _lq(gradient_magnitude(f), f.grid.h**d, q)
     if not refined:
         bound = q / (d - q)
-        return _report(
-            "gradient",
-            f,
-            1.0,
-            q,
-            lhs,
-            grad_norm,
-            bound_constant=bound,
-            tolerance=tol,
-            passed=_bound_passed(lhs, grad_norm, bound, tol),
+        return check_report(
+            "gradient", f.grid, 1.0, q, lhs, grad_norm, bound_constant=bound,
+            tolerance=tol, passed=_bound_passed(lhs, grad_norm, bound, tol),
         )
     if q <= 2:
         raise ValueError(f"refined gradient quotient needs 2 < q < d, got q = {q}")
@@ -232,13 +191,8 @@ def gradient_hardy_quotient(
     tl_two = sums.triebel_lizorkin(2.0)
     rhs = grad_norm ** (1.0 / q) * tl_high ** ((q - 1.0) / q)
     monotone_ok = tl_high <= tl_two * (1.0 + EXACT_TOL)
-    return _report(
-        "gradient-refined",
-        f,
-        1.0,
-        q,
-        lhs,
-        rhs,
+    return check_report(
+        "gradient-refined", f.grid, 1.0, q, lhs, rhs,
         extra={
             "gradient_norm": grad_norm,
             "tl_factor": tl_high,
@@ -267,8 +221,9 @@ def shell_index_mesh(grid, centering: str = "cell") -> np.ndarray:
     """
     radii = shell_radii(grid)
     r = radius_mesh(grid, centering)
-    with np.errstate(divide="ignore"):
-        idx = np.ceil(np.log2(np.where(r > 0, r, 1.0) / grid.h)).astype(int)
+    r /= grid.h  # in place: one field array less
+    # the origin of a lattice grid is in shell 0, with the samples at r <= h
+    idx = np.ceil(np.log2(np.where(r > 0, r, 1.0))).astype(int)
     return np.clip(idx, 0, len(radii) - 1)
 
 

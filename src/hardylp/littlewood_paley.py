@@ -28,6 +28,7 @@ from .spectral_core import (
 
 __all__ = [
     "DyadicPartition",
+    "smooth_step",
     "smooth_cutoff",
     "dyadic_bump",
     "build_partition",
@@ -52,17 +53,19 @@ def _mollifier(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def smooth_step(u) -> np.ndarray:
+    """C^inf monotone step: 0 for u <= 0, 1 for u >= 1, the blend
+    exp(-1/u) / (exp(-1/u) + exp(-1/(1-u))) in between."""
+    u = np.asarray(u, dtype=float)
+    up = _mollifier(u)
+    down = _mollifier(1.0 - u)
+    return np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, up / (up + down)))
+
+
 def smooth_cutoff(t) -> np.ndarray:
-    """C^inf radial cutoff: 1 for |t| <= 1, 0 for |t| >= 2, a smooth blend of
-    exp(-1/u) bumps in between."""
-    t = np.abs(np.asarray(t, dtype=float))
-    up = _mollifier(2.0 - t)
-    down = _mollifier(t - 1.0)
-    mid = (t > 1.0) & (t < 2.0)
-    out = np.where(t <= 1.0, 1.0, 0.0)
-    denom = up + down
-    out[mid] = up[mid] / denom[mid]
-    return out
+    """C^inf radial cutoff: 1 for |t| <= 1, 0 for |t| >= 2, the smooth step
+    of 2 - |t| in between."""
+    return smooth_step(2.0 - np.abs(np.asarray(t, dtype=float)))
 
 
 def dyadic_bump(t) -> np.ndarray:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "CheckReport",
+    "check_report",
     "QUADRATURE_TOL",
     "EXACT_TOL",
     "reports_to_json",
@@ -91,6 +92,19 @@ class CheckReport:
         if self.extra:
             out["extra"] = _plain(self.extra)
         return out
+
+
+def check_report(identity, grid, s, q, lhs, rhs, **fields) -> CheckReport:
+    """The report of lhs against rhs on grid, by the one quotient rule:
+    quotient = lhs / rhs when rhs > 0, and vacuous (0 against 0) when
+    rhs <= 0 and lhs == 0.  fields sets the rest: bound_constant,
+    tolerance, passed, extra."""
+    return CheckReport(
+        identity=identity, d=grid.d, n=grid.n, L=grid.L, s=s, q=q, lhs=lhs, rhs=rhs,
+        quotient=lhs / rhs if rhs > 0 else None,
+        vacuous=bool(rhs <= 0 and lhs == 0),
+        **fields,
+    )
 
 
 def reports_to_json(reports) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import CheckReport, QUADRATURE_TOL
+from .report import QUADRATURE_TOL, CheckReport, check_report
 from .spectral_core import (
     GridSpec,
     SampledField,
@@ -142,18 +142,8 @@ def stein_weiss_check(f: SampledField, params: SteinWeissParams) -> CheckReport:
     pot = riesz_potential(f, params.lam)
     lhs = power_weighted_lq_norm(pot, -params.beta, params.q)
     rhs = power_weighted_lq_norm(f, params.alpha, params.p)
-    quotient = lhs / rhs if rhs > 0 else None
-    return CheckReport(
-        identity="stein-weiss",
-        d=params.d,
-        n=f.grid.n,
-        L=f.grid.L,
-        s=params.beta,
-        q=params.q,
-        lhs=lhs,
-        rhs=rhs,
-        quotient=quotient,
-        vacuous=(lhs == 0.0 and rhs == 0.0),
+    return check_report(
+        "stein-weiss", f.grid, params.beta, params.q, lhs, rhs,
         extra={"lam": params.lam, "p": params.p, "alpha": params.alpha},
     )
 
@@ -248,35 +238,21 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def inner_ball_bound_check(
-    g: SampledField,
-    s: float,
-    q: float,
-    tol: float = QUADRATURE_TOL,
-) -> CheckReport:
-    """Check int |U g|^q <= J^q |S^(d-1)|^q int |g|^q with the closed-form
-    one-dimensional kernel integral J and the exact sphere area."""
+def inner_ball_bound_check(g: SampledField, s: float, q: float) -> CheckReport:
+    """Check int |U g|^q <= J^q |S^(d-1)|^q int |g|^q, within QUADRATURE_TOL,
+    with the closed-form one-dimensional kernel integral J and the exact
+    sphere area."""
     d = g.grid.d
     j_const = radial_kernel_integral(d, q, s)
     area = sphere_area(d)
     pot = inner_ball_potential(g, s)
     lhs = lq_norm(pot, q) ** q
     base = lq_norm(g, q) ** q
-    rhs = j_const**q * area**q * base
-    passed = lhs <= rhs * (1.0 + tol) or (lhs == 0.0 and rhs == 0.0)
-    return CheckReport(
-        identity="inner-ball-bound",
-        d=d,
-        n=g.grid.n,
-        L=g.grid.L,
-        s=s,
-        q=q,
-        lhs=lhs,
-        rhs=rhs,
-        quotient=lhs / rhs if rhs > 0 else None,
-        bound_constant=j_const**q * area**q,
-        tolerance=tol,
-        passed=bool(passed),
-        vacuous=(lhs == 0.0 and rhs == 0.0),
+    bound = j_const**q * area**q
+    rhs = bound * base
+    passed = lhs <= rhs * (1.0 + QUADRATURE_TOL) or (lhs == 0.0 and rhs == 0.0)
+    return check_report(
+        "inner-ball-bound", g.grid, s, q, lhs, rhs, bound_constant=bound,
+        tolerance=QUADRATURE_TOL, passed=bool(passed),
         extra={"kernel_integral": j_const, "sphere_area": area},
     )

@@ -378,6 +378,22 @@ def test_shell_assignment(grid2):
     assert np.all(idx[~inside] == len(radii) - 1)
 
 
+@pytest.mark.parametrize("d, n, L", [(3, 32, 20.0), (3, 64, 20.0), (3, 32, 5.0), (2, 64, 3.0)])
+def test_lattice_origin_is_in_the_innermost_shell(d, n, L):
+    # h < 1 on every grid here, where scaling the origin's stand-in radius
+    # 1 by 1/h would put it in shell ceil(log2(1/h)) > 0
+    grid = make_grid(d, n, L)
+    idx = shell_index_mesh(grid, "lattice")
+    r = radius_mesh(grid, "lattice")
+    assert grid.h < 1.0 and np.count_nonzero(r == 0) == 1
+    assert idx[r == 0].tolist() == [0]
+    # the shell of every other sample follows R/2 < |x| <= R as on cell grids
+    radii = np.array(shell_radii(grid))
+    inside = (r > 0) & (r <= L / 2)
+    assert np.all(r[inside] <= radii[idx[inside]] * (1 + 1e-12))
+    assert np.all(r[inside] > radii[idx[inside]] / 2 * (1 - 1e-12))
+
+
 # --- proof chain -------------------------------------------------------------------
 
 
