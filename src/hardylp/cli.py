@@ -38,6 +38,7 @@ from .report import (
     reports_to_csv,
     reports_to_json,
     summarize,
+    within_bound,
 )
 from .schur import (
     ROW_SUM_TOL,
@@ -399,7 +400,7 @@ def _schur_suite(cfg: RunConfig) -> list[CheckReport]:
         worst = max(worst, ratio)
     reports.append(check_report(
         "schur-bound", grid, s, q, worst, 1.0, tolerance=EXACT_TOL,
-        passed=worst <= 1.0 + EXACT_TOL, extra={"trials": trials},
+        passed=within_bound(worst, 1.0, 1.0, EXACT_TOL), extra={"trials": trials},
     ))
     return reports
 
@@ -611,16 +612,18 @@ FLAGS = {
 
 # The domain of each config key, checked before any command runs: its flag's
 # choices, else its DOMAINS test with the words refusing a value outside it,
-# else, for a float, finiteness (an infinite tolerance passes every check);
-# NaN, which passes a range test, is refused in every key.  FREE_KEYS take any
-# value, or are refused by what reads them (n, L, budget).  A rule
-# across keys, such as s < d/q, stays with the check it guards.
+# else, for a float, finiteness; NaN, which passes a range test, is refused
+# in every key.  FREE_KEYS take any value, or are refused by what reads them
+# (n, L, budget).  A rule across keys, such as s < d/q, stays with the check
+# it guards.
 DOMAINS = {
     "q": (lambda v: v > 0, "q must be > 0 or inf"),
     "r": (lambda v: v > 0, "r must be > 0 or inf"),
     "p": (lambda v: 0 < v < np.inf, "p must be finite and > 0"),
     "corpus_size": (lambda v: v >= 0, "corpus size must be >= 0"),
     "seed": (lambda v: v >= 0, "seed must be >= 0"),
+    # bounds scale by 1 + tolerance: inf passes every check, <= -1 fails all
+    "tolerance": (lambda v: -1 < v < np.inf, "tolerance must be finite and > -1"),
 }
 FREE_KEYS = ("command", "out", "field", "values", "n", "L", "budget")
 

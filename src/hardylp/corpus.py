@@ -7,10 +7,10 @@ at the box faces, and truncated power laws with smooth radial cutoffs.
 Every field is a deterministic function of (grid, seed, index).
 
 The radial families are evaluated once per radial class of the
-cell-centred grid and gathered onto the mesh.  A band-limited field keeps
-only the Hermitian part of its coefficients, scattered onto the half
-spectrum on the annulus' bounding box, and is synthesized by one real
-inverse FFT pruned to that box.
+cell-centred grid and gathered onto the mesh.  A band-limited field's
+coefficients are laid on the annulus' bounding box, whose half spectrum
+takes the box plus its mirror (the Hermitian part), and it is synthesized
+by one real inverse FFT pruned to that box.
 """
 
 from __future__ import annotations
@@ -103,22 +103,26 @@ def random_band_limited_field(
     drawn over the lattice points of the annulus in C order; the synthesized
     field is the real part, so the spectrum stays inside the (symmetric)
     annulus and the mean vanishes.  The default band (2/L, n/(8L)) is empty,
-    and refused, for n < 16.  The real part of sum_k g_k e^(2 pi i k x)
-    has coefficients (g_k + conj g_-k) / 2, which the half spectrum on the
-    annulus' bounding box receives before one pruned real inverse.  The
-    support is built once per (grid, band) (_band_support) and the draws
-    once per seed (_band_draws); only the envelope is applied per call.
+    and refused, for n < 16.  The real part of sum_k g_k e^(2 pi i k x) has
+    coefficients (g_k + conj g_-k) / 2, the half spectrum of the box of g
+    plus its mirror.  The support is built once per (grid, band)
+    (_band_support) and the draws once per seed (_band_draws).
     """
     band = None if band is None else tuple(band)
-    K, ratio, phases, scatter = _band_support(grid, band)
-    coef = _band_draws(grid, seed, band) * ratio ** (-envelope)
-    for phase in phases:  # the cell-centring phases of inverse_transform
-        coef = coef * phase
-    coef *= grid.size / 2.0
-    box = tuple(k.size for k in _half_box(grid.n, grid.d, K))
-    spec = np.zeros(box, dtype=np.complex128)
-    for points, keep, mirrored in scatter:
-        spec[points] += coef[keep].conj() if mirrored else coef[keep]
+    K, annulus, ratio = _band_support(grid, band)
+    box = np.zeros(annulus.shape, dtype=np.complex128)
+    box[annulus] = _band_draws(grid, seed, band) * ratio ** (-envelope)
+    axis = _box_indices(grid.n, K)
+    phase = _phase_1d(grid, "cell").conj()[axis]  # those of inverse_transform
+    for ax in range(grid.d):
+        box *= phase.reshape((-1,) + (1,) * (grid.d - 1 - ax))
+    box *= grid.size / 2.0
+    mirror = np.roll(np.arange(axis.size)[::-1], 1)  # the place of -k in the box
+    last = _half_box(grid.n, grid.d, K)[-1].size
+    spec = box[np.ix_(*(mirror,) * (grid.d - 1), mirror[:last])]
+    np.conjugate(spec, out=spec)
+    spec += box[..., :last]
+    del box  # a full complex lattice for a whole-lattice band
     vals = _inverse_real(spec, grid.n, K)
     peak = max(vals.max(), -vals.min())  # max |vals|, with no |vals| array
     if peak > 0:
@@ -129,11 +133,10 @@ def random_band_limited_field(
 @lru_cache(maxsize=2)
 def _band_support(grid: GridSpec, band: tuple[float, float] | None):
     """The seed- and envelope-free part of random_band_limited_field: the
-    pruning box K of the annulus (None: the whole lattice), |xi| / band_lo
-    and the per-axis phases at the annulus points, and where the points and
-    their mirrors land on the half spectrum's box (_half_box).  Built on the
-    annulus' bounding box |k_i| <= hi L, whose ascending indices keep the
-    lattice's C order over the annulus."""
+    pruning box K of the annulus (None: the whole lattice), the annulus as a
+    read-only mask on the box |k_i| <= K (_box_indices on every axis, whose
+    ascending indices keep the lattice's C order), and |xi| / band_lo at
+    its points."""
     if band is None:
         band = (2.0 / grid.L, grid.n / (8.0 * grid.L))
         if grid.n < 16:
@@ -144,29 +147,19 @@ def _band_support(grid: GridSpec, band: tuple[float, float] | None):
     lo, hi = band
     if not (0.0 < lo <= hi):
         raise ValueError(f"invalid frequency band {band}")
-    n = grid.n
-    K = _pruned(n, int(min(hi * grid.L * (1.0 + 1e-9), n)))
-    axis = _box_indices(n, K)
-    rad = _radius([frequency_axes(grid)[axis]] * grid.d)
-    mask = (rad >= lo * (1.0 - 1e-12)) & (rad <= hi * (1.0 + 1e-12))
-    if not mask.any():
+    K = _pruned(grid.n, int(min(hi * grid.L * (1.0 + 1e-9), grid.n)))
+    rad = _radius([frequency_axes(grid)[_box_indices(grid.n, K)]] * grid.d)
+    annulus = (rad >= lo * (1.0 - 1e-12)) & (rad <= hi * (1.0 + 1e-12))
+    if not annulus.any():
         raise ValueError(f"no lattice frequencies inside the band {band}")
-    where = np.zeros(n, dtype=np.int64)  # lattice index -> place in the box
-    where[axis] = np.arange(axis.size)
-    pos = np.nonzero(mask)
-    idx = tuple(axis[p] for p in pos)
-    phase = _phase_1d(grid, "cell").conj()
-    scatter = []
-    for points, mirrored in ((idx, False), (tuple((-k) % n for k in idx), True)):
-        keep = points[-1] < n // 2 + 1
-        scatter.append((tuple(where[k[keep]] for k in points), keep, mirrored))
-    return K, rad[pos] / lo, tuple(phase[k] for k in idx), tuple(scatter)
+    annulus.setflags(write=False)
+    return K, annulus, rad[annulus] / lo
 
 
 @lru_cache(maxsize=2)
 def _band_draws(grid: GridSpec, seed: int, band: tuple[float, float] | None):
     """The complex Gaussian draws at the annulus points, in C order."""
-    count = _band_support(grid, band)[1].size
+    count = _band_support(grid, band)[2].size
     rng = np.random.default_rng(seed)
     return rng.standard_normal(count) + 1j * rng.standard_normal(count)
 

@@ -38,6 +38,21 @@ DEFAULT_GAUSSIAN_WIDTH = 0.0775  # fraction of L; decays below 1e-8 at faces
 SWEEPS = 3
 GOLDEN_ITERATIONS = 4
 
+# The trial families in search order: each family's first trial, and the
+# (coordinate, lo, hi) golden-section searches of one of its sweeps.
+FAMILIES = (
+    ({"family": "gaussian", "width_fraction": DEFAULT_GAUSSIAN_WIDTH},
+     (("width_fraction", 0.05, 0.0825),)),
+    # outer tapers stay inside the boundary-decay rule: a wider taper wraps
+    # around the box, feeds the field's mean into the weighted side, and
+    # inflates the quotient with a torus artifact
+    ({"family": "truncated-power", "exponent_fraction": 0.5, "inner_cells": 3.0,
+      "outer_fraction": DEFAULT_GAUSSIAN_WIDTH},
+     (("exponent_fraction", 0.1, 0.95), ("inner_cells", 2.0, 6.0),
+      ("outer_fraction", 0.05, 0.0825))),
+    ({"family": "random-band-limited", "envelope": 1.0}, (("envelope", 0.4, 2.5),)),
+)
+
 
 @dataclass
 class ConstantEstimate:
@@ -209,9 +224,9 @@ def estimate_constant(
 ) -> ConstantEstimate:
     """Coordinate-search maximization of a Hardy quotient over trial families.
 
-    The first evaluation is always the default Gaussian, then SWEEPS
-    golden-section sweeps run per coordinate for each family in a fixed
-    order; the budget caps the length of that evaluation sequence, in which
+    Each family of FAMILIES in turn, the first always the default Gaussian,
+    takes its first trial and then SWEEPS sweeps of its golden-section
+    searches; the budget caps the length of that evaluation sequence, in which
     a point met again is read from the search's table instead of being
     evaluated again.  The reported best is the running maximum, so it is
     nondecreasing in the budget.  The trend field re-evaluates the
@@ -228,34 +243,13 @@ def estimate_constant(
 
     search = _Search(objective, budget)
     try:
-        gauss = {"family": "gaussian", "width_fraction": DEFAULT_GAUSSIAN_WIDTH}
-        search.evaluate(gauss)
-        for _ in range(SWEEPS):
-            gauss = search.golden_section(gauss, "width_fraction", 0.05, 0.0825)
-        # outer tapers stay inside the boundary-decay rule: a wider taper
-        # wraps around the box, feeds the field's mean into the weighted
-        # side, and inflates the quotient with a torus artifact
-        power = {
-            "family": "truncated-power",
-            "exponent_fraction": 0.5,
-            "inner_cells": 3.0,
-            "outer_fraction": DEFAULT_GAUSSIAN_WIDTH,
-        }
-        power_ok = 0.05 * grid.L >= 3.0 * grid.h  # taper must be resolved
-        if power_ok:
-            search.evaluate(power)
+        for trial, searches in FAMILIES:
+            if trial["family"] == "truncated-power" and 0.05 * grid.L < 3.0 * grid.h:
+                continue  # the outer taper must be resolved
+            search.evaluate(trial)
             for _ in range(SWEEPS):
-                power = search.golden_section(
-                    power, "exponent_fraction", 0.1, 0.95
-                )
-                power = search.golden_section(power, "inner_cells", 2.0, 6.0)
-                power = search.golden_section(
-                    power, "outer_fraction", 0.05, 0.0825
-                )
-        band = {"family": "random-band-limited", "envelope": 1.0}
-        search.evaluate(band)
-        for _ in range(SWEEPS):
-            band = search.golden_section(band, "envelope", 0.4, 2.5)
+                for coord, lo, hi in searches:
+                    trial = search.golden_section(trial, coord, lo, hi)
     except _BudgetExhausted:
         pass
 

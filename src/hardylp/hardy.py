@@ -23,7 +23,7 @@ from .littlewood_paley import (
     group_sums,
     level_sums,
 )
-from .report import EXACT_TOL, QUADRATURE_TOL, CheckReport, check_report
+from .report import EXACT_TOL, QUADRATURE_TOL, CheckReport, check_report, within_bound
 from .schur import hardy_kernel, schur_bound_check, schur_conditions
 from .spectral_core import (
     SampledField,
@@ -56,10 +56,6 @@ __all__ = [
 ]
 
 
-def _bound_passed(lhs, rhs, bound, tol) -> bool:
-    return lhs <= bound * rhs * (1.0 + tol) or (lhs == 0.0 and rhs == 0.0)
-
-
 def classical_hardy_quotient(
     f: SampledField, tol: float = QUADRATURE_TOL
 ) -> CheckReport:
@@ -73,7 +69,7 @@ def classical_hardy_quotient(
     bound = 4.0 / (d - 2) ** 2
     return check_report(
         "classical", f.grid, 1.0, 2.0, lhs, rhs, bound_constant=bound,
-        tolerance=tol, passed=_bound_passed(lhs, rhs, bound, tol),
+        tolerance=tol, passed=within_bound(lhs, rhs, bound, tol),
     )
 
 
@@ -181,7 +177,7 @@ def gradient_hardy_quotient(
         bound = q / (d - q)
         return check_report(
             "gradient", f.grid, 1.0, q, lhs, grad_norm, bound_constant=bound,
-            tolerance=tol, passed=_bound_passed(lhs, grad_norm, bound, tol),
+            tolerance=tol, passed=within_bound(lhs, grad_norm, bound, tol),
         )
     if q <= 2:
         raise ValueError(f"refined gradient quotient needs 2 < q < d, got q = {q}")
@@ -327,7 +323,7 @@ def shell_chain_check(values: FieldValues) -> CheckReport:
     passed = (
         link_a["passed"]
         and link_c["passed"]
-        and end_to_end <= assembled * (1.0 + 1e-9)
+        and within_bound(end_to_end, assembled, 1.0, 1e-9)
     ) or dyadic_sum == 0.0
     return CheckReport(
         identity="chain",

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 __all__ = [
     "CheckReport",
     "check_report",
+    "within_bound",
     "QUADRATURE_TOL",
     "EXACT_TOL",
     "reports_to_json",
@@ -105,6 +106,12 @@ def check_report(identity, grid, s, q, lhs, rhs, **fields) -> CheckReport:
         vacuous=bool(rhs <= 0 and lhs == 0),
         **fields,
     )
+
+
+def within_bound(lhs, rhs, bound, tol) -> bool:
+    """The one upper-bound verdict: lhs <= bound * rhs * (1 + tol), or 0
+    against 0."""
+    return lhs <= bound * rhs * (1.0 + tol) or (lhs == 0.0 and rhs == 0.0)
 
 
 def reports_to_json(reports) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import QUADRATURE_TOL, CheckReport, check_report
+from .report import QUADRATURE_TOL, CheckReport, check_report, within_bound
 from .spectral_core import (
     GridSpec,
     SampledField,
@@ -249,10 +249,9 @@ def inner_ball_bound_check(g: SampledField, s: float, q: float) -> CheckReport:
     lhs = lq_norm(pot, q) ** q
     base = lq_norm(g, q) ** q
     bound = j_const**q * area**q
-    rhs = bound * base
-    passed = lhs <= rhs * (1.0 + QUADRATURE_TOL) or (lhs == 0.0 and rhs == 0.0)
     return check_report(
-        "inner-ball-bound", g.grid, s, q, lhs, rhs, bound_constant=bound,
-        tolerance=QUADRATURE_TOL, passed=bool(passed),
+        "inner-ball-bound", g.grid, s, q, lhs, bound * base, bound_constant=bound,
+        tolerance=QUADRATURE_TOL,
+        passed=bool(within_bound(lhs, base, bound, QUADRATURE_TOL)),
         extra={"kernel_integral": j_const, "sphere_area": area},
     )

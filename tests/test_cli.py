@@ -1364,6 +1364,7 @@ Q0 = "config error: q must be > 0 or inf, got 0.0"
 POINTS = "points per axis must be a power of two >= 8"
 BOX = "box length must be positive and finite"
 SEED = "config error: seed must be >= 0, got -1"
+TOL = "config error: tolerance must be finite and > -1, got -1.0"
 SWEEP = ("sweep", "--identity", "fractional", "--axis", "s", "--start", "0.5",
          "--stop", "0.5", "--step", "0.1")
 
@@ -1389,18 +1390,23 @@ SWEEP = ("sweep", "--identity", "fractional", "--axis", "s", "--start", "0.5",
           "--seed", "-1"), SEED),
         (("schur-check", *S, "--seed", "-1"), SEED),
         (("verify", *S, "--seed", "-1"), SEED),
+        (("verify", *S, "--tolerance", "-1"), TOL),
+        (("hardy-check", "--identity", "classical", "--tolerance", "-1"), TOL),
+        ((*SWEEP, "--tolerance", "-1"), TOL),
     ],
     ids=["hardy-check-classical-q", "hardy-check-fractional-q", "schur-check-q",
          "stein-weiss-check-q", "estimate-constant-q", "sweep-q", "verify-q",
          "stein-weiss-check-p", "stein-weiss-check-d", "schur-check-n-1",
          "schur-check-n0", "schur-check-L-1", "schur-check-L0", "hardy-check-seed",
-         "schur-check-seed", "verify-seed"],
+         "schur-check-seed", "verify-seed", "verify-tolerance",
+         "hardy-check-tolerance", "sweep-tolerance"],
 )
 def test_value_outside_its_domain_exit_2(capsys, argv, message):
     # the first nine exited 3 on a ZeroDivisionError, schur-check, which
     # reads no field, put the next four in its reports and exited 0,
-    # hardy-check took the seed -1 and exited 0, and schur-check and verify
-    # refused it with numpy's words, which name no key
+    # hardy-check took the seed -1 and exited 0, schur-check and verify
+    # refused it with numpy's words, which name no key, and a tolerance of -1
+    # zeroed every bound and failed every check (exit 1)
     code, out, err = run(capsys, argv[0], "--d", "3", "--n", "16", *argv[1:])
     assert (code, out) == (2, "")
     assert message in err

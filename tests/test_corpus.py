@@ -1,5 +1,6 @@
 """Reproducibility and structural properties of the test-field families."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -166,6 +167,24 @@ def test_band_limited_matches_phased_oracle(d, n):
             for band in (None, full):
                 got = random_band_limited_field(grid, seed, envelope, band).values
                 assert_matches(got, phased_band_limited_field(grid, seed, envelope, band))
+
+
+def test_band_support_is_a_box_mask_and_its_ratios():
+    # the support holds the pruning box, the annulus as a read-only mask on
+    # it and |xi| / band_lo at its points: 0.17 MB at d = 3, n = 128, where a
+    # table per annulus point (box places, phases, scatter indices) held 1.42 MB
+    corpus._band_support(make_grid(3, 64, 20.0), None)  # numpy's first-use allocations
+    corpus._band_support.cache_clear()
+    tracemalloc.start()
+    try:
+        K, mask, ratio = corpus._band_support(make_grid(3, 128, 20.0), None)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert K == 16 and mask.shape == (2 * K + 1,) * 3
+    assert mask.dtype == bool and not mask.flags.writeable
+    assert ratio.size == mask.sum()
+    assert held <= 0.3e6
 
 
 def test_band_limited_takes_one_real_inverse_fft(grid2, fft_calls):
