@@ -225,21 +225,26 @@ def cmd_norm(cfg: RunConfig) -> int:
     _check_decay(f, cfg.field)
     grid = f.grid
     extra = {}
-    if cfg.kind == "lq":
-        value = lq_norm(f, cfg.q)
-    elif cfg.kind == "weighted":
-        value = weighted_lq_norm(f, cfg.s, cfg.q)
-    elif cfg.kind == "sobolev":
-        value = sobolev_norm(f, cfg.s, cfg.q)
-    else:  # besov or triebel-lizorkin
-        part = build_partition(grid, cfg.coverage)
-        tl = cfg.kind == "triebel-lizorkin"
-        sums = level_sums(f, part, cfg.s, cfg.q, (cfg.r,) if tl else ())
-        value = sums.triebel_lizorkin(cfg.r) if tl else sums.besov(cfg.r)
-        extra = {
-            "last_level": part.n_max,
-            "last_level_contribution": float(sums.norms[-1]),
-        }
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        if cfg.kind == "lq":
+            value = lq_norm(f, cfg.q)
+        elif cfg.kind == "weighted":
+            value = weighted_lq_norm(f, cfg.s, cfg.q)
+        elif cfg.kind == "sobolev":
+            value = sobolev_norm(f, cfg.s, cfg.q)
+        else:  # besov or triebel-lizorkin
+            part = build_partition(grid, cfg.coverage)
+            tl = cfg.kind == "triebel-lizorkin"
+            sums = level_sums(f, part, cfg.s, cfg.q, (cfg.r,) if tl else ())
+            value = sums.triebel_lizorkin(cfg.r) if tl else sums.besov(cfg.r)
+            extra = {
+                "last_level": part.n_max,
+                "last_level_contribution": float(sums.norms[-1]),
+            }
+    if not np.isfinite([value, *extra.values()]).all():
+        raise ValueError(
+            f"the {cfg.kind} norm leaves the float range at s = {cfg.s:g}, q = {cfg.q:g}"
+        )
     report = CheckReport(
         identity=f"norm-{cfg.kind}",
         d=grid.d,
@@ -618,7 +623,7 @@ FLAGS = {
 # it guards.
 DOMAINS = {
     "q": (lambda v: v > 0, "q must be > 0 or inf"),
-    "r": (lambda v: v > 0, "r must be > 0 or inf"),
+    "r": (lambda v: v >= 1, "r must be >= 1 or inf"),
     "p": (lambda v: 0 < v < np.inf, "p must be finite and > 0"),
     "corpus_size": (lambda v: v >= 0, "corpus size must be >= 0"),
     "seed": (lambda v: v >= 0, "seed must be >= 0"),

@@ -24,10 +24,8 @@ from .spectral_core import (
     GridSpec,
     SampledField,
     _box_indices,
-    _half_box,
     _inverse_real,
     _phase_1d,
-    _pruned,
     _radial_values,
     _radius,
     frequency_axes,
@@ -92,37 +90,30 @@ def truncated_power_field(
 
 
 def random_band_limited_field(
-    grid: GridSpec,
-    seed: int,
-    envelope: float = 1.0,
-    band: tuple[float, float] | None = None,
+    grid: GridSpec, seed: int, envelope: float = 1.0
 ) -> SampledField:
-    """Real field with random spectrum supported on a frequency annulus.
+    """Real field with random spectrum on the annulus 2/L <= |xi| <= n/(8L).
 
-    Coefficients are complex Gaussian draws damped by (|xi| / band_lo)^-envelope,
+    Coefficients are complex Gaussian draws damped by (|xi| L / 2)^-envelope,
     drawn over the lattice points of the annulus in C order; the synthesized
     field is the real part, so the spectrum stays inside the (symmetric)
-    annulus and the mean vanishes.  The default band (2/L, n/(8L)) is empty,
-    and refused, for n < 16.  The real part of sum_k g_k e^(2 pi i k x) has
-    coefficients (g_k + conj g_-k) / 2, the half spectrum of the box of g
-    plus its mirror.  The support is built once per (grid, band)
-    (_band_support) and the draws once per seed (_band_draws).
+    annulus and the mean vanishes.  The annulus is empty, and refused, for
+    n < 16.  The real part of sum_k g_k e^(2 pi i k x) has coefficients
+    (g_k + conj g_-k) / 2, the half spectrum of the box of g plus its mirror.
+    The support is built once per grid and the draws once per seed.
     """
-    band = None if band is None else tuple(band)
-    K, annulus, ratio = _band_support(grid, band)
+    K, annulus, ratio = _band_support(grid)
     box = np.zeros(annulus.shape, dtype=np.complex128)
-    box[annulus] = _band_draws(grid, seed, band) * ratio ** (-envelope)
+    box[annulus] = _band_draws(grid, seed) * ratio ** (-envelope)
     axis = _box_indices(grid.n, K)
     phase = _phase_1d(grid, "cell").conj()[axis]  # those of inverse_transform
     for ax in range(grid.d):
         box *= phase.reshape((-1,) + (1,) * (grid.d - 1 - ax))
     box *= grid.size / 2.0
     mirror = np.roll(np.arange(axis.size)[::-1], 1)  # the place of -k in the box
-    last = _half_box(grid.n, grid.d, K)[-1].size
-    spec = box[np.ix_(*(mirror,) * (grid.d - 1), mirror[:last])]
+    spec = box[np.ix_(*(mirror,) * (grid.d - 1), mirror[: K + 1])]
     np.conjugate(spec, out=spec)
-    spec += box[..., :last]
-    del box  # a full complex lattice for a whole-lattice band
+    spec += box[..., : K + 1]
     vals = _inverse_real(spec, grid.n, K)
     peak = max(vals.max(), -vals.min())  # max |vals|, with no |vals| array
     if peak > 0:
@@ -131,35 +122,29 @@ def random_band_limited_field(
 
 
 @lru_cache(maxsize=2)
-def _band_support(grid: GridSpec, band: tuple[float, float] | None):
+def _band_support(grid: GridSpec):
     """The seed- and envelope-free part of random_band_limited_field: the
-    pruning box K of the annulus (None: the whole lattice), the annulus as a
-    read-only mask on the box |k_i| <= K (_box_indices on every axis, whose
-    ascending indices keep the lattice's C order), and |xi| / band_lo at
-    its points."""
-    if band is None:
-        band = (2.0 / grid.L, grid.n / (8.0 * grid.L))
-        if grid.n < 16:
-            raise ValueError(
-                f"band-limited corpus fields need n >= 16, got n = {grid.n}: "
-                f"the default band (2/L, n/(8L)) = {band} is empty"
-            )
-    lo, hi = band
-    if not (0.0 < lo <= hi):
-        raise ValueError(f"invalid frequency band {band}")
-    K = _pruned(grid.n, int(min(hi * grid.L * (1.0 + 1e-9), grid.n)))
+    box |k_i| <= K = n // 8 of the annulus, which 4K <= n lets the inverse
+    prune to; the annulus as a read-only mask on that box (_box_indices on
+    every axis, whose ascending indices keep the lattice's C order); and
+    |xi| L / 2 at its points."""
+    lo, hi = 2.0 / grid.L, grid.n / (8.0 * grid.L)
+    if grid.n < 16:
+        raise ValueError(
+            f"band-limited corpus fields need n >= 16, got n = {grid.n}: "
+            f"the default band (2/L, n/(8L)) = {(lo, hi)} is empty"
+        )
+    K = grid.n // 8
     rad = _radius([frequency_axes(grid)[_box_indices(grid.n, K)]] * grid.d)
     annulus = (rad >= lo * (1.0 - 1e-12)) & (rad <= hi * (1.0 + 1e-12))
-    if not annulus.any():
-        raise ValueError(f"no lattice frequencies inside the band {band}")
     annulus.setflags(write=False)
     return K, annulus, rad[annulus] / lo
 
 
 @lru_cache(maxsize=2)
-def _band_draws(grid: GridSpec, seed: int, band: tuple[float, float] | None):
+def _band_draws(grid: GridSpec, seed: int):
     """The complex Gaussian draws at the annulus points, in C order."""
-    count = _band_support(grid, band)[2].size
+    count = _band_support(grid)[2].size
     rng = np.random.default_rng(seed)
     return rng.standard_normal(count) + 1j * rng.standard_normal(count)
 

@@ -30,6 +30,7 @@ from .spectral_core import (
     _gradient_symbols,
     _lq,
     _parseval_energy,
+    _radius_power,
     fractional_laplacian,
     gradient_magnitude,
     lq_norm,
@@ -277,8 +278,7 @@ def shell_chain_check(values: FieldValues) -> CheckReport:
 
     # plain midpoint weights: the 2^(sq) factor in link (a) is exact cell by
     # cell only when the weighted sum sees the same |x| values as the shells
-    r = radius_mesh(grid, f.centering)
-    r **= -s * q
+    r = _radius_power(grid, f.centering, -s * q)
     absq = np.subtract(f.values, np.mean(f.values))  # |f - mean|^q, in place
     absq = np.abs(absq, out=absq if np.isrealobj(absq) else None)
     floor = NOISE_FLOOR * float(absq.max(initial=0.0))

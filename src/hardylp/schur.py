@@ -77,14 +77,12 @@ def schur_conditions(kernel: SchurKernel, q: float) -> tuple[float, float]:
 def schur_bound_check(kernel: SchurKernel, coeffs, q: float):
     """Check the conclusion sum_R (sum_N a(N,R) C_N)^q <= a1 a2 sum_N C_N^q.
 
-    coeffs maps row levels to nonnegative values (dict or callable); returns
-    (lhs, rhs, ratio) with ratio = lhs / rhs (0 when both vanish).
+    coeffs is a dict from row levels to nonnegative values, 0 where a level
+    is missing; returns (lhs, rhs, ratio) with ratio = lhs / rhs (0 when
+    both vanish).
     """
     a1, a2 = schur_conditions(kernel, q)
-    if callable(coeffs):
-        c = np.array([float(coeffs(N)) for N in kernel.levels])
-    else:
-        c = np.array([float(coeffs.get(N, 0.0)) for N in kernel.levels])
+    c = np.array([float(coeffs.get(N, 0.0)) for N in kernel.levels])
     if (c < 0).any():
         raise ValueError("coefficient sequence must be nonnegative")
     inner = (kernel.entries * c[:, None]).sum(axis=0)

@@ -355,18 +355,16 @@ def _pruned(n: int, K: int) -> int | None:
     return K if 4 * K <= n else None
 
 
-def _box_indices(n: int, K: int | None) -> np.ndarray:
+def _box_indices(n: int, K: int) -> np.ndarray:
     """The FFT indices of |k| <= K on one axis, ascending: [0..K] and
-    [n-K..n-1]; every index 0..n-1 when K is None."""
-    return np.arange(n) if K is None else np.r_[0 : K + 1, n - K : n]
+    [n-K..n-1]."""
+    return np.r_[0 : K + 1, n - K : n]
 
 
-def _half_box(n: int, d: int, K: int | None) -> tuple[np.ndarray, ...]:
+def _half_box(n: int, d: int, K: int) -> tuple[np.ndarray, ...]:
     """Per-axis indices of the box |k_i| <= K in the rfftn half spectrum of
-    the (n,)*d grid: _box_indices on each leading axis and 0..K on the last;
-    the whole half spectrum when K is None."""
-    last = np.arange(n // 2 + 1 if K is None else K + 1)
-    return (_box_indices(n, K),) * (d - 1) + (last,)
+    the (n,)*d grid: _box_indices on each leading axis and 0..K on the last."""
+    return (_box_indices(n, K),) * (d - 1) + (np.arange(K + 1),)
 
 
 def _inverse_real(half: np.ndarray, n: int, K: int | None = None) -> np.ndarray:
@@ -729,6 +727,19 @@ def _lq(values: np.ndarray, cell_volume: float, q: float, weight=None) -> float:
     return float((absq.sum() * cell_volume) ** (1.0 / q))
 
 
+def _radius_power(grid: GridSpec, centering: str, p: float, x=None) -> np.ndarray:
+    """|x|^p on the mesh of the axis coordinates x, by default the grid's own,
+    with one rule at the origin: 0^p is 0 for p > 0 and 1 for p = 0, and a
+    negative p is refused when a sample sits at |x| = 0."""
+    x = axis_coordinates(grid, centering) if x is None else x
+    rad = _radius([x] * grid.d)
+    if p < 0 and not rad.all():
+        raise ValueError(
+            "a sample sits at |x| = 0; use a cell-centered grid for singular weights"
+        )
+    return np.power(rad, p, out=rad)
+
+
 @lru_cache(maxsize=8)
 def _refined_weight(grid: GridSpec, centering: str, exponent: float, octant=False):
     """|x|^exponent on the mesh, cell-averaged near the origin when singular;
@@ -748,28 +759,14 @@ def _build_weight(grid: GridSpec, centering: str, exponent: float, x=None):
     """The table of _refined_weight on the mesh of the axis coordinates x,
     by default the grid's own."""
     x = axis_coordinates(grid, centering) if x is None else x
-    rad = _radius([x] * grid.d)
-    h = grid.h
-    # |x| >= |x_i| on every axis, so the origin's sample and every near cell
-    # (|x| <= WEIGHT_REFINE_RADIUS * h) lie in the sub-cube of the axis
-    # coordinates with |x_i| <= WEIGHT_REFINE_RADIUS * h
-    cube = np.flatnonzero(np.abs(x) <= WEIGHT_REFINE_RADIUS * h)
-    cube_rad = rad[np.ix_(*([cube] * grid.d))]
-    if np.any(cube_rad == 0.0):
-        if exponent < 0:
-            raise ValueError(
-                "a sample sits at |x| = 0; use a cell-centered grid for "
-                "singular weights"
-            )
-        w = np.zeros(rad.shape)
-        nz = rad > 0
-        w[nz] = rad[nz] ** exponent
-        if exponent == 0:
-            w[~nz] = 1.0
-        return w
-    w = np.power(rad, exponent, out=rad)
+    w = _radius_power(grid, centering, exponent, x)
     if exponent >= 0:
         return w
+    h = grid.h
+    # |x| >= |x_i| on every axis, so every near cell (|x| <= WEIGHT_REFINE_RADIUS
+    # * h) lies in the sub-cube of the axis coordinates with |x_i| <= that
+    cube = np.flatnonzero(np.abs(x) <= WEIGHT_REFINE_RADIUS * h)
+    cube_rad = _radius([x[cube]] * grid.d)
     # A near cell's average is invariant under the 2^d d! sign flips and axis
     # permutations of the cell-centred lattice and scales exactly as h^exponent:
     # average once per class of sorted odd integers 2|x_c|/h, on the unit cell.
@@ -780,7 +777,7 @@ def _build_weight(grid: GridSpec, centering: str, exponent: float, x=None):
     sub = np.meshgrid(*([off] * grid.d), indexing="ij")
     sq = (sum((u / 2.0 + o) ** 2 for u, o in zip(c, sub)) for c in classes)
     means = np.array([np.mean(np.sqrt(r) ** exponent) for r in sq])
-    w[tuple(near.T)] = means[inverse.ravel()] * h**exponent
+    w[tuple(near.T)] = means[inverse.ravel()] * np.power(h, exponent)
     return w
 
 
@@ -793,8 +790,8 @@ def power_weighted_lq_norm(f: SampledField, weight_power: float, q: float) -> fl
     if weight_power == 0:  # |x|^0 = 1, with no weight table to build or keep
         return lq_norm(f, q)
     if q == np.inf:
-        rad = radius_mesh(f.grid, f.centering)
-        return float(np.max(np.abs(f.values) * rad**weight_power, initial=0.0))
+        w = _radius_power(f.grid, f.centering, weight_power)
+        return float(np.max(np.abs(f.values) * w, initial=0.0))
     if q < 1:
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
     w = _refined_weight(f.grid, f.centering, weight_power * q)

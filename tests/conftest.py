@@ -428,14 +428,12 @@ def shell_majorant_sides(f, s, q):
     return lhs, 2.0 ** (s * q) * majorant
 
 
-def phased_band_limited_field(grid, seed, envelope=1.0, band=None):
+def phased_band_limited_field(grid, seed, envelope=1.0):
     """Band-limited synthesis on the full complex lattice, the reference for
     corpus.random_band_limited_field: draws in C order over the annulus
-    mask, the phase-carrying inverse_transform, then the real part scaled to
-    peak 1."""
-    if band is None:
-        band = (2.0 / grid.L, grid.n / (8.0 * grid.L))
-    lo, hi = band
+    2/L <= |xi| <= n/(8L), the phase-carrying inverse_transform, then the
+    real part scaled to peak 1."""
+    lo, hi = 2.0 / grid.L, grid.n / (8.0 * grid.L)
     rad = frequency_radius(grid)
     mask = (rad >= lo * (1.0 - 1e-12)) & (rad <= hi * (1.0 + 1e-12))
     rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, config round-trip, and report determinism."""
 
 import argparse
+import itertools
 import json
 import os
 import shlex
@@ -972,6 +973,16 @@ def test_norm_takes_an_infinite_exponent(capsys, band_field_file):
     assert np.isfinite(json.loads(out)[0]["lhs"])
 
 
+@pytest.mark.parametrize("kind", ["besov", "triebel-lizorkin"])
+def test_norm_refuses_r_below_1_before_reading_the_field(capsys, tmp_path, kind):
+    # these ran the whole level pass, then exited 2 on words naming p and q
+    # (or p and r); the field file need not exist for the refusal
+    argv = ("norm", "--field", str(tmp_path / "none.hlf"), "--kind", kind, "--r", "0.5")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "config error: r must be >= 1 or inf, got 0.5" in err
+
+
 def test_norm_max_norm_prints_strict_json_and_csv(capsys, band_field_file):
     # the report's q = inf made the JSON output exit 2 ("Out of range float
     # values are not JSON compliant"); strict JSON holds it as the string "inf"
@@ -1485,3 +1496,76 @@ def test_numeric_flag_matrix_exits_0_1_or_2(capsys, command):
                 named = (f"argument --{flag}:", f"config error: {key} must")
                 assert any(words in err for words in named), (argv, err)
     assert calls >= 40
+
+
+# Edge values of the flags the two file-reading commands take, and the files
+# they read: cell and lattice fields, real and complex, at d = 3.
+FILE_FLOATS = {
+    "s": ("0", "0.5", "-1", "1e300"),
+    "q": ("1", "2", "inf", "0.5", "1e300"),
+    "r": ("1", "inf", "0.5"),
+    "coverage": ("0", "0.5", "1", "-1", "inf"),
+}
+FIELD_FILES = [("cell", False, 16), ("cell", True, 32), ("lattice", False, 32),
+               ("lattice", True, 16)]
+
+
+@pytest.fixture(scope="module")
+def field_files(tmp_path_factory):
+    paths = []
+    for centering, complex_, n in FIELD_FILES:
+        grid = make_grid(3, n, 20.0)
+        vals = random_band_limited_field(grid, n).values
+        vals = vals + 0.5j * vals[::-1] if complex_ else vals
+        path = tmp_path_factory.mktemp("files") / f"{centering}-{complex_}-{n}.hlf"
+        write_field(path, make_field(grid, vals, centering))
+        paths.append(str(path))
+    return paths
+
+
+def test_field_file_matrix_exits_0_1_or_2(capsys, field_files):
+    # lp, and norm of every kind at every (s, q) pair, on each file, in
+    # process; the l^r kinds also take each r at s = 0.5, q = 2.  Weighted
+    # norms of lattice fields at q = inf with s > 0 exited 2 on a non-JSON
+    # inf, with numpy's divide-by-zero warning on stderr; at q = 1e300 a
+    # weight or symbol overflowed (exit 3 under this suite's warning filter)
+    argvs = [("lp", "--field", path, "--coverage", c)
+             for path in field_files for c in FILE_FLOATS["coverage"]]
+    for path, kind in itertools.product(field_files, cli.NORM_KINDS):
+        norm = ("norm", "--field", path, "--kind", kind)
+        for s, q in itertools.product(FILE_FLOATS["s"], FILE_FLOATS["q"]):
+            argvs.append((*norm, "--s", s, "--q", q))
+        if kind in ("besov", "triebel-lizorkin"):
+            argvs += [(*norm, "--s", "0.5", "--r", r) for r in FILE_FLOATS["r"]]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        assert "internal error" not in err and "JSON compliant" not in err, argv
+    assert len(argvs) >= 400
+
+
+def test_weighted_norm_of_a_lattice_field_refuses_the_origin(capsys, field_files):
+    # at q = inf this exited 2 on "Out of range float values are not JSON
+    # compliant: inf", after numpy's divide-by-zero warning
+    for path in field_files[2:]:  # the lattice fields
+        for q in ("inf", "2"):
+            argv = ("norm", "--field", path, "--kind", "weighted", "--s", "1", "--q", q)
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.endswith(
+                "error: a sample sits at |x| = 0; use a cell-centered grid for "
+                "singular weights\n"
+            )
+
+
+def test_norm_beyond_the_float_range_is_refused(capsys, field_files):
+    # |x|^(-s q) overflowed the weight table and |2 pi xi|^(2 s) the Sobolev
+    # symbol: exit 2 on a non-JSON nan or inf, after numpy's warnings
+    for kind, s, q in (("weighted", "0.5", "1e300"), ("sobolev", "1e300", "2")):
+        argv = ("norm", "--field", field_files[0], "--kind", kind, "--s", s, "--q", q)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            f"error: the {kind} norm leaves the float range at s = {float(s):g}, "
+            f"q = {float(q):g}\n"
+        )

@@ -65,11 +65,6 @@ def test_band_limited_mean_zero_and_real(grid2):
     assert np.abs(f.values.imag).max() <= 1e-12 * max(1, np.abs(f.values).max())
 
 
-def test_band_limited_rejects_empty_band(grid2):
-    with pytest.raises(ValueError):
-        random_band_limited_field(grid2, 1, band=(1e-9, 2e-9))
-
-
 def test_truncated_power_plateau_and_cut(grid2):
     f = truncated_power_field(grid2, 0.5, 4 * grid2.h, grid2.L / 4)
     vals = f.values.real
@@ -158,26 +153,23 @@ def test_radial_families_match_mesh_oracle(d, n):
 
 @pytest.mark.parametrize("d,n", [dn for dn in ORACLE_GRIDS if dn[1] >= 16])
 def test_band_limited_matches_phased_oracle(d, n):
-    # the full band reaches every Nyquist plane, where a frequency is its own
-    # mirror image, and the k_last = 0 plane, whose mirrors stay on it
+    # the annulus reaches the k_last = 0 plane, whose mirrors stay on it
     grid = make_grid(d, n, 20.0)
-    full = (1.0 / grid.L, np.sqrt(d) * grid.nyquist)
     for seed in (3, 4):
         for envelope in (0.5, 1.0, 2.0):
-            for band in (None, full):
-                got = random_band_limited_field(grid, seed, envelope, band).values
-                assert_matches(got, phased_band_limited_field(grid, seed, envelope, band))
+            got = random_band_limited_field(grid, seed, envelope).values
+            assert_matches(got, phased_band_limited_field(grid, seed, envelope))
 
 
 def test_band_support_is_a_box_mask_and_its_ratios():
     # the support holds the pruning box, the annulus as a read-only mask on
     # it and |xi| / band_lo at its points: 0.17 MB at d = 3, n = 128, where a
     # table per annulus point (box places, phases, scatter indices) held 1.42 MB
-    corpus._band_support(make_grid(3, 64, 20.0), None)  # numpy's first-use allocations
+    corpus._band_support(make_grid(3, 64, 20.0))  # numpy's first-use allocations
     corpus._band_support.cache_clear()
     tracemalloc.start()
     try:
-        K, mask, ratio = corpus._band_support(make_grid(3, 128, 20.0), None)
+        K, mask, ratio = corpus._band_support(make_grid(3, 128, 20.0))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -195,8 +187,8 @@ def test_band_limited_takes_one_real_inverse_fft(grid2, fft_calls):
 
 
 def test_band_support_is_built_once_per_grid_and_seed(grid2):
-    # an envelope search builds the support once per grid and band and draws
-    # once per seed; only the synthesis repeats
+    # an envelope search builds the support once per grid and draws once
+    # per seed; only the synthesis repeats
     corpus._band_support.cache_clear()
     corpus._band_draws.cache_clear()
 
@@ -210,8 +202,6 @@ def test_band_support_is_built_once_per_grid_and_seed(grid2):
     assert builds() == (1, 1)
     random_band_limited_field(grid2, 9)  # a new seed on the same support
     assert builds() == (1, 2)
-    random_band_limited_field(grid2, 9, band=[0.1, 0.4])  # a list band is hashed
-    assert builds() == (2, 3)
 
 
 def test_band_limited_peak_memory():

@@ -206,13 +206,6 @@ def test_bound_holds_on_random_sequences(q):
         assert ratio <= 1.0, ratio
 
 
-def test_bound_callable_coefficients():
-    levels = dyadic_levels(5)
-    kern = hardy_kernel(0.4, 2, 2.0, levels)
-    lhs, rhs, ratio = schur_bound_check(kern, lambda N: 1.0 / (1.0 + N), 2.0)
-    assert 0 < ratio <= 1.0
-
-
 # --- hardy kernel entries ---------------------------------------------------------
 
 
