@@ -6,7 +6,7 @@ the virtual extremizer |x|^-(d/q - s), and random band-limited fields) with
 a derivative-free golden-section coordinate search, and always reports the
 value again on a once-refined grid so discretization bias is visible.  A
 radial trial's fractional quotient at q = 2 is taken from its octant
-(spectral_core._radial_norms), with no field built.
+alone (spectral_core._even_norm and _even_parseval), with no field built.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from .corpus import _gaussian_profile, random_band_limited_field
 from .hardy import CHECKS, FieldValues, _require_fractional
 from .littlewood_paley import build_partition
 from .report import QUADRATURE_TOL
-from .spectral_core import GridSpec, _radial_norms, _radial_values, make_field, make_grid
+from .spectral_core import GridSpec, _even_norm, _even_parseval, _radial_values
+from .spectral_core import _refined_weight, make_field, make_grid
 
 __all__ = [
     "ConstantEstimate",
@@ -187,7 +188,10 @@ def _trial_quotient(identity, grid, partition, s, q, seed, params) -> float:
         # a radial trial's two norms from its octant, with no field built;
         # the quotient and its rhs > 0 rule are those of the full path
         _require_fractional(grid.d, s, q)
-        weighted, sobolev = _radial_norms(grid, profile, s)
+        g = _radial_values(grid, profile, octant=True)
+        weight = _refined_weight(grid, "cell", -2.0 * s, True) if s else None
+        weighted = _even_norm(grid, g, 2.0, weight)
+        sobolev = _even_parseval(grid, g, s) if s else weighted  # s = 0: mean included
         return weighted / sobolev if sobolev > 0 else 0.0
     f = _trial_field(grid, q, seed, params)
     check = CHECKS[identity]

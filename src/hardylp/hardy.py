@@ -25,12 +25,16 @@ from .littlewood_paley import (
 )
 from .report import EXACT_TOL, QUADRATURE_TOL, CheckReport, check_report, within_bound
 from .schur import hardy_kernel, schur_bound_check, schur_conditions
+from .spectral_core import _even_inverse, _even_norm, _even_octant, _even_parseval
 from .spectral_core import (
     SampledField,
+    _even_transform,
     _gradient_symbols,
     _lq,
     _parseval_energy,
+    _power_symbol,
     _radius_power,
+    _refined_weight,
     fractional_laplacian,
     gradient_magnitude,
     lq_norm,
@@ -87,7 +91,8 @@ class FieldValues:
     sums, the one level pass at (s, q) over partition (the default when None)
     with the pointwise sums of powers and, when shells, the shell sums.  sums
     drops lifted, a field array less in the pass: read |D|^s f before it, and
-    sobolev before weighted, so a new grid's spectrum is freed first."""
+    sobolev before weighted, so a new grid's spectrum is freed first.  An even
+    field, as a radial one is, takes them on its octant (spectral_core._even_octant)."""
 
     def __init__(self, f: SampledField, s: float, q: float,
                  partition: DyadicPartition | None = None, powers=(), shells=False):
@@ -95,29 +100,50 @@ class FieldValues:
         self.partition, self.powers, self.shells = partition, tuple(powers), shells
 
     @cached_property
+    def _octant(self) -> np.ndarray | None:
+        # s < 0 and q = inf keep the full path's refusal and weighted maximum
+        return None if self.s < 0 or self.q == np.inf else _even_octant(self.f)
+
+    @cached_property
     def weighted(self) -> float:
-        return weighted_lq_norm(self.f, self.s, self.q)
+        g, grid, s, q = self._octant, self.f.grid, self.s, self.q
+        if g is None or s == 0:
+            return weighted_lq_norm(self.f, s, q)
+        table = _refined_weight(grid, "cell", -s * q)  # the full path's table
+        return _even_norm(grid, g, q, table[(slice(grid.n // 2, None),) * grid.d])
+
+    @cached_property
+    def _lift(self) -> np.ndarray:  # the octant of |D|^s f, s > 0, by one DCT pair
+        grid = self.f.grid
+        symbol = _power_symbol(grid, self.s, True)[(slice(0, grid.n // 2),) * grid.d]
+        return _even_inverse(_even_transform(self._octant) * symbol)
 
     @cached_property
     def lifted(self) -> SampledField:
-        return fractional_laplacian(self.f, self.s)
+        if self._octant is None or self.s == 0:
+            return fractional_laplacian(self.f, self.s)
+        return self.f.with_values(np.pad(self._lift, (self.f.grid.n // 2, 0), "symmetric"))
 
     @cached_property
     def sobolev(self) -> float:
         # sobolev_norm's own value: one forward FFT by Parseval at q = 2, the
-        # L^q norm of |D|^s f otherwise
-        if self.q == 2:
-            return sobolev_norm(self.f, self.s, self.q)
-        return lq_norm(self.lifted, self.q)
+        # L^q norm of |D|^s f otherwise (on the octant: a DCT, s > 0)
+        g, s, q = self._octant, self.s, self.q
+        if g is None:
+            return sobolev_norm(self.f, s, q) if q == 2 else lq_norm(self.lifted, q)
+        if q == 2 and s > 0:
+            return _even_parseval(self.f.grid, g, s)
+        return _even_norm(self.f.grid, self._lift if s else g, q)
 
     @cached_property
     def sums(self) -> LevelSums:
         self.__dict__.pop("lifted", None)
-        f = self.f
+        f, g = self.f, self._octant
         if self.partition is None:
             self.partition = build_partition(f.grid)
-        groups = shell_groups(f.grid, f.centering) if self.shells else None
-        return level_sums(f, self.partition, self.s, self.q, self.powers, groups)
+        groups = shell_groups(f.grid, f.centering, g is not None) if self.shells else None
+        return level_sums(f if g is None else g, self.partition, self.s, self.q,
+                          self.powers, groups)
 
 
 def fractional_hardy_quotient(values: FieldValues) -> CheckReport:
@@ -225,11 +251,12 @@ def shell_index_mesh(grid, centering: str = "cell") -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def shell_groups(grid, centering: str = "cell") -> tuple[np.ndarray, np.ndarray]:
-    """The shells of shell_index_mesh as the (order, starts) sample groups of
-    group_sums; every shell holds samples.  The order is int32, as a grid
-    holds at most MAX_GRID_SAMPLES = 2**24 samples.  Cached, read-only."""
-    idx = shell_index_mesh(grid, centering).ravel()
+def shell_groups(grid, centering="cell", octant=False) -> tuple[np.ndarray, np.ndarray]:
+    """The shells of shell_index_mesh (its block x_i > 0 when octant) as the
+    (order, starts) sample groups of group_sums; every shell holds samples.
+    The order is int32 (a grid holds at most 2**24 samples); read-only."""
+    start = grid.n // 2 if octant else 0
+    idx = shell_index_mesh(grid, centering)[(slice(start, None),) * grid.d].ravel()
     order = np.argsort(idx, kind="stable").astype(np.int32)
     groups = order, np.cumsum(np.bincount(idx))[:-1]
     for a in groups:
@@ -287,7 +314,7 @@ def shell_chain_check(values: FieldValues) -> CheckReport:
     del r
 
     radii = shell_radii(grid)
-    shell_mass = group_sums(absq, shell_groups(grid, f.centering)) * hd
+    shell_mass = group_sums(absq, shell_groups(grid, f.centering, False)) * hd
     majorant = float(sum(R ** (-s * q) * m for R, m in zip(radii, shell_mass)))
     rhs_a = 2.0 ** (s * q) * majorant
     ratio_a = lhs_q / rhs_a if rhs_a > 0 else 0.0
@@ -303,7 +330,7 @@ def shell_chain_check(values: FieldValues) -> CheckReport:
         if top <= floor * N**s:
             continue
         for R, mass in zip(radii, masses):
-            shell_lq = float((mass * hd) ** (1.0 / q))
+            shell_lq = float((mass * sums.cell_volume) ** (1.0 / q))
             cap = min(1.0, (N * R) ** (d / q)) * c
             if cap > 0 and shell_lq / cap > e_b:
                 e_b = shell_lq / cap
@@ -365,7 +392,7 @@ def holder_refinement_check(values: FieldValues) -> CheckReport:
         raise ValueError(f"refinement steps need q > 2, got q = {q}")
     grid = values.f.grid
     t, a, b = (values.sums.powers[r] for r in (q, 2.0, 2.0 * (q - 1.0)))
-    hd = grid.h**grid.d
+    hd = values.sums.cell_volume
     lhs = float(t.sum() * hd)
     mid = float(np.sqrt(a * b).sum() * hd)
     a_half_q = a ** (q / 2.0)

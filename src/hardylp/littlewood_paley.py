@@ -21,6 +21,8 @@ from .spectral_core import (
     GridSpec,
     SampledField,
     _apply_diag,
+    _even_inverse,
+    _even_transform,
     _frequency_classes,
     _lq,
     _radial_symbol,
@@ -196,7 +198,7 @@ class LevelSums:
 
 
 def level_sums(
-    f: SampledField,
+    f: SampledField | np.ndarray,
     partition: DyadicPartition,
     s: float,
     p: float = 2.0,
@@ -206,11 +208,18 @@ def level_sums(
     """The LevelSums of f: one pass over the pieces of decompose, one level
     at a time, with no (levels, *shape) stack, each raised to p in place
     once its max and other powers are taken.  groups, when given, is the
-    (order, starts) of group_sums, and needs a finite p."""
-    hd = f.grid.h**f.grid.d
+    (order, starts) of group_sums, and needs a finite p.  An array f is an even
+    field's octant x_i > 0 (cells 2^d h^d, octant groups), by DCT per level."""
+    grid, tables = partition.grid, partition.tables
+    if isinstance(f, SampledField):
+        pieces, hd = decompose(f, partition), f.grid.h**f.grid.d
+    else:
+        spec = _even_transform(f)
+        index = _frequency_classes(grid, True)[0][(slice(0, grid.n // 2),) * grid.d]
+        pieces = (_even_inverse(spec * tables[N][index]) for N in partition.levels)
+        hd = 2.0**grid.d * grid.h**grid.d
     totals, others = {}, set(powers) - {p}
     norms, maxima, shells = [], [], []
-    pieces = decompose(f, partition)
     for N in partition.levels:  # not zip, whose result tuple keeps a piece alive
         level = next(pieces)
         level = np.abs(level, out=level) if np.isrealobj(level) else np.abs(level)

@@ -32,12 +32,12 @@ inverted whole, since widening it costs more than the skipped lines save.
 Both paths are bitwise equal to np.fft.irfftn; dyadic levels below the top
 and the band-limited corpus fields take the pruned one.
 
-A radial field f(|x|) on the cell-centred grid is even in every coordinate,
-so its two q = 2 norms of the fractional quotient need only its octant
-x_i > 0 (_radial_norms): each grid sum is 2^d times the octant's, and its
-spectrum is, up to a phase, the separable DCT-II of the octant, made with
-one n/2-point rfft per axis (_even_transform).  The constant search takes
-its radial trials this way; every other field and norm takes the full grid.
+A field even in every coordinate, as a radial one on the cell-centred grid
+is, needs only its octant x_i > 0 (_even_octant): each grid sum is 2^d times
+the octant's, and its spectrum is, up to a phase, the DCT-II of the octant,
+one n/2-point rfft per axis (_even_transform, inverted by _even_inverse).
+hardy.FieldValues and the constant search's radial trials take even fields
+so; any other field, gradient or Riesz potential takes the full grid.
 """
 
 from __future__ import annotations
@@ -570,31 +570,49 @@ def _even_transform(octant: np.ndarray) -> np.ndarray:
     return spec
 
 
-def _radial_norms(grid: GridSpec, profile, s: float) -> tuple[float, float]:
-    """(||f / |x|^s||_2, || |D|^s f ||_2) of f = profile(|x|) on the
-    cell-centred grid, s >= 0, from its octant x_i > 0 alone.
+def _even_inverse(spec: np.ndarray) -> np.ndarray:
+    """The octant whose _even_transform is spec: per axis a DCT-III, one N-point
+    irfft of (C(k) - i C(N-k)) e^(i pi k/2N) / 2, C(N) = 0, read back interleaved."""
+    for ax in range(spec.ndim):
+        c = np.moveaxis(spec, ax, -1)
+        N = c.shape[-1]
+        w = np.zeros(c.shape[:-1] + (N // 2 + 1,), np.complex128)
+        w.real, w.imag[..., 1:] = c[..., : N // 2 + 1], -c[..., : N // 2 - 1 : -1]
+        w *= 0.5 * np.exp(0.5j * np.pi * np.arange(N // 2 + 1) / N)
+        v = np.fft.irfft(w, N, axis=-1)
+        v = np.stack((v[..., : N // 2], v[..., : N // 2 - 1 : -1]), axis=-1)
+        spec = np.moveaxis(v.reshape(c.shape), -1, ax)
+    return spec
 
-    f is even in every coordinate, so each grid sum is 2^d times the
-    octant's, against the octant block of the weight table, and the
-    Sobolev energy is _parseval_energy's sum over the spectrum of
-    _even_transform: each plane k_i = 0 counts once, every other plane
-    twice, as its mirror k_i -> n - k_i holds the same value, and the
-    planes k_i = n/2 are zero.  s = 0 gives the plain L^2 norm twice, mean
-    included, as sobolev_norm does."""
-    d = grid.d
-    g = _radial_values(grid, profile, octant=True)
-    cell = 2.0**d * grid.h**d
-    if s == 0:
-        plain = _lq(g, cell, 2.0)
-        return plain, plain
-    weighted = _lq(g, cell, 2.0, _refined_weight(grid, "cell", -2.0 * s, True))
-    power = _even_transform(g)
-    del g
+
+def _even_octant(f: SampledField) -> np.ndarray | None:
+    """f's block on x_i > 0 when f is real, cell-centred and bitwise equal to
+    its flip along every axis, else None: one face pair first, O(n^(d-1))."""
+    bits = f.values.view(np.int64)
+    if np.iscomplexobj(f.values) or f.centering != "cell" or (bits[0] != bits[-1]).any():
+        return None
+    for ax in range(f.grid.d):
+        low, bits = np.split(bits, 2, axis=ax)
+        if not np.array_equal(np.flip(low, ax), bits):
+            return None
+    return f.values[(slice(f.grid.n // 2, None),) * f.grid.d]
+
+
+def _even_norm(grid: GridSpec, octant: np.ndarray, q: float, weight=None) -> float:
+    """_lq of the field even in every coordinate whose octant x_i > 0 is
+    octant, with weight the octant block of a table: 2^d times its sums."""
+    return _lq(octant, 2.0**grid.d * grid.h**grid.d, q, weight)
+
+
+def _even_parseval(grid: GridSpec, octant: np.ndarray, s: float) -> float:
+    """|| |D|^s f ||_2, s > 0, of the even field f with this octant, by Parseval
+    on _even_transform: planes k_i = 0 count once, others twice (mirrored)."""
+    power = _even_transform(octant)
     np.square(power, out=power)
     power *= _power_symbol(grid, 2.0 * s, True, octant=True)
-    for ax in range(d):
+    for ax in range(grid.d):
         power[(slice(None),) * ax + (0,)] *= 0.5
-    return weighted, float(np.sqrt(power.sum() * cell / grid.size))
+    return float(np.sqrt(power.sum() * (2.0**grid.d * grid.h**grid.d) / grid.size))
 
 
 def _odd_frequencies(grid: GridSpec, real: bool) -> np.ndarray:
@@ -721,10 +739,12 @@ def _lq(values: np.ndarray, cell_volume: float, q: float, weight=None) -> float:
     if q < 1:
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
     absq = np.abs(values)
+    top = float(np.max(absq, initial=0.0)) or 1.0  # no underflow at large q
+    absq /= top
     np.power(absq, q, out=absq)
     if weight is not None:
         absq *= weight
-    return float((absq.sum() * cell_volume) ** (1.0 / q))
+    return top * float((absq.sum() * cell_volume) ** (1.0 / q))
 
 
 def _radius_power(grid: GridSpec, centering: str, p: float, x=None) -> np.ndarray:

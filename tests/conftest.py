@@ -75,12 +75,25 @@ def call_log(monkeypatch):
     return install
 
 
-def check(name, f, s, q, part=None, tol=QUADRATURE_TOL):
+def check(name, f, s, q, part=None, tol=QUADRATURE_TOL, full=False):
     """The check hardy.CHECKS[name] on f alone, run on a FieldValues that
     reads what the entry declares; part None is the grid's default
-    partition."""
+    partition.  full makes the values on the whole grid even when f is even
+    in every coordinate, the reference for their octant path."""
     entry = CHECKS[name]
-    return entry.run(FieldValues(f, s, q, part, entry.powers(q), entry.shells), tol)
+    values = FieldValues(f, s, q, part, entry.powers(q), entry.shells)
+    if full:
+        values._octant = None
+    return entry.run(values, tol)
+
+
+def lq_formula(values, cell_volume, q, weight=1.0):
+    """spectral_core._lq's rule at finite q written out: |values| scaled by
+    its maximum before the power, and the maximum multiplied back after the
+    root."""
+    absq = np.abs(values)
+    top = float(absq.max())
+    return top * float((((absq / top) ** q * weight).sum() * cell_volume) ** (1.0 / q))
 
 
 @pytest.fixture(scope="session")
@@ -350,8 +363,10 @@ def weighted_stack(f, partition, s):
 
 
 def stack_level_norms(f, stack, p):
-    """The L^p norm on f's grid of each level of a stack."""
-    return np.array([_lq(level, f.grid.h**f.grid.d, p) for level in stack])
+    """The L^p norm on f's grid of each level of a stack, with no scaling
+    before the power, as the level pass takes it."""
+    hd = f.grid.h**f.grid.d
+    return np.array([float(((level**p).sum() * hd) ** (1.0 / p)) for level in stack])
 
 
 def stack_lr_sum(stack, r):
@@ -362,7 +377,7 @@ def stack_lr_sum(stack, r):
 
 
 def stack_besov_norm(f, stack, p, q):
-    return float(stack_lr_sum(stack_level_norms(f, stack, p), q))
+    return lq_formula(stack_level_norms(f, stack, p), 1.0, q)
 
 
 def stack_triebel_lizorkin_norm(f, stack, p, r):

@@ -167,9 +167,15 @@ def test_verify_runs_the_level_pass_once_per_corpus_field(capsys, call_log):
     assert code == 0
     grid = make_grid(3, 32, 20.0)
     fields_ = [f for _, f in corpus.corpus_fields(grid, 5, 1, s=0.5, q=3.0)]
-    assert len(passes) == len(decomposed) == len(fields_) == 5
-    for (field, *_), f in zip(passes, fields_):
-        assert np.array_equal(field.values, f.values)
+    assert len(passes) == len(fields_) == 5
+    # the 2 Gaussians pass their octant x_i > 0, with no decompose call; the
+    # 3 band fields pass the field
+    assert len(decomposed) == 3
+    for (field, *_), f, even in zip(passes, fields_, (True, True, False, False, False)):
+        if even:
+            assert np.array_equal(field, f.values[(slice(16, None),) * 3])
+        else:
+            assert np.array_equal(field.values, f.values)
 
 
 def test_verify_fft_budget(capsys, fft_calls):
@@ -180,7 +186,7 @@ def test_verify_fft_budget(capsys, fft_calls):
     assert code == 0
     # n = 32 gives 3 dyadic levels; the corpus is 2 Gaussians and 4 band
     # fields (the power-law cutoffs do not fit), and the coarse n = 16 corpus
-    # of the inner-ball check is 2 Gaussians and 4 band fields.  Per field:
+    # of the inner-ball check is 2 Gaussians and 4 band fields.  Per band field:
     #   |D|^s f (fractional, refined, stein-weiss base)   1 forward + 1 inverse
     #   classical ||grad f||_2^2 by Parseval               1 forward
     #   fractional homogeneity, |D|^s (3.5 f)              1 forward + 1 inverse
@@ -189,14 +195,41 @@ def test_verify_fft_budget(capsys, fft_calls):
     # that is 5 forward and 6 inverse transforms, and each band field takes
     # one inverse.  A forward transform is one rfftn; an inverse is an ifft
     # along each of the 2 leading axes and one irfft, as irfftn makes it.
-    inverses = 6 * 6 + 4 + 4
-    assert dict(fft_calls) == {"rfftn": 6 * 5, "ifft": 2 * inverses, "irfft": inverses}
+    # A Gaussian takes the first only for classical and the Riesz potential;
+    # its lifts of f and 3.5 f and its level pass run on its octant, where a
+    # forward DCT is an rfft along each of the 3 axes and an inverse DCT an
+    # irfft along each: 3 forward and 2 + 3 inverse DCTs.
+    inverses = 4 * 6 + 4 + 4 + 2 * 1
+    dct_forward, dct_inverse = 2 * 3, 2 * 5
+    assert dict(fft_calls) == {
+        "rfftn": 4 * 5 + 2 * 2, "ifft": 2 * inverses, "irfft": inverses + 3 * dct_inverse,
+        "rfft": 3 * dct_forward,
+    }
+
+
+def test_verify_of_gaussians_takes_a_d_dimensional_transform_only_off_the_octant(
+    capsys, fft_calls
+):
+    # per Gaussian, one rfftn for classical's Parseval and one for the Riesz
+    # potential of |D|^s f, whose inverse is an ifft along each of the 2
+    # leading axes and one irfft; none on the coarse corpus of the inner-ball
+    # check.  Everything else is an octant DCT, an rfft (forward) or irfft
+    # (inverse) along each of the 3 axes: forward for the lifts of f and
+    # 3.5 f and the level pass, inverse for the two lifts and the 4 levels
+    code, _, _ = run(
+        capsys, "verify", "--suite", "all", "--d", "3", "--n", "64", "--q", "3",
+        "--s", "0.5", "--corpus-size", "2",
+    )
+    assert code == 0
+    assert dict(fft_calls) == {
+        "rfftn": 2 * 2, "ifft": 2 * 2, "irfft": 2 * (1 + 3 * 6), "rfft": 2 * 3 * 3
+    }
 
 
 def test_verify_takes_one_weighted_norm_per_field_for_the_fractional_trio(
     capsys, call_log
 ):
-    weighted = call_log(spectral_core, "power_weighted_lq_norm")
+    norms = call_log(spectral_core, "_lq")
     code, out, _ = run(
         capsys, "verify", "--suite", "hardy", "--d", "3", "--n", "32", "--q", "3",
         "--s", "0.5", "--corpus-size", "3",
@@ -206,12 +239,17 @@ def test_verify_takes_one_weighted_norm_per_field_for_the_fractional_trio(
     assert {"fractional", "besov", "refined"} <= set(identities)
     grid = make_grid(3, 32, 20.0)
     fields_ = [f for _, f in corpus.corpus_fields(grid, 3, 1, s=0.5, q=3.0)]
-    trio = [args for args in weighted if args[1:] == (-0.5, 3.0)]
+    # ||f / |x|^s||_q is an _lq against the grid's weight table of |x|^-1.5:
+    # the whole table for the band field, its block on the octant x_i > 0 for
+    # the 2 Gaussians, which take their octant
+    table = spectral_core._refined_weight(grid, "cell", -1.5)
+    trio = [args for args in norms if len(args) == 4 and np.shares_memory(args[3], table)]
     # the fractional, Besov and refined quotients share one ||f / |x|^s||_q;
     # the homogeneity check takes its own, of 3.5 f
     assert len(trio) == 2 * len(fields_)
-    for f in fields_:
-        assert sum(np.array_equal(args[0].values, f.values) for args in trio) == 1
+    for f, octant in zip(fields_, (True, True, False)):
+        samples = f.values[(slice(16, None),) * 3] if octant else f.values
+        assert sum(np.array_equal(args[0], samples) for args in trio) == 1
 
 
 def test_gradient_check_fft_budget(capsys, fft_calls):

@@ -16,7 +16,12 @@ from conftest import (
     random_mean_zero_field,
     shell_majorant_sides,
 )
-from hardylp.corpus import corpus_fields, gaussian_field, random_band_limited_field
+from hardylp.corpus import (
+    corpus_fields,
+    gaussian_field,
+    random_band_limited_field,
+    truncated_power_field,
+)
 from hardylp.hardy import (
     CHECKS,
     FieldValues,
@@ -133,8 +138,15 @@ def test_fractional_rhs_matches_gradient_norm_at_s1_q2(grid3f, gauss3):
 
 
 def test_fractional_quotient_at_q2_takes_one_real_fft(grid3f, gauss3, fft_calls):
-    # Parseval: || |D|^s f ||_2 from the forward transform alone
+    # Parseval: || |D|^s f ||_2 from the forward transform alone; the even
+    # Gaussian takes it on its octant, one forward DCT made by an rfft along
+    # each axis, and an uneven field takes one rfftn
+    band = random_band_limited_field(grid3f, 3)
+    fft_calls.clear()
     check("fractional", gauss3, 1.0, 2.0)
+    assert dict(fft_calls) == {"rfft": 3}
+    fft_calls.clear()
+    check("fractional", band, 1.0, 2.0)
     assert dict(fft_calls) == {"rfftn": 1}
 
 
@@ -557,6 +569,58 @@ def test_each_value_is_made_at_most_once_whichever_checks_read_it(grid2, call_lo
                 assert all(args[0] is f for log in logs for args in log)
                 for log in logs:
                     log.clear()
+
+
+def _assert_close(got, want, path=""):
+    """got equals want, float by float, to 1e-12 relative, or absolute below 1."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, np.ndarray):
+        assert got.shape == want.shape, path
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), path
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), path
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_close(a, b, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (path, got, want)
+    else:
+        assert got == want, (path, got, want)
+
+
+@pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (3, 32), (4, 32)])
+def test_octant_values_match_the_full_grid(d, n):
+    # a radial field takes every value from its octant; FieldValues with the
+    # octant path turned off is the reference, the full-grid operators
+    grid = make_grid(d, n, 20.0)
+    part = build_partition(grid)
+    for q in (2.0, 3.0, 4.0):
+        s = 0.4 * d / q
+        fields_ = (
+            gaussian_field(grid, 0.075 * grid.L),
+            truncated_power_field(grid, 0.35 * (d / q - s), 2.5 * grid.h, grid.L / 5),
+        )
+        names = VERIFY_NAMES if q > 2 else ("fractional", "besov", "chain")
+        for f in fields_:
+            octant, full = (_shared_values(f, s, q, part, names) for _ in range(2))
+            full._octant = None
+            assert octant._octant is not None
+            _assert_close(octant.lifted.values, full.lifted.values)
+            for name in ("weighted", "sobolev"):
+                _assert_close(getattr(octant, name), getattr(full, name), name)
+            cell, whole = octant.sums, full.sums
+            assert cell.cell_volume == 2.0**d * whole.cell_volume
+            _assert_close(cell.norms, whole.norms, "norms")
+            _assert_close(cell.maxima, whole.maxima, "maxima")
+            block = (slice(n // 2, None),) * d
+            for r, total in whole.powers.items():
+                _assert_close(cell.powers[r], total[block], f"powers[{r}]")
+            _assert_close(cell.shells * cell.cell_volume, whole.shells * whole.cell_volume)
+            for name in names:
+                got = CHECKS[name].run(octant, 0.03).to_dict()
+                _assert_close(got, CHECKS[name].run(full, 0.03).to_dict(), name)
 
 
 def test_the_level_pass_drops_the_lifted_field(grid2):

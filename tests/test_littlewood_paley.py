@@ -19,10 +19,10 @@ from conftest import (
     stack_triebel_lizorkin_norm,
     weighted_stack,
 )
-from hardylp.corpus import corpus_fields, random_band_limited_field
+from hardylp.corpus import corpus_fields, gaussian_field, random_band_limited_field
 import hardylp.littlewood_paley as littlewood_paley
 import hardylp.spectral_core as spectral_core
-from hardylp.hardy import shell_groups, shell_index_mesh
+from hardylp.hardy import FieldValues, shell_groups, shell_index_mesh
 from hardylp.littlewood_paley import (
     besov_terms,
     build_partition,
@@ -385,12 +385,15 @@ def test_level_pass_matches_the_stack(d, q, s):
             assert sums.triebel_lizorkin(r) == tl
         # group_sums keeps each shell's samples in C order, as a mask does
         assert np.array_equal(sums.shells, stack_shell_sums(f, stack, q))
+        # the radial fields' checks on the whole grid: their octant path sums
+        # in another order (test_hardy.py::test_octant_values_match_the_full_grid)
         if q > 2:
-            rep = check("holder-refinement", f, s, q, part)
+            rep = check("holder-refinement", f, s, q, part, full=True)
             sides = (rep.lhs, rep.extra["mid"], rep.rhs)
             assert sides == stack_holder_sides(f, stack, q)
         if s < d / q:
-            e_b = check("chain", f, s, q, part).extra["localization_constant"]
+            rep = check("chain", f, s, q, part, full=True)
+            e_b = rep.extra["localization_constant"]
             oracle = stack_localization_constant(f, part, s, q)
             assert e_b == oracle
 
@@ -509,6 +512,21 @@ def test_level_pass_peak_memory_with_the_verify_sums():
 
     run()  # warm the caches
     assert peak_field_arrays(run, f.values.nbytes) <= 6.7
+
+
+def test_octant_level_pass_peak_memory_with_the_verify_sums():
+    # the same sums on a Gaussian, whose pass runs on its octant: every
+    # piece, power and gathered copy is an octant array, 1/8 field array
+    grid = make_grid(3, 64, 20.0)
+    f = gaussian_field(grid, 0.075 * grid.L)
+    part = build_partition(grid)
+
+    def run():
+        values = FieldValues(f, 0.5, 3.0, part, (4.0, 3.0, 2.0), shells=True)
+        assert values.sums.cell_volume == 8.0 * grid.h**3
+
+    run()  # warm the caches
+    assert peak_field_arrays(run, f.values.nbytes) <= 1.5
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])

@@ -10,6 +10,7 @@ from conftest import (
     direct_refined_weight,
     full_field_boundary_decay,
     line_gradient,
+    lq_formula,
     masked_power_symbol,
     mesh_class_refined_weight,
     peak_field_arrays,
@@ -26,6 +27,8 @@ from hardylp.spectral_core import (
     _box_length_range,
     _build_weight,
     _derivative_matrix,
+    _even_inverse,
+    _even_octant,
     _even_transform,
     _forward,
     _gradient_components,
@@ -625,11 +628,9 @@ def test_in_place_quadratures_match_the_formulas(d, n, real):
         assert _parseval_energy(f, symbols) == parseval_formula(f, symbols)
     hd = grid.h**d
     for q in (1.0, 2.0, 3.0, 3.5):
-        absq = np.abs(f.values) ** q
-        assert _lq(f.values, hd, q) == float((absq.sum() * hd) ** (1.0 / q))
+        assert _lq(f.values, hd, q) == lq_formula(f.values, hd, q)
         w = _refined_weight(grid, "cell", -0.5 * q)
-        want = float(((absq * w).sum() * hd) ** (1.0 / q))
-        assert power_weighted_lq_norm(f, -0.5, q) == want
+        assert power_weighted_lq_norm(f, -0.5, q) == lq_formula(f.values, hd, q, w)
     want = np.sqrt(sum(np.abs(g.values) ** 2 for g in gradient(f)))
     assert np.array_equal(gradient_magnitude(f), want)
 
@@ -883,6 +884,45 @@ def test_even_transform_matches_rfftn_of_the_mirrored_field(d, sizes):
         # the rows k_i = n/2 of the mirrored field's spectrum vanish
         for ax in range(d):
             assert np.max(np.abs(np.take(spec, n // 2, axis=ax))) <= 1e-13 * top
+
+
+@pytest.mark.parametrize("d, sizes", [(1, (8, 64)), (2, (8, 32)), (3, (8, 32)), (4, (8, 16))])
+def test_even_inverse_undoes_the_even_transform(d, sizes):
+    rng = np.random.default_rng(10 + d)
+    for n in sizes:
+        octant = rng.standard_normal((n // 2,) * d)
+        got = _even_inverse(_even_transform(octant))
+        assert got.shape == octant.shape
+        assert np.max(np.abs(got - octant)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_even_octant_takes_only_real_cell_centred_mirror_symmetric_fields(d):
+    grid = make_grid(d, 16, 20.0)
+    f = gaussian_field(grid, 3.0)
+    octant = _even_octant(f)
+    assert np.array_equal(octant, f.values[_octant_block(grid)])
+    # complex, lattice-centred, and one sample changed, on a face or inside
+    assert _even_octant(f.with_values(f.values + 0j)) is None
+    assert _even_octant(make_field(grid, f.values, centering="lattice")) is None
+    for ax in range(d):
+        for pos in (0, 5, 15):
+            vals = f.values.copy()
+            vals[(3,) * ax + (pos,) + (3,) * (d - ax - 1)] *= 1.0 + 1e-15
+            assert _even_octant(f.with_values(vals)) is None
+    # a field even along every axis but the last
+    vals = np.broadcast_to(np.arange(16.0), grid.shape)
+    assert _even_octant(f.with_values(vals)) is None
+
+
+def test_lq_norm_does_not_underflow_at_large_q():
+    grid = make_grid(3, 16, 20.0)
+    f = make_field(grid, np.full(grid.shape, 0.5))
+    for q in (100.0, 1000.0, 1e300):
+        want = 0.5 * grid.L ** (3.0 / q)
+        assert lq_norm(f, q) == pytest.approx(want, rel=1e-12, abs=0.0)
+    zero = make_field(grid, np.zeros(grid.shape))
+    assert lq_norm(zero, 1e300) == lq_norm(zero, 3.0) == 0.0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
