@@ -25,7 +25,7 @@ from .littlewood_paley import (
 )
 from .report import EXACT_TOL, QUADRATURE_TOL, CheckReport, check_report, within_bound
 from .schur import hardy_kernel, schur_bound_check, schur_conditions
-from .spectral_core import _even_inverse, _even_norm, _even_octant, _even_parseval
+from .spectral_core import _even_inverse, _even_norm, _even_octant, _even_parseval, _raise
 from .spectral_core import (
     SampledField,
     _even_transform,
@@ -309,7 +309,7 @@ def shell_chain_check(values: FieldValues) -> CheckReport:
     absq = np.subtract(f.values, np.mean(f.values))  # |f - mean|^q, in place
     absq = np.abs(absq, out=absq if np.isrealobj(absq) else None)
     floor = NOISE_FLOOR * float(absq.max(initial=0.0))
-    absq **= q
+    _raise(absq, q)
     lhs_q = float(np.multiply(r, absq, out=r).sum() * hd)
     del r
 

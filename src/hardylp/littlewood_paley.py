@@ -25,7 +25,9 @@ from .spectral_core import (
     _even_transform,
     _frequency_classes,
     _lq,
+    _power_scale,
     _radial_symbol,
+    _raise,
 )
 
 __all__ = [
@@ -206,8 +208,8 @@ def level_sums(
     groups: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LevelSums:
     """The LevelSums of f: one pass over the pieces of decompose, one level
-    at a time, with no (levels, *shape) stack, each raised to p in place
-    once its max and other powers are taken.  groups, when given, is the
+    at a time, with no (levels, *shape) stack, each raised to p in place by
+    _raise once its max and other powers are taken.  groups, when given, is the
     (order, starts) of group_sums, and needs a finite p.  An array f is an even
     field's octant x_i > 0 (cells 2^d h^d, octant groups), by DCT per level."""
     grid, tables = partition.grid, partition.tables
@@ -227,12 +229,13 @@ def level_sums(
         maxima.append(float(level.max(initial=0.0)))
         for r in others:
             if r != np.inf:
-                _accumulate(totals, r, level**r)
+                _accumulate(totals, r, _raise(level.copy(), r))
             else:  # level is raised to p below, so a first max copies it
                 _accumulate(totals, r, level if r in totals else level.copy())
-        if p != np.inf:
-            level **= p
-        norms.append(maxima[-1] if p == np.inf else float((level.sum() * hd) ** (1.0 / p)))
+        if p != np.inf:  # a level of max^p out of range takes _lq's scaled norm
+            scaled = _lq(level, hd, p) if _power_scale(maxima[-1], p) != 1.0 else None
+            norm = float((_raise(level, p).sum() * hd) ** (1.0 / p))
+        norms.append(maxima[-1] if p == np.inf else norm if scaled is None else scaled)
         if groups is not None:
             shells.append(group_sums(level, groups))
         if p in powers:

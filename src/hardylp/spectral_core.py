@@ -94,6 +94,9 @@ GRADIENT_MATRIX_N = 64
 GRADIENT_BLOCK = 2**18
 GRADIENT_SLABS = 4
 
+# _raise's cube chunk; _power_scale's bound, far inside the float range for 2^24 x^p
+POWER_CHUNK, POWER_SAFE_LOG2 = 2**14, 600.0
+
 # Largest grid make_grid accepts: d = 3, n = 256 is 2**24 samples, 134 MB per
 # real field and 268 MB per complex one.
 MAX_GRID_SAMPLES = 2**24
@@ -684,15 +687,18 @@ def _derivative_matrix(grid: GridSpec, real: bool) -> np.ndarray:
 def _matrix_partial(values: np.ndarray, ax: int, D: np.ndarray) -> np.ndarray:
     """D times every line along axis ax, in BLAS calls of at most
     GRADIENT_BLOCK multiply-adds: blocks of rows (lines, n) D^T on the last
-    axis, else D (n, columns) on blocks of columns."""
+    axis, else D (n, columns) on blocks of columns, copied first on axis 0."""
     n, trail = values.shape[ax], int(np.prod(values.shape[ax + 1 :]))
     block = max(1, GRADIENT_BLOCK // (n * n))
-    out = np.empty_like(values)
+    out, cols = np.empty_like(values), min(block, trail)
     if trail == 1:
         v, o = (a.reshape(-1, min(block, values.size // n), n) for a in (values, out))
         np.matmul(v, D.T, out=o)
+    elif ax == 0:  # each (n, cols) block copied, not read as n rows trail apart
+        v, o = values.reshape(n, trail), out.reshape(n, trail)
+        for j in range(0, trail, cols):
+            np.matmul(D, v[:, j : j + cols].copy(), out=o[:, j : j + cols])
     else:
-        cols = min(block, trail)
         v, o = (a.reshape(-1, n, trail // cols, cols).swapaxes(1, 2) for a in (values, out))
         np.matmul(D, v, out=o)
     return out
@@ -739,12 +745,33 @@ def _lq(values: np.ndarray, cell_volume: float, q: float, weight=None) -> float:
     if q < 1:
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
     absq = np.abs(values)
-    top = float(np.max(absq, initial=0.0)) or 1.0  # no underflow at large q
-    absq /= top
-    np.power(absq, q, out=absq)
+    top = _power_scale(float(np.max(absq, initial=0.0)), q)
+    if top != 1.0:  # top^q would under- or overflow: scale by the maximum first
+        absq /= top
+    _raise(absq, q)
     if weight is not None:
         absq *= weight
     return top * float((absq.sum() * cell_volume) ** (1.0 / q))
+
+
+def _power_scale(top: float, p: float) -> float:
+    """top if top^p leaves 2^(+-POWER_SAFE_LOG2), else 1: what x <= top is scaled by."""
+    return top if top and abs(p * np.log2(top)) > POWER_SAFE_LOG2 else 1.0
+
+
+def _raise(a: np.ndarray, p: float) -> np.ndarray:
+    """a^p in place for a >= 0: products for p in {2, 3, 4}, a cube POWER_CHUNK
+    samples at a time through one scratch buffer (ValueError on a view that no
+    flat view covers), np.power for any other p."""
+    if p not in (2, 3, 4):
+        return np.power(a, p, out=a)
+    if p != 3:  # x^4 as (x^2)^2
+        return np.multiply(a, a, out=a) if p == 2 else _raise(_raise(a, 2), 2)
+    flat = a.reshape(-1, order="A", copy=False)
+    scratch = np.empty(min(flat.size, POWER_CHUNK), a.dtype)
+    for chunk in np.split(flat, range(POWER_CHUNK, flat.size, POWER_CHUNK)):
+        chunk *= np.multiply(chunk, chunk, out=scratch[: chunk.size])
+    return a
 
 
 def _radius_power(grid: GridSpec, centering: str, p: float, x=None) -> np.ndarray:

@@ -11,6 +11,7 @@ from hardylp.hardy import CHECKS, NOISE_FLOOR, FieldValues, shell_index_mesh, sh
 from hardylp.littlewood_paley import LevelSums, decompose, group_sums
 from hardylp.report import QUADRATURE_TOL
 from hardylp.spectral_core import (
+    POWER_SAFE_LOG2,
     WEIGHT_REFINE_FACTOR,
     WEIGHT_REFINE_RADIUS,
     Spectrum,
@@ -87,13 +88,29 @@ def check(name, f, s, q, part=None, tol=QUADRATURE_TOL, full=False):
     return entry.run(values, tol)
 
 
+def power_formula(x, p):
+    """spectral_core._raise's rule written out: x^p as products for p in
+    {2, 3, 4}, np.power for any other p."""
+    if p == 2:
+        return x * x
+    if p == 3:
+        return x * x * x
+    if p == 4:
+        return (x * x) * (x * x)
+    return np.power(x, p)
+
+
 def lq_formula(values, cell_volume, q, weight=1.0):
-    """spectral_core._lq's rule at finite q written out: |values| scaled by
-    its maximum before the power, and the maximum multiplied back after the
-    root."""
+    """spectral_core._lq's rule at finite q written out: |values| to the power
+    q by power_formula, scaled by its maximum before the power, and the
+    maximum multiplied back after the root, only when max^q would leave
+    2^(+-POWER_SAFE_LOG2)."""
     absq = np.abs(values)
     top = float(absq.max())
-    return top * float((((absq / top) ** q * weight).sum() * cell_volume) ** (1.0 / q))
+    if top == 0.0 or abs(q * np.log2(top)) <= POWER_SAFE_LOG2:
+        top = 1.0
+    total = (power_formula(absq / top, q) * weight).sum() * cell_volume
+    return top * float(total ** (1.0 / q))
 
 
 @pytest.fixture(scope="session")
@@ -332,13 +349,15 @@ def ordered_level_sums(f, partition, s, p=2.0, powers=(), groups=None):
         level = np.abs(level, out=level) if np.isrealobj(level) else np.abs(level)
         level *= N**s
         top = float(level.max(initial=0.0))
-        level_p = level if p == np.inf else level**p
+        level_p = level if p == np.inf else power_formula(level, p)
         maxima.append(top)
         norms.append(top if p == np.inf else float((level_p.sum() * hd) ** (1.0 / p)))
         if groups is not None:
             shells.append(group_sums(level_p, groups))
         for r, total in totals.items():
-            term = level if r == np.inf else level_p if r == p else level**r
+            term = level if r == np.inf else level_p
+            if r not in (p, np.inf):
+                term = power_formula(level, r)
             if total is None:
                 totals[r] = term
             elif r == np.inf:
@@ -363,17 +382,18 @@ def weighted_stack(f, partition, s):
 
 
 def stack_level_norms(f, stack, p):
-    """The L^p norm on f's grid of each level of a stack, with no scaling
-    before the power, as the level pass takes it."""
+    """The L^p norm on f's grid of each level of a stack, by power_formula with
+    no scaling before the power, as the level pass takes it in range."""
     hd = f.grid.h**f.grid.d
-    return np.array([float(((level**p).sum() * hd) ** (1.0 / p)) for level in stack])
+    sums = [power_formula(level, p).sum() * hd for level in stack]
+    return np.array([float(total ** (1.0 / p)) for total in sums])
 
 
 def stack_lr_sum(stack, r):
     """The l^r sum over the first axis; the max when r is infinite."""
     if r == np.inf:
         return stack.max(axis=0, initial=0.0)
-    return (stack**r).sum(axis=0) ** (1.0 / r)
+    return power_formula(stack, r).sum(axis=0) ** (1.0 / r)
 
 
 def stack_besov_norm(f, stack, p, q):
@@ -387,9 +407,9 @@ def stack_triebel_lizorkin_norm(f, stack, p, r):
 def stack_holder_sides(f, stack, q):
     """(lhs, mid, rhs) of holder_refinement_check from the stack."""
     hd = f.grid.h**f.grid.d
-    t = (stack**q).sum(axis=0)
-    a = (stack**2).sum(axis=0)
-    b = (stack ** (2.0 * (q - 1.0))).sum(axis=0)
+    t = power_formula(stack, q).sum(axis=0)
+    a = power_formula(stack, 2.0).sum(axis=0)
+    b = power_formula(stack, 2.0 * (q - 1.0)).sum(axis=0)
     lhs = float(t.sum() * hd)
     mid = float(np.sqrt(a * b).sum() * hd)
     rhs = float(
@@ -403,8 +423,9 @@ def stack_shell_sums(f, stack, q):
     """The (levels, shells) sums of stack^q over each shell of
     shell_index_mesh, one boolean mask per shell."""
     shell_idx = shell_index_mesh(f.grid, f.centering)
+    shells = range(len(shell_radii(f.grid)))
     return np.array(
-        [[(level**q)[shell_idx == j].sum() for j in range(len(shell_radii(f.grid)))]
+        [[power_formula(level, q)[shell_idx == j].sum() for j in shells]
          for level in stack]
     )
 
@@ -435,7 +456,7 @@ def shell_majorant_sides(f, s, q):
     of f - mean and one boolean mask per shell, the reference for its
     one-buffer form."""
     hd = f.grid.h**f.grid.d
-    absq = np.abs(f.values - np.mean(f.values)) ** q
+    absq = power_formula(np.abs(f.values - np.mean(f.values)), q)
     lhs = float((absq * radius_mesh(f.grid, f.centering) ** (-s * q)).sum() * hd)
     shell_idx = shell_index_mesh(f.grid, f.centering)
     masses = [absq[shell_idx == j].sum() * hd for j in range(len(shell_radii(f.grid)))]

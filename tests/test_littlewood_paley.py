@@ -37,6 +37,7 @@ from hardylp.littlewood_paley import (
 from hardylp.spectral_core import (
     Spectrum,
     _frequency_classes,
+    _lq,
     _radial_symbol,
     forward_transform,
     fractional_laplacian,
@@ -396,6 +397,21 @@ def test_level_pass_matches_the_stack(d, q, s):
             e_b = rep.extra["localization_constant"]
             oracle = stack_localization_constant(f, part, s, q)
             assert e_b == oracle
+
+
+def test_level_norms_do_not_underflow_at_large_p():
+    # a level whose max^p leaves the float range is scaled by its max, as
+    # _lq scales a field; unscaled, p = 1000 read one level and p = 1e300 none
+    grid = make_grid(1, 256, 20.0)
+    f = random_band_limited_field(grid, 3)
+    part = build_partition(grid)
+    for p in (1000.0, 1e300):
+        sums = level_sums(f, part, 0.0, p)
+        want = [_lq(piece, grid.h, p) for piece in decompose(f, part)]
+        assert sums.norms == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert np.all(sums.norms > 0.0)
+    # p = 1e300 is the max to within L^(1/p) = 1 + 3e-300
+    assert sums.norms == pytest.approx(sums.maxima, rel=1e-12, abs=0.0)
 
 
 def test_besov_terms_of_a_complex_field_match_the_stack(grid2):

@@ -1,5 +1,6 @@
 """Grid construction, transforms, multipliers, fractional operators, norms."""
 
+import math
 import struct
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import (
     masked_power_symbol,
     mesh_class_refined_weight,
     peak_field_arrays,
+    power_formula,
     random_field,
     random_mean_zero_field,
 )
@@ -22,6 +24,7 @@ from hardylp.littlewood_paley import build_partition, decompose, project
 from hardylp.spectral_core import (
     GRADIENT_MATRIX_N,
     MAX_GRID_SAMPLES,
+    POWER_CHUNK,
     WEIGHT_REFINE_RADIUS,
     Spectrum,
     _box_length_range,
@@ -36,10 +39,12 @@ from hardylp.spectral_core import (
     _half_box,
     _inverse_real,
     _lq,
+    _matrix_partial,
     _parseval_energy,
     _power_symbol,
     _pruned,
     _radial_values,
+    _raise,
     _refined_weight,
     apply_multiplier,
     axis_coordinates,
@@ -541,6 +546,19 @@ def test_gradient_magnitude_peak_memory(d, n):
     assert peak_field_arrays(lambda: gradient_magnitude(f), f.values.nbytes) <= bound
 
 
+# the leading axis copies each column block; its lines are the last axis's
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("d, n", [(2, 16), (2, 64), (3, 16), (3, 64), (4, 16), (4, 32)])
+def test_leading_axis_product_is_bitwise_the_last_axis_one(d, n, real):
+    grid = make_grid(d, n, 20.0)
+    values = random_field(grid, seed=11 * d + n, real=real).values
+    D = _derivative_matrix(grid, real)
+    last = np.ascontiguousarray(np.moveaxis(values, 0, -1))
+    want = np.moveaxis(_matrix_partial(last, d - 1, D), -1, 0)
+    got = _matrix_partial(values, 0, D)
+    assert got.dtype == values.dtype and np.array_equal(got, want)
+
+
 # --- in-place and pruned transforms -----------------------------------------
 
 TRANSFORM_GRIDS = [(1, 64), (2, 32), (3, 32), (4, 16)]
@@ -923,6 +941,61 @@ def test_lq_norm_does_not_underflow_at_large_q():
         assert lq_norm(f, q) == pytest.approx(want, rel=1e-12, abs=0.0)
     zero = make_field(grid, np.zeros(grid.shape))
     assert lq_norm(zero, 1e300) == lq_norm(zero, 3.0) == 0.0
+
+
+def power_samples():
+    """Nonnegative samples with zeros, subnormals, 1e-300 and values near 1,
+    more of them than one chunk of a cube."""
+    x = np.random.default_rng(5).lognormal(0.0, 3.0, POWER_CHUNK * 3 + 123)
+    x[:6] = (0.0, 5e-324, 1e-310, 1e-300, 1.0, np.nextafter(1.0, 2.0))
+    return x
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_raise_is_within_two_ulp_of_np_power(p):
+    x = power_samples()
+    want = np.power(x, p)
+    got = _raise(x.copy(), p)
+    assert np.array_equal(got, power_formula(x, p))
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+    assert got[:4].tolist() == [0.0] * 4 and got[4] == 1.0
+    exact = math.fsum(want.tolist())
+    assert abs(float(got.sum()) - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 2.5])
+def test_raise_takes_views_in_place_or_refuses_them(p):
+    # a cube refuses a view that no flat view covers, never raising a copy;
+    # every other view, a Fortran-ordered array too, is raised where it lies
+    base = power_samples()[: 64 * 48].reshape(64, 48)
+    views = [  # (view, whether one flat view, strided or Fortran, covers it)
+        (lambda a: a[:, ::2], True),
+        (np.asfortranarray, True),
+        (lambda a: a[:, :20], False),
+        (lambda a: a.T[::3], False),
+    ]
+    for make, flat in views:
+        arr = base.copy()
+        view = make(arr)
+        want = power_formula(view, p)
+        expected = base.copy()
+        make(expected)[...] = want
+        if p == 3.0 and not flat:
+            with pytest.raises(ValueError):
+                _raise(view, p)
+            assert np.array_equal(arr, base)
+        else:
+            assert _raise(view, p) is view and np.array_equal(view, want)
+            assert np.array_equal(arr, expected)
+
+
+def test_lq_peak_memory():
+    # |f| and one chunk-sized scratch buffer: no second field array
+    grid = make_grid(4, 32, 20.0)
+    f = random_field(grid, seed=3, real=True)
+    hd = grid.h**4
+    _lq(f.values, hd, 3.0)
+    assert peak_field_arrays(lambda: _lq(f.values, hd, 3.0), f.values.nbytes) <= 1.05
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
