@@ -27,11 +27,13 @@ from .report import EXACT_TOL, QUADRATURE_TOL, CheckReport, check_report, within
 from .schur import hardy_kernel, schur_bound_check, schur_conditions
 from .spectral_core import _even_inverse, _even_norm, _even_octant, _even_parseval, _raise
 from .spectral_core import (
+    GRADIENT_MATRIX_N,
     SampledField,
+    _even_gradient_magnitude,
     _even_transform,
     _gradient_symbols,
-    _lq,
     _parseval_energy,
+    _power_sum,
     _power_symbol,
     _radius_power,
     _refined_weight,
@@ -92,7 +94,7 @@ class FieldValues:
     with the pointwise sums of powers and, when shells, the shell sums.  sums
     drops lifted, a field array less in the pass: read |D|^s f before it, and
     sobolev before weighted, so a new grid's spectrum is freed first.  An even
-    field, as a radial one is, takes them on its octant (spectral_core._even_octant)."""
+    field takes them, and its gradient checks, on its octant (_even_octant)."""
 
     def __init__(self, f: SampledField, s: float, q: float,
                  partition: DyadicPartition | None = None, powers=(), shells=False):
@@ -106,11 +108,7 @@ class FieldValues:
 
     @cached_property
     def weighted(self) -> float:
-        g, grid, s, q = self._octant, self.f.grid, self.s, self.q
-        if g is None or s == 0:
-            return weighted_lq_norm(self.f, s, q)
-        table = _refined_weight(grid, "cell", -s * q)  # the full path's table
-        return _even_norm(grid, g, q, table[(slice(grid.n // 2, None),) * grid.d])
+        return _weighted(self.f, self._octant, self.s, self.q)
 
     @cached_property
     def _lift(self) -> np.ndarray:  # the octant of |D|^s f, s > 0, by one DCT pair
@@ -144,6 +142,14 @@ class FieldValues:
         groups = shell_groups(f.grid, f.centering, g is not None) if self.shells else None
         return level_sums(f if g is None else g, self.partition, self.s, self.q,
                           self.powers, groups)
+
+
+def _weighted(f: SampledField, octant: np.ndarray | None, s: float, q: float) -> float:
+    """weighted_lq_norm(f, s, q), from the octant of an even f when given."""
+    if octant is None or s == 0:
+        return weighted_lq_norm(f, s, q)
+    table = _refined_weight(f.grid, "cell", -s * q)
+    return _even_norm(f.grid, octant, q, table[(slice(f.grid.n // 2, None),) * f.grid.d])
 
 
 def fractional_hardy_quotient(values: FieldValues) -> CheckReport:
@@ -187,19 +193,23 @@ def gradient_hardy_quotient(
     refined: bool = False,
     partition: DyadicPartition | None = None,
     tol: float = QUADRATURE_TOL,
+    octant: np.ndarray | None = None,
 ) -> CheckReport:
     """||f / |x|||_q against the gradient bounds, q < d.
 
     Unrefined: right side (q/(d-q)) ||grad f||_q with the constant asserted.
     Refined (2 < q < d): ||grad f||_q^(1/q) * TL(1, q, 2(q-1))^((q-1)/q) with
     the constant recorded, plus the factor-by-factor chain
-    TL(1,q,2(q-1)) <= TL(1,q,2) <~ ||grad f||_q.
+    TL(1,q,2(q-1)) <= TL(1,q,2) <~ ||grad f||_q.  Both norms are read from the
+    octant of an even f (_even_octant) when given, if n/2 <= GRADIENT_MATRIX_N.
     """
-    d = f.grid.d
+    grid, d = f.grid, f.grid.d
     if not (1.0 < q < d):
         raise ValueError(f"gradient quotient needs 1 < q < d = {d}, got q = {q}")
-    lhs = weighted_lq_norm(f, 1.0, q)
-    grad_norm = _lq(gradient_magnitude(f), f.grid.h**d, q)
+    octant = octant if grid.n // 2 <= GRADIENT_MATRIX_N else None
+    lhs = _weighted(f, octant, 1.0, q)  # order 1, whatever a FieldValues' s
+    grad_norm = (_power_sum(gradient_magnitude(f), grid.h**d, q) if octant is None
+                 else _even_norm(grid, _even_gradient_magnitude(grid, octant), q))
     if not refined:
         bound = q / (d - q)
         return check_report(
@@ -456,9 +466,12 @@ CHECKS = {
     "refined": Check(
         lambda v, tol: refined_hardy_quotient(v), True, lambda q: (2.0 * (q - 1.0),)
     ),
-    "gradient": Check(lambda v, tol: gradient_hardy_quotient(v.f, v.q, tol=tol)),
+    "gradient": Check(
+        lambda v, tol: gradient_hardy_quotient(v.f, v.q, tol=tol, octant=v._octant)
+    ),
     "gradient-refined": Check(
-        lambda v, tol: gradient_hardy_quotient(v.f, v.q, True, v.partition), True
+        lambda v, tol: gradient_hardy_quotient(v.f, v.q, True, v.partition,
+                                               octant=v._octant), True
     ),
     "chain": Check(lambda v, tol: shell_chain_check(v), True, shells=True),
     "holder-refinement": Check(

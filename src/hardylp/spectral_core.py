@@ -34,10 +34,10 @@ and the band-limited corpus fields take the pruned one.
 
 A field even in every coordinate, as a radial one on the cell-centred grid
 is, needs only its octant x_i > 0 (_even_octant): each grid sum is 2^d times
-the octant's, and its spectrum is, up to a phase, the DCT-II of the octant,
-one n/2-point rfft per axis (_even_transform, inverted by _even_inverse).
-hardy.FieldValues and the constant search's radial trials take even fields
-so; any other field, gradient or Riesz potential takes the full grid.
+the octant's, its spectrum is, up to a phase, the DCT-II of the octant, one
+n/2-point rfft per axis (_even_transform), and its gradient a product with the
+folded derivative matrix.  hardy.FieldValues and the constant search's radial
+trials take even fields so; any other field, and the Riesz potential, the full grid.
 """
 
 from __future__ import annotations
@@ -93,6 +93,7 @@ WEIGHT_REFINE_FACTOR = 16
 GRADIENT_MATRIX_N = 64
 GRADIENT_BLOCK = 2**18
 GRADIENT_SLABS = 4
+GRADIENT_SLAB_SAMPLES = 2**15  # gradient_magnitude's slabs along axis 0
 
 # _raise's cube chunk; _power_scale's bound, far inside the float range for 2^24 x^p
 POWER_CHUNK, POWER_SAFE_LOG2 = 2**14, 600.0
@@ -650,7 +651,8 @@ def riesz_transform(f: SampledField, j: int) -> SampledField:
 def gradient(f: SampledField) -> tuple[SampledField, ...]:
     """Spectral partial derivatives: component j has spectrum 2 pi i xi_j fhat,
     taken by one 1-D transform pair along its own axis j."""
-    return tuple(f.with_values(g) for g in _gradient_components(f))
+    grid, real = f.grid, np.isrealobj(f.values)
+    return tuple(f.with_values(_component(grid, f.values, j, real)) for j in range(grid.d))
 
 
 def _gradient_symbols(f: SampledField) -> list[np.ndarray]:
@@ -659,27 +661,28 @@ def _gradient_symbols(f: SampledField) -> list[np.ndarray]:
     return [_along_axis(f.grid, ax, k) for ax in range(f.grid.d)]
 
 
-def _gradient_components(f: SampledField):
-    """The components of gradient(f), each made when it is taken: rfft/irfft
-    along axis j for real f, with the symbol's Nyquist entry zero, else
-    fft/ifft; as products with that pair's derivative matrix on short lines."""
-    n, real = f.grid.n, np.isrealobj(f.values)
-    k = 2j * np.pi * _odd_frequencies(f.grid, real)[: n // 2 + 1 if real else None]
-    for ax in range(f.grid.d):
-        if n <= GRADIENT_MATRIX_N:
-            yield _matrix_partial(f.values, ax, _derivative_matrix(f.grid, real))
-        else:
-            yield _partial(f.values, ax, _along_axis(f.grid, ax, k))
+def _component(grid: GridSpec, values: np.ndarray, ax: int, real: bool) -> np.ndarray:
+    """Component ax of the gradient on values, whole lines along ax of the grid:
+    its 1-D transform pair along ax, on short lines the pair's matrix."""
+    if grid.n <= GRADIENT_MATRIX_N:
+        return _matrix_partial(values, ax, _derivative_matrix(grid, real))
+    k = 2j * np.pi * _odd_frequencies(grid, real)[: grid.n // 2 + 1 if real else None]
+    return _partial(values, ax, _along_axis(grid, ax, k))
 
 
 @lru_cache(maxsize=4)
-def _derivative_matrix(grid: GridSpec, real: bool) -> np.ndarray:
+def _derivative_matrix(grid: GridSpec, real: bool, folded: bool = False) -> np.ndarray:
     """The n x n matrix D whose product with a line is the gradient's pair on
     it: _partial on the n unit vectors, so the same symbol, Nyquist rule and
-    dtype.  Cached per (grid, real), read-only."""
-    k = 2j * np.pi * _odd_frequencies(grid, real)[: grid.n // 2 + 1 if real else None]
-    eye = np.eye(grid.n, dtype=np.float64 if real else np.complex128)
-    D = _partial(eye, 0, k[:, None])
+    dtype; folded, the real D on x > 0 of an even line, whose sample h - 1 - m
+    mirrors h + m: D[h:, h:] + D[h:, h-1::-1], h = n/2.  Cached, read-only."""
+    if folded:
+        D, h = _derivative_matrix(grid, True), grid.n // 2
+        D = D[h:, h:] + D[h:, h - 1 :: -1]
+    else:
+        k = 2j * np.pi * _odd_frequencies(grid, real)[: grid.n // 2 + 1 if real else None]
+        eye = np.eye(grid.n, dtype=np.float64 if real else np.complex128)
+        D = _partial(eye, 0, k[:, None])
     D.setflags(write=False)
     return D
 
@@ -706,16 +709,16 @@ def _matrix_partial(values: np.ndarray, ax: int, D: np.ndarray) -> np.ndarray:
 
 def _partial(values: np.ndarray, ax: int, k: np.ndarray) -> np.ndarray:
     """The 1-D transform pair along axis ax with symbol k, in GRADIENT_SLABS
-    slabs of lines cut along another axis and written into one output array.
+    (or fewer) slabs of lines cut along another axis and written into one output array.
     Each line is transformed as in the whole-array call, bitwise, and no
     spectrum larger than a slab's exists."""
     real = np.isrealobj(values)
     fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    n = values.shape[ax]
+    n, cut = values.shape[ax], 1 if ax == 0 else 0  # the slabs cut axis 1 or 0
     out = np.empty_like(values)
-    step = n // GRADIENT_SLABS
-    lead = (slice(None),) * (1 if ax == 0 else 0)  # the slabs cut axis 1 or 0
-    slabs = [lead + (slice(i, i + step),) for i in range(0, n, step)]
+    lines = values.shape[cut] if values.ndim > 1 else 1
+    step = max(1, lines // GRADIENT_SLABS)
+    slabs = [(slice(None),) * cut + (slice(i, i + step),) for i in range(0, lines, step)]
     for slab in slabs if values.ndim > 1 else [()]:
         spec = fwd(values[slab], axis=ax)
         inv(np.multiply(spec, k, out=spec), n, axis=ax, out=out[slab])
@@ -723,12 +726,28 @@ def _partial(values: np.ndarray, ax: int, k: np.ndarray) -> np.ndarray:
 
 
 def gradient_magnitude(f: SampledField) -> np.ndarray:
-    """Pointwise length of the spectral gradient, summed in place per component."""
-    total = None
-    for g in _gradient_components(f):
-        g = np.square(g, out=g) if np.isrealobj(g) else np.square(np.abs(g))
-        total = g if total is None else np.add(total, g, out=total)
-        del g  # frees the component before the next one is made
+    """Pointwise length of the spectral gradient: component 0 squared in place,
+    then per slab of about GRADIENT_SLAB_SAMPLES on axis 0 the others and the root."""
+    grid, real = f.grid, np.isrealobj(f.values)
+    square = lambda g: np.square(g, out=g) if real else np.square(np.abs(g))
+    out = square(_component(grid, f.values, 0, real))
+    rows = max(1, GRADIENT_SLAB_SAMPLES // grid.n ** (grid.d - 1))
+    for i in range(0, grid.n, rows):
+        total = out[i : i + rows]
+        for ax in range(1, grid.d):
+            total += square(_component(grid, f.values[i : i + rows], ax, real))
+        np.sqrt(total, out=total)
+    return out
+
+
+def _even_gradient_magnitude(grid: GridSpec, octant: np.ndarray) -> np.ndarray:
+    """gradient_magnitude of the real even field with this octant, on it: its
+    lines along x_j > 0 are the folded _derivative_matrix's products."""
+    A, octant = _derivative_matrix(grid, True, True), np.ascontiguousarray(octant)
+    total = 0.0
+    for ax in range(grid.d):  # one octant array beside the component
+        g = _matrix_partial(octant, ax, A)
+        total += np.square(g, out=g)
     return np.sqrt(total, out=total)
 
 
@@ -744,7 +763,11 @@ def _lq(values: np.ndarray, cell_volume: float, q: float, weight=None) -> float:
         return float(np.max(np.abs(values), initial=0.0))
     if q < 1:
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
-    absq = np.abs(values)
+    return _power_sum(np.abs(values), cell_volume, q, weight)
+
+
+def _power_sum(absq: np.ndarray, cell_volume: float, q: float, weight=None) -> float:
+    """_lq at finite q of the nonnegative samples absq, raised in place."""
     top = _power_scale(float(np.max(absq, initial=0.0)), q)
     if top != 1.0:  # top^q would under- or overflow: scale by the maximum first
         absq /= top
@@ -821,9 +844,13 @@ def _build_weight(grid: GridSpec, centering: str, exponent: float, x=None):
     keys = np.sort(np.rint(2.0 * np.abs(x[near] / h)).astype(np.int64), axis=1)
     classes, inverse = np.unique(keys, axis=0, return_inverse=True)
     off = (np.arange(WEIGHT_REFINE_FACTOR) + 0.5) / WEIGHT_REFINE_FACTOR - 0.5
-    sub = np.meshgrid(*([off] * grid.d), indexing="ij")
-    sq = (sum((u / 2.0 + o) ** 2 for u, o in zip(c, sub)) for c in classes)
-    means = np.array([np.mean(np.sqrt(r) ** exponent) for r in sq])
+    sub = np.meshgrid(*([off] * grid.d), indexing="ij", sparse=True)
+    means = np.empty(len(classes))
+    for j, c in enumerate(classes):  # summed in axis order, as _radius does
+        r = sum((u / 2.0 + o) ** 2 for u, o in zip(c, sub))
+        np.sqrt(r, out=r)
+        r **= exponent
+        means[j] = np.mean(r)
     w[tuple(near.T)] = means[inverse.ravel()] * np.power(h, exponent)
     return w
 

@@ -623,6 +623,64 @@ def test_octant_values_match_the_full_grid(d, n):
                 _assert_close(got, CHECKS[name].run(full, 0.03).to_dict(), name)
 
 
+def _flat_report(rep) -> dict:
+    out = rep.to_dict()
+    extra = out.pop("extra", {})
+    return {**out, **extra}
+
+
+@pytest.mark.parametrize(
+    "d, n", [(2, 16), (2, 64), (2, 128), (3, 16), (3, 64), (3, 128), (4, 16), (4, 32)]
+)
+def test_octant_gradient_matches_the_full_grid(d, n, call_log):
+    # an even field's gradient checks read both norms from its octant, the
+    # left side at weight order 1 whatever FieldValues.s is (values.weighted,
+    # of order s, would fail at s = 0.5); the full path is the reference
+    grid = make_grid(d, n, 20.0)
+    part = build_partition(grid) if n > 16 else None  # n = 16 has too few levels
+    magnitudes = call_log(spectral_core, "gradient_magnitude")
+    fields_ = (
+        gaussian_field(grid, 0.075 * grid.L),
+        truncated_power_field(grid, 0.5, 2.0 * grid.h, 0.3 * grid.L),
+    )
+    for f, q in itertools.product(fields_, (1.5, 2.5, 3.0)):
+        # the refined check's level pass reads f on both paths: the Gaussian's alone
+        refined = 2 < q and part is not None and f is fields_[0]
+        for name in ("gradient", "gradient-refined")[: 1 + refined] if q < d else ():
+            # the full path reads no s: one reference for both
+            want = _flat_report(check(name, f, 1.0, q, part, full=True))
+            assert len(magnitudes) == 1
+            for s in (0.5, 1.0):
+                got = _flat_report(check(name, f, s, q, part))
+                assert len(magnitudes) == 1 and got.keys() == want.keys()
+                for key, value in want.items():
+                    where = (name, s, q, key)
+                    if isinstance(value, float):
+                        assert abs(got[key] - value) <= 1e-13 * abs(value), where
+                    else:
+                        assert got[key] == value, where
+            magnitudes.clear()
+
+
+def test_octant_gradient_leaves_complex_lattice_and_long_lines_to_the_full_grid(call_log):
+    magnitudes = call_log(spectral_core, "gradient_magnitude")
+    grid = make_grid(3, 16, 20.0)
+    f = gaussian_field(grid, 0.075 * grid.L)
+    check("gradient", f.with_values(f.values + 0j), 1.0, 2.5)
+    assert len(magnitudes) == 1
+    # a lattice grid has a sample at the origin, which the full path's
+    # singular weight refuses; the octant path would read the cell table
+    with pytest.raises(ValueError, match="cell-centered"):
+        check("gradient", make_field(grid, f.values, "lattice"), 1.0, 2.5)
+    # n/2 > GRADIENT_MATRIX_N: the folded matrix would be longer than the
+    # full path's lines, which take the transform pair
+    grid = make_grid(2, 4 * spectral_core.GRADIENT_MATRIX_N, 20.0)
+    values = FieldValues(gaussian_field(grid, 0.075 * grid.L), 1.0, 1.5)
+    assert values._octant is not None
+    CHECKS["gradient"].run(values, 0.03)
+    assert len(magnitudes) == 2
+
+
 def test_the_level_pass_drops_the_lifted_field(grid2):
     f = random_band_limited_field(grid2, 5)
     values = FieldValues(f, 0.4, 3.0, build_partition(grid2))

@@ -29,12 +29,12 @@ from hardylp.spectral_core import (
     Spectrum,
     _box_length_range,
     _build_weight,
+    _component,
     _derivative_matrix,
     _even_inverse,
     _even_octant,
     _even_transform,
     _forward,
-    _gradient_components,
     _gradient_symbols,
     _half_box,
     _inverse_real,
@@ -488,7 +488,8 @@ def assert_gradient_matches_the_references(d, n, real, centering, fft_calls):
     del coef
     matrix = grid.n <= GRADIENT_MATRIX_N
     magnitude = np.zeros(grid.shape)
-    for g, line, w in zip(_gradient_components(f), line_gradient(f), dd_gradient(f)):
+    components = (_component(grid, f.values, ax, real) for ax in range(grid.d))
+    for g, line, w in zip(components, line_gradient(f), dd_gradient(f)):
         assert g.dtype == line.dtype == w.dtype
         if not matrix:  # the slabs transform each line as the whole array does
             assert np.array_equal(g, line)
@@ -534,15 +535,16 @@ def test_derivative_matrix_is_the_transform_pair_on_unit_vectors(real):
 
 @pytest.mark.parametrize("d, n", [(3, 64), (4, 32), (3, 128)])
 def test_gradient_magnitude_peak_memory(d, n):
-    # one component at a time: its output and the running sum, 2.00 field
-    # arrays measured on the matrix path (n <= 64); the transform pair adds
-    # the half-line spectrum of one slab of lines, a quarter of about one
-    # field array of complex half lines: 2.51 at n = 128, where the whole
-    # unslabbed spectrum made 3.06
+    # component 0 squared in the one output array, the others added slab by
+    # slab of about GRADIENT_SLAB_SAMPLES: 1.03 field arrays measured at
+    # (d, n) = (4, 32) and 1.13 at (3, 64) on the matrix path (n <= 64); the
+    # transform pair adds the half-line spectrum of one slab of lines of
+    # component 0, a quarter of about one field array of complex half lines:
+    # 1.51 at n = 128
     grid = make_grid(d, n, 20.0)
     f = random_field(grid, seed=7, real=True)
     gradient_magnitude(f)
-    bound = 2.05 if n <= GRADIENT_MATRIX_N else 2.75
+    bound = 1.2 if n <= GRADIENT_MATRIX_N else 1.6
     assert peak_field_arrays(lambda: gradient_magnitude(f), f.values.nbytes) <= bound
 
 
@@ -750,6 +752,20 @@ def test_weight_build_matches_the_whole_mesh_build_bitwise(d):
         ):
             want = mesh_class_refined_weight(grid, centering, exponent)
             assert np.array_equal(_build_weight(grid, centering, exponent), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_weight_classes_on_the_sparse_sub_mesh_are_the_dense_formula(d):
+    # _build_weight averages each near class on a sparse sub-mesh, its root
+    # and power taken in place; the reference on the dense one, out of place
+    for n in (16, 32) if d < 4 else (16,):
+        grid = make_grid(d, n, 20.0)
+        x = axis_coordinates(grid)[n // 2 :]
+        for exponent in (-0.5, -1.0, -1.5, -2.0, -3.0):
+            want = mesh_class_refined_weight(grid, "cell", exponent)
+            assert np.array_equal(_build_weight(grid, "cell", exponent), want)
+            octant = _build_weight(grid, "cell", exponent, x)
+            assert np.array_equal(octant, want[(slice(n // 2, None),) * d])
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

@@ -82,13 +82,16 @@ def test_every_span_name_a_metric_reads_is_wrapped():
 
 
 def test_traced_gradient_prints_the_same_and_its_time_is_a_multiplier(tmp_path):
+    # two Gaussians, even fields whose gradient norm comes from their octant,
+    # and one band field, which takes gradient_magnitude on the full grid
     argv = ("hardy-check", "--identity", "gradient", "--d", "4", "--n", "16",
-            "--corpus-size", "2")
+            "--corpus-size", "3")
     spans_path = tmp_path / "spans.jsonl"
     assert _child("--trace", str(spans_path), *argv) == _child(*argv)
     spans = [json.loads(line) for line in spans_path.read_text().splitlines()]
+    quotients = [s for s in spans if s[2] == "hardy.gradient_hardy_quotient"]
     magnitudes = [s for s in spans if s[2] == "spectral_core.gradient_magnitude"]
-    assert len(magnitudes) == 2  # once per corpus field
+    assert len(quotients) == 3 and len(magnitudes) == 1  # the band field's
 
     def inside(span, ancestor):
         while span[1] is not None:
@@ -97,12 +100,17 @@ def test_traced_gradient_prints_the_same_and_its_time_is_a_multiplier(tmp_path):
                 return True
         return False
 
-    # the products with the derivative matrix are no numpy.fft call: the
-    # only transforms are the rfft/irfft slabs that make the matrix, in the
-    # first field's gradient, and the gradient's whole time is multiplier time
-    fft = collections.Counter(s[2] for s in spans if s[3] == "numpy.fft")
-    assert fft == {"numpy.fft.rfft": GRADIENT_SLABS, "numpy.fft.irfft": GRADIENT_SLABS}
-    assert all(inside(s, magnitudes[0]) for s in spans if s[3] == "numpy.fft")
+    assert inside(magnitudes[0], quotients[2])
+    # the products with the derivative matrix, folded or not, are no
+    # numpy.fft call: the only transforms in a gradient are the rfft/irfft
+    # slabs that make the matrix, in the first field's, and the band field's
+    # synthesis takes the others: an ifft along each leading axis, one irfft
+    fft = [s for s in spans if s[3] == "numpy.fft"]
+    first = collections.Counter(s[2] for s in fft if inside(s, quotients[0]))
+    assert first == {"numpy.fft.rfft": GRADIENT_SLABS, "numpy.fft.irfft": GRADIENT_SLABS}
+    synthesis = collections.Counter({"numpy.fft.ifft": 3, "numpy.fft.irfft": 1})
+    assert collections.Counter(s[2] for s in fft) == first + synthesis
+    assert not any(inside(s, q) for s in fft for q in quotients[1:])
     metrics = _spans_module().layer_metrics(spans)
     own = sum(s[5] - s[4] for s in magnitudes)
     assert metrics["spectral_core.multiplier_s"] == own > 0
