@@ -341,15 +341,16 @@ def cmd_estimate_constant(cfg: RunConfig) -> int:
 def _sweep_values(cfg: RunConfig) -> list[float]:
     if cfg.values:
         vals = [float(v) for v in cfg.values.split(",") if v.strip()]
-    elif cfg.start is not None and cfg.stop is not None and cfg.step:
-        count = np.ceil((cfg.stop + 1e-12 - cfg.start) / cfg.step)  # arange's length
+    elif cfg.start is not None and cfg.stop is not None and cfg.step is not None:
+        stop = cfg.stop + np.copysign(1e-12, cfg.step)  # the stop kept, either way
+        count = np.ceil((stop - cfg.start) / cfg.step)  # arange's length
         if count <= 0:
             raise ValueError("empty sweep range")
         if count > MAX_SWEEP_POINTS:
             raise ValueError(
                 f"sweep range has {count:g} points, more than {MAX_SWEEP_POINTS}"
             )
-        vals = list(np.arange(cfg.start, cfg.stop + 1e-12, cfg.step))
+        vals = list(np.arange(cfg.start, stop, cfg.step))
     else:
         raise ValueError("sweep needs --values or --start/--stop/--step")
     if not vals:
@@ -627,6 +628,7 @@ DOMAINS = {
     "p": (lambda v: 0 < v < np.inf, "p must be finite and > 0"),
     "corpus_size": (lambda v: v >= 0, "corpus size must be >= 0"),
     "seed": (lambda v: v >= 0, "seed must be >= 0"),
+    "step": (lambda v: v != 0 and np.isfinite(v), "step must be finite and nonzero"),
     # bounds scale by 1 + tolerance: inf passes every check, <= -1 fails all
     "tolerance": (lambda v: -1 < v < np.inf, "tolerance must be finite and > -1"),
 }

@@ -5,8 +5,7 @@ over parametric trial families (Gaussians, truncated power laws approaching
 the virtual extremizer |x|^-(d/q - s), and random band-limited fields) with
 a derivative-free golden-section coordinate search, and always reports the
 value again on a once-refined grid so discretization bias is visible.  A
-radial trial's fractional quotient at q = 2 is taken from its octant
-alone (spectral_core._even_norm and _even_parseval), with no field built.
+radial trial is checked on its octant alone (FieldValues.of_octant).
 """
 
 from __future__ import annotations
@@ -16,11 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import _gaussian_profile, random_band_limited_field
-from .hardy import CHECKS, FieldValues, _require_fractional
+from .hardy import CHECKS, FieldValues
 from .littlewood_paley import build_partition
 from .report import QUADRATURE_TOL
-from .spectral_core import GridSpec, _even_norm, _even_parseval, _radial_values
-from .spectral_core import _refined_weight, make_field, make_grid
+from .spectral_core import GridSpec, _radial_values, make_grid
 
 __all__ = [
     "ConstantEstimate",
@@ -166,13 +164,6 @@ def _radial_profile(grid: GridSpec, q: float, params: dict):
     raise ValueError(f"unknown trial family {kind!r}")
 
 
-def _trial_field(grid: GridSpec, q: float, seed: int, params: dict):
-    profile = _radial_profile(grid, q, params)
-    if profile is None:
-        return random_band_limited_field(grid, seed, envelope=params["envelope"])
-    return make_field(grid, _radial_values(grid, profile))
-
-
 def _partition_for(identity: str, grid: GridSpec):
     """The dyadic partition an estimated identity needs, or None."""
     if identity not in ESTIMATE_IDENTITIES:
@@ -183,21 +174,14 @@ def _partition_for(identity: str, grid: GridSpec):
 
 
 def _trial_quotient(identity, grid, partition, s, q, seed, params) -> float:
-    profile = _radial_profile(grid, q, params)
-    if identity == "fractional" and q == 2 and profile is not None:
-        # a radial trial's two norms from its octant, with no field built;
-        # the quotient and its rhs > 0 rule are those of the full path
-        _require_fractional(grid.d, s, q)
-        g = _radial_values(grid, profile, octant=True)
-        weight = _refined_weight(grid, "cell", -2.0 * s, True) if s else None
-        weighted = _even_norm(grid, g, 2.0, weight)
-        sobolev = _even_parseval(grid, g, s) if s else weighted  # s = 0: mean included
-        return weighted / sobolev if sobolev > 0 else 0.0
-    f = _trial_field(grid, q, seed, params)
-    check = CHECKS[identity]
-    values = FieldValues(f, s, q, partition, check.powers(q), check.shells)
-    rep = check.run(values, QUADRATURE_TOL)
-    return rep.quotient if rep.quotient is not None else 0.0
+    check, profile = CHECKS[identity], _radial_profile(grid, q, params)
+    held = (s, q, partition, check.powers(q), check.shells)
+    if profile is None:
+        band = random_band_limited_field(grid, seed, params["envelope"])
+        values = FieldValues(band, *held)
+    else:
+        values = FieldValues.of_octant(grid, _radial_values(grid, profile, True), *held)
+    return check.run(values, QUADRATURE_TOL).quotient or 0.0  # None when vacuous
 
 
 def evaluate_trial(

@@ -94,12 +94,29 @@ class FieldValues:
     with the pointwise sums of powers and, when shells, the shell sums.  sums
     drops lifted, a field array less in the pass: read |D|^s f before it, and
     sobolev before weighted, so a new grid's spectrum is freed first.  An even
-    field takes them, and its gradient checks, on its octant (_even_octant)."""
+    field takes them, and its gradient checks, on its octant (_even_octant);
+    of_octant starts from it.  Tables are made at the size of what the values
+    hold: the octant tables for of_octant, else the grid's, cut to the octant."""
 
     def __init__(self, f: SampledField, s: float, q: float,
                  partition: DyadicPartition | None = None, powers=(), shells=False):
-        self.f, self.s, self.q = f, s, q
+        self.f, self.grid, self._full, self.s, self.q = f, f.grid, True, s, q
         self.partition, self.powers, self.shells = partition, tuple(powers), shells
+
+    @classmethod
+    def of_octant(cls, grid, octant, s, q, partition, powers, shells) -> FieldValues:
+        """The values of the even field with octant x_i > 0; f is built if read."""
+        values = cls.__new__(cls)
+        vars(values).update(grid=grid, _full=False, _octant=octant, s=s, q=q,
+                            partition=partition, powers=tuple(powers), shells=shells)
+        return values
+
+    @cached_property
+    def f(self) -> SampledField:  # made for of_octant's values; __init__ sets f
+        return self._reflected(self._octant)
+
+    def _reflected(self, octant: np.ndarray) -> SampledField:  # the even field of octant
+        return SampledField(self.grid, np.pad(octant, (self.grid.n // 2, 0), "symmetric"))
 
     @cached_property
     def _octant(self) -> np.ndarray | None:
@@ -108,19 +125,24 @@ class FieldValues:
 
     @cached_property
     def weighted(self) -> float:
-        return _weighted(self.f, self._octant, self.s, self.q)
+        if self._full:
+            return _weighted(self.f, self._octant, self.s, self.q)
+        s, q = self.s, self.q
+        weight = _refined_weight(self.grid, "cell", -s * q, True) if s else None
+        return _even_norm(self.grid, self._octant, q, weight)
 
     @cached_property
     def _lift(self) -> np.ndarray:  # the octant of |D|^s f, s > 0, by one DCT pair
-        grid = self.f.grid
-        symbol = _power_symbol(grid, self.s, True)[(slice(0, grid.n // 2),) * grid.d]
+        grid, s = self.grid, self.s
+        symbol = (_power_symbol(grid, s, True)[(slice(0, grid.n // 2),) * grid.d]
+                  if self._full else _power_symbol(grid, s, True, octant=True))
         return _even_inverse(_even_transform(self._octant) * symbol)
 
     @cached_property
     def lifted(self) -> SampledField:
         if self._octant is None or self.s == 0:
             return fractional_laplacian(self.f, self.s)
-        return self.f.with_values(np.pad(self._lift, (self.f.grid.n // 2, 0), "symmetric"))
+        return self._reflected(self._lift)
 
     @cached_property
     def sobolev(self) -> float:
@@ -130,17 +152,17 @@ class FieldValues:
         if g is None:
             return sobolev_norm(self.f, s, q) if q == 2 else lq_norm(self.lifted, q)
         if q == 2 and s > 0:
-            return _even_parseval(self.f.grid, g, s)
-        return _even_norm(self.f.grid, self._lift if s else g, q)
+            return _even_parseval(self.grid, g, s)
+        return _even_norm(self.grid, self._lift if s else g, q)
 
     @cached_property
     def sums(self) -> LevelSums:
         self.__dict__.pop("lifted", None)
-        f, g = self.f, self._octant
-        if self.partition is None:
-            self.partition = build_partition(f.grid)
-        groups = shell_groups(f.grid, f.centering, g is not None) if self.shells else None
-        return level_sums(f if g is None else g, self.partition, self.s, self.q,
+        grid, g = self.grid, self._octant
+        self.partition = self.partition or build_partition(grid)
+        centering = self.f.centering if g is None else "cell"  # an octant's is
+        groups = shell_groups(grid, centering, g is not None) if self.shells else None
+        return level_sums(self.f if g is None else g, self.partition, self.s, self.q,
                           self.powers, groups)
 
 
@@ -154,35 +176,35 @@ def _weighted(f: SampledField, octant: np.ndarray | None, s: float, q: float) ->
 
 def fractional_hardy_quotient(values: FieldValues) -> CheckReport:
     """||f / |x|^s||_q against the homogeneous Sobolev norm || |D|^s f ||_q."""
-    f, s, q = values.f, values.s, values.q
-    _require_fractional(f.grid.d, s, q)
+    grid, s, q = values.grid, values.s, values.q
+    _require_fractional(grid.d, s, q)
     sobolev = values.sobolev  # first: see FieldValues
-    return check_report("fractional", f.grid, s, q, values.weighted, sobolev)
+    return check_report("fractional", grid, s, q, values.weighted, sobolev)
 
 
 def besov_hardy_quotient(values: FieldValues) -> CheckReport:
     """||f / |x|^s||_q against the Besov norm with both exponents q."""
-    f, s, q = values.f, values.s, values.q
-    _require_fractional(f.grid.d, s, q)
-    return check_report("besov", f.grid, s, q, values.weighted, values.sums.besov(q))
+    grid, s, q = values.grid, values.s, values.q
+    _require_fractional(grid.d, s, q)
+    return check_report("besov", grid, s, q, values.weighted, values.sums.besov(q))
 
 
 def refined_hardy_quotient(values: FieldValues) -> CheckReport:
     """||f / |x|^s||_q against the q > 2 refinement
     || |D|^s f ||_q^(1/q) * TL(s, q, 2(q-1))^((q-1)/q); values has the
     pointwise sums of power 2(q-1)."""
-    f, s, q = values.f, values.s, values.q
+    grid, s, q = values.grid, values.s, values.q
     if q <= 2:
         raise ValueError(
             "refined quotient needs q > 2; use fractional_hardy_quotient for "
             "1 < q <= 2"
         )
-    _require_fractional(f.grid.d, s, q)
+    _require_fractional(grid.d, s, q)
     lhs, sobolev = values.weighted, values.sobolev
     tl = values.sums.triebel_lizorkin(2.0 * (q - 1.0))
     rhs = sobolev ** (1.0 / q) * tl ** ((q - 1.0) / q)
     return check_report(
-        "refined", f.grid, s, q, lhs, rhs,
+        "refined", grid, s, q, lhs, rhs,
         extra={"sobolev_factor": sobolev, "tl_factor": tl},
     )
 
@@ -400,7 +422,7 @@ def holder_refinement_check(values: FieldValues) -> CheckReport:
     s, q = values.s, values.q
     if q <= 2:
         raise ValueError(f"refinement steps need q > 2, got q = {q}")
-    grid = values.f.grid
+    grid = values.grid
     t, a, b = (values.sums.powers[r] for r in (q, 2.0, 2.0 * (q - 1.0)))
     hd = values.sums.cell_volume
     lhs = float(t.sum() * hd)

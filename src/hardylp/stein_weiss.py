@@ -174,12 +174,6 @@ def geometric_radii(grid: GridSpec) -> np.ndarray:
     return np.geomspace(grid.h / 2.0, grid.L, RADIAL_POINTS)
 
 
-def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
-    if x.size < 2:
-        return 0.0
-    return float(np.trapezoid(y, x))
-
-
 def inner_ball_potential_radial(
     profile: RadialProfile,
     s: float,
@@ -209,14 +203,14 @@ def inner_ball_potential_radial(
             integrand = rs ** (d - 1.0 - s) * gi
             # the missing (0, rs[0]) piece: integrand ~ r^(d-1-s), power > -1
             head = integrand[0] * rs[0] / (d - s)
-            out[i] = (head + _trapezoid(integrand, rs)) * big_r ** (s - d)
+            out[i] = (head + np.trapezoid(integrand, rs)) * big_r ** (s - d)
     elif form == "substituted":
         t = np.geomspace(1e-4, 0.5, radii.size)
         for i, big_r in enumerate(radii):
             gi = np.interp(t * big_r, radii, mag, left=mag[0], right=0.0)
             integrand = t ** (d - 1.0 - s) * gi
             head = integrand[0] * t[0] / (d - s)
-            out[i] = head + _trapezoid(integrand, t)
+            out[i] = head + np.trapezoid(integrand, t)
     else:
         raise ValueError(f"unknown reduction form {form!r}")
     return RadialProfile(radii=radii, values=out)

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hardylp.corpus import smooth_step
-from hardylp.extremal import _BudgetExhausted, _Search, _trial_field
+from hardylp.corpus import random_band_limited_field, smooth_step
+from hardylp.extremal import _BudgetExhausted, _radial_profile, _Search
 from hardylp.hardy import CHECKS, NOISE_FLOOR, FieldValues, shell_index_mesh, shell_radii
 from hardylp.littlewood_paley import LevelSums, decompose, group_sums
 from hardylp.report import QUADRATURE_TOL
@@ -18,6 +18,7 @@ from hardylp.spectral_core import (
     _apply_diag,
     _gradient_symbols,
     _lq,
+    _radial_values,
     _refined_weight,
     axis_coordinates,
     coordinate_mesh,
@@ -230,12 +231,20 @@ def line_gradient(f):
 
 def full_grid_quotient(identity, grid, partition, s, q, seed, params):
     """The search's objective on the full grid, the reference for
-    extremal._trial_quotient: every trial's field is built and its check
-    run on one FieldValues, radial trials of the fractional identity at
-    q = 2 included."""
-    f = _trial_field(grid, q, seed, params)
-    rep = check(identity, f, s, q, partition)
+    extremal._trial_quotient, which takes a radial trial on its octant:
+    every trial's field is built and its check run on the whole grid."""
+    f = trial_field(grid, q, seed, params)
+    rep = check(identity, f, s, q, partition, full=True)
     return rep.quotient if rep.quotient is not None else 0.0
+
+
+def trial_field(grid, q, seed, params):
+    """The whole field of a search trial: a radial profile on the full mesh,
+    or the band-limited field of the seed."""
+    profile = _radial_profile(grid, q, params)
+    if profile is None:
+        return random_band_limited_field(grid, seed, envelope=params["envelope"])
+    return make_field(grid, _radial_values(grid, profile))
 
 
 class DirectSearch(_Search):
@@ -501,7 +510,7 @@ def mesh_truncated_power(grid, exponent, r_inner, r_outer):
 def mesh_capped_power(grid, exponent, delta, taper):
     """(delta^2 + |x|^2)^(-exponent/2) exp(-|x|^2 / (2 taper^2)) on
     radius_mesh, the reference for the truncated-power trial of
-    extremal._trial_field."""
+    extremal._radial_profile."""
     r2 = radius_mesh(grid) ** 2
     return (delta**2 + r2) ** (-exponent / 2.0) * np.exp(-r2 / (2.0 * taper**2))
 

@@ -1124,6 +1124,32 @@ def test_sweep_refuses_a_start_far_past_the_stop_before_making_it(capsys, monkey
 
 
 @pytest.mark.parametrize(
+    "start, stop, step, want",
+    [("0.5", "1.0", "0.25", [0.5, 0.75, 1.0]), ("1.0", "0.5", "-0.25", [1.0, 0.75, 0.5])],
+)
+def test_sweep_range_keeps_its_stop_in_either_direction(capsys, start, stop, step, want):
+    # the stop was padded upward whatever the step's sign, so a descending
+    # range dropped it
+    code, out, _ = run(
+        capsys, "sweep", "--identity", "fractional", "--d", "3", "--n", "16",
+        "--q", "2", "--corpus-size", "1", "--axis", "s",
+        "--start", start, "--stop", stop, "--step", step,
+    )
+    assert code == 0
+    assert [float(row.split(",")[4]) for row in out.strip().splitlines()[1:]] == want
+
+
+def test_sweep_refuses_a_zero_step(capsys):
+    # it named no flag: "sweep needs --values or --start/--stop/--step"
+    code, out, err = run(
+        capsys, "sweep", "--identity", "fractional", "--d", "3", "--n", "16",
+        "--axis", "s", "--start", "0.5", "--stop", "1.0", "--step", "0",
+    )
+    assert (code, out) == (2, "")
+    assert "config error: step must be finite and nonzero, got 0.0" in err
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("--suite", "stein-weiss", "--s", "0"),

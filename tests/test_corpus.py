@@ -13,6 +13,7 @@ from conftest import (
     mesh_truncated_power,
     peak_field_arrays,
     phased_band_limited_field,
+    trial_field,
 )
 from hardylp.corpus import (
     corpus_fields,
@@ -20,7 +21,6 @@ from hardylp.corpus import (
     random_band_limited_field,
     truncated_power_field,
 )
-from hardylp.extremal import _trial_field
 from hardylp.spectral_core import (
     boundary_decay,
     forward_transform,
@@ -144,7 +144,7 @@ def test_radial_families_match_mesh_oracle(d, n):
                     "inner_cells": cells,
                     "outer_fraction": taper,
                 }
-                got = _trial_field(grid, 2.0, 7, params).values
+                got = trial_field(grid, 2.0, 7, params).values
                 want = mesh_capped_power(
                     grid, fraction * d / 2.0, cells * grid.h, taper * grid.L
                 )

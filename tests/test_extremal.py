@@ -1,18 +1,28 @@
 """Quasi-extremal trials and the derivative-free constant estimation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import hardylp.extremal as extremal
-from conftest import DirectSearch, check, full_grid_quotient, peak_field_arrays
+from conftest import (
+    DirectSearch,
+    check,
+    full_grid_quotient,
+    peak_field_arrays,
+    trial_field,
+)
 from hardylp.corpus import truncated_power_field
 from hardylp.extremal import (
     ESTIMATE_IDENTITIES,
+    _partition_for,
     _trial_quotient,
     estimate_constant,
     evaluate_trial,
 )
-from hardylp.spectral_core import boundary_decay, make_grid
+from hardylp.hardy import CHECKS
+from hardylp.spectral_core import SampledField, boundary_decay, make_grid
 
 GAUSS_QUOTIENT = 1.1547005383792517  # 2/sqrt(3), radial quadrature oracle
 
@@ -94,11 +104,9 @@ def test_estimate_replayable(grid3f):
 
 
 def test_estimate_witness_respects_decay_rule(grid3f):
-    from hardylp.extremal import _trial_field
-
     est = estimate_constant("fractional", 3, 1.0, 2.0, budget=100, n=64)
     grid = make_grid(3, 64, 20.0)
-    witness = _trial_field(grid, 2.0, est.seed, est.params)
+    witness = trial_field(grid, 2.0, est.seed, est.params)
     if est.params["family"] != "random-band-limited":
         assert boundary_decay(witness) < 1e-7
 
@@ -164,18 +172,20 @@ def test_search_table_is_per_search(monkeypatch, call_log):
 
 def test_cold_trend_trial_peak_memory():
     # the trend step evaluates one trial on a grid the search has not seen,
-    # so the run builds its |2 pi xi|^s symbol and weight table too.  The
-    # L = 18 grids are cold in this process; the n = 32 run warms what is
-    # not per grid.  A symbol built beside its radius and a boolean mask
-    # gave 4.13 field arrays here, and the full-grid trial 3.51; the octant
-    # path holds octant arrays of 1/8 field array each, 0.70 at the peak
+    # so the run builds its |2 pi xi|^s symbol and weight table too.  Each
+    # case's grids are cold in this process; its n = 32 run warms what is
+    # not per grid.  At q = 2 a symbol built beside its radius and a boolean
+    # mask gave 4.13 field arrays here, and the full-grid trial 3.51; at
+    # q = 3 the full-grid trial gave 3.64.  The octant path holds octant
+    # arrays of 1/8 field array each: 0.57 and 0.76 at the peak
     params = {"family": "truncated-power", "exponent_fraction": 0.75,
               "inner_cells": 2.2, "outer_fraction": 0.08}
-    evaluate_trial("fractional", 3, 1.0, 2.0, params, 32, 18.0)
-    peak = peak_field_arrays(
-        lambda: evaluate_trial("fractional", 3, 1.0, 2.0, params, 64, 18.0), 8 * 64**3
-    )
-    assert peak <= 0.75
+    for s, q, L, bound in ((1.0, 2.0, 18.0, 0.75), (0.5, 3.0, 19.0, 1.0)):
+        evaluate_trial("fractional", 3, s, q, params, 32, L)
+        peak = peak_field_arrays(
+            lambda: evaluate_trial("fractional", 3, s, q, params, 64, L), 8 * 64**3
+        )
+        assert peak <= bound, (s, q, peak)
 
 
 # --- radial trials on the octant ---------------------------------------------
@@ -187,21 +197,47 @@ RADIAL_TRIALS = (
 )
 
 
+# every estimated identity, at the exponents q its radial trials take
+OCTANT_CASES = (("fractional", 2.0), ("fractional", 3.0), ("besov", 2.0), ("besov", 3.0),
+                ("refined", 3.0))
+
+
 @pytest.mark.parametrize(
     "d, sizes",
     [(1, (8, 16, 32, 64, 128)), (2, (8, 16, 32, 64, 128)), (3, (8, 16, 32, 64, 128)),
      (4, (8, 16, 32))],
 )
 def test_octant_quotient_matches_the_full_grid(d, sizes):
-    for n in sizes:
+    for (identity, q), n in itertools.product(OCTANT_CASES, sizes):
+        # a level pass needs n >= 32 for 3 dyadic levels, and its full-grid
+        # reference takes seconds at n = 128 in d = 3
+        if CHECKS[identity].levels and not 32 <= n <= 64:
+            continue
         grid = make_grid(d, n, 20.0)
-        for s in (0.0, 0.3, 0.5, 1.0, 0.95 * d / 2):
-            if s >= d / 2:
+        partition = _partition_for(identity, grid)
+        for s, params in itertools.product((0.0, 0.3, 0.5, 1.0, 0.95 * d / q), RADIAL_TRIALS):
+            if s >= d / q:
                 continue
-            for params in RADIAL_TRIALS:
-                got = _trial_quotient("fractional", grid, None, s, 2.0, 7, params)
-                want = full_grid_quotient("fractional", grid, None, s, 2.0, 7, params)
-                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (n, s, params)
+            got = _trial_quotient(identity, grid, partition, s, q, 7, params)
+            want = full_grid_quotient(identity, grid, partition, s, q, 7, params)
+            where = (identity, q, n, s, params)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), where
+
+
+@pytest.mark.parametrize("identity, q", OCTANT_CASES)
+def test_radial_trial_builds_no_field(identity, q, monkeypatch):
+    grid = make_grid(3, 32, 20.0)
+    partition = _partition_for(identity, grid)
+    built, post_init = [], SampledField.__post_init__
+
+    def counted(f):
+        built.append(f.grid)
+        post_init(f)
+
+    monkeypatch.setattr(SampledField, "__post_init__", counted)
+    for params in RADIAL_TRIALS:
+        assert _trial_quotient(identity, grid, partition, 0.5, q, 7, params) > 0
+    assert built == []
 
 
 def test_octant_quotient_keeps_the_full_paths_rules(fft_calls):
