@@ -35,12 +35,13 @@ from .spectral_core import (
     _parseval_energy,
     _power_sum,
     _power_symbol,
+    _radius,
     _radius_power,
     _refined_weight,
+    axis_coordinates,
     fractional_laplacian,
     gradient_magnitude,
     lq_norm,
-    radius_mesh,
     sobolev_norm,
     weighted_lq_norm,
 )
@@ -95,19 +96,18 @@ class FieldValues:
     drops lifted, a field array less in the pass: read |D|^s f before it, and
     sobolev before weighted, so a new grid's spectrum is freed first.  An even
     field takes them, and its gradient checks, on its octant (_even_octant);
-    of_octant starts from it.  Tables are made at the size of what the values
-    hold: the octant tables for of_octant, else the grid's, cut to the octant."""
+    of_octant starts from it."""
 
     def __init__(self, f: SampledField, s: float, q: float,
                  partition: DyadicPartition | None = None, powers=(), shells=False):
-        self.f, self.grid, self._full, self.s, self.q = f, f.grid, True, s, q
+        self.f, self.grid, self.s, self.q = f, f.grid, s, q
         self.partition, self.powers, self.shells = partition, tuple(powers), shells
 
     @classmethod
     def of_octant(cls, grid, octant, s, q, partition, powers, shells) -> FieldValues:
         """The values of the even field with octant x_i > 0; f is built if read."""
         values = cls.__new__(cls)
-        vars(values).update(grid=grid, _full=False, _octant=octant, s=s, q=q,
+        vars(values).update(grid=grid, _octant=octant, s=s, q=q,
                             partition=partition, powers=tuple(powers), shells=shells)
         return values
 
@@ -125,17 +125,14 @@ class FieldValues:
 
     @cached_property
     def weighted(self) -> float:
-        if self._full:
-            return _weighted(self.f, self._octant, self.s, self.q)
-        s, q = self.s, self.q
-        weight = _refined_weight(self.grid, "cell", -s * q, True) if s else None
-        return _even_norm(self.grid, self._octant, q, weight)
+        grid, g, s, q = self.grid, self._octant, self.s, self.q
+        if g is None:
+            return weighted_lq_norm(self.f, s, q)
+        return _even_norm(grid, g, q, _refined_weight(grid, -s * q) if s else None)
 
     @cached_property
     def _lift(self) -> np.ndarray:  # the octant of |D|^s f, s > 0, by one DCT pair
-        grid, s = self.grid, self.s
-        symbol = (_power_symbol(grid, s, True)[(slice(0, grid.n // 2),) * grid.d]
-                  if self._full else _power_symbol(grid, s, True, octant=True))
+        symbol = _power_symbol(self.grid, self.s, True, octant=True)
         return _even_inverse(_even_transform(self._octant) * symbol)
 
     @cached_property
@@ -164,14 +161,6 @@ class FieldValues:
         groups = shell_groups(grid, centering, g is not None) if self.shells else None
         return level_sums(self.f if g is None else g, self.partition, self.s, self.q,
                           self.powers, groups)
-
-
-def _weighted(f: SampledField, octant: np.ndarray | None, s: float, q: float) -> float:
-    """weighted_lq_norm(f, s, q), from the octant of an even f when given."""
-    if octant is None or s == 0:
-        return weighted_lq_norm(f, s, q)
-    table = _refined_weight(f.grid, "cell", -s * q)
-    return _even_norm(f.grid, octant, q, table[(slice(f.grid.n // 2, None),) * f.grid.d])
 
 
 def fractional_hardy_quotient(values: FieldValues) -> CheckReport:
@@ -229,7 +218,8 @@ def gradient_hardy_quotient(
     if not (1.0 < q < d):
         raise ValueError(f"gradient quotient needs 1 < q < d = {d}, got q = {q}")
     octant = octant if grid.n // 2 <= GRADIENT_MATRIX_N else None
-    lhs = _weighted(f, octant, 1.0, q)  # order 1, whatever a FieldValues' s
+    lhs = (weighted_lq_norm(f, 1.0, q) if octant is None  # order 1, whatever v's s
+           else _even_norm(grid, octant, q, _refined_weight(grid, -q)))
     grad_norm = (_power_sum(gradient_magnitude(f), grid.h**d, q) if octant is None
                  else _even_norm(grid, _even_gradient_magnitude(grid, octant), q))
     if not refined:
@@ -268,14 +258,16 @@ def shell_radii(grid) -> tuple[float, ...]:
     return tuple(grid.h * 2.0**j for j in range(j_max + 1))
 
 
-def shell_index_mesh(grid, centering: str = "cell") -> np.ndarray:
-    """Shell assignment per sample: index j with R_j/2 < |x| <= R_j.
+def shell_index_mesh(grid, centering: str = "cell", octant: bool = False) -> np.ndarray:
+    """Shell assignment per sample: index j with R_j/2 < |x| <= R_j; only on
+    the samples of the octant x_i > 0 when octant, bitwise its block.
 
     Samples beyond L/2 (box corners) are assigned to the outermost shell,
     which loosens constants but never the direction of the shell bounds.
     """
     radii = shell_radii(grid)
-    r = radius_mesh(grid, centering)
+    x = axis_coordinates(grid, centering)
+    r = _radius([x[grid.n // 2 :] if octant else x] * grid.d)
     r /= grid.h  # in place: one field array less
     # the origin of a lattice grid is in shell 0, with the samples at r <= h
     idx = np.ceil(np.log2(np.where(r > 0, r, 1.0))).astype(int)
@@ -284,11 +276,10 @@ def shell_index_mesh(grid, centering: str = "cell") -> np.ndarray:
 
 @lru_cache(maxsize=2)
 def shell_groups(grid, centering="cell", octant=False) -> tuple[np.ndarray, np.ndarray]:
-    """The shells of shell_index_mesh (its block x_i > 0 when octant) as the
-    (order, starts) sample groups of group_sums; every shell holds samples.
+    """The shells of shell_index_mesh (on the octant x_i > 0 when octant) as
+    the (order, starts) sample groups of group_sums; every shell holds samples.
     The order is int32 (a grid holds at most 2**24 samples); read-only."""
-    start = grid.n // 2 if octant else 0
-    idx = shell_index_mesh(grid, centering)[(slice(start, None),) * grid.d].ravel()
+    idx = shell_index_mesh(grid, centering, octant).ravel()
     order = np.argsort(idx, kind="stable").astype(np.int32)
     groups = order, np.cumsum(np.bincount(idx))[:-1]
     for a in groups:

@@ -38,10 +38,13 @@ the octant's, its spectrum is, up to a phase, the DCT-II of the octant, one
 n/2-point rfft per axis (_even_transform), and its gradient a product with the
 folded derivative matrix.  hardy.FieldValues and the constant search's radial
 trials take even fields so; any other field, and the Riesz potential, the full grid.
+So is the singular weight |x|^p, whose table is its octant alone (_refined_weight),
+reflected onto each of a cell-centred field's 2^d blocks in its weighted sum.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -604,7 +607,7 @@ def _even_octant(f: SampledField) -> np.ndarray | None:
 
 def _even_norm(grid: GridSpec, octant: np.ndarray, q: float, weight=None) -> float:
     """_lq of the field even in every coordinate whose octant x_i > 0 is
-    octant, with weight the octant block of a table: 2^d times its sums."""
+    octant, with weight an octant table: 2^d times its sums."""
     return _lq(octant, 2.0**grid.d * grid.h**grid.d, q, weight)
 
 
@@ -767,13 +770,19 @@ def _lq(values: np.ndarray, cell_volume: float, q: float, weight=None) -> float:
 
 
 def _power_sum(absq: np.ndarray, cell_volume: float, q: float, weight=None) -> float:
-    """_lq at finite q of the nonnegative samples absq, raised in place."""
+    """_lq at finite q of the nonnegative samples absq, raised and weighted in
+    place: by a table of its shape, or an octant one reflected onto each block."""
     top = _power_scale(float(np.max(absq, initial=0.0)), q)
     if top != 1.0:  # top^q would under- or overflow: scale by the maximum first
         absq /= top
     _raise(absq, q)
-    if weight is not None:
-        absq *= weight
+    if weight is not None:  # per axis, the (block of absq, view of weight) pairs
+        m = weight.shape[0]
+        sides = ([(slice(None), slice(None))] if weight.shape == absq.shape
+                 else [(slice(m), slice(None, None, -1)), (slice(m, None), slice(None))])
+        for axes in itertools.product(sides, repeat=absq.ndim):
+            block = absq[tuple(b for b, _ in axes)]
+            np.multiply(block, weight[tuple(v for _, v in axes)], out=block)
     return top * float((absq.sum() * cell_volume) ** (1.0 / q))
 
 
@@ -811,25 +820,22 @@ def _radius_power(grid: GridSpec, centering: str, p: float, x=None) -> np.ndarra
 
 
 @lru_cache(maxsize=8)
-def _refined_weight(grid: GridSpec, centering: str, exponent: float, octant=False):
-    """|x|^exponent on the mesh, cell-averaged near the origin when singular;
-    only its block on the octant x_i > 0 when octant, bitwise: the same
-    build on the octant's axis coordinates.
-
-    Cached per (grid, centering, exponent, octant); the returned array is
-    read-only.
-    """
-    x = axis_coordinates(grid, centering)
-    w = _build_weight(grid, centering, exponent, x[grid.n // 2 :] if octant else x)
+def _refined_weight(grid: GridSpec, exponent: float):
+    """|x|^exponent on the octant x_i > 0 of the cell-centred mesh, which fixes
+    the whole even table, cell-averaged near the origin when singular; refused
+    at exponent <= -d, not integrable there.  Cached per (grid, exponent),
+    read-only."""
+    if exponent <= -grid.d:
+        raise ValueError(f"the weight |x|^{exponent:g} is not integrable at the origin "
+                         f"in d = {grid.d}: need s q < d")
+    w = _build_weight(grid, exponent, axis_coordinates(grid)[grid.n // 2 :])
     w.setflags(write=False)
     return w
 
 
-def _build_weight(grid: GridSpec, centering: str, exponent: float, x=None):
-    """The table of _refined_weight on the mesh of the axis coordinates x,
-    by default the grid's own."""
-    x = axis_coordinates(grid, centering) if x is None else x
-    w = _radius_power(grid, centering, exponent, x)
+def _build_weight(grid: GridSpec, exponent: float, x: np.ndarray):
+    """The table of _refined_weight on the mesh of the axis coordinates x."""
+    w = _radius_power(grid, "cell", exponent, x)
     if exponent >= 0:
         return w
     h = grid.h
@@ -868,7 +874,9 @@ def power_weighted_lq_norm(f: SampledField, weight_power: float, q: float) -> fl
         return float(np.max(np.abs(f.values) * w, initial=0.0))
     if q < 1:
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
-    w = _refined_weight(f.grid, f.centering, weight_power * q)
+    p = weight_power * q  # _radius_power refuses p < 0 on a lattice: a sample is at 0
+    w = (_refined_weight(f.grid, p) if f.centering == "cell"
+         else _radius_power(f.grid, "lattice", p))
     return _lq(f.values, f.grid.h**f.grid.d, q, w)
 
 

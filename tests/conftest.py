@@ -139,18 +139,19 @@ def grid3_fine():
     return make_grid(3, 64, 20.0)
 
 
-def direct_refined_weight(grid, centering, exponent):
-    """The singular-weight table built cell by cell, the reference for
+def direct_refined_weight(grid, exponent, x):
+    """The singular-weight table built cell by cell on the mesh of the axis
+    coordinates x, as _build_weight takes them, the reference for
     _refined_weight: each cell within WEIGHT_REFINE_RADIUS * h of the origin
     averages |x|^exponent on its own midpoint subgrid, in box coordinates."""
-    rad = radius_mesh(grid, centering)
+    rad = np.sqrt(sum(c**2 for c in np.meshgrid(*([x] * grid.d), indexing="ij")))
     if np.any(rad == 0.0):
         if exponent < 0:
             raise ValueError(
                 "a sample sits at |x| = 0; use a cell-centered grid for "
                 "singular weights"
             )
-        w = np.zeros(grid.shape)
+        w = np.zeros(rad.shape)
         nz = rad > 0
         w[nz] = rad[nz] ** exponent
         if exponent == 0:
@@ -161,7 +162,6 @@ def direct_refined_weight(grid, centering, exponent):
         return w
     h = grid.h
     near = rad <= WEIGHT_REFINE_RADIUS * h
-    x = axis_coordinates(grid, centering)
     m = WEIGHT_REFINE_FACTOR
     off = (np.arange(m) + 0.5) / m * h - h / 2.0
     sub = np.meshgrid(*([off] * grid.d), indexing="ij")
@@ -172,6 +172,12 @@ def direct_refined_weight(grid, centering, exponent):
     return w
 
 
+def reflected_weight(grid, exponent):
+    """The whole grid's table of |x|^exponent: _refined_weight's octant
+    reflected onto every block, the table the program's sums read."""
+    return np.pad(_refined_weight(grid, exponent), (grid.n // 2, 0), "symmetric")
+
+
 def mesh_class_refined_weight(grid, centering, exponent):
     """_refined_weight's table with every scan over the whole mesh, the
     bitwise reference for the build that scans the sub-cube around the
@@ -180,7 +186,7 @@ def mesh_class_refined_weight(grid, centering, exponent):
     class's average on the unit cell, scaled by h^exponent."""
     rad = radius_mesh(grid, centering)
     if np.any(rad == 0.0):
-        return direct_refined_weight(grid, centering, exponent)
+        return direct_refined_weight(grid, exponent, axis_coordinates(grid, centering))
     w = rad**exponent
     if exponent >= 0:
         return w
@@ -553,7 +559,7 @@ def discrete_hardy_ceiling(grid, s):
     mult = np.zeros(rad.shape)
     nz = rad > 0
     mult[nz] = (2.0 * np.pi * rad[nz]) ** -s
-    weight = _refined_weight(grid, "cell", -2.0 * s)
+    weight = reflected_weight(grid, -2.0 * s)
 
     def riesz(v):
         return np.fft.irfftn(np.fft.rfftn(v) * mult, s=grid.shape, axes=axes)

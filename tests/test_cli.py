@@ -239,10 +239,10 @@ def test_verify_takes_one_weighted_norm_per_field_for_the_fractional_trio(
     assert {"fractional", "besov", "refined"} <= set(identities)
     grid = make_grid(3, 32, 20.0)
     fields_ = [f for _, f in corpus.corpus_fields(grid, 3, 1, s=0.5, q=3.0)]
-    # ||f / |x|^s||_q is an _lq against the grid's weight table of |x|^-1.5:
-    # the whole table for the band field, its block on the octant x_i > 0 for
-    # the 2 Gaussians, which take their octant
-    table = spectral_core._refined_weight(grid, "cell", -1.5)
+    # ||f / |x|^s||_q is an _lq against the grid's octant table of |x|^-1.5:
+    # reflected onto the band field's blocks, as is on the 2 Gaussians'
+    # octants x_i > 0
+    table = spectral_core._refined_weight(grid, -1.5)
     trio = [args for args in norms if len(args) == 4 and np.shares_memory(args[3], table)]
     # the fractional, Besov and refined quotients share one ||f / |x|^s||_q;
     # the homogeneity check takes its own, of 3.5 f
@@ -250,6 +250,28 @@ def test_verify_takes_one_weighted_norm_per_field_for_the_fractional_trio(
     for f, octant in zip(fields_, (True, True, False)):
         samples = f.values[(slice(16, None),) * 3] if octant else f.values
         assert sum(np.array_equal(args[0], samples) for args in trio) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "all", "--d", "3", "--n", "64", "--q", "3", "--s", "0.5",
+     "--corpus-size", "6"),
+    ("estimate-constant", "--identity", "fractional", "--d", "3", "--s", "1", "--q", "2",
+     "--n", "64", "--budget", "100"),
+    ("hardy-check", "--identity", "gradient", "--d", "4", "--n", "32", "--q", "3",
+     "--corpus-size", "8"),
+], ids=["verify-d3", "estimate-d3", "gradient-d4"])
+def test_benchmark_runs_build_only_octant_weight_tables(capsys, call_log, argv):
+    # every singular weight table of the run is the octant x_i > 0 of its
+    # grid: no full-size table is built
+    table = spectral_core._refined_weight
+    table.cache_clear()
+    calls = call_log(spectral_core, "_refined_weight")
+    code, _, _ = run(capsys, *argv, "--seed", "1")
+    assert code == 0
+    keys = set(calls)
+    assert keys and table.cache_info().currsize == len(keys)
+    for grid, exponent in keys:
+        assert table(grid, exponent).shape == (grid.n // 2,) * grid.d
 
 
 def test_gradient_check_fft_budget(capsys, fft_calls):
@@ -1623,13 +1645,29 @@ def test_weighted_norm_of_a_lattice_field_refuses_the_origin(capsys, field_files
 
 
 def test_norm_beyond_the_float_range_is_refused(capsys, field_files):
-    # |x|^(-s q) overflowed the weight table and |2 pi xi|^(2 s) the Sobolev
-    # symbol: exit 2 on a non-JSON nan or inf, after numpy's warnings
-    for kind, s, q in (("weighted", "0.5", "1e300"), ("sobolev", "1e300", "2")):
-        argv = ("norm", "--field", field_files[0], "--kind", kind, "--s", s, "--q", q)
+    # |x|^-s overflowed the maximum's weight (h < 1, so samples sit at
+    # |x| < 1) and |2 pi xi|^(2 s) the Sobolev symbol: exit 2 on a non-JSON nan
+    # or inf, after numpy's warnings.  At finite q, s q >= d is refused first.
+    for path, kind, s, q in ((field_files[1], "weighted", "1e300", "inf"),
+                             (field_files[0], "sobolev", "1e300", "2")):
+        argv = ("norm", "--field", path, "--kind", kind, "--s", s, "--q", q)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.endswith(
             f"error: the {kind} norm leaves the float range at s = {float(s):g}, "
             f"q = {float(q):g}\n"
+        )
+
+
+def test_norm_refuses_a_non_integrable_weight(capsys, field_files):
+    # |x|^(-s q) has no finite integral at the origin when s q >= d: at
+    # d = 3, s = 1.5, q = 2 a Gaussian's weighted norm printed 3.79, 6.09 and
+    # 7.22 at n = 16, 32 and 64
+    norm = ("norm", "--field", field_files[0], "--kind", "weighted")
+    for s, q, e in (("1.5", "2", "-3"), ("1", "3", "-3"), ("0.5", "1e300", "-5e+299")):
+        code, out, err = run(capsys, *norm, "--s", s, "--q", q)
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            f"error: the weight |x|^{e} is not integrable at the origin in d = 3: "
+            "need s q < d\n"
         )

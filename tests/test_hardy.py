@@ -14,6 +14,7 @@ from conftest import (
     peak_field_arrays,
     random_field,
     random_mean_zero_field,
+    reflected_weight,
     shell_majorant_sides,
 )
 from hardylp.corpus import (
@@ -29,6 +30,7 @@ from hardylp.hardy import (
     gradient_hardy_quotient,
     holder_refinement_check,
     shell_chain_check,
+    shell_groups,
     shell_index_mesh,
     shell_radii,
 )
@@ -36,7 +38,6 @@ from hardylp.littlewood_paley import build_partition, level_sums, project
 from hardylp.schur import hardy_kernel_entry
 from hardylp.spectral_core import (
     _lq,
-    _refined_weight,
     fractional_laplacian,
     gradient_magnitude,
     lq_norm,
@@ -191,7 +192,7 @@ def test_discrete_ceiling_matches_dense_eigensolve(d, s):
         e = np.full(size, -1.0 / size)
         e[j] += 1.0
         riesz[:, j] = fractional_laplacian(make_field(grid, e), -s).values.real.ravel()
-    weight = _refined_weight(grid, "cell", -2.0 * s).ravel()
+    weight = reflected_weight(grid, -2.0 * s).ravel()
     dense = riesz.T @ (weight[:, None] * riesz)
     lam = np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1]
     assert ceiling == pytest.approx(np.sqrt(lam), rel=1e-10)
@@ -404,6 +405,26 @@ def test_lattice_origin_is_in_the_innermost_shell(d, n, L):
     inside = (r > 0) & (r <= L / 2)
     assert np.all(r[inside] <= radii[idx[inside]] * (1 + 1e-12))
     assert np.all(r[inside] > radii[idx[inside]] / 2 * (1 - 1e-12))
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 32), (4, 16)])
+def test_octant_shell_groups_are_those_of_the_full_mesh_block(d, n):
+    # built on the octant's axis coordinates, bitwise the groups of the block
+    # x_i > 0 of the full mesh
+    grid = make_grid(d, n, 20.0)
+    idx = shell_index_mesh(grid)[(slice(n // 2, None),) * d].ravel()
+    order, starts = shell_groups(grid, "cell", True)
+    assert np.array_equal(order, np.argsort(idx, kind="stable"))
+    assert np.array_equal(starts, np.cumsum(np.bincount(idx))[:-1])
+
+
+def test_octant_shell_groups_build_holds_octant_arrays():
+    # three octant arrays, 3/8 of a field array; the build that cut the block
+    # out of the full mesh held 3 field arrays (50.3 MB at d = 3, n = 128)
+    grid = make_grid(3, 128, 20.0)
+    shell_groups.cache_clear()
+    build = lambda: shell_groups(grid, "cell", True)
+    assert peak_field_arrays(build, 8 * grid.size) <= 0.4
 
 
 # --- proof chain -------------------------------------------------------------------

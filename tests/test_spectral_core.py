@@ -18,6 +18,7 @@ from conftest import (
     power_formula,
     random_field,
     random_mean_zero_field,
+    reflected_weight,
 )
 from hardylp.corpus import gaussian_field
 from hardylp.littlewood_paley import build_partition, decompose, project
@@ -44,6 +45,7 @@ from hardylp.spectral_core import (
     _power_symbol,
     _pruned,
     _radial_values,
+    _radius_power,
     _raise,
     _refined_weight,
     apply_multiplier,
@@ -647,12 +649,36 @@ def test_in_place_quadratures_match_the_formulas(d, n, real):
     for symbols in ([_power_symbol(grid, 1.0, real)], gradient_symbols):
         assert _parseval_energy(f, symbols) == parseval_formula(f, symbols)
     hd = grid.h**d
+    order = 0.25 if d == 1 else 0.5  # s q < d for every q
     for q in (1.0, 2.0, 3.0, 3.5):
         assert _lq(f.values, hd, q) == lq_formula(f.values, hd, q)
-        w = _refined_weight(grid, "cell", -0.5 * q)
-        assert power_weighted_lq_norm(f, -0.5, q) == lq_formula(f.values, hd, q, w)
+        w = reflected_weight(grid, -order * q)
+        assert power_weighted_lq_norm(f, -order, q) == lq_formula(f.values, hd, q, w)
     want = np.sqrt(sum(np.abs(g.values) ** 2 for g in gradient(f)))
     assert np.array_equal(gradient_magnitude(f), want)
+
+
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 16), (4, 8)])
+def test_weighted_sum_reflects_the_octant_table(d, n):
+    # power_weighted_lq_norm multiplies |f|^q in place by the octant table,
+    # reflected onto each block: the formula with the whole grid's table
+    # built on the whole mesh, bitwise where the axis coordinates are bitwise
+    # even (L = 20), to rounding elsewhere; and with the table built cell by
+    # cell (the oracle, d < 4: 16^4 points per near cell) to its 1e-13
+    for L, tol in ((20.0, 0.0), (20.0 / 3.0, 1e-15)):
+        grid = make_grid(d, n, L)
+        x, hd = axis_coordinates(grid), grid.h**d
+        for real in (True, False):
+            f = random_field(grid, seed=d, real=real)
+            for order, q in ((0.15 * d, 2.0), (0.3 * d, 3.0), (-0.2, 2.5)):
+                got = power_weighted_lq_norm(f, -order, q)
+                full = _build_weight(grid, -order * q, x)
+                want = lq_formula(f.values, hd, q, full)
+                assert abs(got - want) <= tol * want
+                if d < 4:
+                    oracle = direct_refined_weight(grid, -order * q, x)
+                    want = lq_formula(f.values, hd, q, oracle)
+                    assert got == pytest.approx(want, rel=1e-13)
 
 
 # --- norms ------------------------------------------------------------------
@@ -717,10 +743,15 @@ def test_power_weighted_positive_power(grid2):
     assert power_weighted_lq_norm(f, 0.4, 2.0) == pytest.approx(direct, rel=1e-12)
 
 
-# the direct d=4 build averages 16^4 points in each of up to 6480 near cells,
-# so d=4 takes one exponent per n
+# the direct d=4 build averages 16^4 points in each of up to 405 near cells
+# of the octant, so d=4 takes one exponent per n.  An exponent <= -d has no
+# table: its cases check the refusal, and the oracle runs at the integrable
+# exponents -0.7 and -0.9 (d = 1), -1.5 and -1.9 (d = 2), -2.5 and -2.9 (d = 3)
 WEIGHT_CASES = [
     (d, n, e) for d in (1, 2, 3) for n in (8, 16, 32) for e in (-0.4, -1.0, -2.0, -3.0)
+] + [
+    (d, n, e) for d, es in ((1, (-0.7, -0.9)), (2, (-1.5, -1.9)), (3, (-2.5, -2.9)))
+    for n in (8, 16, 32) for e in es
 ] + [(4, 8, -3.0), (4, 16, -1.0), (4, 32, -0.4)]
 
 
@@ -728,15 +759,20 @@ WEIGHT_CASES = [
 def test_refined_weight_matches_direct_oracle(d, n, exponent):
     # at n = 8 the box cuts the refinement ball
     grid = make_grid(d, n, 20.0)
-    got = _refined_weight(grid, "cell", exponent)
-    want = direct_refined_weight(grid, "cell", exponent)
+    if exponent <= -d:
+        with pytest.raises(ValueError, match=r"not integrable .* need s q < d"):
+            _refined_weight(grid, exponent)
+        return
+    got = _refined_weight(grid, exponent)
+    x = axis_coordinates(grid)[n // 2 :]
+    want = direct_refined_weight(grid, exponent, x)
+    assert got.shape == (n // 2,) * d and not got.flags.writeable
     assert np.max(np.abs(got - want) / want) <= 1e-13
-    # one value per symmetry class: near cells that mirror or permute into
-    # each other carry bitwise equal weights
-    near = radius_mesh(grid) <= WEIGHT_REFINE_RADIUS * grid.h
-    images = [np.flip(got, axis=ax) for ax in range(d)]
-    images += [np.swapaxes(got, 0, ax) for ax in range(1, d)]
-    for image in images:
+    # one value per symmetry class: near cells of the octant that permute
+    # into each other carry bitwise equal weights
+    rad = np.sqrt(sum(c**2 for c in np.meshgrid(*([x] * d), indexing="ij")))
+    near = rad <= WEIGHT_REFINE_RADIUS * grid.h
+    for image in (np.swapaxes(got, 0, ax) for ax in range(1, d)):
         assert np.array_equal(image[near], got[near])
 
 
@@ -751,7 +787,8 @@ def test_weight_build_matches_the_whole_mesh_build_bitwise(d):
             ("cell", 0.5), ("lattice", 0.0), ("lattice", 0.5),
         ):
             want = mesh_class_refined_weight(grid, centering, exponent)
-            assert np.array_equal(_build_weight(grid, centering, exponent), want)
+            x = axis_coordinates(grid, centering)
+            assert np.array_equal(_build_weight(grid, exponent, x), want)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -760,23 +797,30 @@ def test_weight_classes_on_the_sparse_sub_mesh_are_the_dense_formula(d):
     # and power taken in place; the reference on the dense one, out of place
     for n in (16, 32) if d < 4 else (16,):
         grid = make_grid(d, n, 20.0)
-        x = axis_coordinates(grid)[n // 2 :]
+        full = axis_coordinates(grid)
+        x = full[n // 2 :]
         for exponent in (-0.5, -1.0, -1.5, -2.0, -3.0):
             want = mesh_class_refined_weight(grid, "cell", exponent)
-            assert np.array_equal(_build_weight(grid, "cell", exponent), want)
-            octant = _build_weight(grid, "cell", exponent, x)
+            assert np.array_equal(_build_weight(grid, exponent, full), want)
+            octant = _build_weight(grid, exponent, x)
             assert np.array_equal(octant, want[(slice(n // 2, None),) * d])
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_nonsingular_weight_matches_direct_oracle(d, n):
+    # a cell-centred field's table is its octant; a lattice field's weight is
+    # _radius_power's on the whole mesh, refused when singular at the origin
     grid = make_grid(d, n, 20.0)
-    for centering, exponent in (("lattice", 0.0), ("lattice", 0.5), ("cell", 0.5)):
-        got = _refined_weight(grid, centering, exponent)
-        assert np.array_equal(got, direct_refined_weight(grid, centering, exponent))
+    x = axis_coordinates(grid)[n // 2 :]
+    want = direct_refined_weight(grid, 0.5, x)
+    assert np.array_equal(_refined_weight(grid, 0.5), want)
+    x = axis_coordinates(grid, "lattice")
+    for exponent in (0.0, 0.5):
+        got = _radius_power(grid, "lattice", exponent)
+        assert np.array_equal(got, direct_refined_weight(grid, exponent, x))
     with pytest.raises(ValueError, match="cell-centered"):
-        _refined_weight(grid, "lattice", -1.0)
+        _radius_power(grid, "lattice", -1.0)
 
 
 # --- field file format -----------------------------------------------------
@@ -1019,9 +1063,9 @@ def test_octant_tables_are_bitwise_blocks_of_the_full_ones(d):
     for n, L in ((8, 20.0), (16, 20.0 / 3.0), (32 if d < 4 else 16, 20.0)):
         grid = make_grid(d, n, L)
         block = _octant_block(grid)
-        for exponent in (-0.4, -1.0, -2.0, -3.0):
-            want = _refined_weight(grid, "cell", exponent)[block]
-            assert np.array_equal(_refined_weight(grid, "cell", exponent, True), want)
+        for exponent in (-0.4, -0.5 * d, -0.9 * d):  # integrable: exponent > -d
+            want = _build_weight(grid, exponent, axis_coordinates(grid))[block]
+            assert np.array_equal(_refined_weight(grid, exponent), want)
         for s in (0.6, 2.0):
             want = _power_symbol(grid, s, True)[(slice(0, n // 2),) * d]
             assert np.array_equal(_power_symbol(grid, s, True, octant=True), want)
