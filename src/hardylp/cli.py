@@ -450,9 +450,8 @@ def _field_reports(cfg: RunConfig, check: Check, warn: bool = False) -> list:
 def _homogeneous_fractional(values: FieldValues, tol: float) -> CheckReport:
     """The fractional quotient of f, asserted homogeneous: the quotient of
     3.5 f must match it to EXACT_TOL."""
-    f, s, q = values.f, values.s, values.q
     frac = fractional_hardy_quotient(values)
-    scaled = fractional_hardy_quotient(FieldValues(f.with_values(3.5 * f.values), s, q))
+    scaled = fractional_hardy_quotient(values.mapped(lambda v: 3.5 * v))
     if frac.quotient is not None and scaled.quotient is not None:
         drift = abs(scaled.quotient - frac.quotient) / max(frac.quotient, 1e-300)
         frac.passed = drift <= EXACT_TOL
@@ -465,19 +464,23 @@ def _specialization(values: FieldValues, tol: float) -> CheckReport | None:
     """Stein-Weiss at alpha = 0, beta = s, lam = d - s on |D|^s f against c
     times the fractional Hardy quotient of f - mean, or None when either
     quotient is vacuous.  |D|^s f and its L^q norm are the same for f and
-    f - mean, as |2 pi xi|^s vanishes at xi = 0."""
-    f, s, q = values.f, values.s, values.q
-    d = f.grid.d
-    mean_free = FieldValues(f.with_values(f.values - np.mean(f.values)), s, q)
+    f - mean, as |2 pi xi|^s vanishes at xi = 0.  An even f gives both on its
+    octant: f - mean, and the Riesz potential of |D|^s f by one DCT pair."""
+    grid, s, q = values.grid, values.s, values.q
+    d = grid.d
+    mean_free = values.mapped(lambda v: v - np.mean(v))
     mean_free.sobolev = values.sobolev
     base = fractional_hardy_quotient(mean_free)
     params = SteinWeissParams(lam=d - s, p=q, q=q, alpha=0.0, beta=s, d=d)
-    sw = stein_weiss_check(values.lifted, params)
+    if values._octant is None:
+        sw = stein_weiss_check(values.lifted, params)
+    else:
+        sw = stein_weiss_check(grid, params, values._lift)
     if not (base.quotient and sw.quotient):
         return None
     c = riesz_constant(d, d - s)
     rep = check_report(
-        "stein-weiss-specialization", f.grid, s, q, sw.quotient, c * base.quotient,
+        "stein-weiss-specialization", grid, s, q, sw.quotient, c * base.quotient,
         tolerance=0.02, extra={"riesz_constant": c},
     )
     rep.passed = abs(rep.quotient - 1.0) <= 0.02
@@ -491,9 +494,10 @@ INNER_BALL = Check(lambda v, tol: inner_ball_bound_check(v.f, v.s, v.q))
 # The per-field checks of verify in run order, as (suite, Check, applies(d,
 # s, q)); the inner-ball bound is the stein-weiss suite's, reported after
 # its specialization.  Every reader of |D|^s f runs before the level pass,
-# which drops it.  The runs look the check functions up by module-global
-# name when they run, so a wrapper installed on this module's bindings sees
-# each call.
+# which drops it.  An even field's checks read its octant alone
+# (FieldValues), all but the inner-ball bound, which verify runs in d = 4.
+# The runs look the check functions up by module-global name when they
+# run, so a wrapper installed on this module's bindings sees each call.
 VERIFY_CHECKS = (
     ("hardy", CHECKS["classical"], lambda d, s, q: d >= 3),
     ("hardy", CHECKS["gradient"], lambda d, s, q: q < d),

@@ -25,19 +25,16 @@ from .littlewood_paley import (
 )
 from .report import EXACT_TOL, QUADRATURE_TOL, CheckReport, check_report, within_bound
 from .schur import hardy_kernel, schur_bound_check, schur_conditions
-from .spectral_core import _even_inverse, _even_norm, _even_octant, _even_parseval, _raise
+from .spectral_core import _even_lift, _even_norm, _even_octant, _even_parseval, _raise
 from .spectral_core import (
     GRADIENT_MATRIX_N,
     SampledField,
     _even_gradient_magnitude,
-    _even_transform,
     _gradient_symbols,
     _parseval_energy,
     _power_sum,
-    _power_symbol,
     _radius,
     _radius_power,
-    _refined_weight,
     axis_coordinates,
     fractional_laplacian,
     gradient_magnitude,
@@ -67,13 +64,21 @@ __all__ = [
 def classical_hardy_quotient(
     f: SampledField, tol: float = QUADRATURE_TOL
 ) -> CheckReport:
-    """int |f|^2 / |x|^2 against (4/(d-2)^2) int |grad f|^2, d >= 3."""
-    d = f.grid.d
+    """int |f|^2 / |x|^2 against (4/(d-2)^2) int |grad f|^2, d >= 3.  An even
+    f (_even_octant) is read on its octant alone."""
+    grid, d = f.grid, f.grid.d
     if d < 3:
         raise ValueError(f"classical Hardy quotient needs d >= 3, got d = {d}")
-    lhs = weighted_lq_norm(f, 1.0, 2.0) ** 2
-    # ||grad f||_2^2 of the spectral gradient, by Parseval from one forward FFT
-    rhs = float(_parseval_energy(f, (np.abs(m) ** 2 for m in _gradient_symbols(f))))
+    # ||grad f||_2^2 of the spectral gradient, by Parseval from one forward
+    # FFT; for an even f, || |D| f ||_2^2 from one DCT, as its spectrum is 0
+    # on the Nyquist planes where the gradient's symbol differs from |2 pi xi|
+    octant = _even_octant(f)
+    if octant is None:
+        lhs = weighted_lq_norm(f, 1.0, 2.0) ** 2
+        rhs = float(_parseval_energy(f, (np.abs(m) ** 2 for m in _gradient_symbols(f))))
+    else:
+        lhs = _even_norm(grid, octant, 2.0, -1.0) ** 2
+        rhs = _even_parseval(grid, octant, 1.0) ** 2
     bound = 4.0 / (d - 2) ** 2
     return check_report(
         "classical", f.grid, 1.0, 2.0, lhs, rhs, bound_constant=bound,
@@ -94,9 +99,13 @@ class FieldValues:
     sums, the one level pass at (s, q) over partition (the default when None)
     with the pointwise sums of powers and, when shells, the shell sums.  sums
     drops lifted, a field array less in the pass: read |D|^s f before it, and
-    sobolev before weighted, so a new grid's spectrum is freed first.  An even
-    field takes them, and its gradient checks, on its octant (_even_octant);
-    of_octant starts from it."""
+    sobolev before weighted, so a new grid's spectrum is freed first.
+
+    An even field is read on its octant x_i > 0 (_octant, by _even_octant):
+    these values, its gradient and classical quotients, chain link (a), and
+    the values of 3.5 f and f - mean (mapped); |D|^s f is then _lift, the
+    octant's DCT pair, never a full field.  of_octant starts from the octant;
+    its f is built only if read."""
 
     def __init__(self, f: SampledField, s: float, q: float,
                  partition: DyadicPartition | None = None, powers=(), shells=False):
@@ -104,19 +113,26 @@ class FieldValues:
         self.partition, self.powers, self.shells = partition, tuple(powers), shells
 
     @classmethod
-    def of_octant(cls, grid, octant, s, q, partition, powers, shells) -> FieldValues:
-        """The values of the even field with octant x_i > 0; f is built if read."""
+    def of_octant(cls, grid, octant, s, q, partition=None, powers=(),
+                  shells=False) -> FieldValues:
+        """The values of the even field with octant x_i > 0."""
         values = cls.__new__(cls)
         vars(values).update(grid=grid, _octant=octant, s=s, q=q,
                             partition=partition, powers=tuple(powers), shells=shells)
         return values
 
+    def mapped(self, fn) -> FieldValues:
+        """The values at (s, q) of the field with samples fn(f.values), fn
+        one that maps an even field's octant to its image's (3.5 v, v - mean
+        v): on the octant when f is even."""
+        if self._octant is None:
+            return FieldValues(self.f.with_values(fn(self.f.values)), self.s, self.q)
+        return FieldValues.of_octant(self.grid, fn(self._octant), self.s, self.q)
+
     @cached_property
     def f(self) -> SampledField:  # made for of_octant's values; __init__ sets f
-        return self._reflected(self._octant)
-
-    def _reflected(self, octant: np.ndarray) -> SampledField:  # the even field of octant
-        return SampledField(self.grid, np.pad(octant, (self.grid.n // 2, 0), "symmetric"))
+        n = self.grid.n
+        return SampledField(self.grid, np.pad(self._octant, (n // 2, 0), "symmetric"))
 
     @cached_property
     def _octant(self) -> np.ndarray | None:
@@ -125,21 +141,18 @@ class FieldValues:
 
     @cached_property
     def weighted(self) -> float:
-        grid, g, s, q = self.grid, self._octant, self.s, self.q
+        g, s, q = self._octant, self.s, self.q
         if g is None:
             return weighted_lq_norm(self.f, s, q)
-        return _even_norm(grid, g, q, _refined_weight(grid, -s * q) if s else None)
+        return _even_norm(self.grid, g, q, -s)
 
     @cached_property
-    def _lift(self) -> np.ndarray:  # the octant of |D|^s f, s > 0, by one DCT pair
-        symbol = _power_symbol(self.grid, self.s, True, octant=True)
-        return _even_inverse(_even_transform(self._octant) * symbol)
+    def _lift(self) -> np.ndarray:  # the octant of |D|^s f
+        return _even_lift(self.grid, self._octant, self.s) if self.s else self._octant
 
     @cached_property
-    def lifted(self) -> SampledField:
-        if self._octant is None or self.s == 0:
-            return fractional_laplacian(self.f, self.s)
-        return self._reflected(self._lift)
+    def lifted(self) -> SampledField:  # a full field's; an even one's is _lift
+        return fractional_laplacian(self.f, self.s)
 
     @cached_property
     def sobolev(self) -> float:
@@ -150,7 +163,7 @@ class FieldValues:
             return sobolev_norm(self.f, s, q) if q == 2 else lq_norm(self.lifted, q)
         if q == 2 and s > 0:
             return _even_parseval(self.grid, g, s)
-        return _even_norm(self.grid, self._lift if s else g, q)
+        return _even_norm(self.grid, self._lift, q)
 
     @cached_property
     def sums(self) -> LevelSums:
@@ -219,7 +232,7 @@ def gradient_hardy_quotient(
         raise ValueError(f"gradient quotient needs 1 < q < d = {d}, got q = {q}")
     octant = octant if grid.n // 2 <= GRADIENT_MATRIX_N else None
     lhs = (weighted_lq_norm(f, 1.0, q) if octant is None  # order 1, whatever v's s
-           else _even_norm(grid, octant, q, _refined_weight(grid, -q)))
+           else _even_norm(grid, octant, q, -1.0))
     grad_norm = (_power_sum(gradient_magnitude(f), grid.h**d, q) if octant is None
                  else _even_norm(grid, _even_gradient_magnitude(grid, octant), q))
     if not refined:
@@ -297,6 +310,29 @@ def _link(name, lhs, rhs, ratio, passed) -> dict:
     return {"name": name, "lhs": lhs, "rhs": rhs, "ratio": ratio, "passed": passed}
 
 
+def _shell_majorant_sums(values: FieldValues) -> tuple[float, np.ndarray, float]:
+    """Link (a)'s sums of |f - mean|^q on the cells of the level pass of
+    values: against |x|^(-s q) at the midpoints, and over each shell of
+    shell_groups; and max |f - mean|.  An even f gives them on its octant."""
+    grid, s, q = values.grid, values.s, values.q
+    hd, octant = values.sums.cell_volume, values._octant
+    if octant is None:
+        samples, centering, x = values.f.values, values.f.centering, None
+    else:
+        samples, centering, x = octant, "cell", axis_coordinates(grid)[grid.n // 2 :]
+    # plain midpoint weights: the 2^(sq) factor in link (a) is exact cell by
+    # cell only when the weighted sum sees the same |x| values as the shells
+    r = _radius_power(grid, centering, -s * q, x)
+    absq = np.subtract(samples, np.mean(samples))  # |f - mean|^q, in place
+    absq = np.abs(absq, out=absq if np.isrealobj(absq) else None)
+    top = float(absq.max(initial=0.0))
+    _raise(absq, q)
+    lhs_q = float(np.multiply(r, absq, out=r).sum() * hd)
+    del r
+    masses = group_sums(absq, shell_groups(grid, centering, octant is not None)) * hd
+    return lhs_q, masses, top
+
+
 def shell_chain_check(values: FieldValues) -> CheckReport:
     """Verify each link of the shell-decomposition estimate chain.
 
@@ -310,34 +346,22 @@ def shell_chain_check(values: FieldValues) -> CheckReport:
     (d) the end-to-end ratio against the assembled constant
         2^(sq) * E_b^q * a1 * a2.
 
-    Link (a) and the noise floor read f - mean: the decomposition reproduces
-    only the mean-free part, matching the homogeneous setting.  Links (b) to
-    (d) read the level sums of N^s |P_N f| with their per-shell sums, from
-    the level pass of values, which has the shell sums; the pieces of f and
-    of f - mean are the same, as every partition multiplier is exactly 0 at
-    frequency zero.
+    Link (a) and the noise floor read f - mean (_shell_majorant_sums): the
+    decomposition reproduces only the mean-free part, matching the
+    homogeneous setting.  Links (b) to (d) read the level sums of
+    N^s |P_N f| with their per-shell sums, from the level pass of values,
+    which has the shell sums; the pieces of f and of f - mean are the same,
+    as every partition multiplier is exactly 0 at frequency zero.
     """
-    f, s, q = values.f, values.s, values.q
-    grid = f.grid
+    grid, s, q = values.grid, values.s, values.q
     d = grid.d
     _require_fractional(d, s, q)
     if s == 0:
         raise ValueError("chain check needs s > 0")
-    hd = grid.h**d
     sums = values.sums  # first, so its pass holds none of link (a)'s arrays
-
-    # plain midpoint weights: the 2^(sq) factor in link (a) is exact cell by
-    # cell only when the weighted sum sees the same |x| values as the shells
-    r = _radius_power(grid, f.centering, -s * q)
-    absq = np.subtract(f.values, np.mean(f.values))  # |f - mean|^q, in place
-    absq = np.abs(absq, out=absq if np.isrealobj(absq) else None)
-    floor = NOISE_FLOOR * float(absq.max(initial=0.0))
-    _raise(absq, q)
-    lhs_q = float(np.multiply(r, absq, out=r).sum() * hd)
-    del r
-
+    lhs_q, shell_mass, top = _shell_majorant_sums(values)
+    floor = NOISE_FLOOR * top
     radii = shell_radii(grid)
-    shell_mass = group_sums(absq, shell_groups(grid, f.centering, False)) * hd
     majorant = float(sum(R ** (-s * q) * m for R, m in zip(radii, shell_mass)))
     rhs_a = 2.0 ** (s * q) * majorant
     ratio_a = lhs_q / rhs_a if rhs_a > 0 else 0.0

@@ -36,10 +36,12 @@ A field even in every coordinate, as a radial one on the cell-centred grid
 is, needs only its octant x_i > 0 (_even_octant): each grid sum is 2^d times
 the octant's, its spectrum is, up to a phase, the DCT-II of the octant, one
 n/2-point rfft per axis (_even_transform), and its gradient a product with the
-folded derivative matrix.  hardy.FieldValues and the constant search's radial
-trials take even fields so; any other field, and the Riesz potential, the full grid.
-So is the singular weight |x|^p, whose table is its octant alone (_refined_weight),
-reflected onto each of a cell-centred field's 2^d blocks in its weighted sum.
+folded derivative matrix, and every radial multiplier, the Riesz potential's
+included, one DCT pair.  hardy.FieldValues, the classical and Stein-Weiss
+checks and the constant search's radial trials take even fields so; any other
+field, the full grid.  So is the singular weight |x|^p, whose table is its
+octant alone (_refined_weight), reflected onto each of a cell-centred field's
+2^d blocks in its weighted sum.
 """
 
 from __future__ import annotations
@@ -501,14 +503,16 @@ def fractional_laplacian(f: SampledField, s: float) -> SampledField:
     if s == 0:
         return f
     if s < 0:
-        _require_mean_zero(f)
+        _require_mean_zero(f.values)
     mult = _power_symbol(f.grid, s, np.isrealobj(f.values))
     return f.with_values(next(_apply_diag(f.values, [mult])))
 
 
-def _require_mean_zero(f: SampledField) -> None:
-    mean = complex(np.mean(f.values))
-    scale = max(1.0, float(np.max(np.abs(f.values), initial=0.0)))
+def _require_mean_zero(values: np.ndarray) -> None:
+    """Refuse samples whose mean is not zero, to 1e-12 of max(1, max |values|);
+    an even field's octant has the field's mean and maximum."""
+    mean = complex(np.mean(values))
+    scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
     if abs(mean) > 1e-12 * scale:
         raise ValueError(
             "negative-order operator requires mean-zero input "
@@ -526,7 +530,7 @@ def sobolev_norm(f: SampledField, s: float, q: float) -> float:
     if q != 2 or s == 0:
         return lq_norm(fractional_laplacian(f, s), q)
     if s < 0:
-        _require_mean_zero(f)
+        _require_mean_zero(f.values)
     mult = _power_symbol(f.grid, 2.0 * s, np.isrealobj(f.values))
     return float(np.sqrt(_parseval_energy(f, [mult])))
 
@@ -579,16 +583,20 @@ def _even_transform(octant: np.ndarray) -> np.ndarray:
 
 def _even_inverse(spec: np.ndarray) -> np.ndarray:
     """The octant whose _even_transform is spec: per axis a DCT-III, one N-point
-    irfft of (C(k) - i C(N-k)) e^(i pi k/2N) / 2, C(N) = 0, read back interleaved."""
+    irfft of (C(k) - i C(N-k)) e^(i pi k/2N) / 2, C(N) = 0, read back interleaved.
+    Each axis's input is freed once copied, and its irfft input once inverted."""
     for ax in range(spec.ndim):
         c = np.moveaxis(spec, ax, -1)
-        N = c.shape[-1]
-        w = np.zeros(c.shape[:-1] + (N // 2 + 1,), np.complex128)
-        w.real, w.imag[..., 1:] = c[..., : N // 2 + 1], -c[..., : N // 2 - 1 : -1]
+        N, shape = c.shape[-1], c.shape
+        w = np.zeros(shape[:-1] + (N // 2 + 1,), np.complex128)
+        w.real = c[..., : N // 2 + 1]
+        np.negative(c[..., : N // 2 - 1 : -1], out=w.imag[..., 1:])
+        c = spec = v = None
         w *= 0.5 * np.exp(0.5j * np.pi * np.arange(N // 2 + 1) / N)
         v = np.fft.irfft(w, N, axis=-1)
+        w = None
         v = np.stack((v[..., : N // 2], v[..., : N // 2 - 1 : -1]), axis=-1)
-        spec = np.moveaxis(v.reshape(c.shape), -1, ax)
+        spec = np.moveaxis(v.reshape(shape), -1, ax)
     return spec
 
 
@@ -605,10 +613,20 @@ def _even_octant(f: SampledField) -> np.ndarray | None:
     return f.values[(slice(f.grid.n // 2, None),) * f.grid.d]
 
 
-def _even_norm(grid: GridSpec, octant: np.ndarray, q: float, weight=None) -> float:
-    """_lq of the field even in every coordinate whose octant x_i > 0 is
-    octant, with weight an octant table: 2^d times its sums."""
+def _even_norm(grid: GridSpec, octant: np.ndarray, q: float, power: float = 0.0) -> float:
+    """power_weighted_lq_norm, at finite q, of the field even in every
+    coordinate whose octant x_i > 0 is octant: 2^d times the octant's sums,
+    against the octant table of |x|^(power q)."""
+    weight = _refined_weight(grid, power * q) if power else None
     return _lq(octant, 2.0**grid.d * grid.h**grid.d, q, weight)
+
+
+def _even_lift(grid: GridSpec, octant: np.ndarray, s: float) -> np.ndarray:
+    """The octant of |D|^s f, f the even field with this octant, by one DCT
+    pair; its frequency zero is dropped, as fractional_laplacian's is."""
+    spec = _even_transform(octant)
+    spec *= _power_symbol(grid, s, True, octant=True)
+    return _even_inverse(spec)
 
 
 def _even_parseval(grid: GridSpec, octant: np.ndarray, s: float) -> float:

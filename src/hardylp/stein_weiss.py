@@ -2,7 +2,8 @@
 operator machinery used in its duality proof.
 
 The convolution with |x|^-lam is evaluated spectrally (it is a constant
-multiple of a negative-order fractional Laplacian).  The inner-ball operator
+multiple of a negative-order fractional Laplacian); a radial multiplier, so
+on an even field's octant it is one DCT pair.  The inner-ball operator
 is radial and is summed exactly over the grid's radial classes.
 """
 
@@ -17,7 +18,10 @@ from .report import QUADRATURE_TOL, CheckReport, check_report, within_bound
 from .spectral_core import (
     GridSpec,
     SampledField,
+    _even_lift,
+    _even_norm,
     _radial_classes,
+    _require_mean_zero,
     fractional_laplacian,
     lq_norm,
     power_weighted_lq_norm,
@@ -129,21 +133,40 @@ def riesz_potential(f: SampledField, lam: float) -> SampledField:
     return out.with_values(out.values * c)
 
 
-def stein_weiss_check(f: SampledField, params: SteinWeissParams) -> CheckReport:
+def _even_riesz_potential(grid: GridSpec, octant: np.ndarray, lam: float) -> np.ndarray:
+    """The octant of riesz_potential(f, lam), f the even field with this
+    octant, by one DCT pair; the same refusals, lam checked by the caller."""
+    _require_mean_zero(octant)
+    pot = _even_lift(grid, octant, -(grid.d - lam))
+    pot *= riesz_constant(grid.d, lam)
+    return pot
+
+
+def stein_weiss_check(
+    f: SampledField | GridSpec, params: SteinWeissParams, octant: np.ndarray | None = None
+) -> CheckReport:
     """Quotient of |||T f| |x|^-beta||_q against |||f| |x|^alpha||_p.
 
-    The bound constant is not known in closed form here; the quotient is
-    recorded.  Inadmissible parameter sets are rejected with the violated
-    condition named.
+    With octant, f is the grid of the even cell-centred field whose octant
+    x_i > 0 that is: T f is then one DCT pair on the octant, and both norms
+    are octant sums.  The bound constant is not known in closed form here;
+    the quotient is recorded.  Inadmissible parameter sets are rejected with
+    the violated condition named.
     """
     params.require()
-    if f.grid.d != params.d:
-        raise ValueError(f"field dimension {f.grid.d} != parameter d = {params.d}")
-    pot = riesz_potential(f, params.lam)
-    lhs = power_weighted_lq_norm(pot, -params.beta, params.q)
-    rhs = power_weighted_lq_norm(f, params.alpha, params.p)
+    grid = f if octant is not None else f.grid
+    if grid.d != params.d:
+        raise ValueError(f"field dimension {grid.d} != parameter d = {params.d}")
+    if octant is None:
+        pot = riesz_potential(f, params.lam)
+        lhs = power_weighted_lq_norm(pot, -params.beta, params.q)
+        rhs = power_weighted_lq_norm(f, params.alpha, params.p)
+    else:
+        pot = _even_riesz_potential(grid, octant, params.lam)
+        lhs = _even_norm(grid, pot, params.q, -params.beta)
+        rhs = _even_norm(grid, octant, params.p, params.alpha)
     return check_report(
-        "stein-weiss", f.grid, params.beta, params.q, lhs, rhs,
+        "stein-weiss", grid, params.beta, params.q, lhs, rhs,
         extra={"lam": params.lam, "p": params.p, "alpha": params.alpha},
     )
 

@@ -5,7 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hardylp.corpus import random_band_limited_field, smooth_step
+from hardylp.corpus import (
+    gaussian_field,
+    random_band_limited_field,
+    smooth_step,
+    truncated_power_field,
+)
 from hardylp.extremal import _BudgetExhausted, _radial_profile, _Search
 from hardylp.hardy import CHECKS, NOISE_FLOOR, FieldValues, shell_index_mesh, shell_radii
 from hardylp.littlewood_paley import LevelSums, decompose, group_sums
@@ -18,18 +23,23 @@ from hardylp.spectral_core import (
     _apply_diag,
     _gradient_symbols,
     _lq,
+    _parseval_energy,
     _radial_values,
     _refined_weight,
     axis_coordinates,
     coordinate_mesh,
+    fractional_laplacian,
     frequency_axes,
     frequency_radius,
     inverse_transform,
+    lq_norm,
     make_field,
     make_grid,
+    power_weighted_lq_norm,
     radius_mesh,
+    weighted_lq_norm,
 )
-from hardylp.stein_weiss import RadialProfile, geometric_radii
+from hardylp.stein_weiss import RadialProfile, geometric_radii, riesz_potential
 
 FFT_NAMES = (
     "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
@@ -467,16 +477,44 @@ def stack_localization_constant(f, partition, s, q):
 
 
 def shell_majorant_sides(f, s, q):
-    """(lhs, rhs) of shell_chain_check's link (a) by whole-array expressions
-    of f - mean and one boolean mask per shell, the reference for its
-    one-buffer form."""
+    """(lhs, rhs, shell masses) of shell_chain_check's link (a) by whole-array
+    expressions of f - mean on the whole grid and one boolean mask per shell,
+    the reference for its one-buffer form and for an even f's octant."""
     hd = f.grid.h**f.grid.d
     absq = power_formula(np.abs(f.values - np.mean(f.values)), q)
     lhs = float((absq * radius_mesh(f.grid, f.centering) ** (-s * q)).sum() * hd)
     shell_idx = shell_index_mesh(f.grid, f.centering)
     masses = [absq[shell_idx == j].sum() * hd for j in range(len(shell_radii(f.grid)))]
     majorant = float(sum(R ** (-s * q) * m for R, m in zip(shell_radii(f.grid), masses)))
-    return lhs, 2.0 ** (s * q) * majorant
+    return lhs, 2.0 ** (s * q) * majorant, np.array(masses)
+
+
+def radial_family_fields(grid, s, q):
+    """One field of each radial family of the corpus on grid: a Gaussian and
+    a power law of exponent 0.35 (d/q - s), each even in every coordinate."""
+    return (
+        gaussian_field(grid, 0.075 * grid.L),
+        truncated_power_field(grid, 0.35 * (grid.d / q - s), 2.5 * grid.h, grid.L / 5),
+    )
+
+
+def full_grid_classical_sides(f):
+    """(lhs, rhs) of classical_hardy_quotient on the whole grid, the reference
+    for an even f's octant: int |f|^2 / |x|^2 by weighted_lq_norm, and
+    ||grad f||_2^2 by Parseval on one rfftn with the gradient's symbols."""
+    lhs = weighted_lq_norm(f, 1.0, 2.0) ** 2
+    rhs = float(_parseval_energy(f, (np.abs(m) ** 2 for m in _gradient_symbols(f))))
+    return lhs, rhs
+
+
+def full_grid_specialization(f, s, q):
+    """The Stein-Weiss side of verify's specialization on the whole grid, the
+    reference for an even f's octant: the Riesz potential of order d - s of
+    |D|^s f by rfftn and irfftn, its weighted norm ||T g |x|^-s||_q, and
+    ||g||_q, g = |D|^s f."""
+    lifted = fractional_laplacian(f, s)
+    pot = riesz_potential(lifted, f.grid.d - s)
+    return pot.values, power_weighted_lq_norm(pot, -s, q), lq_norm(lifted, q)
 
 
 def phased_band_limited_field(grid, seed, envelope=1.0):

@@ -31,6 +31,7 @@ from hardylp.cli import COMMAND_FLAGS, COMMANDS, FLAGS, RunConfig, _build_parser
 from hardylp.corpus import random_band_limited_field
 from hardylp.extremal import ESTIMATE_IDENTITIES
 from hardylp.hardy import (
+    CHECKS,
     IDENTITIES,
     FieldValues,
     classical_hardy_quotient,
@@ -195,34 +196,38 @@ def test_verify_fft_budget(capsys, fft_calls):
     # that is 5 forward and 6 inverse transforms, and each band field takes
     # one inverse.  A forward transform is one rfftn; an inverse is an ifft
     # along each of the 2 leading axes and one irfft, as irfftn makes it.
-    # A Gaussian takes the first only for classical and the Riesz potential;
-    # its lifts of f and 3.5 f and its level pass run on its octant, where a
-    # forward DCT is an rfft along each of the 3 axes and an inverse DCT an
-    # irfft along each: 3 forward and 2 + 3 inverse DCTs.
-    inverses = 4 * 6 + 4 + 4 + 2 * 1
-    dct_forward, dct_inverse = 2 * 3, 2 * 5
+    # A Gaussian takes the same transforms as DCTs on its octant, and none
+    # on the whole grid: a forward DCT is an rfft along each of the 3 axes,
+    # an inverse DCT an irfft along each.  So per Gaussian 5 forward and 6
+    # inverse DCTs.
+    inverses = 4 * 6 + 4 + 4
+    dct_forward, dct_inverse = 2 * 5, 2 * 6
     assert dict(fft_calls) == {
-        "rfftn": 4 * 5 + 2 * 2, "ifft": 2 * inverses, "irfft": inverses + 3 * dct_inverse,
+        "rfftn": 4 * 5, "ifft": 2 * inverses, "irfft": inverses + 3 * dct_inverse,
         "rfft": 3 * dct_forward,
     }
 
 
-def test_verify_of_gaussians_takes_a_d_dimensional_transform_only_off_the_octant(
-    capsys, fft_calls
-):
-    # per Gaussian, one rfftn for classical's Parseval and one for the Riesz
-    # potential of |D|^s f, whose inverse is an ifft along each of the 2
-    # leading axes and one irfft; none on the coarse corpus of the inner-ball
-    # check.  Everything else is an octant DCT, an rfft (forward) or irfft
-    # (inverse) along each of the 3 axes: forward for the lifts of f and
-    # 3.5 f and the level pass, inverse for the two lifts and the 4 levels
+def test_verify_of_radial_fields_takes_no_d_dimensional_transform(capsys, fft_calls):
+    # the corpus of 4 at n = 64 is 2 Gaussians and 2 power laws, all radial.
+    # Each of their transforms is an octant DCT, an rfft (forward) or irfft
+    # (inverse) along each of the 3 axes: forward for classical's Parseval,
+    # the lifts of f and 3.5 f, the Riesz potential and the level pass;
+    # inverse for the two lifts, the Riesz potential and the 4 levels.  The
+    # only d-D transforms make the 2 band fields of the coarse n = 16 corpus
+    # of the inner-ball check, where the power laws do not fit: one inverse
+    # each, an ifft along each of the 2 leading axes and one irfft
     code, _, _ = run(
         capsys, "verify", "--suite", "all", "--d", "3", "--n", "64", "--q", "3",
-        "--s", "0.5", "--corpus-size", "2",
+        "--s", "0.5", "--corpus-size", "4",
     )
     assert code == 0
+    grid = make_grid(3, 64, 20.0)
+    labels = [label for label, _ in corpus.corpus_fields(grid, 4, 1, s=0.5, q=3.0)]
+    families = [label.partition("-")[0] for label in labels]
+    assert families == ["gaussian"] * 2 + ["power"] * 2
     assert dict(fft_calls) == {
-        "rfftn": 2 * 2, "ifft": 2 * 2, "irfft": 2 * (1 + 3 * 6), "rfft": 2 * 3 * 3
+        "irfft": 4 * 3 * (2 + 1 + 4) + 2, "rfft": 4 * 3 * 5, "ifft": 2 * 2
     }
 
 
@@ -428,6 +433,31 @@ def test_peak_memory_does_not_grow_with_the_corpus(capsys, argv):
     # at either size; the corpus streams, so 5 more fields add under one array
     assert peak(8) <= peak(3) + 1.0
     capsys.readouterr()
+
+
+def test_verify_checks_of_an_even_field_peak_below_three_quarters_of_a_field():
+    # an even field's classical, drift, specialization and chain checks read
+    # its octant: 3.5 f, f - mean, |D|^s f and its Riesz potential are octant
+    # arrays, an eighth of a field array each.  On the whole grid they peaked
+    # at 1.10, 2.13, 5.07 and 2.06 field arrays.  Each check runs after what
+    # verify reads before it: |D|^s f (the drift check's) before the
+    # specialization, and the level pass (besov's) before the chain
+    grid = make_grid(3, 64, 20.0)
+    f = corpus.gaussian_field(grid, 0.075 * grid.L)
+    part = littlewood_paley.build_partition(grid)
+    runs = {
+        "classical": (lambda v: None, lambda v: CHECKS["classical"].run(v, 0.03)),
+        "drift": (lambda v: None, lambda v: cli._homogeneous_fractional(v, 0.03)),
+        "specialization": (lambda v: v.sobolev, lambda v: cli._specialization(v, 0.03)),
+        "chain": (lambda v: v.sums, lambda v: CHECKS["chain"].run(v, 0.03)),
+    }
+    for name, (before, check_) in runs.items():
+        for _ in range(2):  # the first run fills the per-grid caches
+            values = FieldValues(f, 0.5, 3.0, part, shells=True)
+            assert values._octant is not None
+            before(values)
+            peak = peak_field_arrays(lambda: check_(values), f.values.nbytes)
+        assert peak <= 0.75, (name, peak)
 
 
 def test_verify_empty_corpus_vacuous_pass(capsys):

@@ -5,13 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
+import hardylp.hardy as hardy
 import hardylp.littlewood_paley as littlewood_paley
 import hardylp.spectral_core as spectral_core
 from conftest import (
     check,
     discrete_hardy_ceiling,
+    full_grid_classical_sides,
     lp_stack,
     peak_field_arrays,
+    radial_family_fields,
     random_field,
     random_mean_zero_field,
     reflected_weight,
@@ -113,7 +116,12 @@ def test_classical_rhs_is_the_energy_of_the_spectral_gradient(kind):
 
 
 def test_classical_takes_one_forward_fft(gauss3, fft_calls):
+    # an even field's forward transform is its octant's DCT, one rfft per axis
     classical_hardy_quotient(gauss3)
+    assert dict(fft_calls) == {"rfft": 3}
+    band = random_band_limited_field(gauss3.grid, 7)
+    fft_calls.clear()
+    classical_hardy_quotient(band)
     assert dict(fft_calls) == {"rfftn": 1}
 
 
@@ -470,7 +478,7 @@ def test_chain_shell_majorant_matches_the_whole_array_formula(d, n, real):
     for q, s in ((3.0, 0.3), (2.0, 0.25)):
         f = random_field(grid, seed=960 + d, real=real)
         link = check("chain", f, s, q).links[0]
-        assert (link["lhs"], link["rhs"]) == shell_majorant_sides(f, s, q)
+        assert (link["lhs"], link["rhs"]) == shell_majorant_sides(f, s, q)[:2]
 
 
 def test_chain_and_holder_checks_peak_memory():
@@ -619,29 +627,64 @@ def test_octant_values_match_the_full_grid(d, n):
     part = build_partition(grid)
     for q in (2.0, 3.0, 4.0):
         s = 0.4 * d / q
-        fields_ = (
-            gaussian_field(grid, 0.075 * grid.L),
-            truncated_power_field(grid, 0.35 * (d / q - s), 2.5 * grid.h, grid.L / 5),
-        )
         names = VERIFY_NAMES if q > 2 else ("fractional", "besov", "chain")
-        for f in fields_:
+        for f in radial_family_fields(grid, s, q):
             octant, full = (_shared_values(f, s, q, part, names) for _ in range(2))
             full._octant = None
             assert octant._octant is not None
-            _assert_close(octant.lifted.values, full.lifted.values)
+            block = (slice(n // 2, None),) * d
+            _assert_close(octant._lift, full.lifted.values[block])
             for name in ("weighted", "sobolev"):
                 _assert_close(getattr(octant, name), getattr(full, name), name)
             cell, whole = octant.sums, full.sums
             assert cell.cell_volume == 2.0**d * whole.cell_volume
             _assert_close(cell.norms, whole.norms, "norms")
             _assert_close(cell.maxima, whole.maxima, "maxima")
-            block = (slice(n // 2, None),) * d
             for r, total in whole.powers.items():
                 _assert_close(cell.powers[r], total[block], f"powers[{r}]")
             _assert_close(cell.shells * cell.cell_volume, whole.shells * whole.cell_volume)
             for name in names:
                 got = CHECKS[name].run(octant, 0.03).to_dict()
                 _assert_close(got, CHECKS[name].run(full, 0.03).to_dict(), name)
+
+
+def _assert_relative(got, want, path=""):
+    # within 1e-12 of want, relative to max |want| for an array
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12 * scale, (path, got, want)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_octant_classical_sides_match_the_full_grid(d):
+    # an even field's classical quotient reads its octant: the weighted norm
+    # against the octant table, and || |D| f ||_2^2 by one DCT in place of
+    # the gradient's Parseval sum on the whole grid
+    grid = make_grid(d, 32, 20.0)
+    for f in radial_family_fields(grid, 0.5, 3.0):
+        assert spectral_core._even_octant(f) is not None
+        rep = classical_hardy_quotient(f)
+        lhs, rhs = full_grid_classical_sides(f)
+        _assert_relative(rep.lhs, lhs, "lhs")
+        _assert_relative(rep.rhs, rhs, "rhs")
+
+
+@pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (3, 32), (4, 32)])
+def test_octant_shell_majorant_matches_the_full_grid(d, n):
+    # chain link (a) of an even field sums |f - mean|^q on its octant, on
+    # cells of 2^d h^d; the whole-grid masked sums are the reference
+    grid = make_grid(d, n, 20.0)
+    part = build_partition(grid)
+    for q in (2.0, 3.0):
+        s = 0.4 * d / q
+        for f in radial_family_fields(grid, s, q):
+            values = FieldValues(f, s, q, part, shells=True)
+            assert values._octant is not None
+            lhs, rhs, masses = shell_majorant_sides(f, s, q)
+            link = shell_chain_check(values).links[0]
+            _assert_relative(link["lhs"], lhs, "lhs")
+            _assert_relative(link["rhs"], rhs, "rhs")
+            _assert_relative(hardy._shell_majorant_sums(values)[1], masses, "masses")
+            assert link["passed"]
 
 
 def _flat_report(rep) -> dict:
