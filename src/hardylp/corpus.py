@@ -10,7 +10,8 @@ The radial families are evaluated once per radial class of the
 cell-centred grid and gathered onto the mesh.  A band-limited field's
 coefficients are laid on the annulus' bounding box, whose half spectrum
 takes the box plus its mirror (the Hermitian part), and it is synthesized
-by one real inverse FFT pruned to that box.
+by one real inverse FFT pruned to that box.  The field keeps that half
+spectrum (SampledField.box), so no check of it takes a forward FFT.
 """
 
 from __future__ import annotations
@@ -100,7 +101,9 @@ def random_band_limited_field(
     annulus and the mean vanishes.  The annulus is empty, and refused, for
     n < 16.  The real part of sum_k g_k e^(2 pi i k x) has coefficients
     (g_k + conj g_-k) / 2, the half spectrum of the box of g plus its mirror.
-    The support is built once per grid and the draws once per seed.
+    The field carries that half spectrum as its box (SampledField.box), which
+    its spectral operators read in place of a forward FFT.  The support is
+    built once per grid and the draws once per seed.
     """
     K, annulus, ratio = _band_support(grid)
     box = np.zeros(annulus.shape, dtype=np.complex128)
@@ -114,11 +117,12 @@ def random_band_limited_field(
     spec = box[np.ix_(*(mirror,) * (grid.d - 1), mirror[: K + 1])]
     np.conjugate(spec, out=spec)
     spec += box[..., : K + 1]
-    vals = _inverse_real(spec, grid.n, K)
+    vals = _inverse_real(spec.copy(), grid.n, K)
     peak = max(vals.max(), -vals.min())  # max |vals|, with no |vals| array
     if peak > 0:
         vals /= peak
-    return SampledField(grid, vals)
+        spec /= peak
+    return SampledField(grid, vals, box=(K, spec))
 
 
 @lru_cache(maxsize=2)

@@ -105,7 +105,9 @@ class FieldValues:
     these values, its gradient and classical quotients, chain link (a), and
     the values of 3.5 f and f - mean (mapped); |D|^s f is then _lift, the
     octant's DCT pair, never a full field.  of_octant starts from the octant;
-    its f is built only if read."""
+    its f is built only if read.  A field that carries a box spectrum (a band
+    field, SampledField.box) is read on the whole grid, every transform of
+    it on its box; mapped's fields carry none."""
 
     def __init__(self, f: SampledField, s: float, q: float,
                  partition: DyadicPartition | None = None, powers=(), shells=False):

@@ -152,7 +152,7 @@ def project(f: SampledField, partition: DyadicPartition, N: float) -> SampledFie
             f"[{partition.n_min:g}, {partition.n_max:g}]"
         )
     mult = _radial_symbol(partition.grid, partition.tables[N], np.isrealobj(f.values))
-    return f.with_values(next(_apply_diag(f.values, [mult])))
+    return f.with_values(next(_apply_diag(f.values, [mult], f.box)))
 
 
 def decompose(f: SampledField, partition: DyadicPartition):
@@ -161,11 +161,14 @@ def decompose(f: SampledField, partition: DyadicPartition):
     table vanishes from |xi| = 2N on, so on a real field every level below
     the top takes the inverse pruned to the box |k_i| < 2NL of its support
     (_radial_symbol); the top level is a high-pass and takes the whole
-    in-place inverse."""
+    in-place inverse.  A field that carries a box spectrum takes no forward
+    FFT, and every level's inverse is pruned to that box, or to the level's
+    own when it is smaller; a level whose product vanishes on the box, as the
+    top level does on a band field's, is zero with no inverse."""
     real = np.isrealobj(f.values)
     grid, tables = partition.grid, partition.tables
     mults = (_radial_symbol(grid, tables[N], real) for N in partition.levels)
-    return _apply_diag(f.values, mults)
+    return _apply_diag(f.values, mults, f.box)
 
 
 @dataclass(frozen=True)
@@ -209,9 +212,12 @@ def level_sums(
 ) -> LevelSums:
     """The LevelSums of f: one pass over the pieces of decompose, one level
     at a time, with no (levels, *shape) stack, each raised to p in place by
-    _raise once its max and other powers are taken.  groups, when given, is the
-    (order, starts) of group_sums, and needs a finite p.  An array f is an even
-    field's octant x_i > 0 (cells 2^d h^d, octant groups), by DCT per level."""
+    _raise once its max and other powers are taken.  A level after the first
+    that is exactly zero, as a band field's top level is, adds nothing to the
+    pointwise sums: only its zero norm and shell sums are recorded.  groups,
+    when given, is the (order, starts) of group_sums, and needs a finite p.
+    An array f is an even field's octant x_i > 0 (cells 2^d h^d, octant
+    groups), by DCT per level."""
     grid, tables = partition.grid, partition.tables
     if isinstance(f, SampledField):
         pieces, hd = decompose(f, partition), f.grid.h**f.grid.d
@@ -227,6 +233,11 @@ def level_sums(
         level = np.abs(level, out=level) if np.isrealobj(level) else np.abs(level)
         level *= N**s
         maxima.append(float(level.max(initial=0.0)))
+        if maxima[-1] == 0.0 and totals.keys() >= set(powers):  # it adds nothing
+            norms.append(0.0)
+            if groups is not None:
+                shells.append(np.zeros(len(groups[1]) + 1))
+            continue
         for r in others:
             if r != np.inf:
                 _accumulate(totals, r, _raise(level.copy(), r))

@@ -30,7 +30,10 @@ only the lines that cross the box are transformed, and irfft zero-pads the
 K + 1 columns of the last axis itself.  Fallback rule: a box with 4K > n is
 inverted whole, since widening it costs more than the skipped lines save.
 Both paths are bitwise equal to np.fft.irfftn; dyadic levels below the top
-and the band-limited corpus fields take the pruned one.
+and the band-limited corpus fields take the pruned one.  A band-limited
+field keeps its half spectrum on its box (SampledField.box): every
+multiplier of it is then a product on that box and one pruned inverse, with
+no forward transform.
 
 A field even in every coordinate, as a radial one on the cell-centred grid
 is, needs only its octant x_i > 0 (_even_octant): each grid sum is 2^d times
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -154,11 +157,19 @@ class SampledField:
     centering "cell" places samples at cell centers (offset h/2 from the
     lattice), "lattice" at the lattice points themselves.  Cell centering is
     the default; it keeps every sample away from the origin.
+
+    A real field may carry box = (K, spectrum): its exact unnormalised rfftn
+    half spectrum on _half_box(n, d, K), 4K <= n, zero outside that box.  The
+    forward transforms of _apply_diag and _parseval_energy then read the box,
+    and each product's inverse is pruned to it.  The caller vouches that the
+    box is the samples' spectrum; with_values, and so every field made from
+    new samples, drops it.  Copied and read-only, like the values.
     """
 
     grid: GridSpec
     values: np.ndarray
     centering: str = "cell"
+    box: tuple[int, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
@@ -174,9 +185,18 @@ class SampledField:
             raise ValueError(f"unknown centering {self.centering!r}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        if self.box is not None:
+            K, spec = self.box
+            spec = np.array(spec, dtype=np.complex128)
+            shape = tuple(i.size for i in _half_box(self.grid.n, self.grid.d, K))
+            if dtype != np.float64 or _pruned(self.grid.n, K) is None or spec.shape != shape:
+                raise ValueError(f"a box spectrum of K = {K} needs a real field, "
+                                 f"4K <= n and shape {shape}, got {spec.shape}")
+            spec.setflags(write=False)
+            object.__setattr__(self, "box", (K, spec))
 
     def with_values(self, values) -> "SampledField":
-        return replace(self, values=values)
+        return replace(self, values=values, box=None)
 
 
 @dataclass(frozen=True)
@@ -415,7 +435,7 @@ def _multiplier_values(grid: GridSpec, m) -> np.ndarray:
     return vals
 
 
-def _apply_diag(values: np.ndarray, mults):
+def _apply_diag(values: np.ndarray, mults, box=None):
     """ifftn(fftn(values) * m) for each m in mults, in order: a generator
     that takes the forward FFT once and makes each piece when it is taken.
 
@@ -426,11 +446,21 @@ def _apply_diag(values: np.ndarray, mults):
     passes symbols that are Hermitian on the lattice.  For real values an m
     may also be a pair (K, values of m on _half_box(n, d, K)) from
     _radial_symbol, for a symbol that vanishes outside that box; its piece
-    takes the pruned inverse.  Complex values go through fftn/ifftn with m
-    as given.  The per-axis phases of forward_transform and
-    inverse_transform cancel for a diagonal multiplier, so they are left out.
-    Each piece's product buffer is freed before the next piece is made.
+    takes the pruned inverse.  Real values that carry a box spectrum (the
+    SampledField's box) take no forward FFT: each product is taken on the box,
+    cut to a pair's smaller box (_box_product), and its inverse is pruned; a
+    product that vanishes on the box is the zero piece, with no inverse.
+    Complex values go through fftn/ifftn with m as given.  The per-axis
+    phases of forward_transform and inverse_transform cancel for a diagonal
+    multiplier, so they are left out.  Each piece's product buffer is freed
+    before the next piece is made.
     """
+    n = values.shape[0]
+    if box is not None:
+        for m in mults:
+            piece, K = _box_product(n, box, m)
+            yield _inverse_real(piece, n, K) if piece.any() else np.zeros(values.shape)
+        return
     spec = _forward(values)
     if np.iscomplexobj(values):
         for m in mults:
@@ -438,11 +468,32 @@ def _apply_diag(values: np.ndarray, mults):
             yield np.fft.ifftn(piece, out=piece)
             del piece
         return
-    n, half = values.shape[0], spec.shape[-1]
+    half = spec.shape[-1]
     for m in mults:
         K, m = m if isinstance(m, tuple) else (None, m[..., :half])
         box = spec if K is None else spec[np.ix_(*_half_box(n, values.ndim, K))]
         yield _inverse_real(np.multiply(box, m), n, K)
+
+
+def _box_of(a: np.ndarray, lines: int, K: int) -> np.ndarray:
+    """The entries of a on the box |k_i| <= K, in _half_box layout: a is laid
+    on the rfftn half lattice of lines of n (lines = n), or on a box of J >= K,
+    whose leading axes are lines of 2J + 1 in the same layout (lines = 2J + 1);
+    an axis of length 1, along which a broadcasts, is kept."""
+    index = _half_box(lines, a.ndim, K)
+    return a[np.ix_(*(i if size > 1 else [0] for i, size in zip(index, a.shape)))]
+
+
+def _box_product(n: int, box, m) -> tuple[np.ndarray, int]:
+    """(the product of the box spectrum (K, spec) and the symbol m on the box
+    of k, k): k = K for a lattice array m, and k = min(K, J) for a pair
+    (J, values on the box of J) from _radial_symbol, as both vanish outside
+    their own box."""
+    K, spec = box
+    J, m = m if isinstance(m, tuple) else (None, m)
+    k = K if J is None else min(K, J)
+    m = _box_of(m, n if J is None else 2 * J + 1, k)
+    return np.multiply(spec if k == K else _box_of(spec, 2 * K + 1, k), m), k
 
 
 def _radial_symbol(grid: GridSpec, table: np.ndarray, real: bool):
@@ -498,14 +549,18 @@ def fractional_laplacian(f: SampledField, s: float) -> SampledField:
 
     For s > 0 the frequency-zero coefficient is set to zero; s = 0 is the
     identity; s < 0 requires a mean-zero input because |2 pi xi|^s is
-    singular at the origin.
+    singular at the origin.  A field that carries a box spectrum gives one
+    that carries the product on that box.
     """
     if s == 0:
         return f
     if s < 0:
         _require_mean_zero(f.values)
     mult = _power_symbol(f.grid, s, np.isrealobj(f.values))
-    return f.with_values(next(_apply_diag(f.values, [mult])))
+    if f.box is None:
+        return f.with_values(next(_apply_diag(f.values, [mult])))
+    product, K = _box_product(f.grid.n, f.box, mult)
+    return replace(f, values=_inverse_real(product.copy(), f.grid.n, K), box=(K, product))
 
 
 def _require_mean_zero(values: np.ndarray) -> None:
@@ -540,22 +595,33 @@ def _parseval_energy(f: SampledField, symbols):
     and m the sum of symbols: by Parseval, ||g||_2^2 for g with spectrum
     F sqrt(m).  A real f takes rfftn, each symbol cut to the half lattice as
     in _apply_diag; there the planes k_last = 0 and n/2 are their own mirror
-    images and count once, and every other plane counts twice.  The power is
-    made in the spectrum's real part, the symbols' sum in its imag part."""
+    images and count once, and every other plane counts twice.  A real f that
+    carries a box spectrum takes it for F, each symbol cut to the box; its
+    last axis ends at K < n/2, so only the plane k_last = 0 counts once.  The
+    power is made in the spectrum's real part, the symbols' sum in its imag
+    part."""
     grid = f.grid
     real = np.isrealobj(f.values)
-    spec = _forward(f.values)
-    half = grid.n // 2 + 1 if real else None
+    if f.box is None:
+        spec = _forward(f.values)
+        half = grid.n // 2 + 1 if real else None
+        cut = lambda m: m[..., :half]
+    else:
+        K, spec = f.box
+        spec = spec.copy()
+        cut = lambda m: _box_of(m, grid.n, K)
     power = np.square(spec.real, out=spec.real)
     power += np.square(spec.imag, out=spec.imag)
     weight = None  # the sum of symbols, left to right, in the spent imag part
     for m in symbols:
-        m = m[..., :half]
+        m = cut(m)
         weight = m if weight is None else np.add(weight, m, out=spec.imag)
     power *= weight
     total = power.sum()
     if real:
-        total = 2.0 * total - power[..., 0].sum() - power[..., -1].sum()
+        total = 2.0 * total - power[..., 0].sum()
+        if f.box is None:
+            total -= power[..., -1].sum()
     return total * grid.h**grid.d / grid.size
 
 
@@ -666,7 +732,8 @@ def riesz_transform(f: SampledField, j: int) -> SampledField:
     inverse = _power_symbol(grid, -1.0, real)
     xi = _along_axis(grid, j - 1, _odd_frequencies(grid, real))
     xi = xi[..., : inverse.shape[-1]]
-    return f.with_values(next(_apply_diag(f.values, [(-2j * np.pi) * xi * inverse])))
+    symbol = (-2j * np.pi) * xi * inverse
+    return f.with_values(next(_apply_diag(f.values, [symbol], f.box)))
 
 
 def gradient(f: SampledField) -> tuple[SampledField, ...]:

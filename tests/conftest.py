@@ -517,6 +517,13 @@ def full_grid_specialization(f, s, q):
     return pot.values, power_weighted_lq_norm(pot, -s, q), lq_norm(lifted, q)
 
 
+def without_box(f):
+    """f's samples alone, as a field that carries no box spectrum: every
+    operator on it takes the forward FFT of the samples, the reference for the
+    box path of a band-limited field."""
+    return make_field(f.grid, f.values, f.centering)
+
+
 def phased_band_limited_field(grid, seed, envelope=1.0):
     """Band-limited synthesis on the full complex lattice, the reference for
     corpus.random_band_limited_field: draws in C order over the annulus

@@ -26,6 +26,7 @@ from conftest import (
     random_mean_zero_field,
     stack_level_norms,
     weighted_stack,
+    without_box,
 )
 from hardylp.cli import COMMAND_FLAGS, COMMANDS, FLAGS, RunConfig, _build_parser, main
 from hardylp.corpus import random_band_limited_field
@@ -170,13 +171,15 @@ def test_verify_runs_the_level_pass_once_per_corpus_field(capsys, call_log):
     fields_ = [f for _, f in corpus.corpus_fields(grid, 5, 1, s=0.5, q=3.0)]
     assert len(passes) == len(fields_) == 5
     # the 2 Gaussians pass their octant x_i > 0, with no decompose call; the
-    # 3 band fields pass the field
+    # 3 band fields pass the field, which carries its box spectrum
     assert len(decomposed) == 3
     for (field, *_), f, even in zip(passes, fields_, (True, True, False, False, False)):
         if even:
             assert np.array_equal(field, f.values[(slice(16, None),) * 3])
         else:
             assert np.array_equal(field.values, f.values)
+            assert field.box[0] == f.box[0] == 4
+            assert np.array_equal(field.box[1], f.box[1])
 
 
 def test_verify_fft_budget(capsys, fft_calls):
@@ -187,25 +190,56 @@ def test_verify_fft_budget(capsys, fft_calls):
     assert code == 0
     # n = 32 gives 3 dyadic levels; the corpus is 2 Gaussians and 4 band
     # fields (the power-law cutoffs do not fit), and the coarse n = 16 corpus
-    # of the inner-ball check is 2 Gaussians and 4 band fields.  Per band field:
-    #   |D|^s f (fractional, refined, stein-weiss base)   1 forward + 1 inverse
-    #   classical ||grad f||_2^2 by Parseval               1 forward
+    # of the inner-ball check is 2 Gaussians and 4 band fields.  A band field
+    # carries its box spectrum, which every check of it reads in place of a
+    # forward transform, except the drift check's 3.5 f, which is new
+    # samples.  Per band field:
+    #   |D|^s f (fractional, refined, stein-weiss base)   0 forward + 1 inverse
+    #   classical ||grad f||_2^2 by Parseval               0 forward
     #   fractional homogeneity, |D|^s (3.5 f)              1 forward + 1 inverse
-    #   stein-weiss Riesz potential of |D|^s f             1 forward + 1 inverse
-    #   level pass, 3 levels                               1 forward + 3 inverses
-    # that is 5 forward and 6 inverse transforms, and each band field takes
-    # one inverse.  A forward transform is one rfftn; an inverse is an ifft
-    # along each of the 2 leading axes and one irfft, as irfftn makes it.
-    # A Gaussian takes the same transforms as DCTs on its octant, and none
-    # on the whole grid: a forward DCT is an rfft along each of the 3 axes,
-    # an inverse DCT an irfft along each.  So per Gaussian 5 forward and 6
+    #   stein-weiss Riesz potential of |D|^s f             0 forward + 1 inverse
+    #   level pass, 3 levels                               0 forward + 2 inverses
+    # that is 1 forward and 5 inverse transforms (4 of them pruned to the
+    # box), and each band field's synthesis takes one inverse.  The top
+    # level's symbol vanishes on the box |k_i| <= n/8, so that piece is zero
+    # with no inverse.  A forward
+    # transform is one rfftn; an inverse, whole or pruned, is an ifft along
+    # each of the 2 leading axes and one irfft, as irfftn makes it.  A
+    # Gaussian takes the same transforms as DCTs on its octant, and none on
+    # the whole grid: a forward DCT is an rfft along each of the 3 axes, an
+    # inverse DCT an irfft along each.  So per Gaussian 5 forward and 6
     # inverse DCTs.
-    inverses = 4 * 6 + 4 + 4
+    inverses = 4 * 5 + 4 + 4
     dct_forward, dct_inverse = 2 * 5, 2 * 6
     assert dict(fft_calls) == {
-        "rfftn": 4 * 5, "ifft": 2 * inverses, "irfft": inverses + 3 * dct_inverse,
+        "rfftn": 4 * 1, "ifft": 2 * inverses, "irfft": inverses + 3 * dct_inverse,
         "rfft": 3 * dct_forward,
     }
+
+
+def test_verify_band_fields_take_one_forward_and_one_whole_inverse_each(
+    capsys, call_log, fft_calls
+):
+    # the benchmark's run at seed 1: 2 Gaussians, 2 power laws and 2 band
+    # fields.  Each band field takes one rfftn and one whole (unpruned) d-D
+    # inverse, both for the drift check's 3.5 f; every other inverse on the
+    # n = 64 grid is pruned to the band's box K = n/8 or to a smaller level
+    # box: per band field its synthesis, |D|^s f, the Riesz potential and 3
+    # of the 4 levels; the top level vanishes on the box, and its piece is
+    # zero with no inverse.  The coarse n = 16 corpus of the inner-ball check
+    # synthesizes its 4 band fields only, each by one inverse pruned to K = 2
+    inverses = call_log(spectral_core, "_inverse_real")
+    code, _, _ = run(
+        capsys, "verify", "--suite", "all", "--d", "3", "--n", "64", "--q", "3",
+        "--s", "0.5", "--corpus-size", "6", "--seed", "1",
+    )
+    assert code == 0
+    assert fft_calls["rfftn"] == 2
+    boxes = [K for _, n, *K in inverses if n == 64]
+    assert boxes.count([None]) == 2
+    assert all(K[0] <= 8 for K in boxes if K != [None])
+    assert len(boxes) == 2 * (1 + 1 + 2 + 3) and fft_calls["ifft"] == 2 * len(inverses)
+    assert [K for _, n, *K in inverses if n == 16] == [[2]] * 4
 
 
 def test_verify_of_radial_fields_takes_no_d_dimensional_transform(capsys, fft_calls):
@@ -358,10 +392,11 @@ def test_estimate_constant_evaluates_each_distinct_point_once(
     assert len(search) == len({tuple(sorted(p.items())) for p in search}) == 49
     assert len(trials) == 49 + 1  # and the trend's trial on the n = 128 grid
     # the 42 radial quotients and the trend's take their Sobolev norm from the
-    # octant, by one rfft along each of the 3 axes; each band quotient takes
-    # one forward rfftn (q = 2, by Parseval), and each band field one
-    # inverse: an ifft along each of the 2 leading axes and one irfft
-    assert dict(fft_calls) == {"rfft": 3 * 43, "rfftn": 7, "ifft": 2 * 7, "irfft": 7}
+    # octant, by one rfft along each of the 3 axes; each band quotient reads
+    # its field's box spectrum (q = 2, by Parseval) and takes no forward
+    # rfftn, and each band field one inverse: an ifft along each of the 2
+    # leading axes and one irfft
+    assert dict(fft_calls) == {"rfft": 3 * 43, "ifft": 2 * 7, "irfft": 7}
 
 
 @pytest.mark.parametrize(
@@ -433,6 +468,45 @@ def test_peak_memory_does_not_grow_with_the_corpus(capsys, argv):
     # at either size; the corpus streams, so 5 more fields add under one array
     assert peak(8) <= peak(3) + 1.0
     capsys.readouterr()
+
+
+def _assert_relative(got, want, path=""):
+    """got equals want, float by float, within 1e-12 relative; the drift
+    check's homogeneity_drift, itself a relative rounding error, within 1e-12."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            _assert_relative(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_relative(a, b, f"{path}[{i}]")
+    elif isinstance(want, float):
+        scale = 1.0 if path.endswith("homogeneity_drift") else abs(want)
+        assert abs(got - want) <= 1e-12 * scale, (path, got, want)
+    else:
+        assert got == want, (path, got, want)
+
+
+@pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (3, 32), (4, 32)])
+def test_verify_checks_of_a_band_field_match_its_samples_path(d, n):
+    # a band field's checks read its box spectrum; the same samples with no
+    # box (conftest.without_box) take the forward FFT, the reference.  Each
+    # verify check that applies, in run order on one FieldValues per path
+    grid = make_grid(d, n, 20.0)
+    part = littlewood_paley.build_partition(grid)
+    q = 3.0
+    s = 0.4 * d / q
+    plan = [check_ for _, check_, applies in cli.VERIFY_CHECKS if applies(d, s, q)]
+    assert len(plan) == {1: 6, 2: 6, 3: 7, 4: 9}[d]
+    powers = [r for check_ in plan for r in check_.powers(q)]
+    f = random_band_limited_field(grid, 2)
+    box, samples = (FieldValues(g, s, q, part, powers, True) for g in (f, without_box(f)))
+    for check_ in plan:
+        got, want = check_.run(box, 0.03), check_.run(samples, 0.03)
+        assert (got is None) == (want is None)
+        if want is not None:
+            _assert_relative(got.to_dict(), want.to_dict(), want.identity)
 
 
 def test_verify_checks_of_an_even_field_peak_below_three_quarters_of_a_field():
@@ -687,6 +761,57 @@ def test_stein_weiss_check_defaults(capsys):
     assert code == 0
     reports = json.loads(out)
     assert all(r["identity"] == "stein-weiss" for r in reports)
+
+
+def test_stein_weiss_check_of_even_fields_reads_their_octants(capsys, fft_calls):
+    # the two Gaussians' f - mean and Riesz potentials are taken on their
+    # octants, one DCT pair each, an rfft and an irfft along each of the 3
+    # axes: no d-D transform.  The full-grid path is the reference
+    code, out, _ = run(
+        capsys, "stein-weiss-check", "--d", "3", "--n", "64", "--q", "3", "--s", "0.5",
+        "--corpus-size", "2",
+    )
+    assert code == 0
+    assert dict(fft_calls) == {"rfft": 2 * 3, "irfft": 2 * 3}
+    grid = make_grid(3, 64, 20.0)
+    params = SteinWeissParams(lam=2.5, p=3.0, q=3.0, alpha=0.0, beta=0.5, d=3)
+    fields_ = [f for _, f in corpus.corpus_fields(grid, 2, 1, s=0.5, q=3.0)]
+    reports = json.loads(out)
+    assert len(reports) == len(fields_) == 2
+    for rep, f in zip(reports, fields_):
+        want = stein_weiss_check(f.with_values(f.values - np.mean(f.values)), params)
+        for key in ("lhs", "rhs", "quotient"):
+            assert abs(rep[key] - getattr(want, key)) <= 1e-12 * getattr(want, key), key
+
+
+def test_mean_free_stein_weiss_of_an_even_field_peaks_below_one_field():
+    # f - mean, its Riesz potential and both weighted sums are octant arrays;
+    # on the whole grid the check peaked at 4.06 field arrays, here 0.57
+    grid = make_grid(3, 64, 20.0)
+    params = SteinWeissParams(lam=2.5, p=3.0, q=3.0, alpha=0.0, beta=0.5, d=3)
+    for _, f in corpus.corpus_fields(grid, 2, 1, s=0.5, q=3.0):
+        for _ in range(2):  # the first run fills the per-grid caches
+            values = FieldValues(f, 0.5, 3.0)
+            peak = peak_field_arrays(
+                lambda: cli._mean_free_stein_weiss(values, params), f.values.nbytes
+            )
+        assert values._octant is not None and peak < 1.0, peak
+
+
+def test_decay_warnings_skip_fields_with_a_box_spectrum(capsys, band_field_file):
+    # a band field is a trigonometric polynomial, exactly periodic on the box:
+    # of the benchmark's gradient run, only the wider Gaussian is flagged,
+    # 1.03e-8 at the faces.  The same samples read from a file carry no box
+    # and are flagged
+    code, out, err = run(
+        capsys, "hardy-check", "--identity", "gradient", "--d", "4", "--n", "32",
+        "--q", "3", "--corpus-size", "8", "--seed", "1",
+    )
+    assert code == 0 and len(json.loads(out)) == 8
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1 and warnings[0].startswith("warning: gaussian-0.08:")
+    code, _, err = run(capsys, "norm", "--field", str(band_field_file))
+    assert code == 0 and err.count("warning:") == 1
 
 
 def test_estimate_constant_builds_partition_only_when_needed(capsys):

@@ -19,6 +19,7 @@ from conftest import (
     random_mean_zero_field,
     reflected_weight,
     shell_majorant_sides,
+    without_box,
 )
 from hardylp.corpus import (
     corpus_fields,
@@ -119,9 +120,13 @@ def test_classical_takes_one_forward_fft(gauss3, fft_calls):
     # an even field's forward transform is its octant's DCT, one rfft per axis
     classical_hardy_quotient(gauss3)
     assert dict(fft_calls) == {"rfft": 3}
+    # an uneven field's ||grad f||_2^2 takes one rfftn by Parseval; a band
+    # field's reads its box spectrum and takes none
     band = random_band_limited_field(gauss3.grid, 7)
     fft_calls.clear()
     classical_hardy_quotient(band)
+    assert dict(fft_calls) == {}
+    classical_hardy_quotient(without_box(band))
     assert dict(fft_calls) == {"rfftn": 1}
 
 
@@ -149,13 +154,16 @@ def test_fractional_rhs_matches_gradient_norm_at_s1_q2(grid3f, gauss3):
 def test_fractional_quotient_at_q2_takes_one_real_fft(grid3f, gauss3, fft_calls):
     # Parseval: || |D|^s f ||_2 from the forward transform alone; the even
     # Gaussian takes it on its octant, one forward DCT made by an rfft along
-    # each axis, and an uneven field takes one rfftn
+    # each axis, an uneven field takes one rfftn, and a band field none, as
+    # it reads its box spectrum
     band = random_band_limited_field(grid3f, 3)
     fft_calls.clear()
     check("fractional", gauss3, 1.0, 2.0)
     assert dict(fft_calls) == {"rfft": 3}
     fft_calls.clear()
     check("fractional", band, 1.0, 2.0)
+    assert dict(fft_calls) == {}
+    check("fractional", without_box(band), 1.0, 2.0)
     assert dict(fft_calls) == {"rfftn": 1}
 
 
@@ -537,14 +545,18 @@ def test_chain_localized_bump(grid2):
 
 def test_chain_skips_a_level_of_rounding_noise():
     # a band field on a d = 3, n = 32 grid has no spectrum at the top level:
-    # its piece is FFT rounding, and its localization ratio is noise
+    # from its samples, that piece is FFT rounding, and its localization
+    # ratio is noise; from its box spectrum, the piece is exactly zero
     grid = make_grid(3, 32, 20.0)
     part = build_partition(grid)
-    f = random_band_limited_field(grid, 1)
+    band = random_band_limited_field(grid, 1)
+    assert not lp_stack(band, part)[-1].any()
+    f = without_box(band)
     top = lp_stack(f, part)[-1]
     assert 0.0 < np.abs(top).max() < 1e-14
-    rep = check("chain", f, 0.5, 3.0, part)
-    assert rep.extra["worst_pair"][0] != part.levels[-1]
+    for g in (f, band):
+        rep = check("chain", g, 0.5, 3.0, part)
+        assert rep.extra["worst_pair"][0] != part.levels[-1]
 
 
 def test_chain_rejects_inadmissible(grid2):

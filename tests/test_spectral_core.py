@@ -19,8 +19,10 @@ from conftest import (
     random_field,
     random_mean_zero_field,
     reflected_weight,
+    without_box,
 )
-from hardylp.corpus import gaussian_field
+from hardylp.corpus import gaussian_field, random_band_limited_field
+from hardylp.hardy import FieldValues
 from hardylp.littlewood_paley import build_partition, decompose, project
 from hardylp.spectral_core import (
     GRADIENT_MATRIX_N,
@@ -57,6 +59,7 @@ from hardylp.spectral_core import (
     frequency_mesh,
     frequency_radius,
     gradient,
+    SampledField,
     gradient_magnitude,
     inverse_transform,
     lq_norm,
@@ -614,6 +617,98 @@ def test_transforms_make_no_field_size_temporaries():
     spec = _forward(v)
     assert peak_field_arrays(lambda: _forward(v), spec.nbytes) <= 1.01
     assert peak_field_arrays(lambda: _inverse_real(spec, grid.n), v.nbytes) <= 1.01
+
+
+BOX_GRIDS = [(1, 64), (2, 32), (3, 32), (4, 16)]
+
+
+@pytest.mark.parametrize("d,n", BOX_GRIDS)
+def test_band_field_box_is_its_spectrum(d, n):
+    # the box of a band field is the rfftn of its samples on _half_box(n, d,
+    # n/8), and outside the box that rfftn is rounding alone
+    grid = make_grid(d, n, 20.0)
+    f = random_band_limited_field(grid, 1)
+    K, box = f.box
+    assert K == n // 8 and not box.flags.writeable
+    spec = np.fft.rfftn(f.values)
+    scale = np.abs(box).max()
+    assert np.abs(spec[np.ix_(*_half_box(n, d, K))] - box).max() <= 1e-14 * scale
+    assert np.abs(spec - box_cut(spec, n, K)).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("d,n", BOX_GRIDS)
+def test_box_parseval_matches_the_full_half_spectrum(d, n):
+    # the box ends at the plane k_last = K < n/2, which counts twice, as its
+    # mirror -K is not in the half spectrum; only k_last = 0 counts once.  A
+    # symbol on that plane alone pins the rule: the band field's one point
+    # there is (0, ..., 0, K), on the annulus' outer sphere
+    grid = make_grid(d, n, 20.0)
+    f = random_band_limited_field(grid, 2)
+    K = f.box[0]
+    plane = np.zeros((n,) * (d - 1) + (n // 2 + 1,))
+    plane[..., K] = 1.0
+    gradient_symbols = [np.abs(m) ** 2 for m in _gradient_symbols(f)]
+    for symbols in ([_power_symbol(grid, 1.0, True)], gradient_symbols, [plane]):
+        got, want = _parseval_energy(f, symbols), _parseval_energy(without_box(f), symbols)
+        assert want > 0 and abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("d,n", BOX_GRIDS)
+def test_box_operators_match_the_samples_path(d, n, fft_calls):
+    # every multiplier on a box field is its product on the box and one
+    # pruned inverse, with no forward FFT; |D|^s f carries its product box,
+    # so the Riesz potential of it is pruned too
+    grid = make_grid(d, n, 20.0)
+    f = random_band_limited_field(grid, 3)
+    part = build_partition(grid) if n >= 32 else None
+
+    def operators(f):
+        lifted = fractional_laplacian(f, 0.5)
+        out = [lifted.values, fractional_laplacian(lifted, -0.7).values,
+               riesz_transform(f, d).values, sobolev_norm(f, 0.5, 2.0)]
+        if part is not None:
+            out += [*decompose(f, part), project(f, part, part.levels[1]).values]
+        return lifted, out
+
+    fft_calls.clear()
+    lifted, got = operators(f)
+    assert "rfftn" not in fft_calls
+    want = operators(without_box(f))[1]
+    # the samples path: one rfftn per operator, the level pass's included
+    assert fft_calls["rfftn"] == 4 + 2 * (part is not None)
+    scale = np.abs(f.values).max()
+    for a, b in zip(got, want):
+        assert np.max(np.abs(np.asarray(a) - b)) <= 1e-13 * max(scale, np.max(np.abs(b)))
+    K, product = lifted.box
+    spec = np.fft.rfftn(lifted.values)[np.ix_(*_half_box(n, d, K))]
+    assert np.abs(spec - product).max() <= 1e-13 * np.abs(product).max()
+
+
+def test_new_samples_drop_the_box(tmp_path):
+    # a box vouches for the samples it came with: with_values, a field file
+    # and FieldValues.mapped (3.5 f, f - mean) drop it, and the operators
+    # other than |D|^s return plain fields
+    grid = make_grid(3, 32, 20.0)
+    f = random_band_limited_field(grid, 1)
+    assert f.box is not None and make_field(grid, f.values).box is None
+    assert f.with_values(f.values).box is None
+    write_field(tmp_path / "band.hlf", f)
+    assert read_field(tmp_path / "band.hlf").box is None
+    values = FieldValues(f, 0.5, 3.0)
+    assert values.mapped(lambda v: 3.5 * v).f.box is None
+    assert riesz_transform(f, 1).box is None
+    assert fractional_laplacian(f, 0.0) is f
+
+
+def test_a_box_needs_a_real_field_and_its_shape(grid2):
+    f = random_band_limited_field(grid2, 1)
+    K, box = f.box
+    with pytest.raises(ValueError, match="box spectrum"):
+        SampledField(grid2, f.values + 0j, box=(K, box))
+    with pytest.raises(ValueError, match="box spectrum"):
+        SampledField(grid2, f.values, box=(K, box[:-1]))
+    with pytest.raises(ValueError, match="box spectrum"):  # 4K > n: not pruned
+        SampledField(grid2, f.values, box=(grid2.n // 2, box))
 
 
 def parseval_formula(f, symbols):

@@ -11,6 +11,7 @@ from conftest import (
     radial_average_profile,
     radial_family_fields,
     random_field,
+    without_box,
 )
 
 from hardylp.corpus import gaussian_field, random_band_limited_field
@@ -98,6 +99,27 @@ def test_riesz_potential_rejects_mean(coarse2):
     f = make_field(coarse2, np.ones(coarse2.shape))
     with pytest.raises(ValueError, match="mean-zero"):
         riesz_potential(f, 1.0)
+
+
+def test_riesz_potential_of_a_box_field_reads_the_mean_of_its_samples():
+    # a band field plus 1 carries the box with the mean's coefficient N at
+    # frequency zero: the refusal reads the samples, as on any field, and the
+    # box path of its lift agrees with the samples path
+    grid = make_grid(3, 32, 20.0)
+    band = random_band_limited_field(grid, 1)
+    K, box = band.box
+    box = box.copy()
+    box[0, 0, 0] = grid.size
+    f = replace(band, values=band.values + 1.0, box=(K, box))
+    with pytest.raises(ValueError, match="mean-zero"):
+        riesz_potential(f, 1.5)
+    with pytest.raises(ValueError, match="mean-zero"):
+        riesz_potential(fractional_laplacian(f, 0.0), 1.5)
+    lifted = fractional_laplacian(f, 0.5)
+    assert lifted.box is not None
+    want = fractional_laplacian(without_box(f), 0.5)
+    for got, ref in ((lifted, want), (riesz_potential(lifted, 1.5), riesz_potential(want, 1.5))):
+        assert np.abs(got.values - ref.values).max() <= 1e-13 * np.abs(ref.values).max()
 
 
 # --- admissibility validator -------------------------------------------------------
