@@ -321,11 +321,8 @@ def cmd_stein_weiss_check(cfg: RunConfig) -> int:
 
 def _mean_free_stein_weiss(values: FieldValues, params: SteinWeissParams) -> CheckReport:
     """stein_weiss_check of f - mean, f the field of values: on its octant,
-    by one DCT pair, when f is even (FieldValues.mapped)."""
-    mean_free = values.mapped(lambda v: v - np.mean(v))
-    if values._octant is None:
-        return stein_weiss_check(mean_free.f, params)
-    return stein_weiss_check(values.grid, params, mean_free._octant)
+    by one DCT pair, when f is even (SampledField.mapped)."""
+    return stein_weiss_check(values.f.mapped(lambda v: v - np.mean(v)), params)
 
 
 def cmd_estimate_constant(cfg: RunConfig) -> int:
@@ -461,7 +458,8 @@ def _homogeneous_fractional(values: FieldValues, tol: float) -> CheckReport:
     """The fractional quotient of f, asserted homogeneous: the quotient of
     3.5 f must match it to EXACT_TOL."""
     frac = fractional_hardy_quotient(values)
-    scaled = fractional_hardy_quotient(values.mapped(lambda v: 3.5 * v))
+    scaled = fractional_hardy_quotient(
+        FieldValues(values.f.mapped(lambda v: 3.5 * v), values.s, values.q))
     if frac.quotient is not None and scaled.quotient is not None:
         drift = abs(scaled.quotient - frac.quotient) / max(frac.quotient, 1e-300)
         frac.passed = drift <= EXACT_TOL
@@ -478,14 +476,11 @@ def _specialization(values: FieldValues, tol: float) -> CheckReport | None:
     octant: f - mean, and the Riesz potential of |D|^s f by one DCT pair."""
     grid, s, q = values.grid, values.s, values.q
     d = grid.d
-    mean_free = values.mapped(lambda v: v - np.mean(v))
+    mean_free = FieldValues(values.f.mapped(lambda v: v - np.mean(v)), s, q)
     mean_free.sobolev = values.sobolev
     base = fractional_hardy_quotient(mean_free)
     params = SteinWeissParams(lam=d - s, p=q, q=q, alpha=0.0, beta=s, d=d)
-    if values._octant is None:
-        sw = stein_weiss_check(values.lifted, params)
-    else:
-        sw = stein_weiss_check(grid, params, values._lift)
+    sw = stein_weiss_check(values.lifted, params)
     if not (base.quotient and sw.quotient):
         return None
     c = riesz_constant(d, d - s)
@@ -505,7 +500,8 @@ INNER_BALL = Check(lambda v, tol: inner_ball_bound_check(v.f, v.s, v.q))
 # s, q)); the inner-ball bound is the stein-weiss suite's, reported after
 # its specialization.  Every reader of |D|^s f runs before the level pass,
 # which drops it.  An even field's checks read its octant alone
-# (FieldValues), all but the inner-ball bound, which verify runs in d = 4.
+# (SampledField.octant), all but the inner-ball bound, which verify runs in
+# d = 4 and which reads the field's values.
 # The runs look the check functions up by module-global name when they
 # run, so a wrapper installed on this module's bindings sees each call.
 VERIFY_CHECKS = (

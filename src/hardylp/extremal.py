@@ -5,7 +5,8 @@ over parametric trial families (Gaussians, truncated power laws approaching
 the virtual extremizer |x|^-(d/q - s), and random band-limited fields) with
 a derivative-free golden-section coordinate search, and always reports the
 value again on a once-refined grid so discretization bias is visible.  A
-radial trial is checked on its octant alone (FieldValues.of_octant).
+radial trial is built from its octant alone (SampledField.from_octant), and
+every check of it reads that octant.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .corpus import _gaussian_profile, random_band_limited_field
 from .hardy import CHECKS, FieldValues
 from .littlewood_paley import build_partition
 from .report import QUADRATURE_TOL
-from .spectral_core import GridSpec, _radial_values, make_grid
+from .spectral_core import GridSpec, SampledField, _radial_values, make_grid
 
 __all__ = [
     "ConstantEstimate",
@@ -177,11 +178,10 @@ def _trial_quotient(identity, grid, partition, s, q, seed, params) -> float:
     check, profile = CHECKS[identity], _radial_profile(grid, q, params)
     held = (s, q, partition, check.powers(q), check.shells)
     if profile is None:
-        band = random_band_limited_field(grid, seed, params["envelope"])
-        values = FieldValues(band, *held)
+        f = random_band_limited_field(grid, seed, params["envelope"])
     else:
-        values = FieldValues.of_octant(grid, _radial_values(grid, profile, True), *held)
-    return check.run(values, QUADRATURE_TOL).quotient or 0.0  # None when vacuous
+        f = SampledField.from_octant(grid, _radial_values(grid, profile, True))
+    return check.run(FieldValues(f, *held), QUADRATURE_TOL).quotient or 0.0  # None when vacuous
 
 
 def evaluate_trial(

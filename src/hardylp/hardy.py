@@ -25,7 +25,6 @@ from .littlewood_paley import (
 )
 from .report import EXACT_TOL, QUADRATURE_TOL, CheckReport, check_report, within_bound
 from .schur import hardy_kernel, schur_bound_check, schur_conditions
-from .spectral_core import _even_lift, _even_norm, _even_octant, _even_parseval, _raise
 from .spectral_core import (
     GRADIENT_MATRIX_N,
     SampledField,
@@ -35,6 +34,7 @@ from .spectral_core import (
     _power_sum,
     _radius,
     _radius_power,
+    _raise,
     axis_coordinates,
     fractional_laplacian,
     gradient_magnitude,
@@ -65,20 +65,18 @@ def classical_hardy_quotient(
     f: SampledField, tol: float = QUADRATURE_TOL
 ) -> CheckReport:
     """int |f|^2 / |x|^2 against (4/(d-2)^2) int |grad f|^2, d >= 3.  An even
-    f (_even_octant) is read on its octant alone."""
-    grid, d = f.grid, f.grid.d
+    f (SampledField.octant) is read on its octant alone."""
+    d = f.grid.d
     if d < 3:
         raise ValueError(f"classical Hardy quotient needs d >= 3, got d = {d}")
+    lhs = weighted_lq_norm(f, 1.0, 2.0) ** 2
     # ||grad f||_2^2 of the spectral gradient, by Parseval from one forward
     # FFT; for an even f, || |D| f ||_2^2 from one DCT, as its spectrum is 0
     # on the Nyquist planes where the gradient's symbol differs from |2 pi xi|
-    octant = _even_octant(f)
-    if octant is None:
-        lhs = weighted_lq_norm(f, 1.0, 2.0) ** 2
+    if f.octant is None:
         rhs = float(_parseval_energy(f, (np.abs(m) ** 2 for m in _gradient_symbols(f))))
     else:
-        lhs = _even_norm(grid, octant, 2.0, -1.0) ** 2
-        rhs = _even_parseval(grid, octant, 1.0) ** 2
+        rhs = sobolev_norm(f, 1.0, 2.0) ** 2
     bound = 4.0 / (d - 2) ** 2
     return check_report(
         "classical", f.grid, 1.0, 2.0, lhs, rhs, bound_constant=bound,
@@ -101,81 +99,39 @@ class FieldValues:
     drops lifted, a field array less in the pass: read |D|^s f before it, and
     sobolev before weighted, so a new grid's spectrum is freed first.
 
-    An even field is read on its octant x_i > 0 (_octant, by _even_octant):
-    these values, its gradient and classical quotients, chain link (a), and
-    the values of 3.5 f and f - mean (mapped); |D|^s f is then _lift, the
-    octant's DCT pair, never a full field.  of_octant starts from the octant;
-    its f is built only if read.  A field that carries a box spectrum (a band
-    field, SampledField.box) is read on the whole grid, every transform of
-    it on its box; mapped's fields carry none."""
+    The operators read f as it is: an even field (SampledField.octant) on its
+    octant, its |D|^s f built from the octant alone; a field that carries a
+    box spectrum (SampledField.box) on the whole grid, every transform of it
+    on its box."""
 
     def __init__(self, f: SampledField, s: float, q: float,
                  partition: DyadicPartition | None = None, powers=(), shells=False):
         self.f, self.grid, self.s, self.q = f, f.grid, s, q
         self.partition, self.powers, self.shells = partition, tuple(powers), shells
 
-    @classmethod
-    def of_octant(cls, grid, octant, s, q, partition=None, powers=(),
-                  shells=False) -> FieldValues:
-        """The values of the even field with octant x_i > 0."""
-        values = cls.__new__(cls)
-        vars(values).update(grid=grid, _octant=octant, s=s, q=q,
-                            partition=partition, powers=tuple(powers), shells=shells)
-        return values
-
-    def mapped(self, fn) -> FieldValues:
-        """The values at (s, q) of the field with samples fn(f.values), fn
-        one that maps an even field's octant to its image's (3.5 v, v - mean
-        v): on the octant when f is even."""
-        if self._octant is None:
-            return FieldValues(self.f.with_values(fn(self.f.values)), self.s, self.q)
-        return FieldValues.of_octant(self.grid, fn(self._octant), self.s, self.q)
-
-    @cached_property
-    def f(self) -> SampledField:  # made for of_octant's values; __init__ sets f
-        n = self.grid.n
-        return SampledField(self.grid, np.pad(self._octant, (n // 2, 0), "symmetric"))
-
-    @cached_property
-    def _octant(self) -> np.ndarray | None:
-        # s < 0 and q = inf keep the full path's refusal and weighted maximum
-        return None if self.s < 0 or self.q == np.inf else _even_octant(self.f)
-
     @cached_property
     def weighted(self) -> float:
-        g, s, q = self._octant, self.s, self.q
-        if g is None:
-            return weighted_lq_norm(self.f, s, q)
-        return _even_norm(self.grid, g, q, -s)
+        return weighted_lq_norm(self.f, self.s, self.q)
 
     @cached_property
-    def _lift(self) -> np.ndarray:  # the octant of |D|^s f
-        return _even_lift(self.grid, self._octant, self.s) if self.s else self._octant
-
-    @cached_property
-    def lifted(self) -> SampledField:  # a full field's; an even one's is _lift
+    def lifted(self) -> SampledField:
         return fractional_laplacian(self.f, self.s)
 
     @cached_property
     def sobolev(self) -> float:
-        # sobolev_norm's own value: one forward FFT by Parseval at q = 2, the
-        # L^q norm of |D|^s f otherwise (on the octant: a DCT, s > 0)
-        g, s, q = self._octant, self.s, self.q
-        if g is None:
-            return sobolev_norm(self.f, s, q) if q == 2 else lq_norm(self.lifted, q)
-        if q == 2 and s > 0:
-            return _even_parseval(self.grid, g, s)
-        return _even_norm(self.grid, self._lift, q)
+        # sobolev_norm's own value: one forward transform by Parseval at
+        # q = 2, the L^q norm of |D|^s f otherwise
+        s, q = self.s, self.q
+        return sobolev_norm(self.f, s, q) if q == 2 else lq_norm(self.lifted, q)
 
     @cached_property
     def sums(self) -> LevelSums:
         self.__dict__.pop("lifted", None)
-        grid, g = self.grid, self._octant
+        grid, f = self.grid, self.f
         self.partition = self.partition or build_partition(grid)
-        centering = self.f.centering if g is None else "cell"  # an octant's is
-        groups = shell_groups(grid, centering, g is not None) if self.shells else None
-        return level_sums(self.f if g is None else g, self.partition, self.s, self.q,
-                          self.powers, groups)
+        # the groups of the samples the pass runs on: an even field's octant
+        groups = shell_groups(grid, f.centering, f.octant is not None) if self.shells else None
+        return level_sums(f, self.partition, self.s, self.q, self.powers, groups)
 
 
 def fractional_hardy_quotient(values: FieldValues) -> CheckReport:
@@ -219,24 +175,25 @@ def gradient_hardy_quotient(
     refined: bool = False,
     partition: DyadicPartition | None = None,
     tol: float = QUADRATURE_TOL,
-    octant: np.ndarray | None = None,
 ) -> CheckReport:
     """||f / |x|||_q against the gradient bounds, q < d.
 
     Unrefined: right side (q/(d-q)) ||grad f||_q with the constant asserted.
     Refined (2 < q < d): ||grad f||_q^(1/q) * TL(1, q, 2(q-1))^((q-1)/q) with
     the constant recorded, plus the factor-by-factor chain
-    TL(1,q,2(q-1)) <= TL(1,q,2) <~ ||grad f||_q.  Both norms are read from the
-    octant of an even f (_even_octant) when given, if n/2 <= GRADIENT_MATRIX_N.
+    TL(1,q,2(q-1)) <= TL(1,q,2) <~ ||grad f||_q.  An even f (SampledField.
+    octant) gives every norm and the level pass on its octant, the gradient
+    by the folded derivative matrix if n/2 <= GRADIENT_MATRIX_N.
     """
     grid, d = f.grid, f.grid.d
     if not (1.0 < q < d):
         raise ValueError(f"gradient quotient needs 1 < q < d = {d}, got q = {q}")
-    octant = octant if grid.n // 2 <= GRADIENT_MATRIX_N else None
-    lhs = (weighted_lq_norm(f, 1.0, q) if octant is None  # order 1, whatever v's s
-           else _even_norm(grid, octant, q, -1.0))
-    grad_norm = (_power_sum(gradient_magnitude(f), grid.h**d, q) if octant is None
-                 else _even_norm(grid, _even_gradient_magnitude(grid, octant), q))
+    lhs = weighted_lq_norm(f, 1.0, q)
+    if f.octant is None or grid.n // 2 > GRADIENT_MATRIX_N:
+        grad_norm = _power_sum(gradient_magnitude(f), grid.h**d, q)
+    else:
+        magnitude = _even_gradient_magnitude(grid, f.octant)
+        grad_norm = lq_norm(SampledField.from_octant(grid, magnitude), q)
     if not refined:
         bound = q / (d - q)
         return check_report(
@@ -317,7 +274,7 @@ def _shell_majorant_sums(values: FieldValues) -> tuple[float, np.ndarray, float]
     values: against |x|^(-s q) at the midpoints, and over each shell of
     shell_groups; and max |f - mean|.  An even f gives them on its octant."""
     grid, s, q = values.grid, values.s, values.q
-    hd, octant = values.sums.cell_volume, values._octant
+    hd, octant = values.sums.cell_volume, values.f.octant
     if octant is None:
         samples, centering, x = values.f.values, values.f.centering, None
     else:
@@ -505,12 +462,9 @@ CHECKS = {
     "refined": Check(
         lambda v, tol: refined_hardy_quotient(v), True, lambda q: (2.0 * (q - 1.0),)
     ),
-    "gradient": Check(
-        lambda v, tol: gradient_hardy_quotient(v.f, v.q, tol=tol, octant=v._octant)
-    ),
+    "gradient": Check(lambda v, tol: gradient_hardy_quotient(v.f, v.q, tol=tol)),
     "gradient-refined": Check(
-        lambda v, tol: gradient_hardy_quotient(v.f, v.q, True, v.partition,
-                                               octant=v._octant), True
+        lambda v, tol: gradient_hardy_quotient(v.f, v.q, True, v.partition), True
     ),
     "chain": Check(lambda v, tol: shell_chain_check(v), True, shells=True),
     "holder-refinement": Check(

@@ -28,6 +28,7 @@ from .spectral_core import (
     _power_scale,
     _radial_symbol,
     _raise,
+    _samples,
 )
 
 __all__ = [
@@ -203,7 +204,7 @@ class LevelSums:
 
 
 def level_sums(
-    f: SampledField | np.ndarray,
+    f: SampledField,
     partition: DyadicPartition,
     s: float,
     p: float = 2.0,
@@ -214,18 +215,18 @@ def level_sums(
     at a time, with no (levels, *shape) stack, each raised to p in place by
     _raise once its max and other powers are taken.  A level after the first
     that is exactly zero, as a band field's top level is, adds nothing to the
-    pointwise sums: only its zero norm and shell sums are recorded.  groups,
-    when given, is the (order, starts) of group_sums, and needs a finite p.
-    An array f is an even field's octant x_i > 0 (cells 2^d h^d, octant
-    groups), by DCT per level."""
+    pointwise sums: only its zero norm and shell sums are recorded.  At finite
+    p an even f (SampledField.octant) is read on its octant x_i > 0, on cells
+    of 2^d h^d, by DCT per level; groups, when given, is the (order, starts)
+    of group_sums on the samples the pass reads, and needs a finite p."""
     grid, tables = partition.grid, partition.tables
-    if isinstance(f, SampledField):
-        pieces, hd = decompose(f, partition), f.grid.h**f.grid.d
+    samples, hd = _samples(f, p)
+    if samples.shape == grid.shape:  # all of f, not an even field's octant
+        pieces = decompose(f, partition)
     else:
-        spec = _even_transform(f)
+        spec = _even_transform(samples)
         index = _frequency_classes(grid, True)[0][(slice(0, grid.n // 2),) * grid.d]
         pieces = (_even_inverse(spec * tables[N][index]) for N in partition.levels)
-        hd = 2.0**grid.d * grid.h**grid.d
     totals, others = {}, set(powers) - {p}
     norms, maxima, shells = [], [], []
     for N in partition.levels:  # not zip, whose result tuple keeps a piece alive

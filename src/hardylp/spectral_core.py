@@ -36,15 +36,16 @@ multiplier of it is then a product on that box and one pruned inverse, with
 no forward transform.
 
 A field even in every coordinate, as a radial one on the cell-centred grid
-is, needs only its octant x_i > 0 (_even_octant): each grid sum is 2^d times
-the octant's, its spectrum is, up to a phase, the DCT-II of the octant, one
-n/2-point rfft per axis (_even_transform), and its gradient a product with the
-folded derivative matrix, and every radial multiplier, the Riesz potential's
-included, one DCT pair.  hardy.FieldValues, the classical and Stein-Weiss
-checks and the constant search's radial trials take even fields so; any other
-field, the full grid.  So is the singular weight |x|^p, whose table is its
-octant alone (_refined_weight), reflected onto each of a cell-centred field's
-2^d blocks in its weighted sum.
+is, needs only its octant x_i > 0 (SampledField.octant): each grid sum is 2^d
+times the octant's, its spectrum is, up to a phase, the DCT-II of the octant,
+one n/2-point rfft per axis (_even_transform), its gradient a product with the
+folded derivative matrix, and every radial multiplier one DCT pair.  At finite
+q, lq_norm, the weighted norms, sobolev_norm and the level pass read an even
+field's octant, and fractional_laplacian maps it to the octant of |D|^s f; a
+field built from its octant (SampledField.from_octant) reflects it onto the
+grid only if its values are read.  So is the singular weight |x|^p, whose
+table is its octant alone (_refined_weight), reflected onto each of a
+cell-centred field's 2^d blocks in its weighted sum.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -164,6 +165,11 @@ class SampledField:
     and each product's inverse is pruned to it.  The caller vouches that the
     box is the samples' spectrum; with_values, and so every field made from
     new samples, drops it.  Copied and read-only, like the values.
+
+    octant is the block x_i > 0 of a field even in every coordinate, and None
+    for any other field: found on first read by _even_octant, or given to
+    from_octant, whose field reflects it onto the grid only when its values
+    are read (_reflected).
     """
 
     grid: GridSpec
@@ -195,8 +201,43 @@ class SampledField:
             spec.setflags(write=False)
             object.__setattr__(self, "box", (K, spec))
 
+    @classmethod
+    def from_octant(cls, grid: GridSpec, octant) -> "SampledField":
+        """The cell-centred field even in every coordinate whose block x_i > 0
+        is octant, a real array of shape (n/2,)*d, taken without a copy and
+        marked read-only."""
+        octant = np.asarray(octant)
+        if not np.isrealobj(octant) or octant.shape != (grid.n // 2,) * grid.d:
+            raise ValueError(f"an octant needs real values of shape {(grid.n // 2,) * grid.d}, "
+                             f"got {octant.dtype} {octant.shape}")
+        octant = octant.astype(np.float64, copy=False)
+        octant.setflags(write=False)
+        f = object.__new__(cls)
+        vars(f).update(grid=grid, centering="cell", box=None, octant=octant)
+        return f
+
+    @cached_property
+    def octant(self) -> np.ndarray | None:
+        return _even_octant(self)
+
+    def __getattr__(self, name):  # the values of a field built from its octant
+        if name != "values" or "octant" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = _reflected(self.octant)
+        values.setflags(write=False)
+        vars(self)["values"] = values
+        return values
+
     def with_values(self, values) -> "SampledField":
         return replace(self, values=values, box=None)
+
+    def mapped(self, fn) -> "SampledField":
+        """The field with samples fn(values), fn a map that takes an even
+        field's octant to its image's, as a pointwise one or v - mean(v) does:
+        of the octant when the field is even."""
+        if self.octant is None:
+            return self.with_values(fn(self.values))
+        return SampledField.from_octant(self.grid, fn(self.octant))
 
 
 @dataclass(frozen=True)
@@ -544,28 +585,36 @@ def _power_symbol(grid: GridSpec, s: float, real: bool, octant=False) -> np.ndar
     return mult
 
 
-def fractional_laplacian(f: SampledField, s: float) -> SampledField:
-    """|D|^s f: multiply the spectrum by |2 pi xi|^s.
+def fractional_laplacian(f: SampledField, s: float, scale: float = 1.0) -> SampledField:
+    """scale |D|^s f: multiply the spectrum by |2 pi xi|^s.
 
     For s > 0 the frequency-zero coefficient is set to zero; s = 0 is the
     identity; s < 0 requires a mean-zero input because |2 pi xi|^s is
-    singular at the origin.  A field that carries a box spectrum gives one
+    singular at the origin.  scale multiplies the new samples in place, after
+    the inverse.  An even field gives the field built from the octant of the
+    result, by one DCT pair; a field that carries a box spectrum gives one
     that carries the product on that box.
     """
     if s == 0:
-        return f
+        return f if scale == 1.0 else f.mapped(lambda v: v * scale)
+    grid, octant = f.grid, f.octant
     if s < 0:
-        _require_mean_zero(f.values)
-    mult = _power_symbol(f.grid, s, np.isrealobj(f.values))
+        _require_mean_zero(f)
+    scaled = lambda a: a if scale == 1.0 else np.multiply(a, scale, out=a)
+    if octant is not None:
+        return SampledField.from_octant(grid, scaled(_even_lift(grid, octant, s)))
+    mult = _power_symbol(grid, s, np.isrealobj(f.values))
     if f.box is None:
-        return f.with_values(next(_apply_diag(f.values, [mult])))
-    product, K = _box_product(f.grid.n, f.box, mult)
-    return replace(f, values=_inverse_real(product.copy(), f.grid.n, K), box=(K, product))
+        return f.with_values(scaled(next(_apply_diag(f.values, [mult]))))
+    product, K = _box_product(grid.n, f.box, mult)
+    values = scaled(_inverse_real(product.copy(), grid.n, K))
+    return replace(f, values=values, box=(K, scaled(product)))
 
 
-def _require_mean_zero(values: np.ndarray) -> None:
-    """Refuse samples whose mean is not zero, to 1e-12 of max(1, max |values|);
-    an even field's octant has the field's mean and maximum."""
+def _require_mean_zero(f: SampledField) -> None:
+    """Refuse a field whose mean is not zero, to 1e-12 of max(1, max |f|),
+    read on an even field's octant, which has the field's mean and maximum."""
+    values = f.values if f.octant is None else f.octant
     mean = complex(np.mean(values))
     scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
     if abs(mean) > 1e-12 * scale:
@@ -578,14 +627,16 @@ def _require_mean_zero(values: np.ndarray) -> None:
 def sobolev_norm(f: SampledField, s: float, q: float) -> float:
     """|| |D|^s f ||_q, equal to lq_norm(fractional_laplacian(f, s), q).
 
-    At q = 2 it is the root of _parseval_energy with |2 pi xi|^(2s).  s = 0
-    is the plain L^q norm, mean included; s < 0 requires mean-zero input, as
-    fractional_laplacian does.
+    At q = 2 it is the root of _parseval_energy with |2 pi xi|^(2s), of
+    _even_parseval on an even field.  s = 0 is the plain L^q norm, mean
+    included; s < 0 requires mean-zero input, as fractional_laplacian does.
     """
     if q != 2 or s == 0:
         return lq_norm(fractional_laplacian(f, s), q)
     if s < 0:
-        _require_mean_zero(f.values)
+        _require_mean_zero(f)
+    if f.octant is not None:
+        return _even_parseval(f.grid, f.octant, s)
     mult = _power_symbol(f.grid, 2.0 * s, np.isrealobj(f.values))
     return float(np.sqrt(_parseval_energy(f, [mult])))
 
@@ -668,7 +719,8 @@ def _even_inverse(spec: np.ndarray) -> np.ndarray:
 
 def _even_octant(f: SampledField) -> np.ndarray | None:
     """f's block on x_i > 0 when f is real, cell-centred and bitwise equal to
-    its flip along every axis, else None: one face pair first, O(n^(d-1))."""
+    its flip along every axis, else None: one face pair first, O(n^(d-1)).
+    SampledField.octant's first read."""
     bits = f.values.view(np.int64)
     if np.iscomplexobj(f.values) or f.centering != "cell" or (bits[0] != bits[-1]).any():
         return None
@@ -679,12 +731,19 @@ def _even_octant(f: SampledField) -> np.ndarray | None:
     return f.values[(slice(f.grid.n // 2, None),) * f.grid.d]
 
 
-def _even_norm(grid: GridSpec, octant: np.ndarray, q: float, power: float = 0.0) -> float:
-    """power_weighted_lq_norm, at finite q, of the field even in every
-    coordinate whose octant x_i > 0 is octant: 2^d times the octant's sums,
-    against the octant table of |x|^(power q)."""
-    weight = _refined_weight(grid, power * q) if power else None
-    return _lq(octant, 2.0**grid.d * grid.h**grid.d, q, weight)
+def _reflected(octant: np.ndarray) -> np.ndarray:
+    """The samples of the cell-centred field even in every coordinate whose
+    block x_i > 0 is octant: its mirror image prepended along every axis."""
+    return np.pad(octant, (octant.shape[0], 0), "symmetric")
+
+
+def _samples(f: SampledField, q: float) -> tuple[np.ndarray, float]:
+    """The samples f's L^q sums read and their cell volume: at finite q an
+    even field's octant, on cells of 2^d h^d; else all of f, on cells of h^d."""
+    octant = f.octant if q != np.inf else None
+    if octant is None:
+        return f.values, f.grid.h**f.grid.d
+    return octant, 2.0**f.grid.d * f.grid.h**f.grid.d
 
 
 def _even_lift(grid: GridSpec, octant: np.ndarray, s: float) -> np.ndarray:
@@ -696,8 +755,8 @@ def _even_lift(grid: GridSpec, octant: np.ndarray, s: float) -> np.ndarray:
 
 
 def _even_parseval(grid: GridSpec, octant: np.ndarray, s: float) -> float:
-    """|| |D|^s f ||_2, s > 0, of the even field f with this octant, by Parseval
-    on _even_transform: planes k_i = 0 count once, others twice (mirrored)."""
+    """|| |D|^s f ||_2 of the even field f with this octant, by Parseval on
+    _even_transform: planes k_i = 0 count once, others twice (mirrored)."""
     power = _even_transform(octant)
     np.square(power, out=power)
     power *= _power_symbol(grid, 2.0 * s, True, octant=True)
@@ -841,7 +900,7 @@ def _even_gradient_magnitude(grid: GridSpec, octant: np.ndarray) -> np.ndarray:
 
 def lq_norm(f: SampledField, q: float) -> float:
     """(sum |f|^q h^d)^(1/q); the max of |f| when q is infinite."""
-    return _lq(f.values, f.grid.h**f.grid.d, q)
+    return _lq(*_samples(f, q), q)
 
 
 def _lq(values: np.ndarray, cell_volume: float, q: float, weight=None) -> float:
@@ -962,7 +1021,7 @@ def power_weighted_lq_norm(f: SampledField, weight_power: float, q: float) -> fl
     p = weight_power * q  # _radius_power refuses p < 0 on a lattice: a sample is at 0
     w = (_refined_weight(f.grid, p) if f.centering == "cell"
          else _radius_power(f.grid, "lattice", p))
-    return _lq(f.values, f.grid.h**f.grid.d, q, w)
+    return _lq(*_samples(f, q), q, w)
 
 
 def weighted_lq_norm(f: SampledField, s: float, q: float) -> float:

@@ -1,10 +1,12 @@
 import collections
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import hardylp.spectral_core as spectral_core
 from hardylp.corpus import (
     gaussian_field,
     random_band_limited_field,
@@ -63,6 +65,20 @@ def fft_calls(monkeypatch):
 
 
 @pytest.fixture
+def reflections(monkeypatch):
+    """The octants that fields built from them reflect onto the whole grid
+    (spectral_core._reflected), collected while the test runs."""
+    reflect, seen = spectral_core._reflected, []
+
+    def logged(octant):
+        seen.append(octant)
+        return reflect(octant)
+
+    monkeypatch.setattr(spectral_core, "_reflected", logged)
+    return seen
+
+
+@pytest.fixture
 def call_log(monkeypatch):
     """call_log(module, name) wraps module.name, while the test runs, in every
     hardylp module that binds the same function (a from-import copies the
@@ -87,15 +103,23 @@ def call_log(monkeypatch):
     return install
 
 
+def full_grid(f):
+    """f on the whole grid: a new field with f's samples, box and centering
+    whose octant is forced to None, so that every operator reads all of its
+    samples even when f is even in every coordinate.  The reference for the
+    octant path (SampledField.octant)."""
+    g = replace(f, values=f.values)
+    vars(g)["octant"] = None
+    return g
+
+
 def check(name, f, s, q, part=None, tol=QUADRATURE_TOL, full=False):
     """The check hardy.CHECKS[name] on f alone, run on a FieldValues that
     reads what the entry declares; part None is the grid's default
-    partition.  full makes the values on the whole grid even when f is even
-    in every coordinate, the reference for their octant path."""
+    partition.  full runs it on full_grid(f), the reference for the octant
+    path of an f even in every coordinate."""
     entry = CHECKS[name]
-    values = FieldValues(f, s, q, part, entry.powers(q), entry.shells)
-    if full:
-        values._octant = None
+    values = FieldValues(full_grid(f) if full else f, s, q, part, entry.powers(q), entry.shells)
     return entry.run(values, tol)
 
 

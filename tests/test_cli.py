@@ -22,6 +22,7 @@ import hardylp.littlewood_paley as littlewood_paley
 import hardylp.spectral_core as spectral_core
 from conftest import (
     check,
+    full_grid,
     peak_field_arrays,
     random_mean_zero_field,
     stack_level_norms,
@@ -170,14 +171,15 @@ def test_verify_runs_the_level_pass_once_per_corpus_field(capsys, call_log):
     grid = make_grid(3, 32, 20.0)
     fields_ = [f for _, f in corpus.corpus_fields(grid, 5, 1, s=0.5, q=3.0)]
     assert len(passes) == len(fields_) == 5
-    # the 2 Gaussians pass their octant x_i > 0, with no decompose call; the
-    # 3 band fields pass the field, which carries its box spectrum
+    # every pass takes the field: the 2 Gaussians' passes read their octant
+    # x_i > 0, with no decompose call; the 3 band fields carry their box spectrum
     assert len(decomposed) == 3
     for (field, *_), f, even in zip(passes, fields_, (True, True, False, False, False)):
+        assert np.array_equal(field.values, f.values)
         if even:
-            assert np.array_equal(field, f.values[(slice(16, None),) * 3])
+            assert np.array_equal(field.octant, f.values[(slice(16, None),) * 3])
         else:
-            assert np.array_equal(field.values, f.values)
+            assert field.octant is None
             assert field.box[0] == f.box[0] == 4
             assert np.array_equal(field.box[1], f.box[1])
 
@@ -528,7 +530,7 @@ def test_verify_checks_of_an_even_field_peak_below_three_quarters_of_a_field():
     for name, (before, check_) in runs.items():
         for _ in range(2):  # the first run fills the per-grid caches
             values = FieldValues(f, 0.5, 3.0, part, shells=True)
-            assert values._octant is not None
+            assert values.f.octant is not None
             before(values)
             peak = peak_field_arrays(lambda: check_(values), f.values.nbytes)
         assert peak <= 0.75, (name, peak)
@@ -784,6 +786,32 @@ def test_stein_weiss_check_of_even_fields_reads_their_octants(capsys, fft_calls)
             assert abs(rep[key] - getattr(want, key)) <= 1e-12 * getattr(want, key), key
 
 
+def test_gradient_refined_of_even_fields_reads_their_octants(capsys, fft_calls):
+    # the two Gaussians' level passes run on their octants, one DCT pair per
+    # level, and their gradients by the folded derivative matrix: no d-D
+    # transform, where the full grid takes an rfftn and 3 ifft per level.  At
+    # n = 16 the grid is too coarse for the partition.  The full-grid path
+    # (conftest.full_grid) is the reference
+    argv = ("hardy-check", "--identity", "gradient-refined", "--d", "4", "--q", "3",
+            "--corpus-size", "2")
+    assert run(capsys, *argv, "--n", "16")[0] == 2
+    fft_calls.clear()
+    code, out, _ = run(capsys, *argv, "--n", "32")
+    assert code == 0
+    assert set(fft_calls) <= {"rfft", "irfft"}, dict(fft_calls)
+    grid = make_grid(4, 32, 20.0)
+    part = littlewood_paley.build_partition(grid)
+    labelled = list(corpus.corpus_fields(grid, 2, 1, s=1.0, q=3.0))
+    reports = json.loads(out)
+    assert len(reports) == len(labelled) == 2
+    for rep, (label, f) in zip(reports, labelled):
+        assert f.octant is not None and rep["extra"].pop("field") == label
+        fft_calls.clear()
+        want = gradient_hardy_quotient(full_grid(f), 3.0, True, part).to_dict()
+        assert fft_calls["rfftn"] == 1 and fft_calls["ifft"] == 3 * len(part.levels)
+        _assert_relative(rep, want)
+
+
 def test_mean_free_stein_weiss_of_an_even_field_peaks_below_one_field():
     # f - mean, its Riesz potential and both weighted sums are octant arrays;
     # on the whole grid the check peaked at 4.06 field arrays, here 0.57
@@ -795,7 +823,7 @@ def test_mean_free_stein_weiss_of_an_even_field_peaks_below_one_field():
             peak = peak_field_arrays(
                 lambda: cli._mean_free_stein_weiss(values, params), f.values.nbytes
             )
-        assert values._octant is not None and peak < 1.0, peak
+        assert values.f.octant is not None and peak < 1.0, peak
 
 
 def test_decay_warnings_skip_fields_with_a_box_spectrum(capsys, band_field_file):

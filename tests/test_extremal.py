@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import hardylp.extremal as extremal
+import hardylp.cli as cli
 from conftest import (
     DirectSearch,
     check,
     full_grid_quotient,
     peak_field_arrays,
+    radial_family_fields,
     trial_field,
 )
 from hardylp.corpus import truncated_power_field
@@ -21,8 +23,10 @@ from hardylp.extremal import (
     estimate_constant,
     evaluate_trial,
 )
-from hardylp.hardy import CHECKS
+from hardylp.hardy import CHECKS, FieldValues
+from hardylp.littlewood_paley import build_partition
 from hardylp.spectral_core import SampledField, boundary_decay, make_grid
+from hardylp.stein_weiss import SteinWeissParams
 
 GAUSS_QUOTIENT = 1.1547005383792517  # 2/sqrt(3), radial quadrature oracle
 
@@ -225,7 +229,9 @@ def test_octant_quotient_matches_the_full_grid(d, sizes):
 
 
 @pytest.mark.parametrize("identity, q", OCTANT_CASES)
-def test_radial_trial_builds_no_field(identity, q, monkeypatch):
+def test_radial_trial_builds_no_field(identity, q, monkeypatch, reflections):
+    # a radial trial is a field built from its octant, and so is its |D|^s f:
+    # no field is built from samples, and none reflects its octant onto the grid
     grid = make_grid(3, 32, 20.0)
     partition = _partition_for(identity, grid)
     built, post_init = [], SampledField.__post_init__
@@ -237,7 +243,37 @@ def test_radial_trial_builds_no_field(identity, q, monkeypatch):
     monkeypatch.setattr(SampledField, "__post_init__", counted)
     for params in RADIAL_TRIALS:
         assert _trial_quotient(identity, grid, partition, 0.5, q, 7, params) > 0
-    assert built == []
+    assert built == [] and reflections == []
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_verify_checks_of_radial_fields_reflect_no_octant(d, monkeypatch, reflections):
+    # verify's checks of a radial corpus field build |D|^s f, 3.5 f, f - mean,
+    # the Riesz potential and the gradient magnitude from octants, and none of
+    # them is reflected onto the grid; in d = 4 the inner-ball bound reads the
+    # corpus field's own samples.  So does stein-weiss-check's f - mean
+    grid = make_grid(d, 32, 20.0)
+    part = build_partition(grid)
+    s, q = 0.5, 3.0
+    plan = [entry for _, entry, applies in cli.VERIFY_CHECKS if applies(d, s, q)]
+    powers = [r for entry in plan for r in entry.powers(q)]
+    params = SteinWeissParams(lam=d - s, p=q, q=q, alpha=0.0, beta=s, d=d)
+    built, from_octant = [], SampledField.from_octant.__func__
+
+    def counted(cls, grid, octant):
+        built.append(octant.shape)
+        return from_octant(cls, grid, octant)
+
+    monkeypatch.setattr(SampledField, "from_octant", classmethod(counted))
+    for f in radial_family_fields(grid, s, q):
+        values = FieldValues(f, s, q, part, powers, True)
+        for entry in plan:
+            entry.run(values, 0.03)
+        assert cli._mean_free_stein_weiss(values, params).quotient > 0
+    # per field |D|^s f, 3.5 f and its |D|^s, f - mean twice, two Riesz
+    # potentials, and in d = 4 the gradient magnitude
+    assert len(built) == 2 * (7 + (d == 4))
+    assert set(built) == {(16,) * d} and reflections == []
 
 
 def test_octant_quotient_keeps_the_full_paths_rules(fft_calls):

@@ -11,6 +11,7 @@ import hardylp.spectral_core as spectral_core
 from conftest import (
     check,
     discrete_hardy_ceiling,
+    full_grid,
     full_grid_classical_sides,
     lp_stack,
     peak_field_arrays,
@@ -633,19 +634,18 @@ def _assert_close(got, want, path=""):
 
 @pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (3, 32), (4, 32)])
 def test_octant_values_match_the_full_grid(d, n):
-    # a radial field takes every value from its octant; FieldValues with the
-    # octant path turned off is the reference, the full-grid operators
+    # a radial field takes every value from its octant; the values of the
+    # same field on the whole grid (conftest.full_grid) are the reference
     grid = make_grid(d, n, 20.0)
     part = build_partition(grid)
     for q in (2.0, 3.0, 4.0):
         s = 0.4 * d / q
         names = VERIFY_NAMES if q > 2 else ("fractional", "besov", "chain")
         for f in radial_family_fields(grid, s, q):
-            octant, full = (_shared_values(f, s, q, part, names) for _ in range(2))
-            full._octant = None
-            assert octant._octant is not None
+            octant, full = (_shared_values(g, s, q, part, names) for g in (f, full_grid(f)))
+            assert f.octant is not None and full.f.octant is None
             block = (slice(n // 2, None),) * d
-            _assert_close(octant._lift, full.lifted.values[block])
+            _assert_close(octant.lifted.octant, full.lifted.values[block])
             for name in ("weighted", "sobolev"):
                 _assert_close(getattr(octant, name), getattr(full, name), name)
             cell, whole = octant.sums, full.sums
@@ -673,7 +673,7 @@ def test_octant_classical_sides_match_the_full_grid(d):
     # the gradient's Parseval sum on the whole grid
     grid = make_grid(d, 32, 20.0)
     for f in radial_family_fields(grid, 0.5, 3.0):
-        assert spectral_core._even_octant(f) is not None
+        assert f.octant is not None
         rep = classical_hardy_quotient(f)
         lhs, rhs = full_grid_classical_sides(f)
         _assert_relative(rep.lhs, lhs, "lhs")
@@ -690,7 +690,7 @@ def test_octant_shell_majorant_matches_the_full_grid(d, n):
         s = 0.4 * d / q
         for f in radial_family_fields(grid, s, q):
             values = FieldValues(f, s, q, part, shells=True)
-            assert values._octant is not None
+            assert values.f.octant is not None
             lhs, rhs, masses = shell_majorant_sides(f, s, q)
             link = shell_chain_check(values).links[0]
             _assert_relative(link["lhs"], lhs, "lhs")
@@ -752,7 +752,7 @@ def test_octant_gradient_leaves_complex_lattice_and_long_lines_to_the_full_grid(
     # full path's lines, which take the transform pair
     grid = make_grid(2, 4 * spectral_core.GRADIENT_MATRIX_N, 20.0)
     values = FieldValues(gaussian_field(grid, 0.075 * grid.L), 1.0, 1.5)
-    assert values._octant is not None
+    assert values.f.octant is not None
     CHECKS["gradient"].run(values, 0.03)
     assert len(magnitudes) == 2
 

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     check,
+    full_grid,
     lp_stack,
     ordered_level_sums,
     peak_field_arrays,
@@ -369,12 +370,14 @@ PASS_GRIDS = {1: (128, 20.0), 2: (32, 20.0), 3: (32, 20.0)}
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_level_pass_matches_the_stack(d, q, s):
     # the stack oracle of conftest reads every level at once; the pass reads
-    # one level at a time and must give the same numbers bitwise
+    # one level at a time and must give the same numbers bitwise.  The
+    # radial fields on the whole grid (conftest.full_grid): their octant pass
+    # sums in another order (test_hardy.py::test_octant_values_match_the_full_grid)
     grid = make_grid(d, *PASS_GRIDS[d])
     part = build_partition(grid)
     groups = shell_groups(grid)
     rs = (2.0, 2.0 * (q - 1.0), np.inf)
-    fields_ = [f for _, f in corpus_fields(grid, 4, 1, s=s, q=q)]
+    fields_ = [full_grid(f) for _, f in corpus_fields(grid, 4, 1, s=s, q=q)]
     fields_.append(random_mean_zero_field(grid, seed=300 + d))  # complex
     for f in fields_:
         sums = level_sums(f, part, s, q, (*rs, q), groups)
@@ -387,8 +390,6 @@ def test_level_pass_matches_the_stack(d, q, s):
             assert sums.triebel_lizorkin(r) == tl
         # group_sums keeps each shell's samples in C order, as a mask does
         assert np.array_equal(sums.shells, stack_shell_sums(f, stack, q))
-        # the radial fields' checks on the whole grid: their octant path sums
-        # in another order (test_hardy.py::test_octant_values_match_the_full_grid)
         if q > 2:
             rep = check("holder-refinement", f, s, q, part, full=True)
             sides = (rep.lhs, rep.extra["mid"], rep.rhs)

@@ -1,5 +1,6 @@
 """Grid construction, transforms, multipliers, fractional operators, norms."""
 
+import itertools
 import math
 import struct
 
@@ -10,6 +11,7 @@ from conftest import (
     dd_gradient,
     direct_refined_weight,
     full_field_boundary_decay,
+    full_grid,
     line_gradient,
     lq_formula,
     masked_power_symbol,
@@ -22,8 +24,9 @@ from conftest import (
     without_box,
 )
 from hardylp.corpus import gaussian_field, random_band_limited_field
-from hardylp.hardy import FieldValues
-from hardylp.littlewood_paley import build_partition, decompose, project
+from hardylp.hardy import shell_groups
+from hardylp.littlewood_paley import LevelSums, build_partition, decompose, level_sums, project
+from hardylp.stein_weiss import riesz_potential
 from hardylp.spectral_core import (
     GRADIENT_MATRIX_N,
     MAX_GRID_SAMPLES,
@@ -686,7 +689,7 @@ def test_box_operators_match_the_samples_path(d, n, fft_calls):
 
 def test_new_samples_drop_the_box(tmp_path):
     # a box vouches for the samples it came with: with_values, a field file
-    # and FieldValues.mapped (3.5 f, f - mean) drop it, and the operators
+    # and SampledField.mapped (3.5 f, f - mean) drop it, and the operators
     # other than |D|^s return plain fields
     grid = make_grid(3, 32, 20.0)
     f = random_band_limited_field(grid, 1)
@@ -694,8 +697,7 @@ def test_new_samples_drop_the_box(tmp_path):
     assert f.with_values(f.values).box is None
     write_field(tmp_path / "band.hlf", f)
     assert read_field(tmp_path / "band.hlf").box is None
-    values = FieldValues(f, 0.5, 3.0)
-    assert values.mapped(lambda v: 3.5 * v).f.box is None
+    assert f.mapped(lambda v: 3.5 * v).box is None
     assert riesz_transform(f, 1).box is None
     assert fractional_laplacian(f, 0.0) is f
 
@@ -1086,6 +1088,83 @@ def test_even_octant_takes_only_real_cell_centred_mirror_symmetric_fields(d):
     # a field even along every axis but the last
     vals = np.broadcast_to(np.arange(16.0), grid.shape)
     assert _even_octant(f.with_values(vals)) is None
+
+
+# the grids of the octant parity test: each holds three dyadic levels or more
+# at full coverage
+PARITY_GRIDS = {1: 64, 2: 32, 3: 16, 4: 16}
+
+
+def _parity_values(value):
+    """An operator's value as a dict of arrays: a LevelSums' norms, maxima,
+    pointwise sums and shell sums times the cell volume (the octant's are
+    2^-d of the whole grid's)."""
+    if not isinstance(value, LevelSums):
+        return {"value": np.asarray(value)}
+    out = {"norms": value.norms, "maxima": value.maxima}
+    out.update({f"powers[{r}]": total for r, total in value.powers.items()})
+    if value.shells is not None:
+        out["shells"] = value.shells * value.cell_volume
+    return out
+
+
+def _assert_parity(got, want, exact, where):
+    """got equals want within 1e-12 relative to max |want| (bitwise when
+    exact); an array on an octant is compared with want's block x_i > 0."""
+    got, want = _parity_values(got), _parity_values(want)
+    assert got.keys() == want.keys(), where
+    for key, w in want.items():
+        g = got[key]
+        if g.shape != w.shape:
+            w = w[(slice(w.shape[0] // 2, None),) * w.ndim]
+        scale = 0.0 if exact else 1e-12 * np.max(np.abs(w), initial=0.0)
+        assert np.max(np.abs(g - w), initial=0.0) <= scale, (where, key)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_octant_operators_match_the_full_grid(d):
+    # every operator that reads an even field's octant at finite q gives, on a
+    # field built from its octant and on the same field built from its
+    # reflected samples, the value on the whole grid (conftest.full_grid).
+    # q = inf keeps the full path, whose maximum is the octant's, bitwise.
+    # A Gaussian (with a mean) and the Gaussian minus its mean
+    grid = make_grid(d, PARITY_GRIDS[d], 20.0)
+    part = build_partition(grid, 1.0)
+    gaussian = _radial_values(grid, lambda r: np.exp(-(r**2) / 8.0), True)
+    for samples in (gaussian, gaussian - np.mean(gaussian)):
+        built = SampledField.from_octant(grid, samples)
+        reflected = make_field(grid, built.values)
+        full = full_grid(reflected)
+        assert np.array_equal(reflected.octant, samples) and full.octant is None
+        has_mean = samples is gaussian
+        for s, q in itertools.product((0.3, 0.0, -0.3), (2.0, 3.0, np.inf)):
+
+            def levels(f):
+                on_octant = f.octant is not None and q != np.inf
+                groups = shell_groups(grid, "cell", on_octant) if q != np.inf else None
+                return level_sums(f, part, s, q, (2.0, q), groups)
+
+            ops = {
+                "lq": lambda f: lq_norm(f, q),
+                "power-weighted": lambda f: power_weighted_lq_norm(f, -s, q),
+                "weighted": lambda f: weighted_lq_norm(f, s, q),
+                "sobolev": lambda f: sobolev_norm(f, s, q),
+                "lift": lambda f: fractional_laplacian(f, s).values,
+                "levels": levels,
+            }
+            if s < 0:  # order -(d - lam) = s
+                ops["riesz"] = lambda f: riesz_potential(f, d + s).values
+            for name, op in ops.items():
+                where = (name, s, q, has_mean)
+                if s < 0 and (name == "weighted" or has_mean and name in ("sobolev", "lift", "riesz")):
+                    for f in (built, reflected, full):
+                        with pytest.raises(ValueError, match="weight order|mean-zero"):
+                            op(f)
+                    continue
+                want = op(full)
+                exact = q == np.inf and name in ("lq", "power-weighted", "weighted")
+                for f in (built, reflected):
+                    _assert_parity(op(f), want, exact, where)
 
 
 def test_lq_norm_does_not_underflow_at_large_q():

@@ -28,7 +28,6 @@ from hardylp.spectral_core import (
 from hardylp.stein_weiss import (
     RadialProfile,
     SteinWeissParams,
-    _even_riesz_potential,
     geometric_radii,
     inner_ball_bound_check,
     inner_ball_potential,
@@ -208,32 +207,33 @@ def test_stein_weiss_dimension_mismatch(coarse2):
 
 @pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (3, 32), (4, 32)])
 def test_octant_specialization_matches_the_full_grid(d, n):
-    # verify's specialization takes an even field's |D|^s f as its octant,
-    # the Riesz potential of it by one DCT pair and both norms as octant
-    # sums; rfftn/irfftn on the whole grid is the reference
+    # verify's specialization takes an even field's |D|^s f as an octant-built
+    # field, the Riesz potential of it by one DCT pair and both norms as
+    # octant sums; rfftn/irfftn on the whole grid is the reference
     grid = make_grid(d, n, 20.0)
     block = (slice(n // 2, None),) * d
     for q in (2.0, 3.0):
         s = 0.4 * d / q
         params = SteinWeissParams(lam=d - s, p=q, q=q, alpha=0.0, beta=s, d=d)
         for f in radial_family_fields(grid, s, q):
-            lift = FieldValues(f, s, q)._lift
+            lifted = FieldValues(f, s, q).lifted
             pot, lhs, rhs = full_grid_specialization(f, s, q)
-            got = _even_riesz_potential(grid, lift, d - s)
+            got = riesz_potential(lifted, d - s).octant
             assert np.max(np.abs(got - pot[block])) <= 1e-12 * np.max(np.abs(pot))
-            rep = stein_weiss_check(grid, params, lift)
+            rep = stein_weiss_check(lifted, params)
             assert abs(rep.lhs - lhs) <= 1e-12 * lhs and abs(rep.rhs - rhs) <= 1e-12 * rhs
 
 
 def test_octant_stein_weiss_keeps_the_refusals(coarse2):
     # an octant with a mean is refused as riesz_potential refuses the field,
     # and a grid of another dimension as a field of it
-    lift = FieldValues(gaussian_field(coarse2, 1.5), 0.5, 2.0)._lift
+    lifted = FieldValues(gaussian_field(coarse2, 1.5), 0.5, 2.0).lifted
+    assert lifted.octant is not None
     params = SteinWeissParams(lam=1.5, p=2.0, q=2.0, alpha=0.0, beta=0.5, d=2)
     with pytest.raises(ValueError, match="mean-zero"):
-        stein_weiss_check(coarse2, params, lift + 1.0)
+        stein_weiss_check(lifted.mapped(lambda v: v + 1.0), params)
     with pytest.raises(ValueError, match="dimension"):
-        stein_weiss_check(coarse2, replace(params, lam=2.5, d=3), lift)
+        stein_weiss_check(lifted, replace(params, lam=2.5, d=3))
 
 
 # --- the inner-ball operator's kernel ----------------------------------------------------
