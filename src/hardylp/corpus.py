@@ -7,11 +7,16 @@ at the box faces, and truncated power laws with smooth radial cutoffs.
 Every field is a deterministic function of (grid, seed, index).
 
 The radial families are evaluated once per radial class of the
-cell-centred grid and gathered onto the mesh.  A band-limited field's
-coefficients are laid on the annulus' bounding box, whose half spectrum
-takes the box plus its mirror (the Hermitian part), and it is synthesized
-by one real inverse FFT pruned to that box.  The field keeps that half
-spectrum (SampledField.box), so no check of it takes a forward FFT.
+cell-centred grid and gathered onto the mesh.  Every band-limited field
+takes the one annulus 2/L <= |xi| <= n/(8L), empty (and refused) for
+n < 16.  Its coefficients are laid on the annulus' bounding box
+|k_i| <= n/8, whose half spectrum takes the box plus its mirror (the
+Hermitian part), and it is synthesized by one real inverse FFT pruned to
+that box.  The field keeps that half spectrum, scaled with the samples, as
+its SampledField.box (41 KB at n = 64, d = 3), so no check of it takes a
+forward FFT but the drift check's 3.5 f, which is new samples.  The support
+(the box, its annulus mask and |xi| L / 2) is built once per grid, the
+draws once per seed.
 """
 
 from __future__ import annotations

@@ -6,7 +6,21 @@ psi(t) = chi(t) - chi(2t) supported on the annulus 1/2 <= |t| <= 2.  Summing
 psi(xi/N) over dyadic N telescopes, so the finite level set covers the grid
 exactly: the lowest level keeps the raw chi tail below it and the highest
 level absorbs everything above, which makes reconstruction exact for every
-mean-zero field on the grid.
+mean-zero field on the grid.  smooth_step is the one C^inf step: chi is the
+step of 2 - |t|, and the corpus' radial cutoff uses it too.  Each level's
+multiplier is tabulated over the grid's distinct frequency radii and
+gathered onto the lattice.
+
+decompose is an iterator that makes each piece P_N f when it is taken.
+level_sums is one pass over the levels of a field, with no (levels, *shape)
+stack: it keeps the per-level norms (a level whose max^p leaves
+2^(+-600) takes _lq's scaled norm, so a large p does not underflow) and
+maxima, the pointwise sums of (N^s |P_N f|)^r and the per-shell sums, as a
+LevelSums, which every scale-indexed norm reads (Besov, Triebel-Lizorkin and
+the pointwise aggregates).  A level after the first that is exactly zero
+adds nothing to the pointwise sums.  At finite p an even field
+(SampledField.octant) is read on its octant, one forward DCT and one inverse
+DCT per level, with LevelSums.cell_volume = 2^d h^d.
 """
 
 from __future__ import annotations

@@ -5,7 +5,10 @@ when their values are real, complex128 when they are complex.
 Cell-centered sampling (offset h/2 per axis) is the default so the singular
 weight |x|^-s is never evaluated at the origin.  Transforms are normalized
 so that a constant field c has Fourier coefficient c at frequency zero, and
-the frequency lattice is {k/L : -n/2 <= k < n/2} per axis.
+the frequency lattice is {k/L : -n/2 <= k < n/2} per axis.  A grid holds
+at most MAX_GRID_SAMPLES = 2**24 samples (n = 256 in 3-D).  Fields are
+stored in HLF2 files (HLF1 files, without the dtype and centering bytes,
+still read).
 
 A diagonal multiplier maps a real field through the real FFT on the half
 spectrum and returns a real field; a complex field takes the complex FFT.
@@ -15,10 +18,20 @@ mirror image on the lattice, so an odd symbol has no Hermitian value there
 (the usual rule for odd spectral derivatives; Trefethen, Spectral Methods
 in MATLAB, SIAM 2000, ch. 3).  Complex fields keep every symbol as given.
 Generic multipliers (apply_multiplier) need not be Hermitian and always take
-the complex path.  The gradient's symbol 2 pi i xi_j depends on xi_j alone,
-so each partial derivative takes one 1-D transform pair along its own axis,
-made slab by slab of lines so that only part of its spectrum exists at once;
-on short lines, as a product with the pair's derivative matrix.
+the complex path.  Every diagonal multiplier takes one forward FFT, shared by
+all of its symbols, and one inverse per symbol.  The Sobolev norm at q = 2 is
+Parseval's sum over one forward FFT, with no inverse (_parseval_energy), as
+is the classical check's ||grad f||_2^2; the Riesz transforms' symbols read
+the cached |2 pi xi|^-1 table.  The gradient's symbol 2 pi i xi_j depends on
+xi_j alone, so each partial derivative takes one 1-D transform pair along its
+own axis, with no d-D transform, made slab by slab of lines (GRADIENT_SLABS)
+so that only part of its spectrum exists at once; on lines of n <=
+GRADIENT_MATRIX_N, as a product with the pair's n x n derivative matrix, the
+pair applied to the unit vectors (cached, 32 KB at n = 64), in BLAS calls
+of at most GRADIENT_BLOCK multiply-adds (the leading axis copies each block
+of columns first), which OpenBLAS keeps on the calling thread, so the output
+does not depend on its thread count.  gradient_magnitude sums the squares in
+place, one component at a time.
 
 The d-D transforms make no field-size temporaries.  The forward transform
 hands numpy one output array (out=), which every stage writes into.  The
@@ -33,19 +46,43 @@ Both paths are bitwise equal to np.fft.irfftn; dyadic levels below the top
 and the band-limited corpus fields take the pruned one.  A band-limited
 field keeps its half spectrum on its box (SampledField.box): every
 multiplier of it is then a product on that box and one pruned inverse, with
-no forward transform.
+no forward transform, and a product that vanishes on the box, as a band
+field's top dyadic level does, is the zero piece with no inverse.  Parseval
+on a box counts its last plane k_last = K twice, as it is not the Nyquist
+plane.  |D|^s of a box field carries its product box, so the Riesz potential
+of it is pruned too; new samples (with_values, SampledField.mapped of an
+uneven field, make_field, read_field) carry no box.
 
-A field even in every coordinate, as a radial one on the cell-centred grid
-is, needs only its octant x_i > 0 (SampledField.octant): each grid sum is 2^d
+Radial profiles are evaluated once per radial class of the cell-centred grid
+(_radial_values).  A field even in every coordinate, as a radial one on the
+cell-centred grid is, needs only its octant x_i > 0 (SampledField.octant),
+which _even_octant finds in a real, cell-centred field bitwise equal to its
+flip along every axis, comparing one face pair first, and which
+SampledField.mapped maps by a pointwise map or v - mean: each grid sum is 2^d
 times the octant's, its spectrum is, up to a phase, the DCT-II of the octant,
 one n/2-point rfft per axis (_even_transform), its gradient a product with the
-folded derivative matrix, and every radial multiplier one DCT pair.  At finite
+folded derivative matrix, every radial multiplier one DCT pair, and the
+q = 2 Sobolev norm the forward DCT alone (_even_parseval).  At finite
 q, lq_norm, the weighted norms, sobolev_norm and the level pass read an even
 field's octant, and fractional_laplacian maps it to the octant of |D|^s f; a
 field built from its octant (SampledField.from_octant) reflects it onto the
 grid only if its values are read.  So is the singular weight |x|^p, whose
 table is its octant alone (_refined_weight), reflected onto each of a
 cell-centred field's 2^d blocks in its weighted sum.
+
+An L^q sum raises |f|, and multiplies it by its weight, in place in one
+array.  Every pointwise power is _raise's: products for p in {2, 3, 4}, the
+cube POWER_CHUNK samples at a time through one scratch buffer, np.power
+otherwise; a finite-q sum scales |f| by its maximum only where max^q would
+leave 2^(+-POWER_SAFE_LOG2) (_power_scale).  Every |x|^p table comes from
+_radius_power, with one rule at the origin: 0^p is 0 for p > 0 and 1 for
+p = 0, and a negative p is refused when a sample sits at |x| = 0, as on a
+lattice-centred grid.  The singular weight |x|^p, p < 0, is refused at
+p <= -d, where it is not integrable.  Each cell within WEIGHT_REFINE_RADIUS h
+of the origin takes the mean of |x|^p on a midpoint sub-mesh of
+WEIGHT_REFINE_FACTOR^d points, which is not the exact cell average: it reads
+low in the corner cells, where the singularity sits on a vertex (see
+WEIGHT_REFINE_RADIUS, and ROADMAP.md direction 10 for exact averages).
 """
 
 from __future__ import annotations
@@ -87,11 +124,15 @@ __all__ = [
 
 SUPPORTED_DIMENSIONS = (1, 2, 3, 4)
 
-# Near-origin cells get exact-averaged singular weights: cells with
-# |x_c| <= WEIGHT_REFINE_RADIUS * h are averaged on a midpoint subgrid of
-# WEIGHT_REFINE_FACTOR points per axis.  Fixed, not adaptive; plain midpoint
-# evaluation of |x|^-sq loses O(h) accuracy near the singularity, which is
-# far outside the quadrature tolerances this package promises.
+# Near-origin cells get averaged singular weights: cells with
+# |x_c| <= WEIGHT_REFINE_RADIUS * h take the mean of |x|^p on a midpoint
+# sub-mesh of WEIGHT_REFINE_FACTOR points per axis.  Fixed, not adaptive;
+# plain midpoint evaluation of |x|^-sq loses O(h) accuracy near the
+# singularity, far outside the quadrature tolerances this package promises.
+# The sub-mesh mean is not the exact cell average either: in the corner
+# cells, where the singularity sits on a vertex, it reads low, by 2.2% at
+# d = 3, p = -2 and by 69% at p = -2.9.  ROADMAP.md direction 10 plans exact
+# averages by Lasserre's face rule.
 WEIGHT_REFINE_RADIUS = 6.0
 WEIGHT_REFINE_FACTOR = 16
 
@@ -1008,8 +1049,11 @@ def _build_weight(grid: GridSpec, exponent: float, x: np.ndarray):
 def power_weighted_lq_norm(f: SampledField, weight_power: float, q: float) -> float:
     """(sum |f|^q |x|^(weight_power * q) h^d)^(1/q), x from the box center.
 
-    Negative weight powers use exact cell-averaged weights near the origin;
-    nonnegative powers are smooth there and use plain midpoint values.
+    Negative weight powers use averaged weights near the origin, each the
+    mean of |x|^p on a WEIGHT_REFINE_FACTOR^d midpoint sub-mesh of its cell,
+    which reads low in the corner cells (see WEIGHT_REFINE_RADIUS; ROADMAP.md
+    direction 10); nonnegative powers are smooth there and use plain
+    midpoint values.
     """
     if weight_power == 0:  # |x|^0 = 1, with no weight table to build or keep
         return lq_norm(f, q)

@@ -25,23 +25,18 @@ from hardylp.spectral_core import (
     _apply_diag,
     _gradient_symbols,
     _lq,
-    _parseval_energy,
     _radial_values,
     _refined_weight,
     axis_coordinates,
     coordinate_mesh,
-    fractional_laplacian,
     frequency_axes,
     frequency_radius,
     inverse_transform,
-    lq_norm,
     make_field,
     make_grid,
-    power_weighted_lq_norm,
     radius_mesh,
-    weighted_lq_norm,
 )
-from hardylp.stein_weiss import RadialProfile, geometric_radii, riesz_potential
+from hardylp.stein_weiss import RadialProfile, geometric_radii
 
 FFT_NAMES = (
     "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
@@ -269,13 +264,12 @@ def line_gradient(f):
         yield inv(fwd(f.values, axis=ax) * k, f.grid.n, axis=ax)
 
 
-def full_grid_quotient(identity, grid, partition, s, q, seed, params):
-    """The search's objective on the full grid, the reference for
-    extremal._trial_quotient, which takes a radial trial on its octant:
-    every trial's field is built and its check run on the whole grid."""
-    f = trial_field(grid, q, seed, params)
-    rep = check(identity, f, s, q, partition, full=True)
-    return rep.quotient if rep.quotient is not None else 0.0
+# The constant search's two radial trial families, one point of each
+RADIAL_TRIALS = (
+    {"family": "gaussian", "width_fraction": 0.07},
+    {"family": "truncated-power", "exponent_fraction": 0.75, "inner_cells": 2.2,
+     "outer_fraction": 0.08},
+)
 
 
 def trial_field(grid, q, seed, params):
@@ -520,25 +514,6 @@ def radial_family_fields(grid, s, q):
         gaussian_field(grid, 0.075 * grid.L),
         truncated_power_field(grid, 0.35 * (grid.d / q - s), 2.5 * grid.h, grid.L / 5),
     )
-
-
-def full_grid_classical_sides(f):
-    """(lhs, rhs) of classical_hardy_quotient on the whole grid, the reference
-    for an even f's octant: int |f|^2 / |x|^2 by weighted_lq_norm, and
-    ||grad f||_2^2 by Parseval on one rfftn with the gradient's symbols."""
-    lhs = weighted_lq_norm(f, 1.0, 2.0) ** 2
-    rhs = float(_parseval_energy(f, (np.abs(m) ** 2 for m in _gradient_symbols(f))))
-    return lhs, rhs
-
-
-def full_grid_specialization(f, s, q):
-    """The Stein-Weiss side of verify's specialization on the whole grid, the
-    reference for an even f's octant: the Riesz potential of order d - s of
-    |D|^s f by rfftn and irfftn, its weighted norm ||T g |x|^-s||_q, and
-    ||g||_q, g = |D|^s f."""
-    lifted = fractional_laplacian(f, s)
-    pot = riesz_potential(lifted, f.grid.d - s)
-    return pot.values, power_weighted_lq_norm(pot, -s, q), lq_norm(lifted, q)
 
 
 def without_box(f):

@@ -1,7 +1,5 @@
 """Quasi-extremal trials and the derivative-free constant estimation."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,8 @@ import hardylp.extremal as extremal
 import hardylp.cli as cli
 from conftest import (
     DirectSearch,
+    RADIAL_TRIALS,
     check,
-    full_grid_quotient,
     peak_field_arrays,
     radial_family_fields,
     trial_field,
@@ -23,7 +21,7 @@ from hardylp.extremal import (
     estimate_constant,
     evaluate_trial,
 )
-from hardylp.hardy import CHECKS, FieldValues
+from hardylp.hardy import FieldValues
 from hardylp.littlewood_paley import build_partition
 from hardylp.spectral_core import SampledField, boundary_decay, make_grid
 from hardylp.stein_weiss import SteinWeissParams
@@ -194,38 +192,9 @@ def test_cold_trend_trial_peak_memory():
 
 # --- radial trials on the octant ---------------------------------------------
 
-RADIAL_TRIALS = (
-    {"family": "gaussian", "width_fraction": 0.07},
-    {"family": "truncated-power", "exponent_fraction": 0.75, "inner_cells": 2.2,
-     "outer_fraction": 0.08},
-)
-
-
 # every estimated identity, at the exponents q its radial trials take
 OCTANT_CASES = (("fractional", 2.0), ("fractional", 3.0), ("besov", 2.0), ("besov", 3.0),
                 ("refined", 3.0))
-
-
-@pytest.mark.parametrize(
-    "d, sizes",
-    [(1, (8, 16, 32, 64, 128)), (2, (8, 16, 32, 64, 128)), (3, (8, 16, 32, 64, 128)),
-     (4, (8, 16, 32))],
-)
-def test_octant_quotient_matches_the_full_grid(d, sizes):
-    for (identity, q), n in itertools.product(OCTANT_CASES, sizes):
-        # a level pass needs n >= 32 for 3 dyadic levels, and its full-grid
-        # reference takes seconds at n = 128 in d = 3
-        if CHECKS[identity].levels and not 32 <= n <= 64:
-            continue
-        grid = make_grid(d, n, 20.0)
-        partition = _partition_for(identity, grid)
-        for s, params in itertools.product((0.0, 0.3, 0.5, 1.0, 0.95 * d / q), RADIAL_TRIALS):
-            if s >= d / q:
-                continue
-            got = _trial_quotient(identity, grid, partition, s, q, 7, params)
-            want = full_grid_quotient(identity, grid, partition, s, q, 7, params)
-            where = (identity, q, n, s, params)
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0), where
 
 
 @pytest.mark.parametrize("identity, q", OCTANT_CASES)
@@ -283,7 +252,8 @@ def test_octant_quotient_keeps_the_full_paths_rules(fft_calls):
     assert _trial_quotient("fractional", grid, None, 1.0, 2.0, 7, narrow) == 0.0
     # the octant path takes no d-D transform, only an rfft along each axis
     assert dict(fft_calls) == {"rfft": 3}
-    assert full_grid_quotient("fractional", grid, None, 1.0, 2.0, 7, narrow) == 0.0
+    full = check("fractional", trial_field(grid, 2.0, 7, narrow), 1.0, 2.0, full=True)
+    assert (full.quotient or 0.0) == 0.0
     with pytest.raises(ValueError, match="need 0 <= s < d/q"):
         _trial_quotient("fractional", grid, None, 1.5, 2.0, 7, RADIAL_TRIALS[0])
     coarse = {**RADIAL_TRIALS[1], "inner_cells": 1.5}

@@ -11,8 +11,6 @@ import hardylp.spectral_core as spectral_core
 from conftest import (
     check,
     discrete_hardy_ceiling,
-    full_grid,
-    full_grid_classical_sides,
     lp_stack,
     peak_field_arrays,
     radial_family_fields,
@@ -26,7 +24,6 @@ from hardylp.corpus import (
     corpus_fields,
     gaussian_field,
     random_band_limited_field,
-    truncated_power_field,
 )
 from hardylp.hardy import (
     CHECKS,
@@ -613,71 +610,10 @@ def test_each_value_is_made_at_most_once_whichever_checks_read_it(grid2, call_lo
                     log.clear()
 
 
-def _assert_close(got, want, path=""):
-    """got equals want, float by float, to 1e-12 relative, or absolute below 1."""
-    if isinstance(want, dict):
-        assert got.keys() == want.keys(), path
-        for key in want:
-            _assert_close(got[key], want[key], f"{path}.{key}")
-    elif isinstance(want, np.ndarray):
-        assert got.shape == want.shape, path
-        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), path
-    elif isinstance(want, (list, tuple)):
-        assert len(got) == len(want), path
-        for i, (a, b) in enumerate(zip(got, want)):
-            _assert_close(a, b, f"{path}[{i}]")
-    elif isinstance(want, float):
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (path, got, want)
-    else:
-        assert got == want, (path, got, want)
-
-
-@pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (3, 32), (4, 32)])
-def test_octant_values_match_the_full_grid(d, n):
-    # a radial field takes every value from its octant; the values of the
-    # same field on the whole grid (conftest.full_grid) are the reference
-    grid = make_grid(d, n, 20.0)
-    part = build_partition(grid)
-    for q in (2.0, 3.0, 4.0):
-        s = 0.4 * d / q
-        names = VERIFY_NAMES if q > 2 else ("fractional", "besov", "chain")
-        for f in radial_family_fields(grid, s, q):
-            octant, full = (_shared_values(g, s, q, part, names) for g in (f, full_grid(f)))
-            assert f.octant is not None and full.f.octant is None
-            block = (slice(n // 2, None),) * d
-            _assert_close(octant.lifted.octant, full.lifted.values[block])
-            for name in ("weighted", "sobolev"):
-                _assert_close(getattr(octant, name), getattr(full, name), name)
-            cell, whole = octant.sums, full.sums
-            assert cell.cell_volume == 2.0**d * whole.cell_volume
-            _assert_close(cell.norms, whole.norms, "norms")
-            _assert_close(cell.maxima, whole.maxima, "maxima")
-            for r, total in whole.powers.items():
-                _assert_close(cell.powers[r], total[block], f"powers[{r}]")
-            _assert_close(cell.shells * cell.cell_volume, whole.shells * whole.cell_volume)
-            for name in names:
-                got = CHECKS[name].run(octant, 0.03).to_dict()
-                _assert_close(got, CHECKS[name].run(full, 0.03).to_dict(), name)
-
-
 def _assert_relative(got, want, path=""):
     # within 1e-12 of want, relative to max |want| for an array
     scale = np.max(np.abs(want))
     assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12 * scale, (path, got, want)
-
-
-@pytest.mark.parametrize("d", [3, 4])
-def test_octant_classical_sides_match_the_full_grid(d):
-    # an even field's classical quotient reads its octant: the weighted norm
-    # against the octant table, and || |D| f ||_2^2 by one DCT in place of
-    # the gradient's Parseval sum on the whole grid
-    grid = make_grid(d, 32, 20.0)
-    for f in radial_family_fields(grid, 0.5, 3.0):
-        assert f.octant is not None
-        rep = classical_hardy_quotient(f)
-        lhs, rhs = full_grid_classical_sides(f)
-        _assert_relative(rep.lhs, lhs, "lhs")
-        _assert_relative(rep.rhs, rhs, "rhs")
 
 
 @pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (3, 32), (4, 32)])
@@ -697,45 +633,6 @@ def test_octant_shell_majorant_matches_the_full_grid(d, n):
             _assert_relative(link["rhs"], rhs, "rhs")
             _assert_relative(hardy._shell_majorant_sums(values)[1], masses, "masses")
             assert link["passed"]
-
-
-def _flat_report(rep) -> dict:
-    out = rep.to_dict()
-    extra = out.pop("extra", {})
-    return {**out, **extra}
-
-
-@pytest.mark.parametrize(
-    "d, n", [(2, 16), (2, 64), (2, 128), (3, 16), (3, 64), (3, 128), (4, 16), (4, 32)]
-)
-def test_octant_gradient_matches_the_full_grid(d, n, call_log):
-    # an even field's gradient checks read both norms from its octant, the
-    # left side at weight order 1 whatever FieldValues.s is (values.weighted,
-    # of order s, would fail at s = 0.5); the full path is the reference
-    grid = make_grid(d, n, 20.0)
-    part = build_partition(grid) if n > 16 else None  # n = 16 has too few levels
-    magnitudes = call_log(spectral_core, "gradient_magnitude")
-    fields_ = (
-        gaussian_field(grid, 0.075 * grid.L),
-        truncated_power_field(grid, 0.5, 2.0 * grid.h, 0.3 * grid.L),
-    )
-    for f, q in itertools.product(fields_, (1.5, 2.5, 3.0)):
-        # the refined check's level pass reads f on both paths: the Gaussian's alone
-        refined = 2 < q and part is not None and f is fields_[0]
-        for name in ("gradient", "gradient-refined")[: 1 + refined] if q < d else ():
-            # the full path reads no s: one reference for both
-            want = _flat_report(check(name, f, 1.0, q, part, full=True))
-            assert len(magnitudes) == 1
-            for s in (0.5, 1.0):
-                got = _flat_report(check(name, f, s, q, part))
-                assert len(magnitudes) == 1 and got.keys() == want.keys()
-                for key, value in want.items():
-                    where = (name, s, q, key)
-                    if isinstance(value, float):
-                        assert abs(got[key] - value) <= 1e-13 * abs(value), where
-                    else:
-                        assert got[key] == value, where
-            magnitudes.clear()
 
 
 def test_octant_gradient_leaves_complex_lattice_and_long_lines_to_the_full_grid(call_log):

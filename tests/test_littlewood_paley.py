@@ -555,6 +555,16 @@ def test_octant_level_pass_peak_memory_with_the_verify_sums():
     assert peak_field_arrays(run, f.values.nbytes) <= 1.5
 
 
+def test_level_pass_of_samples_takes_one_forward_and_one_inverse_per_level(fft_calls):
+    # a field with neither octant nor box: one rfftn, and per level one
+    # inverse, an ifft along each of the 3 leading axes and one irfft
+    grid = make_grid(4, 32, 20.0)
+    part = build_partition(grid)
+    level_sums(full_grid(gaussian_field(grid, 0.075 * grid.L)), part, 1.0, 3.0, (4.0, 2.0))
+    levels = len(part.levels)
+    assert dict(fft_calls) == {"rfftn": 1, "ifft": 3 * levels, "irfft": levels}
+
+
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 @pytest.mark.parametrize("d,n", [(1, 256), (2, 64), (3, 32), (4, 32)])
 def test_level_pieces_match_the_direct_inverse(d, n, real):

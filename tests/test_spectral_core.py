@@ -520,14 +520,14 @@ def test_gradient_matches_the_dd_transform_reference(d, real, centering, fft_cal
 
 
 # n = 64 takes the derivative matrix, n = 128 the transform pair; d = 4 stops
-# at n = 32, as n = 64 is a 134 MB field
-@pytest.mark.parametrize("centering", ["cell", "lattice"])
+# at n = 32, as n = 64 is a 134 MB field.  Cell-centred only: no path of the
+# gradient reads the centering, which the n = 16 test varies
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 @pytest.mark.parametrize(
     "d, n", [(1, 64), (1, 128), (2, 64), (2, 128), (3, 64), (3, 128), (4, 32)]
 )
-def test_gradient_matches_the_references_on_longer_lines(d, n, real, centering, fft_calls):
-    assert_gradient_matches_the_references(d, n, real, centering, fft_calls)
+def test_gradient_matches_the_references_on_longer_lines(d, n, real, fft_calls):
+    assert_gradient_matches_the_references(d, n, real, "cell", fft_calls)
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])

@@ -7,9 +7,7 @@ import pytest
 from conftest import (
     check,
     direct_inner_ball_potential,
-    full_grid_specialization,
     radial_average_profile,
-    radial_family_fields,
     random_field,
     without_box,
 )
@@ -203,25 +201,6 @@ def test_stein_weiss_dimension_mismatch(coarse2):
     assert params.violations() == []
     with pytest.raises(ValueError, match="dimension"):
         stein_weiss_check(f, params)
-
-
-@pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (3, 32), (4, 32)])
-def test_octant_specialization_matches_the_full_grid(d, n):
-    # verify's specialization takes an even field's |D|^s f as an octant-built
-    # field, the Riesz potential of it by one DCT pair and both norms as
-    # octant sums; rfftn/irfftn on the whole grid is the reference
-    grid = make_grid(d, n, 20.0)
-    block = (slice(n // 2, None),) * d
-    for q in (2.0, 3.0):
-        s = 0.4 * d / q
-        params = SteinWeissParams(lam=d - s, p=q, q=q, alpha=0.0, beta=s, d=d)
-        for f in radial_family_fields(grid, s, q):
-            lifted = FieldValues(f, s, q).lifted
-            pot, lhs, rhs = full_grid_specialization(f, s, q)
-            got = riesz_potential(lifted, d - s).octant
-            assert np.max(np.abs(got - pot[block])) <= 1e-12 * np.max(np.abs(pot))
-            rep = stein_weiss_check(lifted, params)
-            assert abs(rep.lhs - lhs) <= 1e-12 * lhs and abs(rep.rhs - rhs) <= 1e-12 * rhs
 
 
 def test_octant_stein_weiss_keeps_the_refusals(coarse2):
